@@ -31,6 +31,7 @@ from .zigzag import (
     betti_consistency_check,
     build_zigzag,
     compute_zigzag_persistence,
+    zigzag_series,
 )
 from .zpi import (
     GridSpec,
@@ -74,4 +75,5 @@ __all__ = [
     "transform_diagram",
     "union_graph",
     "wasserstein1",
+    "zigzag_series",
 ]

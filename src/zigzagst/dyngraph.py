@@ -28,6 +28,7 @@ __all__ = [
     "reduce_top_edges",
     "union_graph",
     "sliding_windows",
+    "window_count",
     "write_snapshot_csv",
     "read_snapshot_csv",
     "write_feature_csv",
@@ -285,15 +286,19 @@ def union_graph(g1: Snapshot, g2: Snapshot) -> Snapshot:
     return Snapshot(g1.index, g1.universe_size, g1.nodes | g2.nodes, weights)
 
 
-def sliding_windows(net: DynamicNetwork, tau: int) -> list[tuple[Snapshot, ...]]:
-    """All runs of ``tau`` consecutive snapshots, in chronological order."""
-    t = len(net)
+def window_count(length: int, tau: int) -> int:
+    """Number of runs of ``tau`` consecutive snapshots in a series of ``length``."""
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    if tau > t:
-        raise ValueError(f"window size {tau} exceeds series length {t}")
+    if tau > length:
+        raise ValueError(f"window size {tau} exceeds series length {length}")
+    return length - tau + 1
+
+
+def sliding_windows(net: DynamicNetwork, tau: int) -> list[tuple[Snapshot, ...]]:
+    """All runs of ``tau`` consecutive snapshots, in chronological order."""
     snaps = net.snapshots
-    return [tuple(snaps[i : i + tau]) for i in range(t - tau + 1)]
+    return [tuple(snaps[i : i + tau]) for i in range(window_count(len(net), tau))]
 
 
 # ---------------------------------------------------------------------------

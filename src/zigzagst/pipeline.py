@@ -7,7 +7,9 @@ commands are deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
+import itertools
 import math
+import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
@@ -21,7 +23,7 @@ from .dyngraph import (
     Snapshot,
     read_feature_csv,
     read_snapshot_csv,
-    sliding_windows,
+    window_count,
     write_feature_csv,
     write_snapshot_csv,
 )
@@ -29,13 +31,13 @@ from .filtration import FiltrationMode, betti_numbers, build_complex, write_comp
 from .metrics import wasserstein1
 from .zigzag import (
     ZPD,
-    DiagramPoint,
-    HalfIndex,
     betti_consistency_check,
-    build_zigzag,
-    compute_zigzag_persistence,
+    # The one-window API stays importable here: perfbench/tracing.py wraps it by this name.
+    build_zigzag,  # noqa: F401
+    compute_zigzag_persistence,  # noqa: F401
     read_zpd_csv,
     write_zpd_csv,
+    zigzag_series,
 )
 from .zpi import (
     GridSpec,
@@ -279,6 +281,16 @@ def random_dynamic_network(
 # Window features
 
 
+def _diagram_image(
+    zpd: ZPD, grid: GridSpec, weighting: WeightingSpec, homology_dims: tuple[int, ...]
+) -> np.ndarray:
+    """ZPI of a diagram; multiple dimensions sum pixelwise."""
+    pixels = np.zeros((grid.resolution, grid.resolution))
+    for dim in homology_dims:
+        pixels += render_zpi(transform_diagram(zpd, dim), grid, weighting).pixels
+    return pixels
+
+
 def window_image(
     window,
     nu_star: float,
@@ -288,12 +300,8 @@ def window_image(
     homology_dims: tuple[int, ...] = (1,),
 ) -> np.ndarray:
     """ZPD then ZPI for one window; multiple dimensions sum pixelwise."""
-    zf = build_zigzag(window, nu_star, mode)
-    zpd = compute_zigzag_persistence(zf)
-    pixels = np.zeros((grid.resolution, grid.resolution))
-    for dim in homology_dims:
-        pixels += render_zpi(transform_diagram(zpd, dim), grid, weighting).pixels
-    return pixels
+    ((_, zpd),) = zigzag_series(window, len(window), nu_star, mode)
+    return _diagram_image(zpd, grid, weighting, homology_dims)
 
 
 def assemble_batches(
@@ -301,7 +309,11 @@ def assemble_batches(
     features: FeatureSeries,
     config: RunConfig,
 ) -> list[net.Batch]:
-    """One batch per forecastable window; images are computed once each."""
+    """One batch per forecastable window; images are computed once each.
+
+    The forecastable windows are exactly the windows of the first T - horizon
+    snapshots, so the series engine runs on that prefix.
+    """
     nu = config.require_nu_star()
     mode = config.filtration_mode()
     grid = config.grid_spec()
@@ -310,15 +322,15 @@ def assemble_batches(
     t_len = len(network)
     if features.shape[0] != t_len:
         raise ValueError("feature series length does not match the network")
+    window_count(t_len, tau)  # rejects tau < 1 and tau > T
     values = features.values
     batches = []
-    windows = sliding_windows(network, tau)
-    for start in range(t_len - tau - h + 1):
-        image = window_image(windows[start], nu, mode, grid, weighting, config.homology_dims)
+    diagrams = zigzag_series(network.snapshots[: max(t_len - h, 0)], tau, nu, mode)
+    for start, (_, zpd) in enumerate(diagrams):
         batches.append(
             net.Batch(
                 inputs=values[start : start + tau],
-                image=image,
+                image=_diagram_image(zpd, grid, weighting, config.homology_dims),
                 targets=values[start + tau : start + tau + h, :, : config.out_features],
             )
         )
@@ -400,54 +412,69 @@ def cmd_filtrate(config: RunConfig) -> dict:
     return {"betti": betti_path, "complexes": dumps}
 
 
+def _zigzag_block(snapshots, tau: int, nu: float, mode: FiltrationMode, check: bool):
+    """(diagram, Betti violations) of every window of a run of snapshots."""
+    for zf, zpd in zigzag_series(snapshots, tau, nu, mode):
+        yield zpd, len(betti_consistency_check(zf, zpd).violations) if check else 0
+
+
 def _zigzag_worker(args):
-    index, plain_window, n, nu, mode_name, check = args
-    window = [
-        Snapshot.from_edges(i + 1, n, edges, nodes=nodes)
-        for i, (edges, nodes) in enumerate(plain_window)
-    ]
-    zf = build_zigzag(window, nu, _MODE_NAMES[mode_name])
-    zpd = compute_zigzag_persistence(zf)
-    violations = 0
-    if check:
-        violations = len(betti_consistency_check(zf, zpd).violations)
-    return index, [(p.dim, p.birth.twice, p.death.twice) for p in zpd.points], violations
+    plain, n, tau, nu, mode_name, check = args
+    snapshots = [Snapshot.from_edges(t, n, edges, nodes=nodes) for t, edges, nodes in plain]
+    return list(_zigzag_block(snapshots, tau, nu, _MODE_NAMES[mode_name], check))
+
+
+def _write_diagrams(out: str, results) -> tuple[list[str], int]:
+    """Write one CSV per window as results arrive; returns paths and summed violations."""
+    paths = []
+    total_violations = 0
+    for index, (zpd, violations) in enumerate(results):
+        total_violations += violations
+        path = os.path.join(out, f"zpd_window_{index:04d}.csv")
+        write_zpd_csv(zpd, path)
+        paths.append(path)
+    return paths, total_violations
 
 
 def cmd_zigzag(config: RunConfig) -> dict:
-    """Persistence diagram CSV per sliding window."""
+    """Persistence diagram CSV per sliding window.
+
+    With ``jobs > 1`` the windows are split into that many contiguous
+    blocks, and each worker process runs the series engine on the
+    snapshots its block spans.
+    """
     out = _ensure_outdir(config)
     nu = config.require_nu_star()
     mode = config.filtration_mode()
     network = read_snapshot_csv(config.snapshots, config.universe_size or None)
-    windows = sliding_windows(network, config.tau)
-    jobs = [
-        (
-            i,
-            [
-                ([(u, v, w) for (u, v), w in s.weights.items()], sorted(s.nodes))
-                for s in window
-            ],
-            network.universe_size,
-            nu,
-            mode.value,
-            config.check,
-        )
-        for i, window in enumerate(windows)
-    ]
-    if config.jobs > 1:
-        with ProcessPoolExecutor(max_workers=config.jobs) as pool:
-            results = sorted(pool.map(_zigzag_worker, jobs))
+    tau, snaps = config.tau, network.snapshots
+    n_windows = window_count(len(network), tau)
+    n_blocks = min(config.jobs, n_windows)
+    if n_blocks > 1:
+        bounds = [n_windows * k // n_blocks for k in range(n_blocks + 1)]
+        blocks = [
+            (
+                [
+                    (s.index, [(u, v, w) for (u, v), w in s.weights.items()], sorted(s.nodes))
+                    for s in snaps[lo : hi + tau - 1]
+                ],
+                network.universe_size,
+                tau,
+                nu,
+                mode.value,
+                config.check,
+            )
+            for lo, hi in zip(bounds, bounds[1:])
+        ]
+        context = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=n_blocks, mp_context=context) as pool:
+            paths, total_violations = _write_diagrams(
+                out, itertools.chain.from_iterable(pool.map(_zigzag_worker, blocks))
+            )
     else:
-        results = [_zigzag_worker(j) for j in jobs]
-    paths = []
-    total_violations = 0
-    for index, points, violations in results:
-        total_violations += violations
-        zpd = ZPD(tuple(DiagramPoint(d, HalfIndex(b), HalfIndex(dd)) for d, b, dd in points))
-        path = os.path.join(out, f"zpd_window_{index:04d}.csv")
-        write_zpd_csv(zpd, path)
-        paths.append(path)
+        paths, total_violations = _write_diagrams(
+            out, _zigzag_block(snaps, tau, nu, mode, config.check)
+        )
     if config.check and total_violations:
         raise AssertionError(f"betti consistency check failed with {total_violations} violations")
     return {"zpd": paths, "windows": len(paths), "violations": total_violations}

@@ -1,24 +1,37 @@
 """Zigzag persistence over alternating snapshot/union complex sequences.
 
-A window of T snapshots yields 2T-1 complexes: each snapshot includes
-into the union with its successor, so arrows alternate direction.  The
-interval decomposition of the induced GF(2) homology module is recovered
-from generalized ranks of all contiguous segments (the rank of the
+A series of snapshots G_1, G_2, ... yields the complex sequence
+C(G_1) -> C(G_1 u G_2) <- C(G_2) -> ...: each snapshot includes into the
+union with its successor, so arrows alternate direction.  A window of tau
+snapshots is a run of 2*tau - 1 consecutive complexes.  The interval
+decomposition of the induced GF(2) homology module is recovered from
+generalized ranks r[a, b] of contiguous segments (the rank of the
 canonical limit-to-colimit map counts the intervals covering a segment),
-which avoids any order-sensitive basis bookkeeping.  Births and deaths
-land on a half-integer time grid stored exactly as doubled integers.
+which avoids any order-sensitive basis bookkeeping.
+
+r[a, b] depends only on the module restricted to [a, b], not on the
+window around it (Carlsson & de Silva, "Zigzag persistence", 2010).  So
+``zigzag_series`` builds each complex, homology basis and arrow map once
+per series, sweeps each segment once, and reads every window's interval
+multiplicities from the shared ranks by inclusion-exclusion inside the
+window.  Windows come out in order as soon as their last snapshot is
+read, and state older than the current window is dropped, so memory
+stays proportional to tau, not to the series length.  A single window
+(``build_zigzag`` then ``compute_zigzag_persistence``) is the one-window
+case of the same code.  Births and deaths land on a half-integer time
+grid stored exactly as doubled integers.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import gf2
 from .dyngraph import Snapshot, union_graph
 from .filtration import (
     FiltrationMode,
-    Simplex,
     SimplicialComplex,
     betti_numbers,
     build_complex,
@@ -28,10 +41,9 @@ __all__ = [
     "HalfIndex",
     "DiagramPoint",
     "ZPD",
-    "ArrowEvents",
     "ZigzagFiltration",
     "InclusionError",
-    "EventOrderError",
+    "zigzag_series",
     "build_zigzag",
     "compute_zigzag_persistence",
     "betti_consistency_check",
@@ -43,10 +55,6 @@ __all__ = [
 
 class InclusionError(ValueError):
     """A complex in the zigzag fails to include into its union."""
-
-
-class EventOrderError(ValueError):
-    """Arrow event lists are inconsistent with the stored complexes."""
 
 
 @dataclass(frozen=True, order=True)
@@ -109,37 +117,54 @@ class ZPD:
 
 
 @dataclass(frozen=True)
-class ArrowEvents:
-    """Simplices crossing one arrow: added into a union, or removed out."""
-
-    forward: bool
-    simplices: tuple[Simplex, ...]
-
-
-@dataclass(frozen=True)
 class ZigzagFiltration:
-    """The 2T-1 complexes of a window plus per-arrow event lists."""
+    """The 2T-1 complexes of a window: snapshots at even, unions at odd positions."""
 
     complexes: tuple[SimplicialComplex, ...]
-    events: tuple[ArrowEvents, ...]
 
     def __post_init__(self):
         if len(self.complexes) % 2 == 0 or not self.complexes:
             raise ValueError("a zigzag filtration has odd length 2T-1")
-        if len(self.events) != len(self.complexes) - 1:
-            raise ValueError("need exactly one event list per arrow")
 
     @property
     def window_length(self) -> int:
         return (len(self.complexes) + 1) // 2
 
 
-def _arrow_name(arrow: int) -> str:
-    """Human-readable arrow label; snapshots are numbered from 1."""
-    k = arrow // 2 + 1
-    if arrow % 2 == 0:
-        return f"C(G_{k}) -> C(G_{k} u G_{k + 1})"
-    return f"C(G_{k + 1}) -> C(G_{k} u G_{k + 1})"
+def _check_inclusion(sub: SimplicialComplex, sup: SimplicialComplex, name: str) -> None:
+    if not sub.is_subcomplex_of(sup):
+        missing = sorted(sub.difference(sup), key=lambda s: (len(s), s))[:5]
+        raise InclusionError(f"arrow {name} violates inclusion; missing simplices {missing}")
+
+
+def _series_complexes(
+    snapshots: Iterable[Snapshot],
+    nu_star: float,
+    mode: FiltrationMode,
+    node_function: Callable[[int], float] | Mapping[int, float] | None,
+    unions: bool,
+) -> Iterator[SimplicialComplex]:
+    """Complexes of the alternating diagram, in order, one snapshot read at a time.
+
+    With ``unions`` each consecutive pair contributes its union complex,
+    and both arrows into it are checked once: modes whose complexes are
+    not monotone under graph union (possible for rank or degree scales)
+    raise InclusionError naming the arrow by the snapshots' own indices.
+    """
+    prev: Snapshot | None = None
+    prev_cx: SimplicialComplex | None = None
+    for s in snapshots:
+        u = None
+        if unions and prev is not None:
+            u = build_complex(union_graph(prev, s), nu_star, mode, node_function)
+        cx = build_complex(s, nu_star, mode, node_function)
+        if u is not None:
+            union = f"C(G_{prev.index} u G_{s.index})"
+            _check_inclusion(prev_cx, u, f"C(G_{prev.index}) -> {union}")
+            _check_inclusion(cx, u, f"C(G_{s.index}) -> {union}")
+            yield u
+        yield cx
+        prev, prev_cx = s, cx
 
 
 def build_zigzag(
@@ -148,70 +173,13 @@ def build_zigzag(
     mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
     node_function: Callable[[int], float] | Mapping[int, float] | None = None,
 ) -> ZigzagFiltration:
-    """Complexes and events of the alternating diagram for one window.
+    """Complexes of the alternating diagram for one window.
 
-    Inclusions are verified on every arrow; modes whose complexes are not
-    monotone under graph union (possible for rank or degree scales) raise
-    InclusionError naming the failing arrow.
+    Inclusions are verified on every arrow; see ``_series_complexes``.
     """
     if not window:
         raise ValueError("window must contain at least one snapshot")
-    snaps = list(window)
-    complexes: list[SimplicialComplex] = []
-    for i, s in enumerate(snaps):
-        complexes.append(build_complex(s, nu_star, mode, node_function))
-        if i + 1 < len(snaps):
-            u = union_graph(s, snaps[i + 1])
-            complexes.append(build_complex(u, nu_star, mode, node_function))
-    events: list[ArrowEvents] = []
-    for a in range(len(complexes) - 1):
-        if a % 2 == 0:
-            sub, sup, forward = complexes[a], complexes[a + 1], True
-        else:
-            sub, sup, forward = complexes[a + 1], complexes[a], False
-        if not sub.is_subcomplex_of(sup):
-            missing = sorted(sub.difference(sup), key=lambda s: (len(s), s))[:5]
-            raise InclusionError(
-                f"arrow {_arrow_name(a)} violates inclusion; missing simplices {missing}"
-            )
-        diff = sup.difference(sub)
-        if forward:
-            ordered = tuple(sorted(diff, key=lambda s: (len(s), s)))
-        else:
-            ordered = tuple(sorted(diff, key=lambda s: (-len(s), s)))
-        events.append(ArrowEvents(forward, ordered))
-    return ZigzagFiltration(tuple(complexes), tuple(events))
-
-
-def _validate_events(zf: ZigzagFiltration) -> None:
-    for a, ev in enumerate(zf.events):
-        cur = {tuple(s) for s in zf.complexes[a]}
-        nxt = {tuple(s) for s in zf.complexes[a + 1]}
-        present = set(cur)
-        if ev.forward:
-            for s in ev.simplices:
-                if s in present:
-                    raise EventOrderError(f"arrow {a}: added simplex {s} already present")
-                if len(s) > 1:
-                    for i in range(len(s)):
-                        face = s[:i] + s[i + 1 :]
-                        if face not in present:
-                            raise EventOrderError(
-                                f"arrow {a}: simplex {s} added before its face {face}"
-                            )
-                present.add(s)
-        else:
-            for s in ev.simplices:
-                if s not in present:
-                    raise EventOrderError(f"arrow {a}: removed simplex {s} not present")
-                for m in present:
-                    if len(m) > len(s) and set(s) < set(m):
-                        raise EventOrderError(
-                            f"arrow {a}: simplex {s} removed before its coface {m}"
-                        )
-                present.discard(s)
-        if present != nxt:
-            raise EventOrderError(f"arrow {a}: events do not transform the complex correctly")
+    return ZigzagFiltration(tuple(_series_complexes(window, nu_star, mode, node_function, True)))
 
 
 class _ComplexHom:
@@ -295,9 +263,9 @@ def _induced_map(p: int, sub: _ComplexHom, sup: _ComplexHom) -> list[int]:
 
 
 def _echelon_insert(ech: dict[int, int], vec: int) -> int:
-    """Reduce ``vec`` against a lowest-bit-pivot echelon, inserting if independent."""
+    """Reduce ``vec`` against a highest-bit-pivot echelon, inserting if independent."""
     while vec:
-        pv = (vec & -vec).bit_length() - 1
+        pv = vec.bit_length() - 1
         hit = ech.get(pv)
         if hit is None:
             ech[pv] = vec
@@ -306,110 +274,187 @@ def _echelon_insert(ech: dict[int, int], vec: int) -> int:
     return 0
 
 
-def _interval_multiplicities(homs: Sequence[_ComplexHom], p: int) -> dict[tuple[int, int], int]:
-    """Interval multiplicities via generalized ranks of segment restrictions.
+class _RankRow:
+    """Generalized ranks r[a, b] of one left end a, widened one position at a time.
 
-    For every segment [a, b] of diagram positions, r[a, b] is the rank of
-    the canonical limit-to-colimit map of the restricted module, which
-    counts the interval summands covering the whole segment.  Interval
-    multiplicities then follow by inclusion-exclusion over segment
-    endpoints.  Ranks are monotone under widening, so each row stops at
-    the first zero.
+    ``ranks[j]`` is r[a, a + j]; ranks are monotone under widening, so the
+    row closes at the first zero and every later rank is 0.
 
     Snapshots (even positions) are the sources of the diagram and unions
-    (odd positions) the sinks.  For a fixed left end the code maintains,
-    while the right end grows: the pair space K of (class at a, class at
-    b) joined by a compatible chain, and an echelon of the colimit gluing
-    relations laid out so that rows supported purely on position a are
-    exposed (block a occupies the top bits).  The rank is then the number
-    of left components of K that are independent modulo those rows.
+    (odd positions) the sinks.  While the right end b grows, the row
+    keeps the pair space K of (class at a, class at b) joined by a
+    compatible chain, and an echelon of the colimit gluing relations.
+    Block a takes the lowest bits and each new block is stacked above the
+    last; with highest-bit pivots, the echelon rows supported purely on
+    block a are exactly those whose pivot falls inside it.  The rank is
+    the number of left components of K that are independent modulo those
+    rows.
     """
-    q_count = len(homs)
-    dims = [h.betti(p) for h in homs]
-    arrow_maps: list[list[int]] = []
-    for q in range(q_count - 1):
-        if q % 2 == 0:
-            arrow_maps.append(_induced_map(p, homs[q], homs[q + 1]))  # V_q -> V_{q+1}
+
+    __slots__ = ("dim_a", "pairs", "relations", "zero_rows", "last_off", "top", "ranks", "open")
+
+    def __init__(self, dim_a: int):
+        self.dim_a = dim_a
+        self.pairs = [(1 << i, 1 << i) for i in range(dim_a)]
+        self.relations: dict[int, int] = {}  # echelon of colimit gluing relations
+        self.zero_rows: list[int] = []  # relation rows supported purely on block a
+        self.last_off = 0  # first bit of block b - 1
+        self.top = dim_a  # first free bit
+        self.ranks = [dim_a] if dim_a else []
+        self.open = bool(dim_a)
+
+    def widen(self, forward: bool, cols: list[int], m_prev: int, m_b: int) -> None:
+        """Extend [a, b - 1] to [a, b] across the arrow between b - 1 and b.
+
+        ``cols`` is the induced map of that arrow, V_{b-1} -> V_b when
+        ``forward`` and V_b -> V_{b-1} otherwise; m_prev and m_b are the
+        dimensions of V_{b-1} and V_b.
+        """
+        dim_a = self.dim_a
+        if forward:
+            # Forward arrow f: V_{b-1} -> V_b; push right components.
+            ech: dict[int, int] = {}
+            pairs = []
+            for u, v in self.pairs:
+                comb = _echelon_insert(ech, (u << m_b) | gf2.matvec(cols, v))
+                if comb:
+                    pairs.append((comb >> m_b, comb & ((1 << m_b) - 1)))
+            n_src = m_prev
         else:
-            arrow_maps.append(_induced_map(p, homs[q + 1], homs[q]))  # V_{q+1} -> V_q
-    ranks: dict[tuple[int, int], int] = {}
-    for a in range(q_count):
-        if dims[a] == 0:
-            continue
-        ranks[(a, a)] = dims[a]
-        off: dict[int, int] = {}
-        acc = 0
-        for q in range(a + 1, q_count):
-            off[q] = acc
-            acc += dims[q]
-        off[a] = acc  # block a on top so intersection rows are exposed
-        relations: dict[int, int] = {}  # echelon of colimit gluing relations
-        zero_rows: list[int] = []  # relation rows supported purely on block a
-        pairs: list[tuple[int, int]] = [(1 << i, 1 << i) for i in range(dims[a])]
-        for b in range(a + 1, q_count):
-            cols = arrow_maps[b - 1]
-            m_b = dims[b]
-            if b % 2 == 1:
-                # Forward arrow f: V_{b-1} -> V_b; push right components.
-                ech: dict[int, int] = {}
-                new_pairs = []
-                for u, v in pairs:
-                    comb = _echelon_insert(ech, (u << m_b) | gf2.matvec(cols, v))
-                    if comb:
-                        new_pairs.append((comb >> m_b, comb & ((1 << m_b) - 1)))
-                pairs = new_pairs
-                src, dst = b - 1, b
-            else:
-                # Backward arrow g: V_b -> V_{b-1}; take preimages of K.
-                m_prev = dims[b - 1]
-                tb = gf2.TrackedBasis(track=True)
-                for u, v in pairs:
-                    tb.insert((u << m_prev) | v)
-                n_seed = tb.n_inserted
-                new_pairs = []
-                for i in range(dims[a] + m_b):
-                    if i < dims[a]:
-                        vec = (1 << i) << m_prev
-                    else:
-                        vec = cols[i - dims[a]]
-                    added, combo = tb.insert(vec)
-                    if not added:
-                        units = combo >> n_seed
-                        new_pairs.append((units & ((1 << dims[a]) - 1), units >> dims[a]))
-                pairs = new_pairs
-                src, dst = b, b - 1
-            for i in range(dims[src]):
-                rel = 1 << (off[src] + i)
-                for j in gf2.bits_of(cols[i]):
-                    rel ^= 1 << (off[dst] + j)
-                row = _echelon_insert(relations, rel)
-                if row and (row & -row).bit_length() - 1 >= off[a]:
-                    zero_rows.append(row >> off[a])
-            if not pairs:
-                break
-            ech = {}
-            for z in zero_rows:
-                _echelon_insert(ech, z)
-            r = 0
-            for u, _ in pairs:
-                if _echelon_insert(ech, u):
-                    r += 1
-            if r == 0:
-                break
-            ranks[(a, b)] = r
-    mult: dict[tuple[int, int], int] = {}
-    for (a, b), r in ranks.items():
-        m = (
-            r
-            - ranks.get((a - 1, b), 0)
-            - ranks.get((a, b + 1), 0)
-            + ranks.get((a - 1, b + 1), 0)
-        )
-        if m < 0:
-            raise AssertionError("negative interval multiplicity")
-        if m:
-            mult[(a, b)] = m
-    return mult
+            # Backward arrow g: V_b -> V_{b-1}; take preimages of K.
+            tb = gf2.TrackedBasis(track=True)
+            for u, v in self.pairs:
+                tb.insert((u << m_prev) | v)
+            n_seed = tb.n_inserted
+            pairs = []
+            for i in range(dim_a + m_b):
+                if i < dim_a:
+                    vec = (1 << i) << m_prev
+                else:
+                    vec = cols[i - dim_a]
+                added, combo = tb.insert(vec)
+                if not added:
+                    units = combo >> n_seed
+                    pairs.append((units & ((1 << dim_a) - 1), units >> dim_a))
+            n_src = m_b
+        self.pairs = pairs
+        off_b = self.top
+        src_off, dst_off = (self.last_off, off_b) if forward else (off_b, self.last_off)
+        for i in range(n_src):
+            rel = 1 << (src_off + i)
+            for j in gf2.bits_of(cols[i]):
+                rel ^= 1 << (dst_off + j)
+            row = _echelon_insert(self.relations, rel)
+            if row and row.bit_length() <= dim_a:
+                self.zero_rows.append(row)
+        self.last_off, self.top = off_b, off_b + m_b
+        if not pairs:
+            self.open = False
+            return
+        ech = {}
+        for z in self.zero_rows:
+            _echelon_insert(ech, z)
+        r = 0
+        for u, _ in pairs:
+            if _echelon_insert(ech, u):
+                r += 1
+        if r == 0:
+            self.open = False
+            return
+        self.ranks.append(r)
+
+
+def _window_points(rows: Sequence[_RankRow], p: int) -> list[DiagramPoint]:
+    """Interval points of one window from the rank rows of its positions.
+
+    ``rows[i]`` is the row of the window's i-th position.  A rank whose
+    segment leaves the window counts as 0, so the multiplicity of [a, b]
+    is r[a, b] - r[a-1, b] - r[a, b+1] + r[a-1, b+1] with those terms
+    dropped at the window's edges.
+    """
+    width = len(rows)
+    points = []
+    left: list[int] = []
+    for a, row in enumerate(rows):
+        ranks = row.ranks
+        n_left = len(left)
+        for j in range(min(len(ranks), width - a)):
+            m = ranks[j]
+            if j + 1 < n_left:
+                m -= left[j + 1]
+            if a + j + 1 < width:
+                if j + 1 < len(ranks):
+                    m -= ranks[j + 1]
+                if j + 2 < n_left:
+                    m += left[j + 2]
+            if m < 0:
+                raise AssertionError("negative interval multiplicity")
+            if m:
+                points += [DiagramPoint(p, HalfIndex(a + 2), HalfIndex(a + j + 2))] * m
+        left = ranks
+    return points
+
+
+def _window_diagrams(
+    complexes: Iterable[SimplicialComplex], tau: int
+) -> Iterator[tuple[ZigzagFiltration, ZPD]]:
+    """Every run of 2*tau - 1 positions starting at a snapshot, in order.
+
+    Each complex gets one homology basis, each arrow one induced map per
+    dimension, and each position one rank row per dimension.  A new
+    position widens every open row that a window can still use; a window
+    is emitted as soon as its last position is in, and the rows of its
+    first snapshot and union are then dropped.  Only the current window's
+    complexes and rows are kept.
+    """
+    width = 2 * tau - 1
+    stride = 2 if width > 1 else 1  # windows start at snapshots
+    kept: deque[SimplicialComplex] = deque(maxlen=width)
+    rows: tuple[deque[_RankRow], deque[_RankRow]] = (deque(), deque())
+    prev: _ComplexHom | None = None
+    for q, cx in enumerate(complexes):
+        kept.append(cx)
+        hom = _ComplexHom(cx)
+        for p, row_list in enumerate(rows):
+            if prev is not None and any(row.open for row in row_list):
+                forward = q % 2 == 1
+                cols = _induced_map(p, prev, hom) if forward else _induced_map(p, hom, prev)
+                m_prev, m_b = prev.betti(p), hom.betti(p)
+                for row in row_list:
+                    if row.open:
+                        row.widen(forward, cols, m_prev, m_b)
+            row_list.append(_RankRow(hom.betti(p)))
+        prev = hom
+        start = q - width + 1
+        if start >= 0 and start % stride == 0:
+            points = _window_points(list(rows[0]), 0) + _window_points(list(rows[1]), 1)
+            yield ZigzagFiltration(tuple(kept)), ZPD(tuple(points))
+            for row_list in rows:
+                for _ in range(stride):
+                    row_list.popleft()
+
+
+def zigzag_series(
+    snapshots: Iterable[Snapshot],
+    tau: int,
+    nu_star: float,
+    mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
+    node_function: Callable[[int], float] | Mapping[int, float] | None = None,
+) -> Iterator[tuple[ZigzagFiltration, ZPD]]:
+    """(filtration, diagram) of every window of ``tau`` consecutive snapshots.
+
+    Windows come in chronological order; window k (from 0) is yielded as
+    soon as k + tau snapshots have been read, so ``snapshots`` may be a
+    lazy iterable.  A
+    series shorter than ``tau`` yields nothing.  The diagrams equal
+    ``compute_zigzag_persistence(build_zigzag(window, ...))`` window by
+    window, and a failing inclusion raises InclusionError when its arrow
+    is reached.
+    """
+    if tau < 1:
+        raise ValueError(f"tau must be >= 1, got {tau}")
+    complexes = _series_complexes(snapshots, nu_star, mode, node_function, unions=tau > 1)
+    return _window_diagrams(complexes, tau)
 
 
 def compute_zigzag_persistence(zf: ZigzagFiltration, maxdim: int = 1) -> ZPD:
@@ -421,16 +466,8 @@ def compute_zigzag_persistence(zf: ZigzagFiltration, maxdim: int = 1) -> ZPD:
     """
     if maxdim != 1:
         raise ValueError("only homology dimensions 0 and 1 are supported")
-    _validate_events(zf)
-    homs = [_ComplexHom(cx) for cx in zf.complexes]
-    points = []
-    for dim in (0, 1):
-        for (birth_pos, death_pos), count in sorted(_interval_multiplicities(homs, dim).items()):
-            points.extend(
-                DiagramPoint(dim, HalfIndex(birth_pos + 2), HalfIndex(death_pos + 2))
-                for _ in range(count)
-            )
-    return ZPD(tuple(points))
+    ((_, zpd),) = _window_diagrams(zf.complexes, zf.window_length)
+    return zpd
 
 
 @dataclass(frozen=True)

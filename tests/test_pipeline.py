@@ -1,11 +1,12 @@
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from zigzagst.cli import main
-from zigzagst.dyngraph import read_snapshot_csv
+from zigzagst.dyngraph import read_snapshot_csv, write_snapshot_csv
 from zigzagst.filtration import FiltrationMode, build_complex, betti_numbers
 from zigzagst.pipeline import (
     RunConfig,
@@ -137,15 +138,18 @@ def test_cmd_zigzag_golden_window(golden_paths):
     assert zpd.pairs(0) == [(1.0, 3.0)]
 
 
-def test_cmd_zigzag_parallel_matches_serial(golden_paths):
-    snaps, tmp = golden_paths
-    serial = RunConfig(snapshots=str(snaps), outdir=str(tmp / "s"), nu_star=0.5, tau=2)
-    parallel = RunConfig(snapshots=str(snaps), outdir=str(tmp / "p"), nu_star=0.5, tau=2, jobs=2)
-    out_s = cmd_zigzag(serial)
-    out_p = cmd_zigzag(parallel)
-    assert out_s["windows"] == out_p["windows"] == 2
-    for a, b in zip(out_s["zpd"], out_p["zpd"]):
-        assert open(a).read() == open(b).read()
+def test_cmd_zigzag_parallel_matches_serial(tmp_path):
+    # 9 snapshots and tau = 3 give 7 windows, split into 3 blocks of 2, 2 and 3.
+    snaps = tmp_path / "snapshots.csv"
+    write_snapshot_csv(gen_synthetic(n_nodes=8, length=9, seed=5).network, snaps)
+    base = RunConfig(snapshots=str(snaps), nu_star=0.5, tau=3, check=True)
+    out_s = cmd_zigzag(replace(base, outdir=str(tmp_path / "s")))
+    out_p = cmd_zigzag(replace(base, outdir=str(tmp_path / "p"), jobs=3))
+    assert out_s["windows"] == out_p["windows"] == 7
+    assert out_s["violations"] == out_p["violations"] == 0
+    for a, b in zip(out_s["zpd"], out_p["zpd"], strict=True):
+        assert os.path.basename(a) == os.path.basename(b)
+        assert open(a, "rb").read() == open(b, "rb").read()
 
 
 def test_cmd_zpi_renders_all_diagrams(golden_paths):

@@ -4,13 +4,10 @@ from zigzagst.dyngraph import Snapshot
 from zigzagst.filtration import FiltrationMode
 from zigzagst.pipeline import random_dynamic_network
 from zigzagst.zigzag import (
-    ArrowEvents,
     DiagramPoint,
-    EventOrderError,
     HalfIndex,
     InclusionError,
     ZPD,
-    ZigzagFiltration,
     betti_consistency_check,
     build_zigzag,
     compute_zigzag_persistence,
@@ -51,16 +48,15 @@ def test_diagram_point_ordering_constraint():
 
 def test_build_shapes_and_events():
     zf = build_zigzag(golden_cycle_window(), 0.5)
-    assert len(zf.complexes) == 5 and len(zf.events) == 4
+    assert len(zf.complexes) == 5
     assert zf.window_length == 3
-    assert zf.events[0].forward and not zf.events[1].forward
-    assert zf.events[0].simplices == ((0, 3),)  # the square edge enters the union
-    assert zf.events[1].simplices == ()  # union equals the second snapshot
+    assert (0, 3) in zf.complexes[1] and (0, 3) not in zf.complexes[0]  # the square edge
+    assert zf.complexes[1] == zf.complexes[2]  # union equals the second snapshot
 
 
 def test_build_single_snapshot():
     zf = build_zigzag([snap([(0, 1)])], 0.5)
-    assert len(zf.complexes) == 1 and zf.events == ()
+    assert len(zf.complexes) == 1
 
 
 def test_build_unrolls_union_definition():
@@ -167,42 +163,6 @@ def test_time_reversal_small():
         for dim in (0, 1):
             mapped = sorted((t + 1 - d, t + 1 - b) for b, d in rev.pairs(dim))
             assert sorted(fwd.pairs(dim)) == mapped
-
-
-# --- event validation --------------------------------------------------------------
-
-def test_events_must_respect_face_order():
-    zf = build_zigzag(golden_cycle_window(), 0.5)
-    g1 = snap([(0, 1)], index=1)
-    g2 = snap([(1, 2)], index=2)
-    zf2 = build_zigzag([g1, g2], 0.5)
-    # add the union edge before its vertex
-    bad_events = (
-        ArrowEvents(True, ((1, 2), (2,))),
-        zf2.events[1],
-    )
-    with pytest.raises(EventOrderError, match="face"):
-        compute_zigzag_persistence(ZigzagFiltration(zf2.complexes, bad_events))
-
-
-def test_events_must_transform_exactly():
-    g1 = snap([(0, 1)], index=1)
-    g2 = snap([(1, 2)], index=2)
-    zf = build_zigzag([g1, g2], 0.5)
-    bad = (ArrowEvents(True, ()), zf.events[1])
-    with pytest.raises(EventOrderError, match="transform"):
-        compute_zigzag_persistence(ZigzagFiltration(zf.complexes, bad))
-
-
-def test_removals_must_respect_coface_order():
-    g1 = snap([(0, 1)], index=1)
-    g2 = snap([], index=2, nodes=[0])
-    zf = build_zigzag([g1, g2], 0.5)
-    removal = zf.events[1]
-    assert not removal.forward
-    reordered = ArrowEvents(False, tuple(sorted(removal.simplices, key=len)))
-    with pytest.raises(EventOrderError, match="coface"):
-        compute_zigzag_persistence(ZigzagFiltration(zf.complexes, (zf.events[0], reordered)))
 
 
 # --- CSV -----------------------------------------------------------------------------
