@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,54 +25,48 @@ class MatchingResult:
     pairing: tuple[tuple[Point | None, Point | None], ...]
 
 
-def _ground(a: Point, b: Point) -> float:
-    return max(abs(a[0] - b[0]), abs(a[1] - b[1]))
-
-
-def _diag_cost(p: Point) -> float:
-    return (p[1] - p[0]) / 2.0
-
-
 def wasserstein1(d1: Sequence[Point], d2: Sequence[Point]) -> MatchingResult:
     """Wasserstein-1 distance with L-infinity ground metric.
 
-    Each diagram is augmented with the other side's diagonal projections
-    (a point may only pair with its own projection, whose cost is half
-    its persistence); the resulting square assignment problem is solved
-    exactly.
+    Points both diagrams hold (as multisets) are paired with themselves
+    at cost 0.  The remainders are augmented with the other side's
+    diagonal projections (a point may only pair with its own projection,
+    whose cost is half its persistence), and the resulting square
+    assignment problem is solved exactly.
+
+    Cancelling shared points is exact: routing a pair through the
+    diagonal whenever that is cheaper makes the ground cost the metric
+    min(|x - y|_inf, d(x, D) + d(y, D)), and under a metric W1 depends
+    only on the difference of the two measures (Kantorovich-Rubinstein),
+    so shared mass can stay where it is.
     """
-    p1 = [(float(b), float(d)) for b, d in d1]
-    p2 = [(float(b), float(d)) for b, d in d2]
-    n1, n2 = len(p1), len(p2)
+    c1 = Counter((float(b), float(d)) for b, d in d1)
+    c2 = Counter((float(b), float(d)) for b, d in d2)
+    shared = c1 & c2
+    pairing: list[tuple[Point | None, Point | None]] = [(p, p) for p in shared.elements()]
+    r1 = list((c1 - shared).elements())
+    r2 = list((c2 - shared).elements())
+    n1, n2 = len(r1), len(r2)
     if n1 == 0 and n2 == 0:
-        return MatchingResult(0.0, ())
-    size = n1 + n2
-    cost = np.zeros((size, size), dtype=np.float64)
-    for i, a in enumerate(p1):
-        for j, b in enumerate(p2):
-            cost[i, j] = _ground(a, b)
-    finite_total = cost[:n1, :n2].sum() + sum(map(_diag_cost, p1)) + sum(map(_diag_cost, p2))
-    big = finite_total + 1.0
-    cost[:n1, n2:] = big
-    for i, a in enumerate(p1):
-        cost[i, n2 + i] = _diag_cost(a)
-    cost[n1:, :n2] = big
-    for j, b in enumerate(p2):
-        cost[n1 + j, j] = _diag_cost(b)
+        return MatchingResult(0.0, tuple(pairing))
+    a = np.array(r1, dtype=np.float64).reshape(n1, 2)
+    b = np.array(r2, dtype=np.float64).reshape(n2, 2)
+    ground = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    diag1 = (a[:, 1] - a[:, 0]) / 2.0
+    diag2 = (b[:, 1] - b[:, 0]) / 2.0
+    big = ground.sum() + diag1.sum() + diag2.sum() + 1.0
+    cost = np.full((n1 + n2, n1 + n2), big)
+    cost[:n1, :n2] = ground
+    cost[n1:, n2:] = 0.0  # diagonal matched to diagonal, free
+    cost[np.arange(n1), n2 + np.arange(n1)] = diag1
+    cost[n1 + np.arange(n2), np.arange(n2)] = diag2
     rows, cols = linear_sum_assignment(cost)
-    total = 0.0
-    pairing: list[tuple[Point | None, Point | None]] = []
-    for r, c in zip(rows, cols):
-        if r < n1 and c < n2:
-            pairing.append((p1[r], p2[c]))
-        elif r < n1:
-            pairing.append((p1[r], None))
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if r < n1:
+            pairing.append((r1[r], r2[c] if c < n2 else None))
         elif c < n2:
-            pairing.append((None, p2[c]))
-        else:
-            continue  # diagonal matched to diagonal, free
-        total += cost[r, c]
-    return MatchingResult(float(total), tuple(pairing))
+            pairing.append((None, r2[c]))
+    return MatchingResult(math.fsum(cost[rows, cols].tolist()), tuple(pairing))
 
 
 def linf_distance(z1: ZPIGrid, z2: ZPIGrid) -> float:

@@ -11,6 +11,7 @@ import itertools
 import math
 import multiprocessing
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -27,11 +28,17 @@ from .dyngraph import (
     write_feature_csv,
     write_snapshot_csv,
 )
-from .filtration import FiltrationMode, betti_numbers, build_complex, write_complex_dump
+from .filtration import (
+    FiltrationMode,
+    SimplicialComplex,
+    betti_numbers,
+    build_complex,
+    write_complex_dump,
+)
 from .metrics import wasserstein1
 from .zigzag import (
     ZPD,
-    betti_consistency_check,
+    _consistency_report,
     # The one-window API stays importable here: perfbench/tracing.py wraps it by this name.
     build_zigzag,  # noqa: F401
     compute_zigzag_persistence,  # noqa: F401
@@ -413,15 +420,39 @@ def cmd_filtrate(config: RunConfig) -> dict:
 
 
 def _zigzag_block(snapshots, tau: int, nu: float, mode: FiltrationMode, check: bool):
-    """(diagram, Betti violations) of every window of a run of snapshots."""
+    """(diagram, Betti violations) of every window of a run of snapshots.
+
+    The engine hands overlapping windows the same complex objects, so
+    ``check`` computes each complex's Betti numbers once and keeps them
+    while a window still holds the complex.
+    """
+    betti: dict[int, tuple[SimplicialComplex, tuple[int, int]]] = {}
     for zf, zpd in zigzag_series(snapshots, tau, nu, mode):
-        yield zpd, len(betti_consistency_check(zf, zpd).violations) if check else 0
+        violations = 0
+        if check:
+            betti = {
+                id(cx): betti.get(id(cx)) or (cx, (betti_numbers(cx, 0), betti_numbers(cx, 1)))
+                for cx in zf.complexes
+            }
+            report = _consistency_report(zpd, [betti[id(cx)][1] for cx in zf.complexes])
+            violations = len(report.violations)
+        yield zpd, violations
 
 
 def _zigzag_worker(args):
     plain, n, tau, nu, mode_name, check = args
     snapshots = [Snapshot.from_edges(t, n, edges, nodes=nodes) for t, edges, nodes in plain]
     return list(_zigzag_block(snapshots, tau, nu, _MODE_NAMES[mode_name], check))
+
+
+_WINDOW_FILE = re.compile(r"zpd_window_\d{4,}(\.csv|_dim\d+\.(zpi|pgm))")
+
+
+def _remove_window_files(out: str) -> None:
+    """Delete an earlier run's window diagrams and the images rendered from them."""
+    for name in os.listdir(out):
+        if _WINDOW_FILE.fullmatch(name):
+            os.remove(os.path.join(out, name))
 
 
 def _write_diagrams(out: str, results) -> tuple[list[str], int]:
@@ -441,7 +472,9 @@ def cmd_zigzag(config: RunConfig) -> dict:
 
     With ``jobs > 1`` the windows are split into that many contiguous
     blocks, and each worker process runs the series engine on the
-    snapshots its block spans.
+    snapshots its block spans.  Window diagrams and images left in
+    ``outdir`` by an earlier run are removed first, so ``cmd_zpi`` sees
+    only this run's windows.
     """
     out = _ensure_outdir(config)
     nu = config.require_nu_star()
@@ -450,6 +483,7 @@ def cmd_zigzag(config: RunConfig) -> dict:
     tau, snaps = config.tau, network.snapshots
     n_windows = window_count(len(network), tau)
     n_blocks = min(config.jobs, n_windows)
+    _remove_window_files(out)
     if n_blocks > 1:
         bounds = [n_windows * k // n_blocks for k in range(n_blocks + 1)]
         blocks = [
@@ -552,11 +586,27 @@ def cmd_train(config: RunConfig) -> dict:
     return {"checkpoint": ckpt, "history": hist, "test_metrics": metrics}
 
 
+def _require_checkpoint_match(
+    model_cfg: net.ModelConfig, n_nodes: int, in_features: int, config: RunConfig
+) -> None:
+    """Reject data or settings whose shapes differ from the trained model's."""
+    pairs = {
+        "universe_size": (n_nodes, model_cfg.n_nodes),
+        "feature width": (in_features, model_cfg.in_features),
+        "tau": (config.tau, model_cfg.window),
+        "horizon": (config.horizon, model_cfg.horizon),
+    }
+    for name, (got, trained) in pairs.items():
+        if got != trained:
+            raise ValueError(f"{name} is {got} here but the checkpoint was trained with {trained}")
+
+
 def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     """Predict the test windows with a stored checkpoint."""
     out = _ensure_outdir(config)
     model_cfg, params = net.load_checkpoint(checkpoint)
     network, features = _load_data(config)
+    _require_checkpoint_match(model_cfg, network.universe_size, features.shape[2], config)
     batches = assemble_batches(network, features, config)
     dataset = net.chronological_split(batches, config.split)
     stack = np.concatenate([b.inputs.reshape(-1, b.inputs.shape[-1]) for b in dataset.train])

@@ -484,15 +484,20 @@ class ConsistencyReport:
 
 def betti_consistency_check(zf: ZigzagFiltration, zpd: ZPD) -> ConsistencyReport:
     """At every grid position the number of live bars must equal the Betti number."""
+    betti = [(betti_numbers(cx, 0), betti_numbers(cx, 1)) for cx in zf.complexes]
+    return _consistency_report(zpd, betti)
+
+
+def _consistency_report(zpd: ZPD, betti: Sequence[tuple[int, int]]) -> ConsistencyReport:
+    """Compare live bars with ``betti[q]``, the (b0, b1) of the complex at position q."""
     violations = []
-    for q, cx in enumerate(zf.complexes):
+    for q, per_dim in enumerate(betti):
         twice = q + 2
         for dim in (0, 1):
             bars = zpd.count_alive(dim, twice)
-            betti = betti_numbers(cx, dim)
-            if bars != betti:
-                violations.append((twice, dim, bars, betti))
-    return ConsistencyReport(tuple(violations), len(zf.complexes))
+            if bars != per_dim[dim]:
+                violations.append((twice, dim, bars, per_dim[dim]))
+    return ConsistencyReport(tuple(violations), len(betti))
 
 
 _ZPD_HEADER = "p,twice_birth,twice_death"
@@ -506,18 +511,33 @@ def write_zpd_csv(zpd: ZPD, path) -> None:
 
 
 def read_zpd_csv(path) -> ZPD:
+    """Diagram from a CSV written by ``write_zpd_csv``.
+
+    A diagram repeats few distinct rows many times, so each distinct line
+    is parsed and validated once and its frozen point reused.  Blank and
+    header lines are skipped.
+    """
+    known: dict[str, DiagramPoint | None] = {}
     points = []
     with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line == _ZPD_HEADER:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-            try:
-                dim, b, d = (int(x) for x in parts)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            points.append(DiagramPoint(dim, HalfIndex(b), HalfIndex(d)))
+        for lineno, raw in enumerate(fh, start=1):
+            if raw in known:
+                point = known[raw]
+            else:
+                point = known[raw] = _parse_zpd_row(path, lineno, raw.strip())
+            if point is not None:
+                points.append(point)
     return ZPD(tuple(points))
+
+
+def _parse_zpd_row(path, lineno: int, line: str) -> DiagramPoint | None:
+    if not line or line == _ZPD_HEADER:
+        return None
+    parts = line.split(",")
+    if len(parts) != 3:
+        raise ValueError(f"{path}: line {lineno}: expected 3 fields")
+    try:
+        dim, b, d = (int(x) for x in parts)
+    except ValueError as exc:
+        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+    return DiagramPoint(dim, HalfIndex(b), HalfIndex(d))

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -5,6 +8,7 @@ from hypothesis import given, strategies as st
 from zigzagst.metrics import linf_distance, wasserstein1
 from zigzagst.zpi import GridSpec, WeightingSpec, ZPIGrid, render_zpi
 from util import brute_force_w1, random_diagram
+import reference_metrics
 
 
 # --- wasserstein1 -----------------------------------------------------------------
@@ -91,6 +95,71 @@ def test_assignment_beats_greedy():
     greedy = max(abs(0.0), abs(4.0 - 9.0)) + max(0.0, abs(10.0 - 3.0))
     assert cost <= greedy
     assert cost == pytest.approx(2.0)
+
+
+def _half_grid_pair(rng):
+    """Two diagrams drawn with multiplicity from one pool of <= 15 half-grid points."""
+    pool = []
+    for _ in range(int(rng.integers(1, 16))):
+        b = int(rng.integers(2, 24))
+        pool.append((b / 2.0, (b + int(rng.integers(0, 12))) / 2.0))
+
+    def draw():
+        points = []
+        for p in pool:
+            if rng.random() < 0.7:
+                points += [p] * int(rng.integers(1, 31))
+        rng.shuffle(points)
+        return points
+
+    return draw(), draw()
+
+
+def _pairing_cost(pairing):
+    costs = []
+    for a, b in pairing:
+        if a is not None and b is not None:
+            costs.append(max(abs(a[0] - b[0]), abs(a[1] - b[1])))
+        else:
+            p = a if a is not None else b
+            costs.append((p[1] - p[0]) / 2.0)
+    return math.fsum(costs)
+
+
+def test_matches_dense_reference_exactly_on_half_grid():
+    rng = np.random.default_rng(2024)
+    shared_seen = unshared_seen = 0
+    for _ in range(250):
+        d1, d2 = _half_grid_pair(rng)
+        result = wasserstein1(d1, d2)
+        assert result.cost == reference_metrics.wasserstein1(d1, d2).cost
+        assert sorted(a for a, _ in result.pairing if a is not None) == sorted(d1)
+        assert sorted(b for _, b in result.pairing if b is not None) == sorted(d2)
+        assert _pairing_cost(result.pairing) == result.cost
+        shared = sum((Counter(d1) & Counter(d2)).values())
+        shared_seen += shared > 0
+        unshared_seen += shared < max(len(d1), len(d2))
+    assert shared_seen >= 100 and unshared_seen >= 100
+
+
+def test_matches_dense_reference_off_the_grid():
+    # Off the grid the two paths sum different float terms, so costs agree to rounding.
+    rng = np.random.default_rng(7)
+    for _ in range(100):
+        common = random_diagram(rng, max_points=5)
+        d1 = common + random_diagram(rng, max_points=8)
+        d2 = common * 2 + random_diagram(rng, max_points=8)
+        got = wasserstein1(d1, d2).cost
+        assert got == pytest.approx(reference_metrics.wasserstein1(d1, d2).cost, abs=1e-9)
+
+
+def test_shared_points_pair_with_themselves():
+    d1 = [(1.0, 3.0)] * 3 + [(2.0, 6.0)]
+    d2 = [(1.0, 3.0)] * 2 + [(2.5, 6.0)]
+    result = wasserstein1(d1, d2)
+    assert result.cost == 1.0 + 0.5
+    assert result.pairing.count(((1.0, 3.0), (1.0, 3.0))) == 2
+    assert sorted(wasserstein1(d1, d1).pairing) == sorted((p, p) for p in d1)
 
 
 # --- linf_distance -------------------------------------------------------------------

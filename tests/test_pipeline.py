@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from zigzagst.cli import main
-from zigzagst.dyngraph import read_snapshot_csv, write_snapshot_csv
+from zigzagst.dyngraph import read_snapshot_csv, write_feature_csv, write_snapshot_csv
 from zigzagst.filtration import FiltrationMode, build_complex, betti_numbers
 from zigzagst.pipeline import (
     RunConfig,
@@ -152,6 +152,67 @@ def test_cmd_zigzag_parallel_matches_serial(tmp_path):
         assert open(a, "rb").read() == open(b, "rb").read()
 
 
+def _nine_snapshots(tmp_path):
+    snaps = tmp_path / "snapshots.csv"
+    write_snapshot_csv(gen_synthetic(n_nodes=8, length=9, seed=5).network, snaps)
+    return snaps
+
+
+def test_cmd_zigzag_removes_an_earlier_runs_windows(tmp_path):
+    base = RunConfig(
+        snapshots=str(_nine_snapshots(tmp_path)), outdir=str(tmp_path / "out"), nu_star=0.5,
+        homology_dims=(0, 1), resolution=8,
+    )
+    assert cmd_zigzag(replace(base, tau=2))["windows"] == 8
+    cmd_zpi(replace(base, tau=2))
+    (tmp_path / "out" / "zpd_other.csv").write_text("p,twice_birth,twice_death\n")
+    assert cmd_zigzag(replace(base, tau=5))["windows"] == 5
+    names = sorted(os.listdir(tmp_path / "out"))
+    assert names == ["zpd_other.csv"] + [f"zpd_window_{k:04d}.csv" for k in range(5)]
+    rendered = cmd_zpi(replace(base, tau=5))["zpi"]
+    assert len(rendered) == 2 + 5 * 2  # zpd_other plus five windows, two dimensions each
+
+
+def test_cmd_zigzag_check_computes_betti_once_per_complex(tmp_path, monkeypatch):
+    import zigzagst.pipeline as pipeline
+    import zigzagst.zigzag as zigzag
+
+    calls = []
+
+    def counted(cx, dim):
+        calls.append(dim)
+        return betti_numbers(cx, dim)
+
+    monkeypatch.setattr(pipeline, "betti_numbers", counted)
+    monkeypatch.setattr(zigzag, "betti_numbers", counted)
+    cfg = RunConfig(
+        snapshots=str(_nine_snapshots(tmp_path)), outdir=str(tmp_path / "out"), nu_star=0.5,
+        tau=4, check=True,
+    )
+    out = cmd_zigzag(cfg)
+    assert out["windows"] == 6 and out["violations"] == 0
+    assert len(calls) == 2 * (2 * 9 - 1)
+
+
+def test_cmd_zigzag_check_catches_a_corrupted_diagram(tmp_path, monkeypatch):
+    import zigzagst.pipeline as pipeline
+    from zigzagst.zigzag import ZPD
+
+    engine = pipeline.zigzag_series
+
+    def corrupted(*args):
+        for zf, zpd in engine(*args):
+            yield zf, ZPD(zpd.points[1:])
+
+    monkeypatch.setattr(pipeline, "zigzag_series", corrupted)
+    cfg = RunConfig(
+        snapshots=str(_nine_snapshots(tmp_path)), outdir=str(tmp_path / "out"), nu_star=0.5,
+        tau=4, check=True,
+    )
+    with pytest.raises(AssertionError, match="betti consistency check failed"):
+        cmd_zigzag(cfg)
+
+
 def test_cmd_zpi_renders_all_diagrams(golden_paths):
     snaps, tmp = golden_paths
     out_dir = tmp / "out"
@@ -257,6 +318,54 @@ def test_cmd_forecast_and_ablate(tmp_path):
     header = open(ab["ablation"]).read().splitlines()[0]
     assert header == "ablation,mae,rmse,mape"
     assert os.path.exists(out_dir / "history_no-zigzag.csv")
+
+
+@pytest.fixture
+def forecast_inputs(tmp_path):
+    """Small synthetic data and an untrained checkpoint whose shapes match it."""
+    from zigzagst import net
+
+    data = gen_synthetic(n_nodes=8, length=16, seed=3)
+    snaps, feats = tmp_path / "snapshots.csv", tmp_path / "features.csv"
+    write_snapshot_csv(data.network, snaps)
+    write_feature_csv(data.features, feats)
+    cfg = RunConfig(
+        snapshots=str(snaps), features=str(feats), outdir=str(tmp_path / "out"), nu_star=0.5,
+        tau=4, horizon=2, resolution=8, hidden=4, num_layers=1, embed_dim=2, laplacian_order=1,
+    )
+    model_cfg = net.ModelConfig(
+        n_nodes=8, in_features=1, window=4, horizon=2, hidden=4, num_layers=1,
+        embed_dim=2, laplacian_order=1, zpi_resolution=8,
+    )
+    ckpt = str(tmp_path / "checkpoint.npz")
+    net.save_checkpoint(ckpt, model_cfg, net.init_params(model_cfg, np.random.default_rng(0)))
+    return cfg, data, ckpt
+
+
+def test_cmd_forecast_accepts_a_matching_checkpoint(forecast_inputs):
+    cfg, _, ckpt = forecast_inputs
+    assert cmd_forecast(cfg, ckpt)["windows"] >= 1
+
+
+@pytest.mark.parametrize("field", ["universe_size", "feature width", "tau", "horizon"])
+def test_cmd_forecast_rejects_data_the_checkpoint_was_not_trained_on(
+    forecast_inputs, tmp_path, field
+):
+    from zigzagst.dyngraph import FeatureSeries
+
+    cfg, data, ckpt = forecast_inputs
+    values = data.features.values
+    if field == "universe_size":
+        # a ninth, isolated node with its own feature row
+        padded = np.concatenate([values, values[:, :1]], axis=1)
+        write_feature_csv(FeatureSeries(padded), cfg.features)
+        cfg = replace(cfg, universe_size=9)
+    elif field == "feature width":
+        write_feature_csv(FeatureSeries(np.concatenate([values, values], axis=2)), cfg.features)
+    else:
+        cfg = replace(cfg, **{field: getattr(cfg, field) + 1})
+    with pytest.raises(ValueError, match=f"^{field} is "):
+        cmd_forecast(cfg, ckpt)
 
 
 def test_noise_injection_perturbs_only_training_inputs():

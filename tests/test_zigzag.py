@@ -174,3 +174,37 @@ def test_zpd_csv_roundtrip(tmp_path):
     back = read_zpd_csv(path)
     assert back.points == zpd.points
     assert path.read_text().splitlines()[0] == "p,twice_birth,twice_death"
+
+
+def test_zpd_csv_reader_reuses_repeated_rows(tmp_path):
+    pts = [
+        DiagramPoint(1, HalfIndex(3), HalfIndex(7)),
+        DiagramPoint(0, HalfIndex(2), HalfIndex(9)),
+    ]
+    path = tmp_path / "zpd.csv"
+    path.write_text(
+        "p,twice_birth,twice_death\n1,3,7\n\n1,3,7\n0,2,9\np,twice_birth,twice_death\n"
+        "  1,3,7  \n0,2,9\n1,3,7"
+    )
+    assert read_zpd_csv(path) == ZPD((pts[0],) * 4 + (pts[1],) * 2)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [("1,3", "expected 3 fields"), ("1,x,7", "invalid literal"), ("1,3,7,9", "expected 3 fields")],
+)
+def test_zpd_csv_reader_names_the_first_bad_line(tmp_path, bad, message):
+    path = tmp_path / "zpd.csv"
+    path.write_text(f"p,twice_birth,twice_death\n1,3,7\n1,3,7\n{bad}\n1,3,7\n{bad}\n")
+    with pytest.raises(ValueError, match=f"line 4: {message}"):
+        read_zpd_csv(path)
+
+
+def test_zpd_csv_reader_validates_points(tmp_path):
+    path = tmp_path / "zpd.csv"
+    path.write_text("p,twice_birth,twice_death\n1,3,7\n1,7,3\n")
+    with pytest.raises(ValueError, match="precedes birth"):
+        read_zpd_csv(path)
+    path.write_text("p,twice_birth,twice_death\n2,3,7\n")
+    with pytest.raises(ValueError, match="dimension must be 0 or 1"):
+        read_zpd_csv(path)
