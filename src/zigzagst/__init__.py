@@ -25,8 +25,6 @@ from .filtration import (
 from .metrics import MatchingResult, linf_distance, wasserstein1
 from .zigzag import (
     ZPD,
-    DiagramPoint,
-    HalfIndex,
     ZigzagFiltration,
     betti_consistency_check,
     build_zigzag,
@@ -46,12 +44,10 @@ from .zpi import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "DiagramPoint",
     "DynamicNetwork",
     "FeatureSeries",
     "FiltrationMode",
     "GridSpec",
-    "HalfIndex",
     "MatchingResult",
     "SimplicialComplex",
     "Snapshot",

@@ -138,7 +138,7 @@ class RunConfig:
         for key, value in raw.items():
             if key not in valid:
                 raise ValueError(f"unknown config key {key!r}")
-            parsed[key] = _coerce(value, getattr(cfg, key))
+            parsed[key] = _coerce(key, value, getattr(cfg, key))
         return replace(cfg, **parsed)
 
     def filtration_mode(self) -> FiltrationMode:
@@ -173,9 +173,15 @@ class RunConfig:
         return table[self.ablation]
 
 
-def _coerce(value: str, current):
+_BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
+             "0": False, "false": False, "no": False, "off": False}
+
+
+def _coerce(key: str, value: str, current):
     if isinstance(current, bool):
-        return value.lower() in ("1", "true", "yes", "on")
+        if value.lower() not in _BOOLEANS:
+            raise ValueError(f"{key} must be one of {sorted(_BOOLEANS)}, got {value!r}")
+        return _BOOLEANS[value.lower()]
     if isinstance(current, int):
         return int(value)
     if isinstance(current, float):

@@ -38,8 +38,6 @@ from .filtration import (
 )
 
 __all__ = [
-    "HalfIndex",
-    "DiagramPoint",
     "ZPD",
     "ZigzagFiltration",
     "InclusionError",
@@ -57,63 +55,64 @@ class InclusionError(ValueError):
     """A complex in the zigzag fails to include into its union."""
 
 
-@dataclass(frozen=True, order=True)
-class HalfIndex:
-    """Time on the grid {1, 3/2, 2, ...} stored exactly as 2t."""
-
-    twice: int
-
-    def __post_init__(self):
-        if self.twice < 2:
-            raise ValueError(f"half-index 2t = {self.twice} below the grid start")
-
-    @property
-    def value(self) -> float:
-        return self.twice / 2.0
-
-    @property
-    def is_union(self) -> bool:
-        return self.twice % 2 == 1
-
-    def __str__(self) -> str:
-        return str(self.twice // 2) if self.twice % 2 == 0 else f"{self.twice}/2"
+Row = tuple[int, int, int, int]  # (dim, twice_birth, twice_death, count)
 
 
-@dataclass(frozen=True, order=True)
-class DiagramPoint:
-    """One interval of the decomposition, in homology dimension ``dim``."""
+def _check_dim(dim: int) -> None:
+    if dim not in (0, 1):
+        raise ValueError(f"dimension must be 0 or 1, got {dim}")
 
-    dim: int
-    birth: HalfIndex
-    death: HalfIndex
 
-    def __post_init__(self):
-        if self.dim not in (0, 1):
-            raise ValueError(f"dimension must be 0 or 1, got {self.dim}")
-        if self.death < self.birth:
-            raise ValueError(f"death {self.death} precedes birth {self.birth}")
+def _half(twice: int) -> str:
+    return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+
+
+def _check_point(dim: int, twice_birth: int, twice_death: int) -> None:
+    """One interval of the decomposition: a homology dimension and a grid span."""
+    for twice in (twice_birth, twice_death):
+        if twice < 2:
+            raise ValueError(f"half-index 2t = {twice} below the grid start")
+    _check_dim(dim)
+    if twice_death < twice_birth:
+        raise ValueError(f"death {_half(twice_death)} precedes birth {_half(twice_birth)}")
 
 
 @dataclass(frozen=True)
 class ZPD:
-    """Multiset of (dim, birth, death) points on the half-integer grid."""
+    """Multiset of (dim, birth, death) points on the half-integer grid.
 
-    points: tuple[DiagramPoint, ...]
+    Times are stored exactly as doubled integers on the grid {1, 3/2, 2, ...},
+    and each distinct point is one row ``(dim, twice_birth, twice_death,
+    count)``.  Rows are sorted by point, and rows given for the same point
+    are merged into one.
+    """
+
+    rows: tuple[Row, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "points", tuple(sorted(self.points)))
+        counts: dict[tuple[int, int, int], int] = {}
+        for dim, b, d, m in self.rows:
+            _check_point(dim, b, d)
+            if m < 1:
+                raise ValueError(f"count must be >= 1, got {m}")
+            counts[dim, b, d] = counts.get((dim, b, d), 0) + m
+        object.__setattr__(self, "rows", tuple((*k, m) for k, m in sorted(counts.items())))
 
     def pairs(self, dim: int) -> list[tuple[float, float]]:
-        """(birth, death) values in one homology dimension."""
-        return [(p.birth.value, p.death.value) for p in self.points if p.dim == dim]
+        """(birth, death) values in one homology dimension, each repeated ``count`` times."""
+        _check_dim(dim)
+        out: list[tuple[float, float]] = []
+        for p, b, d, m in self.rows:
+            if p == dim:
+                out += [(b / 2.0, d / 2.0)] * m
+        return out
 
     def count_alive(self, dim: int, twice: int) -> int:
-        return sum(
-            1 for p in self.points if p.dim == dim and p.birth.twice <= twice <= p.death.twice
-        )
+        _check_dim(dim)
+        return sum(m for p, b, d, m in self.rows if p == dim and b <= twice <= d)
 
     def __len__(self) -> int:
-        return len(self.points)
+        return sum(row[3] for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -364,8 +363,8 @@ class _RankRow:
         self.ranks.append(r)
 
 
-def _window_points(rows: Sequence[_RankRow], p: int) -> list[DiagramPoint]:
-    """Interval points of one window from the rank rows of its positions.
+def _window_points(rows: Sequence[_RankRow], p: int) -> list[Row]:
+    """Diagram rows of one window from the rank rows of its positions.
 
     ``rows[i]`` is the row of the window's i-th position.  A rank whose
     segment leaves the window counts as 0, so the multiplicity of [a, b]
@@ -390,7 +389,7 @@ def _window_points(rows: Sequence[_RankRow], p: int) -> list[DiagramPoint]:
             if m < 0:
                 raise AssertionError("negative interval multiplicity")
             if m:
-                points += [DiagramPoint(p, HalfIndex(a + 2), HalfIndex(a + j + 2))] * m
+                points.append((p, a + 2, a + j + 2, m))
         left = ranks
     return points
 
@@ -457,15 +456,13 @@ def zigzag_series(
     return _window_diagrams(complexes, tau)
 
 
-def compute_zigzag_persistence(zf: ZigzagFiltration, maxdim: int = 1) -> ZPD:
-    """Interval decomposition of the zigzag module over GF(2).
+def compute_zigzag_persistence(zf: ZigzagFiltration) -> ZPD:
+    """Interval decomposition of the zigzag module over GF(2), dimensions 0 and 1.
 
     Births and deaths follow the half-grid convention: position 2k-1 of
     the diagram (a snapshot) is time k, position 2k (a union) is time
     k + 1/2; classes alive in the last complex die at time T.
     """
-    if maxdim != 1:
-        raise ValueError("only homology dimensions 0 and 1 are supported")
     ((_, zpd),) = _window_diagrams(zf.complexes, zf.window_length)
     return zpd
 
@@ -504,40 +501,39 @@ _ZPD_HEADER = "p,twice_birth,twice_death"
 
 
 def write_zpd_csv(zpd: ZPD, path) -> None:
+    """One line per point: each row is written ``count`` times, in row order."""
     with open(path, "w", encoding="ascii") as fh:
         fh.write(_ZPD_HEADER + "\n")
-        for pt in zpd.points:
-            fh.write(f"{pt.dim},{pt.birth.twice},{pt.death.twice}\n")
+        for dim, b, d, m in zpd.rows:
+            fh.write(f"{dim},{b},{d}\n" * m)
 
 
 def read_zpd_csv(path) -> ZPD:
     """Diagram from a CSV written by ``write_zpd_csv``.
 
-    A diagram repeats few distinct rows many times, so each distinct line
-    is parsed and validated once and its frozen point reused.  Blank and
-    header lines are skipped.
+    A diagram repeats few distinct rows many times, so the distinct
+    stripped lines are counted first and each is parsed and validated
+    once; an error names the first line holding it.  Blank and header
+    lines are skipped.
     """
-    known: dict[str, DiagramPoint | None] = {}
-    points = []
+    lines: dict[str, list[int]] = {}  # stripped line -> [first line number, count]
     with open(path, "r", encoding="ascii") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            if raw in known:
-                point = known[raw]
-            else:
-                point = known[raw] = _parse_zpd_row(path, lineno, raw.strip())
-            if point is not None:
-                points.append(point)
-    return ZPD(tuple(points))
+            lines.setdefault(raw.strip(), [lineno, 0])[1] += 1
+    lines.pop("", None)
+    lines.pop(_ZPD_HEADER, None)
+    return ZPD(tuple(
+        (*_parse_zpd_row(path, lineno, line), count) for line, (lineno, count) in lines.items()
+    ))
 
 
-def _parse_zpd_row(path, lineno: int, line: str) -> DiagramPoint | None:
-    if not line or line == _ZPD_HEADER:
-        return None
+def _parse_zpd_row(path, lineno: int, line: str) -> tuple[int, int, int]:
     parts = line.split(",")
     if len(parts) != 3:
         raise ValueError(f"{path}: line {lineno}: expected 3 fields")
     try:
         dim, b, d = (int(x) for x in parts)
+        _check_point(dim, b, d)
     except ValueError as exc:
         raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return DiagramPoint(dim, HalfIndex(b), HalfIndex(d))
+    return dim, b, d

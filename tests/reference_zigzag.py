@@ -16,8 +16,6 @@ from zigzagst.dyngraph import Snapshot, union_graph
 from zigzagst.filtration import FiltrationMode, build_complex
 from zigzagst.zigzag import (
     ZPD,
-    DiagramPoint,
-    HalfIndex,
     InclusionError,
     _ComplexHom,
     _induced_map,
@@ -162,11 +160,8 @@ def reference_window_zpd(
         if not sub.is_subcomplex_of(sup):
             raise InclusionError(f"arrow {a} violates inclusion")
     homs = [_ComplexHom(cx) for cx in complexes]
-    points = []
-    for dim in (0, 1):
-        for (birth_pos, death_pos), count in sorted(_interval_multiplicities(homs, dim).items()):
-            points.extend(
-                DiagramPoint(dim, HalfIndex(birth_pos + 2), HalfIndex(death_pos + 2))
-                for _ in range(count)
-            )
-    return ZPD(tuple(points))
+    return ZPD(tuple(
+        (dim, birth_pos + 2, death_pos + 2, count)
+        for dim in (0, 1)
+        for (birth_pos, death_pos), count in _interval_multiplicities(homs, dim).items()
+    ))

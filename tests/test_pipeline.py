@@ -66,6 +66,14 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.check is True
 
 
+def test_config_booleans_are_strict():
+    for value, want in [("1", True), ("TRUE", True), ("Yes", True), ("on", True),
+                        ("0", False), ("false", False), ("NO", False), ("Off", False)]:
+        assert RunConfig.from_file(None, {"check": value}).check is want
+    with pytest.raises(ValueError, match="check must be one of .* got 'ture'"):
+        RunConfig.from_file(None, {"check": "ture"})
+
+
 def test_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("bogus = 1\n")
@@ -202,7 +210,7 @@ def test_cmd_zigzag_check_catches_a_corrupted_diagram(tmp_path, monkeypatch):
 
     def corrupted(*args):
         for zf, zpd in engine(*args):
-            yield zf, ZPD(zpd.points[1:])
+            yield zf, ZPD(zpd.rows[1:])
 
     monkeypatch.setattr(pipeline, "zigzag_series", corrupted)
     cfg = RunConfig(
@@ -259,14 +267,27 @@ def test_cmd_idempotent_outputs(golden_paths):
 
 
 def test_cmd_distance(tmp_path):
-    from zigzagst.zigzag import DiagramPoint, HalfIndex, ZPD
+    from zigzagst.zigzag import ZPD
 
     a = tmp_path / "a.csv"
     b = tmp_path / "b.csv"
-    write_zpd_csv(ZPD((DiagramPoint(1, HalfIndex(2), HalfIndex(6)),)), a)
+    write_zpd_csv(ZPD(((1, 2, 6, 1),)), a)
     write_zpd_csv(ZPD(()), b)
     out = cmd_distance(RunConfig(), str(a), str(b), dim=1)
     assert out["cost"] == pytest.approx(1.0)
+    with pytest.raises(ValueError, match="dimension must be 0 or 1, got 2"):
+        cmd_distance(RunConfig(), str(a), str(b), dim=2)
+
+
+def test_cmd_zpi_rejects_other_dimensions(golden_paths):
+    snaps, tmp = golden_paths
+    cfg = RunConfig(
+        snapshots=str(snaps), outdir=str(tmp / "out"), nu_star=0.5, tau=3,
+        homology_dims=(2,), resolution=8,
+    )
+    cmd_zigzag(cfg)
+    with pytest.raises(ValueError, match="dimension must be 0 or 1, got 2"):
+        cmd_zpi(cfg)
 
 
 def test_cmd_synth_and_train_and_gradcheck(tmp_path):

@@ -1,11 +1,11 @@
+import pickle
+
 import pytest
 
 from zigzagst.dyngraph import Snapshot
 from zigzagst.filtration import FiltrationMode
 from zigzagst.pipeline import random_dynamic_network
 from zigzagst.zigzag import (
-    DiagramPoint,
-    HalfIndex,
     InclusionError,
     ZPD,
     betti_consistency_check,
@@ -27,21 +27,45 @@ def golden_cycle_window():
     return [snap(path, index=1), snap(square, index=2), snap(path, index=3)]
 
 
-# --- HalfIndex / types ---------------------------------------------------------
+# --- the ZPD count table ------------------------------------------------------
 
-def test_half_index_grid():
-    assert HalfIndex(2).value == 1.0 and not HalfIndex(2).is_union
-    assert HalfIndex(3).value == 1.5 and HalfIndex(3).is_union
-    assert str(HalfIndex(3)) == "3/2" and str(HalfIndex(4)) == "2"
-    with pytest.raises(ValueError):
-        HalfIndex(1)
+def test_zpd_table_validates_rows():
+    for row, message in [
+        ((0, 1, 4, 1), "half-index 2t = 1 below the grid start"),
+        ((0, 4, 1, 1), "half-index 2t = 1 below the grid start"),
+        ((0, 4, 3, 1), "death 3/2 precedes birth 2"),
+        ((2, 2, 3, 1), "dimension must be 0 or 1, got 2"),
+        ((1, 2, 3, 0), "count must be >= 1, got 0"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ZPD(((1, 3, 5, 2), row))
 
 
-def test_diagram_point_ordering_constraint():
-    with pytest.raises(ValueError):
-        DiagramPoint(0, HalfIndex(4), HalfIndex(3))
-    with pytest.raises(ValueError):
-        DiagramPoint(2, HalfIndex(2), HalfIndex(3))
+def test_zpd_table_sorts_and_merges_rows():
+    zpd = ZPD([(1, 3, 5, 1), (0, 4, 4, 2), (1, 3, 5, 2), (0, 2, 9, 1)])
+    assert zpd.rows == ((0, 2, 9, 1), (0, 4, 4, 2), (1, 3, 5, 3))
+    assert zpd == ZPD(((0, 2, 9, 1), (1, 3, 5, 3), (0, 4, 4, 1), (0, 4, 4, 1)))
+    assert zpd != ZPD(((0, 2, 9, 1), (0, 4, 4, 2), (1, 3, 5, 2)))
+    assert len(zpd) == 6 and len(ZPD(())) == 0
+    assert pickle.loads(pickle.dumps(zpd)) == zpd
+    with pytest.raises(AttributeError):
+        zpd.rows = ()
+
+
+def test_zpd_table_views_expand_counts_in_row_order():
+    zpd = ZPD(((1, 3, 5, 2), (0, 2, 9, 1), (1, 2, 6, 1)))
+    assert zpd.pairs(1) == [(1.0, 3.0), (1.5, 2.5), (1.5, 2.5)]
+    assert zpd.pairs(0) == [(1.0, 4.5)]
+    assert [zpd.count_alive(1, t) for t in range(2, 8)] == [1, 3, 3, 3, 1, 0]
+
+
+@pytest.mark.parametrize("dim", [-1, 2])
+def test_zpd_table_rejects_other_dimensions(dim):
+    zpd = ZPD(((1, 3, 5, 2),))
+    with pytest.raises(ValueError, match=f"dimension must be 0 or 1, got {dim}"):
+        zpd.pairs(dim)
+    with pytest.raises(ValueError, match=f"dimension must be 0 or 1, got {dim}"):
+        zpd.count_alive(dim, 4)
 
 
 # --- build_zigzag ----------------------------------------------------------------
@@ -115,12 +139,7 @@ def test_determinism():
     window, nu = random_dynamic_network(123)
     a = compute_zigzag_persistence(build_zigzag(window, nu))
     b = compute_zigzag_persistence(build_zigzag(window, nu))
-    assert a.points == b.points
-
-
-def test_maxdim_restricted():
-    with pytest.raises(ValueError):
-        compute_zigzag_persistence(build_zigzag(golden_cycle_window(), 0.5), maxdim=2)
+    assert a == b and a.rows
 
 
 def test_betti_consistency_oracle_small():
@@ -135,12 +154,8 @@ def test_betti_consistency_oracle_small():
 def test_consistency_check_flags_corruption():
     zf = build_zigzag(golden_cycle_window(), 0.5)
     zpd = compute_zigzag_persistence(zf)
-    corrupted = []
-    for p in zpd.points:
-        if p.dim == 1:
-            corrupted.append(DiagramPoint(1, p.birth, HalfIndex(p.death.twice + 2)))
-        else:
-            corrupted.append(p)
+    corrupted = [(p, b, d + 2 if p == 1 else d, m) for p, b, d, m in zpd.rows]
+    assert any(p == 1 for p, *_ in zpd.rows)
     report = betti_consistency_check(zf, ZPD(tuple(corrupted)))
     assert not report.ok and len(report.violations) >= 1
 
@@ -172,21 +187,32 @@ def test_zpd_csv_roundtrip(tmp_path):
     path = tmp_path / "zpd.csv"
     write_zpd_csv(zpd, path)
     back = read_zpd_csv(path)
-    assert back.points == zpd.points
+    assert back == zpd
     assert path.read_text().splitlines()[0] == "p,twice_birth,twice_death"
 
 
+def test_zpd_csv_writer_golden(tmp_path):
+    zpd = ZPD(((1, 3, 7, 2), (0, 4, 4, 1), (1, 2, 9, 1), (0, 2, 6, 3)))
+    path = tmp_path / "zpd.csv"
+    write_zpd_csv(zpd, path)
+    assert path.read_bytes() == (
+        b"p,twice_birth,twice_death\n"
+        b"0,2,6\n0,2,6\n0,2,6\n"
+        b"0,4,4\n"
+        b"1,2,9\n"
+        b"1,3,7\n1,3,7\n"
+    )
+    write_zpd_csv(ZPD(()), path)
+    assert path.read_bytes() == b"p,twice_birth,twice_death\n"
+
+
 def test_zpd_csv_reader_reuses_repeated_rows(tmp_path):
-    pts = [
-        DiagramPoint(1, HalfIndex(3), HalfIndex(7)),
-        DiagramPoint(0, HalfIndex(2), HalfIndex(9)),
-    ]
     path = tmp_path / "zpd.csv"
     path.write_text(
         "p,twice_birth,twice_death\n1,3,7\n\n1,3,7\n0,2,9\np,twice_birth,twice_death\n"
-        "  1,3,7  \n0,2,9\n1,3,7"
+        "  1,3,7  \n0,2,9\n1,3,7\n01,3,7"
     )
-    assert read_zpd_csv(path) == ZPD((pts[0],) * 4 + (pts[1],) * 2)
+    assert read_zpd_csv(path) == ZPD(((1, 3, 7, 5), (0, 2, 9, 2)))
 
 
 @pytest.mark.parametrize(
@@ -202,9 +228,11 @@ def test_zpd_csv_reader_names_the_first_bad_line(tmp_path, bad, message):
 
 def test_zpd_csv_reader_validates_points(tmp_path):
     path = tmp_path / "zpd.csv"
-    path.write_text("p,twice_birth,twice_death\n1,3,7\n1,7,3\n")
-    with pytest.raises(ValueError, match="precedes birth"):
-        read_zpd_csv(path)
-    path.write_text("p,twice_birth,twice_death\n2,3,7\n")
-    with pytest.raises(ValueError, match="dimension must be 0 or 1"):
-        read_zpd_csv(path)
+    for bad, message in [
+        ("1,7,3", "death 3/2 precedes birth 7/2"),
+        ("2,3,7", "dimension must be 0 or 1, got 2"),
+        ("0,1,4", "half-index 2t = 1 below the grid start"),
+    ]:
+        path.write_text(f"p,twice_birth,twice_death\n1,3,7\n\n{bad}\n1,3,7\n{bad}\n")
+        with pytest.raises(ValueError, match=f"zpd.csv: line 4: {message}$"):
+            read_zpd_csv(path)

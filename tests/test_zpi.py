@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zigzagst.zigzag import DiagramPoint, HalfIndex, ZPD
+from zigzagst.zigzag import ZPD
 from zigzagst.zpi import (
     GridSpec,
     WeightingSpec,
@@ -55,12 +55,7 @@ def test_zpigrid_validation():
 # --- transform_diagram ---------------------------------------------------------------
 
 def test_transform_to_birth_persistence():
-    zpd = ZPD(
-        (
-            DiagramPoint(1, HalfIndex(3), HalfIndex(5)),
-            DiagramPoint(0, HalfIndex(4), HalfIndex(4)),
-        )
-    )
+    zpd = ZPD(((1, 3, 5, 1), (0, 4, 4, 1)))
     assert transform_diagram(zpd, 1) == [(1.5, 1.0)]
     assert transform_diagram(zpd, 0) == [(2.0, 0.0)]
     assert transform_diagram(ZPD(()), 0) == []
