@@ -17,9 +17,10 @@ __all__ = [
     "token_config",
     "save_checkpoint",
     "load_checkpoint",
+    "load_scalers",
 ]
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -210,22 +211,37 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams) -> None:
-    """Versioned npz dump of the configuration and every parameter array."""
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers=None) -> None:
+    """Versioned npz dump of the configuration, every parameter array and the input scalers.
+
+    ``scalers`` is ``(input_lo, input_hi, image_scale)`` as fitted by
+    training; without it the checkpoint stores the identity scalers
+    (0, 1, 1), for inputs already in the model's range.
+    """
+    if scalers is None:
+        scalers = (np.zeros(config.in_features), np.ones(config.in_features), 1.0)
+    input_lo, input_hi, image_scale = scalers
     arrays = {name.replace(".", "__"): arr for name, arr in params.named_arrays()}
     np.savez(
         path,
         checkpoint_version=np.int64(CHECKPOINT_VERSION),
         config_json=np.bytes_(json.dumps(asdict(config)).encode("ascii")),
+        input_lo=np.asarray(input_lo, dtype=np.float64),
+        input_hi=np.asarray(input_hi, dtype=np.float64),
+        image_scale=np.float64(image_scale),
         **arrays,
     )
 
 
+def _check_version(data) -> None:
+    version = int(data["checkpoint_version"])
+    if version != CHECKPOINT_VERSION:
+        raise ValueError(f"unsupported checkpoint version {version}")
+
+
 def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
     with np.load(path) as data:
-        version = int(data["checkpoint_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+        _check_version(data)
         config = ModelConfig(**json.loads(bytes(data["config_json"]).decode("ascii")))
         rng = np.random.default_rng(0)
         params = init_params(config, rng)
@@ -235,3 +251,10 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
                 raise ValueError(f"checkpoint array {name} has shape {stored.shape}, expected {arr.shape}")
             arr[...] = stored
     return config, params
+
+
+def load_scalers(path) -> tuple[np.ndarray, np.ndarray, float]:
+    """The ``(input_lo, input_hi, image_scale)`` a checkpoint was saved with."""
+    with np.load(path) as data:
+        _check_version(data)
+        return data["input_lo"], data["input_hi"], float(data["image_scale"])

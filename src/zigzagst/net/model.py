@@ -51,78 +51,97 @@ def forward(
     z_override: list[np.ndarray] | None = None,
     want_cache: bool = False,
 ):
-    """Predict (horizon, n_nodes, out_features) from a window and its image.
+    """Predict (B, horizon, n_nodes, out_features) from B windows and their images.
 
-    ``z_override`` injects fixed gate vectors (one per layer) in place of
-    the encoder output; the no_zigzag ablation is exactly a ones
-    override.  Returns the prediction, or (prediction, cache) when
-    ``want_cache`` is set.
+    ``x_win`` is (B, window, n_nodes, in_features) and ``image`` is
+    (B, p, p).  One window (window, n_nodes, in_features) with one (p, p)
+    image is a batch of one whose prediction drops the batch axis.
+    ``z_override`` injects fixed gate vectors (one per layer, each (half,)
+    for the whole batch or (B, half)) in place of the encoder output; the
+    no_zigzag ablation is exactly a ones override.  Returns the
+    prediction, or (prediction, cache) when ``want_cache`` is set.
     """
     x_win = np.asarray(x_win, dtype=np.float64)
     image = np.asarray(image, dtype=np.float64)
-    tau, n, feat = x_win.shape
-    if (tau, n, feat) != (config.window, config.n_nodes, config.in_features):
+    single = x_win.ndim == 3
+    if single:
+        x_win, image = x_win[None], image[None]
+    expected = (config.window, config.n_nodes, config.in_features)
+    if x_win.ndim != 4 or x_win.shape[1:] != expected:
         raise ValueError(f"input window has shape {x_win.shape}, expected "
-                         f"({config.window}, {config.n_nodes}, {config.in_features})")
-    if image.shape != (config.zpi_resolution, config.zpi_resolution):
+                         f"([batch,] {', '.join(map(str, expected))})")
+    b = x_win.shape[0]
+    if image.shape != (b, config.zpi_resolution, config.zpi_resolution):
         raise ValueError(f"image has shape {image.shape}, expected "
-                         f"({config.zpi_resolution}, {config.zpi_resolution})")
+                         f"({b}, {config.zpi_resolution}, {config.zpi_resolution})")
+    tau, n = config.window, config.n_nodes
 
     lap, lap_cache = L.adaptive_laplacian(params.embedding)
     _ensure_finite("adaptive_laplacian", lap)
     powers = L.laplacian_powers(lap, config.laplacian_order)
 
-    seq = x_win
+    # time-major (window, B, N, width): the GRU steps over the first axis
+    # with the batch's B * N node rows side by side
+    seq = np.moveaxis(x_win, 1, 0)
     layer_caches = []
     half = config.half_hidden
     for li, lp in enumerate(params.layers):
         if ablation.no_zigzag:
-            z, enc_cache = np.ones(half), None
+            z, enc_cache = np.ones((b, half)), None
         elif z_override is not None:
-            z, enc_cache = np.asarray(z_override[li], dtype=np.float64), None
+            z = np.broadcast_to(np.asarray(z_override[li], dtype=np.float64), (b, half))
+            enc_cache = None
         else:
             z, enc_cache = L.zpi_encoder(image, lp, config.cnn_stride)
         s_out, s_cache = L.spatial_conv_window(seq, powers, params.embedding, lp.spatial_w)
         t_out, _, t_cache = L.temporal_conv(seq, powers, params.embedding, lp.temporal_w, params.time_mix)
-        s_scaled = np.zeros_like(s_out) if ablation.no_spatial else s_out * z
-        t_scaled = np.zeros_like(t_out) if ablation.no_temporal else t_out * z
+        s_scaled = np.zeros_like(s_out) if ablation.no_spatial else s_out * z[:, None, :]
+        t_scaled = np.zeros_like(t_out) if ablation.no_temporal else t_out * z[:, None, :]
         _ensure_finite(f"layer {li} branches", s_scaled)
         gru_in = np.concatenate(
-            [s_scaled, np.broadcast_to(t_scaled, s_scaled.shape)], axis=2
-        )
-        state = np.zeros((n, config.hidden))
+            [s_scaled, np.broadcast_to(t_scaled, s_scaled.shape)], axis=3
+        ).reshape(tau, b * n, config.hidden)
+        # each step's input state is a view of the previous row of states
+        state = np.zeros((b * n, config.hidden))
         step_caches = []
-        states = np.empty((tau, n, config.hidden))
+        states = np.empty((tau, b * n, config.hidden))
         for i in range(tau):
-            state, c = L.gru_cell(state, gru_in[i], lp)
-            states[i] = state
-            step_caches.append(c)
+            states[i], c = L.gru_cell(state, gru_in[i], lp)
+            state = states[i]
+            if want_cache:
+                step_caches.append(c)
         _ensure_finite(f"layer {li} recurrence", states)
-        layer_caches.append((enc_cache, s_cache, t_cache, s_out, t_out, z, step_caches))
-        seq = states
+        if want_cache:
+            layer_caches.append((enc_cache, s_cache, t_cache, s_out, t_out, z, step_caches))
+        seq = states.reshape(tau, b, n, config.hidden)
 
-    final = seq[-1]
+    final = states[-1]
     flat = final @ params.out_w + params.out_b
-    pred = np.moveaxis(flat.reshape(n, config.horizon, config.out_features), 0, 1)
+    pred = np.moveaxis(flat.reshape(b, n, config.horizon, config.out_features), 1, 2)
     _ensure_finite("output projection", pred)
+    if single:
+        pred = pred[0]
     if not want_cache:
         return pred
-    cache = (x_win, params, config, ablation, z_override, lap, lap_cache, powers, layer_caches, final)
+    cache = (single, params, config, ablation, lap, lap_cache, powers, layer_caches, final)
     return pred, cache
 
 
 def backward(cache, dpred: np.ndarray) -> ModelParams:
-    """Gradients of a scalar loss w.r.t. every parameter array."""
-    (x_win, params, config, ablation, z_override, lap, lap_cache, powers,
-     layer_caches, final) = cache
+    """Gradients of a scalar loss w.r.t. every parameter array, summed over the batch."""
+    single, params, config, ablation, lap, lap_cache, powers, layer_caches, final = cache
     tau, n = config.window, config.n_nodes
     half = config.half_hidden
     grads = params.zeros_like()
 
-    dflat = np.moveaxis(np.asarray(dpred, dtype=np.float64), 0, 1).reshape(n, -1)
+    dpred = np.asarray(dpred, dtype=np.float64)
+    if single:
+        dpred = dpred[None]
+    b = dpred.shape[0]
+    dflat = np.moveaxis(dpred, 2, 1).reshape(b * n, -1)
     grads.out_w += final.T @ dflat
     grads.out_b += dflat.sum(axis=0)
-    dstates_ext = np.zeros((tau, n, config.hidden))
+    dstates_ext = np.zeros((tau, b * n, config.hidden))
     dstates_ext[-1] = dflat @ params.out_w.T
 
     dpowers = np.zeros_like(powers)
@@ -132,8 +151,8 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
         enc_cache, s_cache, t_cache, s_out, t_out, z, step_caches = layer_caches[li]
         glp = grads.layers[li]
 
-        dgru_in = np.empty((tau, n, config.hidden))
-        do_prev = np.zeros((n, config.hidden))
+        dgru_in = np.empty((tau, b * n, config.hidden))
+        do_prev = np.zeros((b * n, config.hidden))
         for i in range(tau - 1, -1, -1):
             do = dstates_ext[i] + do_prev
             do_prev, dh_in, dwz, dwr, dwo, dbz, dbr, dbo = L.gru_cell_backward(step_caches[i], do)
@@ -145,20 +164,21 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
             glp.gru_br += dbr
             glp.gru_bo += dbo
 
-        ds_scaled = dgru_in[:, :, :half]
-        dt_scaled = dgru_in[:, :, half:].sum(axis=0)
+        dgru_in = dgru_in.reshape(tau, b, n, config.hidden)
+        ds_scaled = dgru_in[..., :half]
+        dt_scaled = dgru_in[..., half:].sum(axis=0)
 
-        dz = np.zeros(half)
+        dz = np.zeros((b, half))
         if ablation.no_spatial:
             ds_out = np.zeros_like(s_out)
         else:
-            ds_out = ds_scaled * z
-            dz += np.einsum("ino,ino->o", ds_scaled, s_out)
+            ds_out = ds_scaled * z[:, None, :]
+            dz += (ds_scaled * s_out).sum(axis=(0, 2))
         if ablation.no_temporal:
             dt_out = np.zeros_like(t_out)
         else:
-            dt_out = dt_scaled * z
-            dz += np.einsum("no,no->o", dt_scaled, t_out)
+            dt_out = dt_scaled * z[:, None, :]
+            dz += (dt_scaled * t_out).sum(axis=1)
 
         dseq_s, dpow_s, demb_s, dw_s = L.spatial_conv_window_backward(s_cache, ds_out)
         dseq_t, dpow_t, demb_t, dw_t, dq = L.temporal_conv_backward(t_cache, dt_out)
@@ -177,7 +197,8 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
             glp.zmap_w += dzw
             glp.zmap_b += dzb
 
-        dstates_ext = dseq_s + dseq_t  # gradient on the previous layer's state sequence
+        # gradient on the previous layer's state sequence, as GRU rows
+        dstates_ext = (dseq_s + dseq_t).reshape(tau, b * n, -1)
 
     dlap = L.laplacian_powers_backward(powers, dpowers, lap)
     dembed += L.adaptive_laplacian_backward(lap_cache, dlap)

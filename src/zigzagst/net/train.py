@@ -25,11 +25,23 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Batch:
-    """One training sample: an input window, its image, and the targets."""
+    """Input windows, their images, and the targets.
 
-    inputs: np.ndarray   # (window, n_nodes, in_features)
-    image: np.ndarray    # (p, p)
-    targets: np.ndarray  # (horizon, n_nodes, out_features)
+    One sample, or several stacked along a leading batch axis.
+    """
+
+    inputs: np.ndarray   # ([B,] window, n_nodes, in_features)
+    image: np.ndarray    # ([B,] p, p)
+    targets: np.ndarray  # ([B,] horizon, n_nodes, out_features)
+
+    @classmethod
+    def stack(cls, batches) -> "Batch":
+        """One batch holding single samples along a new leading axis."""
+        return cls(
+            np.stack([b.inputs for b in batches]),
+            np.stack([b.image for b in batches]),
+            np.stack([b.targets for b in batches]),
+        )
 
 
 @dataclass(frozen=True)
@@ -105,32 +117,53 @@ def _scale_inputs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip((x - lo) / span, 0.0, 1.0)
 
 
-def _normalize(batches: tuple[Batch, ...], lo, hi, image_scale) -> list[Batch]:
-    return [
-        Batch(_scale_inputs(b.inputs, lo, hi), b.image / image_scale, b.targets)
-        for b in batches
-    ]
+def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation()) -> np.ndarray:
+    """Forecast for raw (unnormalized) windows using stored scalers.
+
+    ``batch`` holds one window or a stack of them along a leading axis;
+    a stack is predicted ``batch_size`` windows per forward call.
+    """
+    if batch.inputs.ndim == 3:
+        return predict(result, Batch.stack([batch]), ablation)[0]
+    x = _scale_inputs(batch.inputs, result.input_lo, result.input_hi)
+    image = batch.image / result.image_scale
+    step = result.config.batch_size
+    return np.concatenate([
+        forward(x[start : start + step], image[start : start + step],
+                result.params, result.config, ablation)
+        for start in range(0, len(x), step)
+    ])
 
 
 def evaluate(
-    params: ModelParams,
-    config: ModelConfig,
-    batches: list[Batch],
-    ablation: Ablation = Ablation(),
+    result: TrainResult, batches: list[Batch], ablation: Ablation = Ablation()
 ) -> tuple[float, float, float]:
-    """Pooled MAE/RMSE/MAPE over a list of normalized batches."""
-    preds = []
-    targets = []
-    for b in batches:
-        preds.append(forward(b.inputs, b.image, params, config, ablation))
-        targets.append(b.targets)
-    return loss_metrics(np.stack(preds), np.stack(targets))
+    """Pooled MAE/RMSE/MAPE of ``predict`` over a list of raw samples.
+
+    The samples are stacked ``batch_size`` at a time, so no scaled copy
+    of the whole list is ever held.
+    """
+    step = result.config.batch_size
+    preds = [
+        predict(result, Batch.stack(batches[start : start + step]), ablation)
+        for start in range(0, len(batches), step)
+    ]
+    return loss_metrics(np.concatenate(preds), np.stack([b.targets for b in batches]))
 
 
-def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation()) -> np.ndarray:
-    """Forecast for a raw (unnormalized) batch using stored scalers."""
-    x = _scale_inputs(batch.inputs, result.input_lo, result.input_hi)
-    return forward(x, batch.image / result.image_scale, result.params, result.config, ablation)
+def _step(result: TrainResult, chunk: Batch, ablation, adam: Adam, lr: float) -> float:
+    """One Adam step on a raw stacked minibatch; returns its MAE.
+
+    A function of its own so that the minibatch's cache is freed before
+    the next forward call.
+    """
+    x = _scale_inputs(chunk.inputs, result.input_lo, result.input_hi)
+    pred, cache = forward(x, chunk.image / result.image_scale, result.params, result.config,
+                          ablation, want_cache=True)
+    loss, dpred = mae_loss_and_grad(pred, chunk.targets)
+    if np.isfinite(loss):
+        adam.step(result.params, backward(cache, dpred), lr)
+    return loss
 
 
 def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation()) -> TrainResult:
@@ -138,52 +171,40 @@ def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation()
 
     The learning rate is multiplied by the configured decay whenever the
     monitored MAE (validation when a val split exists, else training)
-    fails to improve for ``plateau_patience`` epochs.  Deterministic
-    under the config seed.
+    fails to improve for ``plateau_patience`` epochs.  Each minibatch is
+    one stacked forward and one backward call, and is scaled when it is
+    stacked.  Deterministic under the config seed.
     """
     if not dataset.train:
         raise ValueError("training split is empty")
     lo, hi = _fit_input_range(dataset.train)
     image_scale = max(float(np.max([b.image.max() for b in dataset.train])), 1e-12)
-    train_b = _normalize(dataset.train, lo, hi, image_scale)
-    val_b = _normalize(dataset.val, lo, hi, image_scale)
-    test_b = _normalize(dataset.test, lo, hi, image_scale)
 
     rng = np.random.default_rng(config.seed)
-    params = init_params(config, rng)
+    history: list[tuple[int, str, float, float, float]] = []
+    # the result's params are trained in place
+    result = TrainResult(init_params(config, rng), config, history, lo, hi, image_scale)
     adam = Adam()
     lr = config.learning_rate
-    history: list[tuple[int, str, float, float, float]] = []
     best = np.inf
     stale = 0
 
     for epoch in range(config.epochs):
-        order = rng.permutation(len(train_b))
+        order = rng.permutation(len(dataset.train))
         try:
             for start in range(0, len(order), config.batch_size):
-                chunk = order[start : start + config.batch_size]
-                grads = params.zeros_like()
-                total = 0.0
-                for idx in chunk:
-                    b = train_b[idx]
-                    pred, cache = forward(b.inputs, b.image, params, config, ablation, want_cache=True)
-                    loss, dpred = mae_loss_and_grad(pred, b.targets)
-                    total += loss
-                    gstep = backward(cache, dpred / len(chunk))
-                    for (_, g), (_, gs) in zip(grads.named_arrays(), gstep.named_arrays()):
-                        g += gs
-                if not np.isfinite(total):
+                chunk = Batch.stack([dataset.train[i] for i in order[start : start + config.batch_size]])
+                if not np.isfinite(_step(result, chunk, ablation, adam, lr)):
                     raise TrainingDiverged(epoch)
-                adam.step(params, grads, lr)
-            tr = evaluate(params, config, train_b, ablation)
+            tr = evaluate(result, dataset.train, ablation)
         except FloatingPointError as exc:
             raise TrainingDiverged(epoch) from exc
         history.append((epoch, "train", *tr))
         if not np.isfinite(tr[0]):
             raise TrainingDiverged(epoch)
         monitored = tr[0]
-        if val_b:
-            va = evaluate(params, config, val_b, ablation)
+        if dataset.val:
+            va = evaluate(result, dataset.val, ablation)
             history.append((epoch, "val", *va))
             monitored = va[0]
         if monitored < best - 1e-12:
@@ -194,10 +215,10 @@ def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation()
             if stale >= config.plateau_patience:
                 lr *= config.lr_decay
                 stale = 0
-    if test_b:
-        te = evaluate(params, config, test_b, ablation)
+    if dataset.test:
+        te = evaluate(result, dataset.test, ablation)
         history.append((config.epochs - 1, "test", *te))
-    return TrainResult(params, config, history, lo, hi, image_scale)
+    return result
 
 
 def write_history_csv(history, path) -> None:

@@ -585,7 +585,9 @@ def cmd_train(config: RunConfig) -> dict:
     result = net.train(dataset, model_cfg, config.ablation_flags())
     ckpt = os.path.join(out, "checkpoint.npz")
     hist = os.path.join(out, "history.csv")
-    net.save_checkpoint(ckpt, model_cfg, result.params)
+    net.save_checkpoint(
+        ckpt, model_cfg, result.params, (result.input_lo, result.input_hi, result.image_scale)
+    )
     net.write_history_csv(result.history, hist)
     test_rows = [row for row in result.history if row[1] == "test"]
     metrics = test_rows[-1][2:] if test_rows else result.history[-1][2:]
@@ -601,6 +603,7 @@ def _require_checkpoint_match(
         "feature width": (in_features, model_cfg.in_features),
         "tau": (config.tau, model_cfg.window),
         "horizon": (config.horizon, model_cfg.horizon),
+        "resolution": (config.resolution, model_cfg.zpi_resolution),
     }
     for name, (got, trained) in pairs.items():
         if got != trained:
@@ -608,23 +611,27 @@ def _require_checkpoint_match(
 
 
 def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
-    """Predict the test windows with a stored checkpoint."""
+    """Predict the test windows with a stored checkpoint and its stored scalers.
+
+    The scalers are the ones training fitted, so a model trained on
+    noisy windows sees its inputs scaled as in training.  All test
+    windows go to one ``predict`` call.
+    """
     out = _ensure_outdir(config)
     model_cfg, params = net.load_checkpoint(checkpoint)
     network, features = _load_data(config)
     _require_checkpoint_match(model_cfg, network.universe_size, features.shape[2], config)
+    result = net.TrainResult(params, model_cfg, [], *net.load_scalers(checkpoint))
     batches = assemble_batches(network, features, config)
     dataset = net.chronological_split(batches, config.split)
-    stack = np.concatenate([b.inputs.reshape(-1, b.inputs.shape[-1]) for b in dataset.train])
-    lo, hi = stack.min(axis=0), stack.max(axis=0)
-    image_scale = max(float(np.max([b.image.max() for b in dataset.train])), 1e-12)
-    result = net.TrainResult(params, model_cfg, [], lo, hi, image_scale)
+    preds = []
+    if dataset.test:
+        preds = net.predict(result, net.Batch.stack(dataset.test), config.ablation_flags())
     path = os.path.join(out, "forecast.csv")
     offset = len(dataset.train) + len(dataset.val)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("window,step,node,feature,value\n")
-        for w, batch in enumerate(dataset.test):
-            pred = net.predict(result, batch, config.ablation_flags())
+        for w, pred in enumerate(preds):
             for step in range(pred.shape[0]):
                 for node in range(pred.shape[1]):
                     for feat in range(pred.shape[2]):

@@ -10,6 +10,7 @@ than by quadrature.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -127,20 +128,21 @@ def render_zpi(
 
     Each point contributes g(point) * 2*pi*theta^2 times the product of
     per-axis CDF differences, so the render is additive over points and
-    monotone under adding points.
+    monotone under adding points.  A point repeated m times is rendered
+    once with weight m * g, in order of first appearance.
     """
     p = grid.resolution
     ex = np.linspace(grid.x_lo, grid.x_hi, p + 1)
     ey = np.linspace(grid.y_lo, grid.y_hi, p + 1)
     pixels = np.zeros((p, p), dtype=np.float64)
     mass = 2.0 * math.pi * grid.theta * grid.theta
-    for bx, pers in points:
+    for (bx, pers), count in Counter((float(b), float(q)) for b, q in points).items():
         g = w.weight(pers)
         if g == 0.0:
             continue
         cx = np.diff(ndtr((ex - bx) / grid.theta))
         cy = np.diff(ndtr((ey - pers) / grid.theta))
-        pixels += (g * mass) * np.outer(cy, cx)
+        pixels += (count * g * mass) * np.outer(cy, cx)
     return ZPIGrid(grid, pixels)
 
 

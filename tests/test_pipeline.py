@@ -6,11 +6,17 @@ import numpy as np
 import pytest
 
 from zigzagst.cli import main
-from zigzagst.dyngraph import read_snapshot_csv, write_feature_csv, write_snapshot_csv
+from zigzagst.dyngraph import (
+    read_feature_csv,
+    read_snapshot_csv,
+    write_feature_csv,
+    write_snapshot_csv,
+)
 from zigzagst.filtration import FiltrationMode, build_complex, betti_numbers
 from zigzagst.pipeline import (
     RunConfig,
     _inject_noise,
+    _model_config,
     assemble_batches,
     cmd_ablate,
     cmd_distance,
@@ -368,7 +374,9 @@ def test_cmd_forecast_accepts_a_matching_checkpoint(forecast_inputs):
     assert cmd_forecast(cfg, ckpt)["windows"] >= 1
 
 
-@pytest.mark.parametrize("field", ["universe_size", "feature width", "tau", "horizon"])
+@pytest.mark.parametrize(
+    "field", ["universe_size", "feature width", "tau", "horizon", "resolution"]
+)
 def test_cmd_forecast_rejects_data_the_checkpoint_was_not_trained_on(
     forecast_inputs, tmp_path, field
 ):
@@ -387,6 +395,42 @@ def test_cmd_forecast_rejects_data_the_checkpoint_was_not_trained_on(
         cfg = replace(cfg, **{field: getattr(cfg, field) + 1})
     with pytest.raises(ValueError, match=f"^{field} is "):
         cmd_forecast(cfg, ckpt)
+
+
+def test_cmd_forecast_scales_with_the_scalers_training_fitted(tmp_path):
+    """A model trained on noisy windows is forecast with its own scalers."""
+    from zigzagst import net
+
+    base = dict(
+        outdir=str(tmp_path), nu_star=0.5, seed=5, synth_nodes=6, synth_length=30,
+        synth_period=4, tau=4, horizon=2, resolution=10, hidden=4, num_layers=1,
+        embed_dim=2, laplacian_order=1, epochs=2, batch_size=4, learning_rate=0.01,
+        noise_sigma=2.0, noise_fraction=0.5,
+    )
+    paths = cmd_synth(RunConfig(**base))
+    cfg = RunConfig(**base, snapshots=paths["snapshots"], features=paths["features"])
+    trained = cmd_train(cfg)
+    out = cmd_forecast(cfg, trained["checkpoint"])
+
+    # the same run, repeated in the library, gives the TrainResult cmd_train saw
+    network, features = read_snapshot_csv(cfg.snapshots), read_feature_csv(cfg.features)
+    dataset = net.chronological_split(assemble_batches(network, features, cfg), cfg.split)
+    clean_train = dataset.train
+    noisy = _inject_noise(list(dataset.train), len(dataset.train), cfg)
+    dataset = net.Dataset(tuple(noisy), dataset.val, dataset.test)
+    result = net.train(dataset, _model_config(cfg, 6, 1), cfg.ablation_flags())
+    lo, hi, scale = net.load_scalers(trained["checkpoint"])
+    assert np.array_equal(lo, result.input_lo) and np.array_equal(hi, result.input_hi)
+    assert scale == result.image_scale
+    want = net.predict(result, net.Batch.stack(dataset.test))
+    # scalers refitted on the clean windows would give other forecasts
+    clean = np.concatenate([b.inputs.reshape(-1, 1) for b in clean_train])
+    refit = replace(result, input_lo=clean.min(axis=0), input_hi=clean.max(axis=0))
+    assert not np.allclose(net.predict(refit, net.Batch.stack(dataset.test)), want)
+
+    rows = np.loadtxt(out["forecast"], delimiter=",", skiprows=1)
+    assert len(rows) == want.size
+    assert np.array_equal(rows[:, 4].reshape(want.shape), want)
 
 
 def test_noise_injection_perturbs_only_training_inputs():

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.special import ndtr
 
 from zigzagst.zigzag import ZPD
 from zigzagst.zpi import (
@@ -95,6 +96,31 @@ def test_two_identical_points_double():
     one = render_zpi([(3.0, 2.0)], g, WeightingSpec("constant"))
     two = render_zpi([(3.0, 2.0), (3.0, 2.0)], g, WeightingSpec("constant"))
     assert np.allclose(two.pixels, 2.0 * one.pixels, rtol=1e-12)
+
+
+def _render_per_point(points, g, w):
+    """The render with one outer product per listed point, repeats included."""
+    ex = np.linspace(g.x_lo, g.x_hi, g.resolution + 1)
+    ey = np.linspace(g.y_lo, g.y_hi, g.resolution + 1)
+    pixels = np.zeros((g.resolution, g.resolution))
+    for bx, pers in points:
+        cx = np.diff(ndtr((ex - bx) / g.theta))
+        cy = np.diff(ndtr((ey - pers) / g.theta))
+        pixels += (w.weight(pers) * 2.0 * math.pi * g.theta ** 2) * np.outer(cy, cx)
+    return pixels
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_repeated_points_render_as_each_point_once(seed):
+    rng = np.random.default_rng(seed)
+    g = grid(res=25, theta=0.7)
+    distinct = {(int(b) / 2, int(p) / 2) for b, p in rng.integers(0, 20, (12, 2))}
+    points = [pt for pt in distinct for _ in range(int(rng.integers(1, 31)))]
+    points = [points[i] for i in rng.permutation(len(points))]
+    for w in (WeightingSpec("linear"), WeightingSpec("constant"), WeightingSpec("linear", cap=3.0)):
+        want = _render_per_point(points, g, w)
+        got = render_zpi(points, g, w).pixels
+        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_linear_weight_scales_by_persistence():
