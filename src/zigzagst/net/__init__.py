@@ -6,7 +6,6 @@ from .config import (
     ModelParams,
     init_params,
     load_checkpoint,
-    load_scalers,
     save_checkpoint,
     token_config,
     traffic_config,
@@ -47,8 +46,8 @@ __all__ = [
     "ModelParams", "TrainResult", "TrainingDiverged", "adaptive_laplacian",
     "backward", "chronological_split", "evaluate", "forward", "grad_check",
     "gru_cell", "init_params", "laplacian_powers", "load_checkpoint",
-    "load_scalers", "loss_metrics", "mae_loss_and_grad", "predict",
-    "save_checkpoint", "spatial_conv", "temporal_conv", "tiny_config",
-    "token_config", "traffic_config", "train", "write_history_csv",
-    "zigzag_layer", "zpi_encoder",
+    "loss_metrics", "mae_loss_and_grad", "predict", "save_checkpoint",
+    "spatial_conv", "temporal_conv", "tiny_config", "token_config",
+    "traffic_config", "train", "write_history_csv", "zigzag_layer",
+    "zpi_encoder",
 ]

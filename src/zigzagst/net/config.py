@@ -17,7 +17,6 @@ __all__ = [
     "token_config",
     "save_checkpoint",
     "load_checkpoint",
-    "load_scalers",
 ]
 
 CHECKPOINT_VERSION = 2
@@ -211,15 +210,11 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers=None) -> None:
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers) -> None:
     """Versioned npz dump of the configuration, every parameter array and the input scalers.
 
-    ``scalers`` is ``(input_lo, input_hi, image_scale)`` as fitted by
-    training; without it the checkpoint stores the identity scalers
-    (0, 1, 1), for inputs already in the model's range.
+    ``scalers`` is ``(input_lo, input_hi, image_scale)`` as fitted by training.
     """
-    if scalers is None:
-        scalers = (np.zeros(config.in_features), np.ones(config.in_features), 1.0)
     input_lo, input_hi, image_scale = scalers
     arrays = {name.replace(".", "__"): arr for name, arr in params.named_arrays()}
     np.savez(
@@ -233,15 +228,12 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers=None
     )
 
 
-def _check_version(data) -> None:
-    version = int(data["checkpoint_version"])
-    if version != CHECKPOINT_VERSION:
-        raise ValueError(f"unsupported checkpoint version {version}")
-
-
-def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
+def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, tuple[np.ndarray, np.ndarray, float]]:
+    """The configuration, parameters and ``(input_lo, input_hi, image_scale)`` of a checkpoint."""
     with np.load(path) as data:
-        _check_version(data)
+        version = int(data["checkpoint_version"])
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
         config = ModelConfig(**json.loads(bytes(data["config_json"]).decode("ascii")))
         rng = np.random.default_rng(0)
         params = init_params(config, rng)
@@ -250,11 +242,5 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams]:
             if stored.shape != arr.shape:
                 raise ValueError(f"checkpoint array {name} has shape {stored.shape}, expected {arr.shape}")
             arr[...] = stored
-    return config, params
-
-
-def load_scalers(path) -> tuple[np.ndarray, np.ndarray, float]:
-    """The ``(input_lo, input_hi, image_scale)`` a checkpoint was saved with."""
-    with np.load(path) as data:
-        _check_version(data)
-        return data["input_lo"], data["input_hi"], float(data["image_scale"])
+        scalers = (data["input_lo"], data["input_hi"], float(data["image_scale"]))
+    return config, params, scalers

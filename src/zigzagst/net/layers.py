@@ -207,25 +207,6 @@ def zpi_encoder_output_size(p: int, kernel: int, stride: int) -> int:
     return (s1 - kernel) // stride + 1
 
 
-_ENCODER_CHUNK = 4  # images per pass through the convolutions: bounds their working memory
-
-
-def _encoder_maxima(x0, layer, stride: int, side: int):
-    """Where each image's second map peaks per channel, and the peak.
-
-    Returns the argmax row, column, the k x k patch of the first map
-    under it, its flat position, and the maximum, each per (image, channel).
-    """
-    k = layer.conv1_k.shape[2]
-    r1 = _relu_conv(x0, layer.conv1_k, layer.conv1_b, stride)
-    r2 = _relu_conv(r1, layer.conv2_k, layer.conv2_b, stride)
-    flat = r2.reshape(r2.shape[0], r2.shape[1], -1).swapaxes(0, 1)  # (B, channels, side^2)
-    arg = flat.argmax(axis=2)  # row-major position
-    y2, x2 = np.divmod(arg, side)
-    maxvals = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
-    return y2, x2, _patches(r1, y2, x2, k, stride), arg, maxvals
-
-
 def zpi_encoder(image, layer, stride: int):
     """Two ReLU convolutions, a global max per channel, and a linear map.
 
@@ -235,17 +216,19 @@ def zpi_encoder(image, layer, stride: int):
     channel, which is what is computed; gradients route to the argmax
     position.  So the cache keeps only what that one position per
     sample and channel needs: where it sits, and its k x k patch of the
-    first feature map (whose sign is the first ReLU's mask).  The
-    feature maps themselves live for ``_ENCODER_CHUNK`` images at a time.
+    first feature map (whose sign is the first ReLU's mask).
     """
     p = image.shape[-1]
-    side = zpi_encoder_output_size(p, layer.conv1_k.shape[2], stride)
+    k = layer.conv1_k.shape[2]
+    side = zpi_encoder_output_size(p, k, stride)
     x0 = image.reshape(1, -1, p, p)  # one input channel
-    parts = [
-        _encoder_maxima(x0[:, start : start + _ENCODER_CHUNK], layer, stride, side)
-        for start in range(0, x0.shape[1], _ENCODER_CHUNK)
-    ]
-    y2, x2, patch1, arg, maxvals = (np.concatenate(part) for part in zip(*parts))
+    r1 = _relu_conv(x0, layer.conv1_k, layer.conv1_b, stride)
+    r2 = _relu_conv(r1, layer.conv2_k, layer.conv2_b, stride)
+    flat = r2.reshape(r2.shape[0], r2.shape[1], -1).swapaxes(0, 1)  # (B, channels, side^2)
+    arg = flat.argmax(axis=2)  # row-major position
+    y2, x2 = np.divmod(arg, side)
+    maxvals = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
+    patch1 = _patches(r1, y2, x2, k, stride)
     z = maxvals @ layer.zmap_w + layer.zmap_b
     cache = (image, x0, y2, x2, patch1, side, arg, maxvals, layer, stride)
     return z.reshape(image.shape[:-2] + z.shape[1:]), cache

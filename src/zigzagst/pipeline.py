@@ -618,10 +618,10 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     windows go to one ``predict`` call.
     """
     out = _ensure_outdir(config)
-    model_cfg, params = net.load_checkpoint(checkpoint)
+    model_cfg, params, scalers = net.load_checkpoint(checkpoint)
     network, features = _load_data(config)
     _require_checkpoint_match(model_cfg, network.universe_size, features.shape[2], config)
-    result = net.TrainResult(params, model_cfg, [], *net.load_scalers(checkpoint))
+    result = net.TrainResult(params, model_cfg, [], *scalers)
     batches = assemble_batches(network, features, config)
     dataset = net.chronological_split(batches, config.split)
     preds = []

@@ -365,7 +365,9 @@ def forecast_inputs(tmp_path):
         embed_dim=2, laplacian_order=1, zpi_resolution=8,
     )
     ckpt = str(tmp_path / "checkpoint.npz")
-    net.save_checkpoint(ckpt, model_cfg, net.init_params(model_cfg, np.random.default_rng(0)))
+    identity = (np.zeros(1), np.ones(1), 1.0)
+    params = net.init_params(model_cfg, np.random.default_rng(0))
+    net.save_checkpoint(ckpt, model_cfg, params, identity)
     return cfg, data, ckpt
 
 
@@ -419,7 +421,7 @@ def test_cmd_forecast_scales_with_the_scalers_training_fitted(tmp_path):
     noisy = _inject_noise(list(dataset.train), len(dataset.train), cfg)
     dataset = net.Dataset(tuple(noisy), dataset.val, dataset.test)
     result = net.train(dataset, _model_config(cfg, 6, 1), cfg.ablation_flags())
-    lo, hi, scale = net.load_scalers(trained["checkpoint"])
+    _, _, (lo, hi, scale) = net.load_checkpoint(trained["checkpoint"])
     assert np.array_equal(lo, result.input_lo) and np.array_equal(hi, result.input_hi)
     assert scale == result.image_scale
     want = net.predict(result, net.Batch.stack(dataset.test))

@@ -12,7 +12,6 @@ from zigzagst.net import (
     forward,
     init_params,
     load_checkpoint,
-    load_scalers,
     mae_loss_and_grad,
     predict,
     save_checkpoint,
@@ -145,8 +144,8 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg = small_cfg()
     params = init_params(cfg, np.random.default_rng(5))
     path = tmp_path / "model.npz"
-    save_checkpoint(path, cfg, params)
-    cfg2, params2 = load_checkpoint(path)
+    save_checkpoint(path, cfg, params, (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0))
+    cfg2, params2, _ = load_checkpoint(path)
     assert cfg2 == cfg
     for (na, a), (nb, b) in zip(params.named_arrays(), params2.named_arrays()):
         assert na == nb
@@ -158,11 +157,8 @@ def test_checkpoint_stores_scalers(tmp_path):
     params = init_params(cfg, np.random.default_rng(0))
     path = tmp_path / "ckpt.npz"
     save_checkpoint(path, cfg, params, (np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 0.25))
-    lo, hi, scale = load_scalers(path)
+    _, _, (lo, hi, scale) = load_checkpoint(path)
     assert lo.tolist() == [-1.0, 2.0] and hi.tolist() == [3.0, 5.0] and scale == 0.25
-    save_checkpoint(path, cfg, params)  # no scalers: the identity
-    lo, hi, scale = load_scalers(path)
-    assert lo.tolist() == [0.0, 0.0] and hi.tolist() == [1.0, 1.0] and scale == 1.0
     with np.load(path) as data:
         old = {k: data[k] for k in data.files if k not in ("input_lo", "input_hi", "image_scale")}
     old["checkpoint_version"] = np.int64(1)
