@@ -19,7 +19,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 2
+CHECKPOINT_VERSION = 3
 
 
 @dataclass(frozen=True)
@@ -210,10 +210,12 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers) -> None:
-    """Versioned npz dump of the configuration, every parameter array and the input scalers.
+def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers, settings) -> None:
+    """Versioned npz dump of the configuration, every parameter array, the scalers and settings.
 
-    ``scalers`` is ``(input_lo, input_hi, image_scale)`` as fitted by training.
+    ``scalers`` is ``(input_lo, input_hi, image_scale)`` as fitted by
+    training, and ``settings`` a JSON-able dict of the data-side settings
+    the training windows were made with.
     """
     input_lo, input_hi, image_scale = scalers
     arrays = {name.replace(".", "__"): arr for name, arr in params.named_arrays()}
@@ -221,6 +223,7 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers) -> 
         path,
         checkpoint_version=np.int64(CHECKPOINT_VERSION),
         config_json=np.bytes_(json.dumps(asdict(config)).encode("ascii")),
+        settings_json=np.bytes_(json.dumps(settings).encode("ascii")),
         input_lo=np.asarray(input_lo, dtype=np.float64),
         input_hi=np.asarray(input_hi, dtype=np.float64),
         image_scale=np.float64(image_scale),
@@ -228,12 +231,14 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers) -> 
     )
 
 
-def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, tuple[np.ndarray, np.ndarray, float]]:
-    """The configuration, parameters and ``(input_lo, input_hi, image_scale)`` of a checkpoint."""
+def load_checkpoint(
+    path,
+) -> tuple[ModelConfig, ModelParams, tuple[np.ndarray, np.ndarray, float], dict]:
+    """The configuration, parameters, scalers and settings ``save_checkpoint`` stored."""
     with np.load(path) as data:
         version = int(data["checkpoint_version"])
         if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}")
+            raise ValueError(f"unsupported checkpoint version {version}; retrain it")
         config = ModelConfig(**json.loads(bytes(data["config_json"]).decode("ascii")))
         rng = np.random.default_rng(0)
         params = init_params(config, rng)
@@ -243,4 +248,5 @@ def load_checkpoint(path) -> tuple[ModelConfig, ModelParams, tuple[np.ndarray, n
                 raise ValueError(f"checkpoint array {name} has shape {stored.shape}, expected {arr.shape}")
             arr[...] = stored
         scalers = (data["input_lo"], data["input_hi"], float(data["image_scale"]))
-    return config, params, scalers
+        settings = json.loads(bytes(data["settings_json"]).decode("ascii"))
+    return config, params, scalers, settings

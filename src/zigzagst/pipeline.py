@@ -586,7 +586,8 @@ def cmd_train(config: RunConfig) -> dict:
     ckpt = os.path.join(out, "checkpoint.npz")
     hist = os.path.join(out, "history.csv")
     net.save_checkpoint(
-        ckpt, model_cfg, result.params, (result.input_lo, result.input_hi, result.image_scale)
+        ckpt, model_cfg, result.params, (result.input_lo, result.input_hi, result.image_scale),
+        _image_settings(config),
     )
     net.write_history_csv(result.history, hist)
     test_rows = [row for row in result.history if row[1] == "test"]
@@ -594,10 +595,22 @@ def cmd_train(config: RunConfig) -> dict:
     return {"checkpoint": ckpt, "history": hist, "test_metrics": metrics}
 
 
+def _image_settings(config: RunConfig) -> dict:
+    """The settings that shape a window's image, as a checkpoint stores them."""
+    return {
+        "filtration": config.filtration,
+        "nu_star": config.nu_star,
+        "homology_dims": list(config.homology_dims),
+        "theta": config.theta,
+        "weight_kind": config.weight_kind,
+        "weight_cap": config.weight_cap,
+    }
+
+
 def _require_checkpoint_match(
-    model_cfg: net.ModelConfig, n_nodes: int, in_features: int, config: RunConfig
+    model_cfg: net.ModelConfig, settings: dict, n_nodes: int, in_features: int, config: RunConfig
 ) -> None:
-    """Reject data or settings whose shapes differ from the trained model's."""
+    """Reject data or settings that differ from those the model was trained with."""
     pairs = {
         "universe_size": (n_nodes, model_cfg.n_nodes),
         "feature width": (in_features, model_cfg.in_features),
@@ -605,6 +618,7 @@ def _require_checkpoint_match(
         "horizon": (config.horizon, model_cfg.horizon),
         "resolution": (config.resolution, model_cfg.zpi_resolution),
     }
+    pairs.update((name, (got, settings.get(name))) for name, got in _image_settings(config).items())
     for name, (got, trained) in pairs.items():
         if got != trained:
             raise ValueError(f"{name} is {got} here but the checkpoint was trained with {trained}")
@@ -618,9 +632,9 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     windows go to one ``predict`` call.
     """
     out = _ensure_outdir(config)
-    model_cfg, params, scalers = net.load_checkpoint(checkpoint)
+    model_cfg, params, scalers, settings = net.load_checkpoint(checkpoint)
     network, features = _load_data(config)
-    _require_checkpoint_match(model_cfg, network.universe_size, features.shape[2], config)
+    _require_checkpoint_match(model_cfg, settings, network.universe_size, features.shape[2], config)
     result = net.TrainResult(params, model_cfg, [], *scalers)
     batches = assemble_batches(network, features, config)
     dataset = net.chronological_split(batches, config.split)

@@ -3,28 +3,27 @@
 A series of snapshots G_1, G_2, ... yields the complex sequence
 C(G_1) -> C(G_1 u G_2) <- C(G_2) -> ...: each snapshot includes into the
 union with its successor, so arrows alternate direction.  A window of tau
-snapshots is a run of 2*tau - 1 consecutive complexes.  The interval
-decomposition of the induced GF(2) homology module is recovered from
-generalized ranks r[a, b] of contiguous segments (the rank of the
-canonical limit-to-colimit map counts the intervals covering a segment),
-which avoids any order-sensitive basis bookkeeping.
+snapshots is a run of 2*tau - 1 consecutive complexes.
 
-r[a, b] depends only on the module restricted to [a, b], not on the
-window around it (Carlsson & de Silva, "Zigzag persistence", 2010).  So
 ``zigzag_series`` builds each complex, homology basis and arrow map once
-per series, sweeps each segment once, and reads every window's interval
-multiplicities from the shared ranks by inclusion-exclusion inside the
-window.  Windows come out in order as soon as their last snapshot is
-read, and state older than the current window is dropped, so memory
-stays proportional to tau, not to the series length.  A single window
-(``build_zigzag`` then ``compute_zigzag_persistence``) is the one-window
-case of the same code.  Births and deaths land on a half-integer time
-grid stored exactly as doubled integers.
+per series and computes the interval decomposition of the GF(2)
+homology module online, one arrow at a time (Carlsson & de Silva,
+"Zigzag persistence", 2010; Maria & Oudot, SODA 2015): one sweep per
+homology dimension keeps a basis of the current homology whose classes
+each generate one open bar.  Restricting an interval module to a window
+only clips its intervals, so every window's diagram is the bars of the
+prefix read so far, clipped to the window.  Windows come out in order
+as soon as their last snapshot is read, and complexes and bars no later
+window can see are dropped, so memory stays proportional to tau, not to
+the series length.  A single window (``build_zigzag`` then
+``compute_zigzag_persistence``) is the one-window case of the same code.
+Births and deaths land on a half-integer time grid stored exactly as
+doubled integers.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
@@ -182,216 +181,191 @@ def build_zigzag(
 
 
 class _ComplexHom:
-    """Homology bases of one complex with coordinate bookkeeping.
+    """Homology bases of one complex in cycle-space coordinates.
 
-    Chains are gf2 bitsets over the complex's own sorted vertex/edge
-    lists.  ``express`` rewrites a cycle in homology coordinates by
-    reducing it against the tracked span of boundaries plus chosen
-    representatives.
+    A spanning forest grown by union-find in edge order splits the edges
+    into tree and non-tree edges.  H0 has one class per component, named
+    by its lowest vertex, in vertex order.  A 1-cycle is fixed by its
+    non-tree edges, so cycles are bitsets over those (|E| - |V| + b0
+    bits).  Triangle boundaries, projected there, span the boundaries;
+    the non-tree edges whose unit vectors stay independent of them and of
+    the earlier units are the H1 representatives, each standing for its
+    fundamental cycle.  ``_basis`` labels only the representatives, so a
+    reduction against it reads a cycle's homology coordinates.
     """
 
-    __slots__ = ("verts", "edges", "vpos", "epos", "reps", "_tb", "_slots")
+    __slots__ = ("comp", "reps0", "nontree", "cycles", "_basis")
 
     def __init__(self, cx: SimplicialComplex):
-        self.verts = cx.vertices
-        self.edges = cx.edges
-        self.vpos = {v: i for i, v in enumerate(self.verts)}
-        self.epos = {e: i for i, e in enumerate(self.edges)}
+        root = {v: v for v in cx.vertices}
 
-        tb0 = gf2.TrackedBasis(track=True)
-        edge_cycles: list[int] = []
-        for (u, v) in self.edges:
-            added, combo = tb0.insert((1 << self.vpos[u]) | (1 << self.vpos[v]))
-            if not added:
-                edge_cycles.append(combo)
-        reps0: list[int] = []
-        slots0: list[int] = []
-        for i in range(len(self.verts)):
-            added, _ = tb0.insert(1 << i)
-            if added:
-                reps0.append(1 << i)
-                slots0.append(tb0.n_inserted - 1)
+        def find(v: int) -> int:
+            while root[v] != v:
+                root[v] = root[root[v]]
+                v = root[v]
+            return v
 
-        tb1 = gf2.TrackedBasis(track=True)
+        tree: list[tuple[int, int]] = []
+        self.nontree: dict[tuple[int, int], int] = {}  # non-tree edge -> bit
+        for e in cx.edges:
+            a, b = find(e[0]), find(e[1])
+            if a == b:
+                self.nontree[e] = len(self.nontree)
+            else:
+                root[max(a, b)] = min(a, b)  # a component's root is its lowest vertex
+                tree.append(e)
+        self.reps0 = [v for v in cx.vertices if root[v] == v]
+        index = {v: i for i, v in enumerate(self.reps0)}
+        self.comp = {v: index[find(v)] for v in cx.vertices}
+
+        n = len(self.nontree)
+        basis = gf2.TrackedBasis()
         for (u, v, w) in cx.triangles:
-            tb1.insert(
-                gf2.from_indices(
-                    (self.epos[(u, v)], self.epos[(u, w)], self.epos[(v, w)])
-                )
-            )
-        reps1: list[int] = []
-        slots1: list[int] = []
-        for z in edge_cycles:
-            added, _ = tb1.insert(z)
-            if added:
-                reps1.append(z)
-                slots1.append(tb1.n_inserted - 1)
-
-        self.reps = (reps0, reps1)
-        self._tb = (tb0, tb1)
-        self._slots = (slots0, slots1)
+            if len(basis) == n:
+                break  # the boundaries span every cycle: b1 = 0
+            basis.insert(self.project(((u, v), (u, w), (v, w))))
+        reps: list[tuple[int, int]] = []
+        for e, k in self.nontree.items():
+            if len(basis) == n:
+                break
+            if basis.insert(1 << k, label=1 << len(reps))[0]:
+                reps.append(e)
+        self._basis = basis
+        self.cycles = _fundamental_cycles(tree, reps) if reps else []
 
     def betti(self, p: int) -> int:
-        return len(self.reps[p])
+        return len(self.cycles) if p else len(self.reps0)
 
-    def express(self, p: int, chain: int) -> int:
-        residual, combo = self._tb[p].reduce(chain)
-        if residual:
-            raise AssertionError("chain is not a cycle of this complex")
-        out = 0
-        for r, slot in enumerate(self._slots[p]):
-            if (combo >> slot) & 1:
-                out |= 1 << r
-        return out
+    def project(self, edges: Iterable[tuple[int, int]]) -> int:
+        """Cycle-space coordinates of an edge chain: its non-tree edges' bits."""
+        vec = 0
+        for e in edges:
+            k = self.nontree.get(e)
+            if k is not None:
+                vec |= 1 << k
+        return vec
 
-    def include_chain(self, p: int, sub: "_ComplexHom", chain: int) -> int:
-        """Reindex a p-chain of a subcomplex into this complex's bits."""
-        out = 0
-        if p == 0:
-            for i in gf2.bits_of(chain):
-                out |= 1 << self.vpos[sub.verts[i]]
-        else:
-            for i in gf2.bits_of(chain):
-                out |= 1 << self.epos[sub.edges[i]]
-        return out
+
+def _fundamental_cycles(
+    tree: Sequence[tuple[int, int]], edges: Sequence[tuple[int, int]]
+) -> list[list[tuple[int, int]]]:
+    """Each non-tree edge with the forest path joining its endpoints."""
+    adj: dict[int, list[int]] = {}
+    for u, v in tree:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    up: dict[int, int] = {}
+    depth: dict[int, int] = {}
+    for r in adj:
+        if r in depth:
+            continue
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in depth:
+                    up[v], depth[v] = u, depth[u] + 1
+                    stack.append(v)
+    cycles = []
+    for e in edges:
+        cycle = [e]
+        a, b = e
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            c = up[a]
+            cycle.append((c, a) if c < a else (a, c))
+            a = c
+        cycles.append(cycle)
+    return cycles
 
 
 def _induced_map(p: int, sub: _ComplexHom, sup: _ComplexHom) -> list[int]:
     """Homology map of the inclusion: one super-coordinate column per sub basis vector."""
-    return [sup.express(p, sup.include_chain(p, sub, rep)) for rep in sub.reps[p]]
+    if p == 0:
+        return [1 << sup.comp[v] for v in sub.reps0]
+    if not sup.cycles:
+        return [0] * len(sub.cycles)
+    return [sup._basis.reduce(sup.project(cycle))[1] for cycle in sub.cycles]
 
 
-def _echelon_insert(ech: dict[int, int], vec: int) -> int:
-    """Reduce ``vec`` against a highest-bit-pivot echelon, inserting if independent."""
-    while vec:
-        pv = vec.bit_length() - 1
-        hit = ech.get(pv)
-        if hit is None:
-            ech[pv] = vec
-            return vec
-        vec ^= hit
-    return 0
+class _Sweep:
+    """Interval decomposition of one dimension's module on a prefix of the series.
 
-
-class _RankRow:
-    """Generalized ranks r[a, b] of one left end a, widened one position at a time.
-
-    ``ranks[j]`` is r[a, a + j]; ranks are monotone under widening, so the
-    row closes at the first zero and every later rank is 0.
-
-    Snapshots (even positions) are the sources of the diagram and unions
-    (odd positions) the sinks.  While the right end b grows, the row
-    keeps the pair space K of (class at a, class at b) joined by a
-    compatible chain, and an echelon of the colimit gluing relations.
-    Block a takes the lowest bits and each new block is stacked above the
-    last; with highest-bit pivots, the echelon rows supported purely on
-    block a are exactly those whose pivot falls inside it.  The rank is
-    the number of left components of K that are independent modulo those
-    rows.
+    ``live`` is a basis of the current homology space, one (vector,
+    birth position) class per open bar, and ``closed`` holds the ended
+    bars as (birth, death) in order of death.  ``live`` stays sorted by
+    an order key: 0 for classes of the first complex, +q for classes born
+    at a forward arrow into q and -q for classes born at a backward
+    arrow at q.  New classes keep that order by going first (kernel
+    classes) or last (forward-born ones), so no key is stored.  Where
+    classes become dependent, the one of highest key ends; that choice
+    keeps every class the generator of an interval summand (Carlsson &
+    de Silva, "Zigzag persistence", 2010).
     """
 
-    __slots__ = ("dim_a", "pairs", "relations", "zero_rows", "last_off", "top", "ranks", "open")
+    __slots__ = ("live", "closed")
 
-    def __init__(self, dim_a: int):
-        self.dim_a = dim_a
-        self.pairs = [(1 << i, 1 << i) for i in range(dim_a)]
-        self.relations: dict[int, int] = {}  # echelon of colimit gluing relations
-        self.zero_rows: list[int] = []  # relation rows supported purely on block a
-        self.last_off = 0  # first bit of block b - 1
-        self.top = dim_a  # first free bit
-        self.ranks = [dim_a] if dim_a else []
-        self.open = bool(dim_a)
+    def __init__(self, q: int, m: int):
+        self.live = [(1 << i, q) for i in range(m)]
+        self.closed: deque[tuple[int, int]] = deque()
 
-    def widen(self, forward: bool, cols: list[int], m_prev: int, m_b: int) -> None:
-        """Extend [a, b - 1] to [a, b] across the arrow between b - 1 and b.
+    def forward(self, q: int, cols: list[int], m: int) -> None:
+        """Cross the forward arrow V_{q-1} -> V_q, given by ``cols``; m = dim V_q."""
+        images = gf2.TrackedBasis()
+        live = []
+        for vec, birth in self.live:
+            image = gf2.matvec(cols, vec)
+            if images.insert(image)[0]:
+                live.append((image, birth))
+            else:
+                self.closed.append((birth, q - 1))
+        for i in range(m):
+            if images.insert(1 << i)[0]:
+                live.append((1 << i, q))
+        self.live = live
 
-        ``cols`` is the induced map of that arrow, V_{b-1} -> V_b when
-        ``forward`` and V_b -> V_{b-1} otherwise; m_prev and m_b are the
-        dimensions of V_{b-1} and V_b.
+    def backward(self, q: int, cols: list[int], m: int) -> None:
+        """Cross the backward arrow V_q -> V_{q-1}, given by ``cols``; m = dim V_q.
+
+        The dependent columns give the kernel, born at q.  A class that
+        lies in the image plus the classes below it lifts to V_q through
+        the column part of its combination; any other class ends.
         """
-        dim_a = self.dim_a
-        if forward:
-            # Forward arrow f: V_{b-1} -> V_b; push right components.
-            ech: dict[int, int] = {}
-            pairs = []
-            for u, v in self.pairs:
-                comb = _echelon_insert(ech, (u << m_b) | gf2.matvec(cols, v))
-                if comb:
-                    pairs.append((comb >> m_b, comb & ((1 << m_b) - 1)))
-            n_src = m_prev
-        else:
-            # Backward arrow g: V_b -> V_{b-1}; take preimages of K.
-            tb = gf2.TrackedBasis(track=True)
-            for u, v in self.pairs:
-                tb.insert((u << m_prev) | v)
-            n_seed = tb.n_inserted
-            pairs = []
-            for i in range(dim_a + m_b):
-                if i < dim_a:
-                    vec = (1 << i) << m_prev
-                else:
-                    vec = cols[i - dim_a]
-                added, combo = tb.insert(vec)
-                if not added:
-                    units = combo >> n_seed
-                    pairs.append((units & ((1 << dim_a) - 1), units >> dim_a))
-            n_src = m_b
-        self.pairs = pairs
-        off_b = self.top
-        src_off, dst_off = (self.last_off, off_b) if forward else (off_b, self.last_off)
-        for i in range(n_src):
-            rel = 1 << (src_off + i)
-            for j in gf2.bits_of(cols[i]):
-                rel ^= 1 << (dst_off + j)
-            row = _echelon_insert(self.relations, rel)
-            if row and row.bit_length() <= dim_a:
-                self.zero_rows.append(row)
-        self.last_off, self.top = off_b, off_b + m_b
-        if not pairs:
-            self.open = False
-            return
-        ech = {}
-        for z in self.zero_rows:
-            _echelon_insert(ech, z)
-        r = 0
-        for u, _ in pairs:
-            if _echelon_insert(ech, u):
-                r += 1
-        if r == 0:
-            self.open = False
-            return
-        self.ranks.append(r)
+        span = gf2.TrackedBasis(track=True)
+        kernel = []
+        for col in cols:
+            added, combo = span.insert(col)
+            if not added:
+                kernel.append((combo, q))
+        low = (1 << m) - 1
+        lifted = []
+        for vec, birth in self.live:
+            added, combo = span.insert(vec)
+            if added:
+                self.closed.append((birth, q - 1))
+            else:
+                lifted.append((combo & low, birth))
+        self.live = kernel + lifted
 
+    def clip(self, p: int, s: int, e: int, rows: Counter) -> None:
+        """Count the bars of the window [s, e] into ``rows`` as grid points.
 
-def _window_points(rows: Sequence[_RankRow], p: int) -> list[Row]:
-    """Diagram rows of one window from the rank rows of its positions.
+        The window's module is the prefix's restricted to [s, e], so its
+        bars are the prefix's clipped there.
+        """
+        off = s - 2
+        for birth, death in self.closed:
+            if death >= s:
+                rows[p, max(birth, s) - off, death - off] += 1
+        for _, birth in self.live:
+            rows[p, max(birth, s) - off, e - off] += 1
 
-    ``rows[i]`` is the row of the window's i-th position.  A rank whose
-    segment leaves the window counts as 0, so the multiplicity of [a, b]
-    is r[a, b] - r[a-1, b] - r[a, b+1] + r[a-1, b+1] with those terms
-    dropped at the window's edges.
-    """
-    width = len(rows)
-    points = []
-    left: list[int] = []
-    for a, row in enumerate(rows):
-        ranks = row.ranks
-        n_left = len(left)
-        for j in range(min(len(ranks), width - a)):
-            m = ranks[j]
-            if j + 1 < n_left:
-                m -= left[j + 1]
-            if a + j + 1 < width:
-                if j + 1 < len(ranks):
-                    m -= ranks[j + 1]
-                if j + 2 < n_left:
-                    m += left[j + 2]
-            if m < 0:
-                raise AssertionError("negative interval multiplicity")
-            if m:
-                points.append((p, a + 2, a + j + 2, m))
-        left = ranks
-    return points
+    def drop_before(self, s: int) -> None:
+        """Forget the closed bars no window starting at s or later can see."""
+        while self.closed and self.closed[0][1] < s:
+            self.closed.popleft()
 
 
 def _window_diagrams(
@@ -399,38 +373,38 @@ def _window_diagrams(
 ) -> Iterator[tuple[ZigzagFiltration, ZPD]]:
     """Every run of 2*tau - 1 positions starting at a snapshot, in order.
 
-    Each complex gets one homology basis, each arrow one induced map per
-    dimension, and each position one rank row per dimension.  A new
-    position widens every open row that a window can still use; a window
-    is emitted as soon as its last position is in, and the rows of its
-    first snapshot and union are then dropped.  Only the current window's
-    complexes and rows are kept.
+    Each complex gets one homology basis and each arrow one induced map
+    per dimension, and one sweep per dimension carries the interval
+    decomposition of the prefix read so far.  A window is emitted as soon
+    as its last position is in, with the prefix's bars clipped to it;
+    bars that ended before the next window's start are then dropped.
+    Only the current window's complexes are kept.  With tau = 1 there are
+    no arrows and every complex is a window of its own.
     """
     width = 2 * tau - 1
     stride = 2 if width > 1 else 1  # windows start at snapshots
     kept: deque[SimplicialComplex] = deque(maxlen=width)
-    rows: tuple[deque[_RankRow], deque[_RankRow]] = (deque(), deque())
+    sweeps: list[_Sweep] = []
     prev: _ComplexHom | None = None
     for q, cx in enumerate(complexes):
         kept.append(cx)
         hom = _ComplexHom(cx)
-        for p, row_list in enumerate(rows):
-            if prev is not None and any(row.open for row in row_list):
-                forward = q % 2 == 1
-                cols = _induced_map(p, prev, hom) if forward else _induced_map(p, hom, prev)
-                m_prev, m_b = prev.betti(p), hom.betti(p)
-                for row in row_list:
-                    if row.open:
-                        row.widen(forward, cols, m_prev, m_b)
-            row_list.append(_RankRow(hom.betti(p)))
+        if prev is None or width == 1:
+            sweeps = [_Sweep(q, hom.betti(p)) for p in (0, 1)]
+        elif q % 2 == 1:
+            for p, sweep in enumerate(sweeps):
+                sweep.forward(q, _induced_map(p, prev, hom), hom.betti(p))
+        else:
+            for p, sweep in enumerate(sweeps):
+                sweep.backward(q, _induced_map(p, hom, prev), hom.betti(p))
         prev = hom
         start = q - width + 1
         if start >= 0 and start % stride == 0:
-            points = _window_points(list(rows[0]), 0) + _window_points(list(rows[1]), 1)
-            yield ZigzagFiltration(tuple(kept)), ZPD(tuple(points))
-            for row_list in rows:
-                for _ in range(stride):
-                    row_list.popleft()
+            rows: Counter = Counter()
+            for p, sweep in enumerate(sweeps):
+                sweep.clip(p, start, q, rows)
+                sweep.drop_before(start + stride)
+            yield ZigzagFiltration(tuple(kept)), ZPD(tuple((*k, m) for k, m in rows.items()))
 
 
 def zigzag_series(

@@ -3,8 +3,10 @@
 This is the path the series engine in ``zigzagst.zigzag`` replaced: every
 window builds its own complexes, homology bases and arrow maps, and
 sweeps every segment rank of its own.  ``_interval_multiplicities`` is
-kept verbatim, with the lowest-bit-pivot echelon it relies on; the engine
-must reproduce its diagrams exactly.
+kept verbatim, with the lowest-bit-pivot echelon it relies on, and so are
+the tracked edge-coordinate homology bases (``_ComplexHom``) and arrow
+maps (``_induced_map``) it reads; nothing here shares the engine's
+bases, maps or sweep.  The engine must reproduce its diagrams exactly.
 """
 
 from __future__ import annotations
@@ -13,13 +15,88 @@ from typing import Sequence
 
 from zigzagst import gf2
 from zigzagst.dyngraph import Snapshot, union_graph
-from zigzagst.filtration import FiltrationMode, build_complex
-from zigzagst.zigzag import (
-    ZPD,
-    InclusionError,
-    _ComplexHom,
-    _induced_map,
-)
+from zigzagst.filtration import FiltrationMode, SimplicialComplex, build_complex
+from zigzagst.zigzag import ZPD, InclusionError
+
+
+class _ComplexHom:
+    """Homology bases of one complex with coordinate bookkeeping.
+
+    Chains are gf2 bitsets over the complex's own sorted vertex/edge
+    lists.  ``express`` rewrites a cycle in homology coordinates by
+    reducing it against the tracked span of boundaries plus chosen
+    representatives.
+    """
+
+    __slots__ = ("verts", "edges", "vpos", "epos", "reps", "_tb", "_slots")
+
+    def __init__(self, cx: SimplicialComplex):
+        self.verts = cx.vertices
+        self.edges = cx.edges
+        self.vpos = {v: i for i, v in enumerate(self.verts)}
+        self.epos = {e: i for i, e in enumerate(self.edges)}
+
+        tb0 = gf2.TrackedBasis(track=True)
+        edge_cycles: list[int] = []
+        for (u, v) in self.edges:
+            added, combo = tb0.insert((1 << self.vpos[u]) | (1 << self.vpos[v]))
+            if not added:
+                edge_cycles.append(combo)
+        reps0: list[int] = []
+        slots0: list[int] = []
+        for i in range(len(self.verts)):
+            added, _ = tb0.insert(1 << i)
+            if added:
+                reps0.append(1 << i)
+                slots0.append(tb0.n_inserted - 1)
+
+        tb1 = gf2.TrackedBasis(track=True)
+        for (u, v, w) in cx.triangles:
+            tb1.insert(
+                gf2.from_indices(
+                    (self.epos[(u, v)], self.epos[(u, w)], self.epos[(v, w)])
+                )
+            )
+        reps1: list[int] = []
+        slots1: list[int] = []
+        for z in edge_cycles:
+            added, _ = tb1.insert(z)
+            if added:
+                reps1.append(z)
+                slots1.append(tb1.n_inserted - 1)
+
+        self.reps = (reps0, reps1)
+        self._tb = (tb0, tb1)
+        self._slots = (slots0, slots1)
+
+    def betti(self, p: int) -> int:
+        return len(self.reps[p])
+
+    def express(self, p: int, chain: int) -> int:
+        residual, combo = self._tb[p].reduce(chain)
+        if residual:
+            raise AssertionError("chain is not a cycle of this complex")
+        out = 0
+        for r, slot in enumerate(self._slots[p]):
+            if (combo >> slot) & 1:
+                out |= 1 << r
+        return out
+
+    def include_chain(self, p: int, sub: "_ComplexHom", chain: int) -> int:
+        """Reindex a p-chain of a subcomplex into this complex's bits."""
+        out = 0
+        if p == 0:
+            for i in gf2.bits_of(chain):
+                out |= 1 << self.vpos[sub.verts[i]]
+        else:
+            for i in gf2.bits_of(chain):
+                out |= 1 << self.epos[sub.edges[i]]
+        return out
+
+
+def _induced_map(p: int, sub: _ComplexHom, sup: _ComplexHom) -> list[int]:
+    """Homology map of the inclusion: one super-coordinate column per sub basis vector."""
+    return [sup.express(p, sup.include_chain(p, sub, rep)) for rep in sub.reps[p]]
 
 
 def _echelon_insert(ech: dict[int, int], vec: int) -> int:

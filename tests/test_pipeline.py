@@ -15,6 +15,7 @@ from zigzagst.dyngraph import (
 from zigzagst.filtration import FiltrationMode, build_complex, betti_numbers
 from zigzagst.pipeline import (
     RunConfig,
+    _image_settings,
     _inject_noise,
     _model_config,
     assemble_batches,
@@ -367,7 +368,7 @@ def forecast_inputs(tmp_path):
     ckpt = str(tmp_path / "checkpoint.npz")
     identity = (np.zeros(1), np.ones(1), 1.0)
     params = net.init_params(model_cfg, np.random.default_rng(0))
-    net.save_checkpoint(ckpt, model_cfg, params, identity)
+    net.save_checkpoint(ckpt, model_cfg, params, identity, _image_settings(cfg))
     return cfg, data, ckpt
 
 
@@ -376,13 +377,19 @@ def test_cmd_forecast_accepts_a_matching_checkpoint(forecast_inputs):
     assert cmd_forecast(cfg, ckpt)["windows"] >= 1
 
 
-@pytest.mark.parametrize(
-    "field", ["universe_size", "feature width", "tau", "horizon", "resolution"]
-)
+# Settings the checkpoint must have been trained with, and a different value for each.
+OTHER_SETTINGS = {
+    "tau": 5, "horizon": 3, "resolution": 9, "filtration": "vietoris-rips", "nu_star": 0.6,
+    "homology_dims": (0, 1), "theta": 0.5, "weight_kind": "constant", "weight_cap": 2.0,
+}
+
+
+@pytest.mark.parametrize("field", ["universe_size", "feature width", *OTHER_SETTINGS])
 def test_cmd_forecast_rejects_data_the_checkpoint_was_not_trained_on(
-    forecast_inputs, tmp_path, field
+    forecast_inputs, tmp_path, field, monkeypatch
 ):
     from zigzagst.dyngraph import FeatureSeries
+    from zigzagst import pipeline
 
     cfg, data, ckpt = forecast_inputs
     values = data.features.values
@@ -394,7 +401,12 @@ def test_cmd_forecast_rejects_data_the_checkpoint_was_not_trained_on(
     elif field == "feature width":
         write_feature_csv(FeatureSeries(np.concatenate([values, values], axis=2)), cfg.features)
     else:
-        cfg = replace(cfg, **{field: getattr(cfg, field) + 1})
+        cfg = replace(cfg, **{field: OTHER_SETTINGS[field]})
+
+    def no_windows(*args, **kwargs):
+        raise AssertionError("windows assembled before the checkpoint was checked")
+
+    monkeypatch.setattr(pipeline, "assemble_batches", no_windows)
     with pytest.raises(ValueError, match=f"^{field} is "):
         cmd_forecast(cfg, ckpt)
 
@@ -421,7 +433,7 @@ def test_cmd_forecast_scales_with_the_scalers_training_fitted(tmp_path):
     noisy = _inject_noise(list(dataset.train), len(dataset.train), cfg)
     dataset = net.Dataset(tuple(noisy), dataset.val, dataset.test)
     result = net.train(dataset, _model_config(cfg, 6, 1), cfg.ablation_flags())
-    _, _, (lo, hi, scale) = net.load_checkpoint(trained["checkpoint"])
+    _, _, (lo, hi, scale), _ = net.load_checkpoint(trained["checkpoint"])
     assert np.array_equal(lo, result.input_lo) and np.array_equal(hi, result.input_hi)
     assert scale == result.image_scale
     want = net.predict(result, net.Batch.stack(dataset.test))

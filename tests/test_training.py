@@ -144,9 +144,12 @@ def test_checkpoint_roundtrip(tmp_path):
     cfg = small_cfg()
     params = init_params(cfg, np.random.default_rng(5))
     path = tmp_path / "model.npz"
-    save_checkpoint(path, cfg, params, (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0))
-    cfg2, params2, _ = load_checkpoint(path)
+    settings = {"filtration": "power", "nu_star": 0.1, "weight_cap": float("inf")}
+    save_checkpoint(path, cfg, params, (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0),
+                    settings)
+    cfg2, params2, _, settings2 = load_checkpoint(path)
     assert cfg2 == cfg
+    assert settings2 == settings
     for (na, a), (nb, b) in zip(params.named_arrays(), params2.named_arrays()):
         assert na == nb
         assert np.array_equal(a, b)
@@ -156,12 +159,25 @@ def test_checkpoint_stores_scalers(tmp_path):
     cfg = small_cfg()
     params = init_params(cfg, np.random.default_rng(0))
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, (np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 0.25))
-    _, _, (lo, hi, scale) = load_checkpoint(path)
+    save_checkpoint(path, cfg, params, (np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 0.25), {})
+    _, _, (lo, hi, scale), _ = load_checkpoint(path)
     assert lo.tolist() == [-1.0, 2.0] and hi.tolist() == [3.0, 5.0] and scale == 0.25
     with np.load(path) as data:
         old = {k: data[k] for k in data.files if k not in ("input_lo", "input_hi", "image_scale")}
     old["checkpoint_version"] = np.int64(1)
     np.savez(path, **old)
     with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_2_without_settings_is_rejected(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(0)),
+                    (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0), {})
+    with np.load(path) as data:
+        old = {k: data[k] for k in data.files if k != "settings_json"}
+    old["checkpoint_version"] = np.int64(2)
+    np.savez(path, **old)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 2; retrain it"):
         load_checkpoint(path)

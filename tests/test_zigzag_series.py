@@ -82,6 +82,52 @@ def test_series_matches_reference_on_slowly_changing_graph(tmp_path):
             assert not assert_matches_reference(snaps, tau, 0.5, mode, tmp_path)
 
 
+def dense_independent(seed, n, length, density):
+    """Snapshots drawn afresh at every step, as in the wide benchmark but denser."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    m = int(round(density * len(pairs)))
+    return [
+        Snapshot.from_edges(t, n, [(*pairs[i], float(rng.uniform(0.05, 0.45)))
+                                   for i in rng.choice(len(pairs), m, replace=False)],
+                            nodes=range(n))
+        for t in range(1, length + 1)
+    ]
+
+
+def arrow_kinds(zpd, twice_end):
+    """(birth arrow, death arrow) of each H1 bar that has both inside the window.
+
+    Positions alternate snapshot (even twice) and union (odd twice): a bar
+    born at a union came in by a forward arrow and one born at a later
+    snapshot by a backward arrow; a bar ending at a snapshot before the
+    window's end dies at a forward arrow and one ending at a union at a
+    backward arrow.
+    """
+    kinds = set()
+    for dim, b, d, _ in zpd.rows:
+        born = "forward" if b % 2 else "backward" if b > 2 else None
+        dies = "backward" if d % 2 else "forward" if d < twice_end else None
+        if dim == 1 and born and dies:
+            kinds.add((born, dies))
+    return kinds
+
+
+def test_series_matches_reference_on_dense_independent_snapshots(tmp_path):
+    kinds = set()
+    # Unions of density-0.3 clique complexes rarely hold a cycle neither
+    # snapshot has; the 0.25 series supplies the union-born bars.
+    for seed, (n, length, density) in enumerate([(16, 8, 0.25), (20, 7, 0.3), (24, 6, 0.3)]):
+        snaps = dense_independent(seed, n, length, density)
+        for tau in (2, 3, length):
+            assert not assert_matches_reference(
+                snaps, tau, 0.5, FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE, tmp_path)
+        ((_, whole),) = zigzag_series(snaps, length, 0.5)
+        kinds |= arrow_kinds(whole, 2 * length)
+    # Both rules for which class ends ran: every birth arrow meets every death arrow.
+    assert kinds == set(itertools.product(("forward", "backward"), repeat=2))
+
+
 def degree_violation_series():
     """Six snapshots whose only failing arrow is C(G_4) -> C(G_4 u G_5)."""
     before = [(0, 1, 0.2)]
@@ -127,6 +173,14 @@ def test_series_memory_is_bounded(monkeypatch):
                      if rng.random() < 0.4]
             yield Snapshot.from_edges(t, 6, edges, nodes=range(6))
 
+    stale = []
+    clip = zigzag._Sweep.clip
+
+    def checked_clip(self, p, s, e, rows):
+        stale.extend(bar for bar in self.closed if bar[1] < s)
+        return clip(self, p, s, e, rows)
+
+    monkeypatch.setattr(zigzag._Sweep, "clip", checked_clip)
     peak = windows = 0
     for zf, _ in zigzag_series(series(), tau, 0.5):
         assert len(consumed) == windows + tau  # each window needs only its own snapshots
@@ -136,3 +190,4 @@ def test_series_memory_is_bounded(monkeypatch):
         windows += 1
     assert windows == length - tau + 1
     assert peak <= 2 * tau - 1  # one window's complexes, not the series'
+    assert not stale  # no bar that ended before the window's start is still held
