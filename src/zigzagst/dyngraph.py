@@ -358,6 +358,11 @@ def write_feature_csv(fs: FeatureSeries, path, t0: int = 1) -> None:
 
 
 def read_feature_csv(path) -> FeatureSeries:
+    """Read a feature CSV; every ``(t, node)`` cell must have exactly one row.
+
+    The cells are every t from the smallest to the largest and every node
+    from 0 to the largest id; a repeated or missing cell raises.
+    """
     rows: dict[tuple[int, int], Sequence[float]] = {}
     n_feat = None
     with open(path, "r", encoding="ascii") as fh:
@@ -377,13 +382,22 @@ def read_feature_csv(path) -> FeatureSeries:
                 n_feat = len(vals)
             elif len(vals) != n_feat:
                 raise ValueError(f"{path}: line {lineno}: inconsistent feature count")
+            if node < 0:
+                raise ValueError(f"{path}: line {lineno}: negative node id {node}")
+            if (t, node) in rows:
+                raise ValueError(f"{path}: line {lineno}: repeated row for t={t}, node={node}")
             rows[(t, node)] = vals
     if not rows:
         raise ValueError(f"{path}: no feature rows")
-    times = sorted({t for t, _ in rows})
-    nodes = sorted({v for _, v in rows})
-    t_index = {t: i for i, t in enumerate(times)}
-    arr = np.zeros((len(times), nodes[-1] + 1, n_feat), dtype=np.float64)
+    t_lo = min(t for t, _ in rows)
+    t_len = max(t for t, _ in rows) - t_lo + 1
+    n = max(node for _, node in rows) + 1
+    if len(rows) != t_len * n:
+        t, node = next(
+            (t, node) for t in range(t_lo, t_lo + t_len) for node in range(n) if (t, node) not in rows
+        )
+        raise ValueError(f"{path}: no row for t={t}, node={node}")
+    arr = np.empty((t_len, n, n_feat), dtype=np.float64)
     for (t, node), vals in rows.items():
-        arr[t_index[t], node] = vals
+        arr[t - t_lo, node] = vals
     return FeatureSeries(arr)

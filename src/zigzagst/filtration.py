@@ -1,15 +1,16 @@
 """Simplicial complexes of dimension at most two from weighted snapshots.
 
-A simplex is a sorted tuple of one to three node ids.  Every builder in
-this module produces a face-closed complex; homology is computed over
-GF(2) by boundary-matrix rank, which keeps Betti numbers in exact
-integer arithmetic.
+A simplex is a sorted tuple of one to three node ids.  Every complex is
+the clique (flag) complex of a graph, held as that graph; homology is
+computed over GF(2) by boundary-matrix rank, which keeps Betti numbers
+in exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import enum
 import heapq
+import itertools
 import math
 from typing import Callable, Iterable, Mapping
 
@@ -30,39 +31,20 @@ __all__ = [
 
 
 class SimplicialComplex:
-    """Face-closed set of simplices of dimension <= 2 (immutable)."""
+    """Clique (flag) complex of a graph, truncated at dimension 2 (immutable).
 
-    __slots__ = ("vertices", "edges", "triangles", "_members")
+    A flag complex is fixed by its vertices and edges: a triangle belongs
+    to it exactly when its three edges do.  So membership, inclusion and
+    equality read only the vertex and edge sets, and ``triangles`` (sorted,
+    as homology reads them) is the one thing derived from them.
+    """
 
-    def __init__(self, simplices: Iterable[Simplex]):
-        verts: set[Simplex] = set()
-        edges: set[Simplex] = set()
-        tris: set[Simplex] = set()
-        for s in simplices:
-            s = tuple(s)
-            if not 1 <= len(s) <= 3:
-                raise ValueError(f"simplex {s} has dimension outside 0..2")
-            if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-                raise ValueError(f"simplex {s} is not sorted with distinct vertices")
-            (verts, edges, tris)[len(s) - 1].add(s)
-        for (u, v) in edges:
-            if (u,) not in verts or (v,) not in verts:
-                raise ValueError(f"edge {(u, v)} is missing a vertex face")
-        for (u, v, w) in tris:
-            for face in ((u, v), (u, w), (v, w)):
-                if face not in edges:
-                    raise ValueError(f"triangle {(u, v, w)} is missing face {face}")
-        self.vertices: tuple[int, ...] = tuple(sorted(s[0] for s in verts))
-        self.edges: tuple[Simplex, ...] = tuple(sorted(edges))
-        self.triangles: tuple[Simplex, ...] = tuple(sorted(tris))
-        self._members = verts | edges | tris
+    __slots__ = ("vertices", "edges", "triangles", "_vset", "_eset")
 
-    @classmethod
-    def from_graph(cls, vertices: Iterable[int], edges: Iterable[tuple[int, int]]) -> "SimplicialComplex":
-        """Clique (flag) complex of a graph, truncated at dimension 2."""
-        vs = set(int(v) for v in vertices)
+    def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
+        vs = frozenset(int(v) for v in vertices)
         es: set[Simplex] = set()
-        adj: dict[int, set[int]] = {v: set() for v in vs}
+        up: dict[int, set[int]] = {v: set() for v in vs}  # higher neighbours
         for u, v in edges:
             if u == v:
                 continue
@@ -70,36 +52,44 @@ class SimplicialComplex:
             if a not in vs or b not in vs:
                 raise ValueError(f"edge {(a, b)} endpoint outside vertex set")
             es.add((a, b))
-            adj[a].add(b)
-            adj[b].add(a)
-        simplices: list[Simplex] = [(v,) for v in vs]
-        simplices.extend(es)
-        for (a, b) in es:
-            for c in adj[a] & adj[b]:
-                if c > b:
-                    simplices.append((a, b, c))
-        return cls(simplices)
+            up[a].add(b)
+        self.vertices: tuple[int, ...] = tuple(sorted(vs))
+        self.edges: tuple[Simplex, ...] = tuple(sorted(es))
+        # walking the sorted edges (a, b) and each sorted apex c > b emits (a, b, c) in order
+        self.triangles: tuple[Simplex, ...] = tuple(
+            (a, b, c) for (a, b) in self.edges for c in sorted(up[a] & up[b])
+        )
+        self._vset = vs
+        self._eset = frozenset(es)
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.vertices) + len(self.edges) + len(self.triangles)
 
     def __iter__(self):
-        return iter(sorted(self._members, key=lambda s: (len(s), s)))
+        """Vertices, then edges, then triangles, each in sorted order."""
+        return itertools.chain(((v,) for v in self.vertices), self.edges, self.triangles)
 
     def __contains__(self, simplex: Simplex) -> bool:
-        return tuple(simplex) in self._members
+        s = tuple(simplex)
+        if len(s) == 1:
+            return s[0] in self._vset
+        return 2 <= len(s) <= 3 and all(e in self._eset for e in itertools.combinations(s, 2))
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, SimplicialComplex) and self._members == other._members
+        return (isinstance(other, SimplicialComplex)
+                and self._vset == other._vset and self._eset == other._eset)
 
     def __hash__(self):
-        return hash(frozenset(self._members))
+        return hash((self._vset, self._eset))
 
     def is_subcomplex_of(self, other: "SimplicialComplex") -> bool:
-        return self._members <= other._members
+        return self._vset <= other._vset and self._eset <= other._eset
 
     def difference(self, other: "SimplicialComplex") -> set[Simplex]:
-        return self._members - other._members
+        missing: set[Simplex] = {(v,) for v in self._vset - other._vset}
+        missing.update(self._eset - other._eset)
+        missing.update(t for t in self.triangles if t not in other)
+        return missing
 
 
 class FiltrationMode(enum.Enum):
@@ -164,7 +154,7 @@ def build_complex(
 
     if mode is FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE:
         kept = [e for e, w in s.weights.items() if w <= nu_star]
-        return SimplicialComplex.from_graph(nodes, kept)
+        return SimplicialComplex(nodes, kept)
 
     if mode is FiltrationMode.VIETORIS_RIPS:
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in nodes}
@@ -175,7 +165,7 @@ def build_complex(
         for u in nodes:
             dist = _dijkstra(u, adj, nu_star)
             kept.extend((u, v) for v, d in dist.items() if v > u and d <= nu_star)
-        return SimplicialComplex.from_graph(nodes, kept)
+        return SimplicialComplex(nodes, kept)
 
     if mode is FiltrationMode.WEIGHT_RANK_CLIQUE:
         if nu_star < 0:
@@ -184,7 +174,7 @@ def build_complex(
         m = len(distinct)
         scale = {w: (r + 1) / m for r, w in enumerate(distinct)}
         kept = [e for e, w in s.weights.items() if scale[w] <= nu_star]
-        return SimplicialComplex.from_graph(nodes, kept)
+        return SimplicialComplex(nodes, kept)
 
     if mode is FiltrationMode.POWER:
         if nu_star < 0:
@@ -195,7 +185,7 @@ def build_complex(
         for u in nodes:
             reach = _bfs_hops(u, neighbors, hops)
             kept.extend((u, v) for v in reach if v > u)
-        return SimplicialComplex.from_graph(nodes, kept)
+        return SimplicialComplex(nodes, kept)
 
     if mode is FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL:
         if node_function is None:
@@ -208,7 +198,7 @@ def build_complex(
         low = [v for v in nodes if f(v) <= nu_star]
         low_set = set(low)
         kept = [(u, v) for (u, v) in s.weights if u in low_set and v in low_set]
-        return SimplicialComplex.from_graph(low, kept)
+        return SimplicialComplex(low, kept)
 
     raise ValueError(f"unknown filtration mode {mode!r}")
 
@@ -238,14 +228,40 @@ def write_complex_dump(c: SimplicialComplex, path) -> None:
 
 
 def read_complex_dump(path) -> SimplicialComplex:
-    simplices = []
+    """Read a dump back, checking that it is the flag complex of its own graph.
+
+    Every simplex must be sorted, with distinct vertices and dimension 0
+    to 2, every face of a listed simplex must be listed too, and every
+    triangle whose three edges are listed must be listed.
+    """
+    verts: set[Simplex] = set()
+    edges: set[Simplex] = set()
+    tris: set[Simplex] = set()
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                simplices.append(tuple(int(x) for x in line.split()))
+                s = tuple(int(x) for x in line.split())
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return SimplicialComplex(simplices)
+            if len(s) > 3:
+                raise ValueError(f"{path}: line {lineno}: simplex {s} has dimension outside 0..2")
+            if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
+                raise ValueError(
+                    f"{path}: line {lineno}: simplex {s} is not sorted with distinct vertices"
+                )
+            (verts, edges, tris)[len(s) - 1].add(s)
+    for (u, v) in edges:
+        if (u,) not in verts or (v,) not in verts:
+            raise ValueError(f"{path}: edge {(u, v)} is missing a vertex face")
+    for (u, v, w) in tris:
+        for face in ((u, v), (u, w), (v, w)):
+            if face not in edges:
+                raise ValueError(f"{path}: triangle {(u, v, w)} is missing face {face}")
+    cx = SimplicialComplex((v for (v,) in verts), edges)
+    for t in cx.triangles:
+        if t not in tris:
+            raise ValueError(f"{path}: not a flag complex: triangle {t} is missing")
+    return cx

@@ -19,7 +19,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,6 @@ class ModelConfig:
     cnn_filters: int = 8
     cnn_kernel: int = 3
     cnn_stride: int = 2
-    pool_size: int = 5
     learning_rate: float = 0.003
     lr_decay: float = 0.3
     plateau_patience: int = 5
@@ -55,7 +54,7 @@ class ModelConfig:
         positive = (
             "n_nodes", "in_features", "out_features", "embed_dim", "window",
             "horizon", "hidden", "num_layers", "zpi_resolution", "cnn_filters",
-            "cnn_kernel", "cnn_stride", "pool_size", "batch_size", "epochs",
+            "cnn_kernel", "cnn_stride", "batch_size", "epochs",
         )
         for name in positive:
             if getattr(self, name) < 1:

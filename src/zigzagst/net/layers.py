@@ -230,7 +230,7 @@ def zpi_encoder(image, layer, stride: int):
     maxvals = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
     patch1 = _patches(r1, y2, x2, k, stride)
     z = maxvals @ layer.zmap_w + layer.zmap_b
-    cache = (image, x0, y2, x2, patch1, side, arg, maxvals, layer, stride)
+    cache = (x0, y2, x2, patch1, maxvals, layer, stride)
     return z.reshape(image.shape[:-2] + z.shape[1:]), cache
 
 
@@ -239,7 +239,7 @@ def zpi_encoder_backward(cache, dz):
 
     The gradients of every sample are summed.
     """
-    _, x0, y2, x2, patch1, _, _, maxvals, layer, stride = cache
+    x0, y2, x2, patch1, maxvals, layer, stride = cache
     k = layer.conv1_k.shape[2]
     dz = dz.reshape(maxvals.shape[0], -1)
     dzmap_w = maxvals.T @ dz

@@ -7,12 +7,9 @@ commands are deterministic for a fixed config and seed.
 
 from __future__ import annotations
 
-import itertools
 import math
-import multiprocessing
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -108,7 +105,6 @@ class RunConfig:
     ablation: str = "none"
     noise_sigma: float = 0.0
     noise_fraction: float = 0.3
-    jobs: int = 1
     check: bool = False
     seed: int = 0
     # synthetic generation
@@ -182,15 +178,18 @@ def _coerce(key: str, value: str, current):
         if value.lower() not in _BOOLEANS:
             raise ValueError(f"{key} must be one of {sorted(_BOOLEANS)}, got {value!r}")
         return _BOOLEANS[value.lower()]
-    if isinstance(current, int):
-        return int(value)
-    if isinstance(current, float):
-        return float(value)
     if isinstance(current, tuple):
-        parts = [p for p in value.replace(",", " ").split() if p]
         kind = float if current and isinstance(current[0], float) else int
-        return tuple(kind(p) for p in parts)
-    return value
+        parts = value.replace(",", " ").split()
+    elif isinstance(current, (int, float)):
+        kind, parts = type(current), [value]
+    else:
+        return value
+    try:
+        numbers = tuple(kind(p) for p in parts)
+    except ValueError:
+        raise ValueError(f"{key} expects {kind.__name__} values, got {value!r}") from None
+    return numbers if isinstance(current, tuple) else numbers[0]
 
 
 # ---------------------------------------------------------------------------
@@ -425,32 +424,6 @@ def cmd_filtrate(config: RunConfig) -> dict:
     return {"betti": betti_path, "complexes": dumps}
 
 
-def _zigzag_block(snapshots, tau: int, nu: float, mode: FiltrationMode, check: bool):
-    """(diagram, Betti violations) of every window of a run of snapshots.
-
-    The engine hands overlapping windows the same complex objects, so
-    ``check`` computes each complex's Betti numbers once and keeps them
-    while a window still holds the complex.
-    """
-    betti: dict[int, tuple[SimplicialComplex, tuple[int, int]]] = {}
-    for zf, zpd in zigzag_series(snapshots, tau, nu, mode):
-        violations = 0
-        if check:
-            betti = {
-                id(cx): betti.get(id(cx)) or (cx, (betti_numbers(cx, 0), betti_numbers(cx, 1)))
-                for cx in zf.complexes
-            }
-            report = _consistency_report(zpd, [betti[id(cx)][1] for cx in zf.complexes])
-            violations = len(report.violations)
-        yield zpd, violations
-
-
-def _zigzag_worker(args):
-    plain, n, tau, nu, mode_name, check = args
-    snapshots = [Snapshot.from_edges(t, n, edges, nodes=nodes) for t, edges, nodes in plain]
-    return list(_zigzag_block(snapshots, tau, nu, _MODE_NAMES[mode_name], check))
-
-
 _WINDOW_FILE = re.compile(r"zpd_window_\d{4,}(\.csv|_dim\d+\.(zpi|pgm))")
 
 
@@ -461,60 +434,35 @@ def _remove_window_files(out: str) -> None:
             os.remove(os.path.join(out, name))
 
 
-def _write_diagrams(out: str, results) -> tuple[list[str], int]:
-    """Write one CSV per window as results arrive; returns paths and summed violations."""
-    paths = []
-    total_violations = 0
-    for index, (zpd, violations) in enumerate(results):
-        total_violations += violations
-        path = os.path.join(out, f"zpd_window_{index:04d}.csv")
-        write_zpd_csv(zpd, path)
-        paths.append(path)
-    return paths, total_violations
-
-
 def cmd_zigzag(config: RunConfig) -> dict:
-    """Persistence diagram CSV per sliding window.
+    """Persistence diagram CSV per sliding window, written as each window arrives.
 
-    With ``jobs > 1`` the windows are split into that many contiguous
-    blocks, and each worker process runs the series engine on the
-    snapshots its block spans.  Window diagrams and images left in
-    ``outdir`` by an earlier run are removed first, so ``cmd_zpi`` sees
-    only this run's windows.
+    Window diagrams and images left in ``outdir`` by an earlier run are
+    removed first, so ``cmd_zpi`` sees only this run's windows.  The
+    engine hands overlapping windows the same complex objects, so
+    ``check`` computes each complex's Betti numbers once and keeps them
+    while a window still holds the complex.
     """
     out = _ensure_outdir(config)
     nu = config.require_nu_star()
     mode = config.filtration_mode()
     network = read_snapshot_csv(config.snapshots, config.universe_size or None)
-    tau, snaps = config.tau, network.snapshots
-    n_windows = window_count(len(network), tau)
-    n_blocks = min(config.jobs, n_windows)
+    window_count(len(network), config.tau)  # rejects tau < 1 and tau > T before removing files
     _remove_window_files(out)
-    if n_blocks > 1:
-        bounds = [n_windows * k // n_blocks for k in range(n_blocks + 1)]
-        blocks = [
-            (
-                [
-                    (s.index, [(u, v, w) for (u, v), w in s.weights.items()], sorted(s.nodes))
-                    for s in snaps[lo : hi + tau - 1]
-                ],
-                network.universe_size,
-                tau,
-                nu,
-                mode.value,
-                config.check,
-            )
-            for lo, hi in zip(bounds, bounds[1:])
-        ]
-        context = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=n_blocks, mp_context=context) as pool:
-            paths, total_violations = _write_diagrams(
-                out, itertools.chain.from_iterable(pool.map(_zigzag_worker, blocks))
-            )
-    else:
-        paths, total_violations = _write_diagrams(
-            out, _zigzag_block(snaps, tau, nu, mode, config.check)
-        )
+    paths = []
+    total_violations = 0
+    betti: dict[int, tuple[SimplicialComplex, tuple[int, int]]] = {}
+    for index, (zf, zpd) in enumerate(zigzag_series(network.snapshots, config.tau, nu, mode)):
+        if config.check:
+            betti = {
+                id(cx): betti.get(id(cx)) or (cx, (betti_numbers(cx, 0), betti_numbers(cx, 1)))
+                for cx in zf.complexes
+            }
+            report = _consistency_report(zpd, [betti[id(cx)][1] for cx in zf.complexes])
+            total_violations += len(report.violations)
+        path = os.path.join(out, f"zpd_window_{index:04d}.csv")
+        write_zpd_csv(zpd, path)
+        paths.append(path)
     if config.check and total_violations:
         raise AssertionError(f"betti consistency check failed with {total_violations} violations")
     return {"zpd": paths, "windows": len(paths), "violations": total_violations}

@@ -238,3 +238,20 @@ def test_feature_csv_roundtrip(tmp_path):
     write_feature_csv(fs, path)
     back = read_feature_csv(path)
     assert np.array_equal(back.values, fs.values)
+
+
+def test_feature_csv_requires_every_cell_once(tmp_path):
+    path = tmp_path / "features.csv"
+    path.write_text("t,node,f1\n1,0,0.5\n1,1,0.5\n2,0,0.5\n")
+    with pytest.raises(ValueError, match=r"features\.csv: no row for t=2, node=1"):
+        read_feature_csv(path)
+    path.write_text("t,node,f1\n1,0,0.5\n1,0,0.7\n")
+    with pytest.raises(ValueError, match=r"features\.csv: line 3: repeated row for t=1, node=0"):
+        read_feature_csv(path)
+    # a step without rows is a hole, as it is an empty snapshot in read_snapshot_csv
+    path.write_text("t,node,f1\n1,0,0.5\n3,0,0.5\n")
+    with pytest.raises(ValueError, match="no row for t=2, node=0"):
+        read_feature_csv(path)
+    path.write_text("t,node,f1\n1,-1,0.5\n")
+    with pytest.raises(ValueError, match="line 2: negative node id -1"):
+        read_feature_csv(path)

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -24,32 +26,92 @@ def cycle4(w=0.2):
 
 # --- SimplicialComplex ----------------------------------------------------------
 
-def test_face_closure_enforced():
-    with pytest.raises(ValueError):
-        SimplicialComplex([(0, 1)])  # missing vertices
-    with pytest.raises(ValueError):
-        SimplicialComplex([(0,), (1,), (2,), (0, 1), (0, 2), (0, 1, 2)])  # missing edge
+def dump(tmp_path, lines):
+    path = tmp_path / "complex.txt"
+    path.write_text("".join(line + "\n" for line in lines))
+    return path
 
 
-def test_simplices_sorted_and_dim_capped():
-    with pytest.raises(ValueError):
-        SimplicialComplex([(1, 0)])
-    with pytest.raises(ValueError):
-        SimplicialComplex([(0, 1, 2, 3)])
+def test_face_closure_enforced(tmp_path):
+    with pytest.raises(ValueError, match="edge \\(0, 1\\) is missing a vertex face"):
+        read_complex_dump(dump(tmp_path, ["0 1"]))
+    with pytest.raises(ValueError, match="triangle \\(0, 1, 2\\) is missing face \\(1, 2\\)"):
+        read_complex_dump(dump(tmp_path, ["0", "1", "2", "0 1", "0 2", "0 1 2"]))
 
 
-def test_from_graph_clique_expansion():
-    cx = SimplicialComplex.from_graph([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
+def test_simplices_sorted_and_dim_capped(tmp_path):
+    with pytest.raises(ValueError, match="line 3: simplex \\(1, 0\\) is not sorted"):
+        read_complex_dump(dump(tmp_path, ["0", "1", "1 0"]))
+    with pytest.raises(ValueError, match="line 1: simplex \\(0, 1, 2, 3\\) has dimension"):
+        read_complex_dump(dump(tmp_path, ["0 1 2 3"]))
+
+
+def test_dump_must_be_a_flag_complex(tmp_path):
+    hollow = ["0", "1", "2", "0 1", "0 2", "1 2"]
+    with pytest.raises(ValueError, match="not a flag complex: triangle \\(0, 1, 2\\) is missing"):
+        read_complex_dump(dump(tmp_path, hollow))
+    with pytest.raises(ValueError, match="triangle \\(0, 1, 2\\) is missing face \\(0, 2\\)"):
+        read_complex_dump(dump(tmp_path, ["0", "1", "2", "0 1", "1 2", "0 1 2"]))
+    assert read_complex_dump(dump(tmp_path, hollow + ["0 1 2"])).triangles == ((0, 1, 2),)
+
+
+def test_clique_expansion():
+    cx = SimplicialComplex([0, 1, 2], [(0, 1), (1, 2), (0, 2)])
     assert cx.triangles == ((0, 1, 2),)
     assert len(cx) == 3 + 3 + 1
 
 
 def test_subcomplex_and_difference():
-    small = SimplicialComplex.from_graph([0, 1], [(0, 1)])
-    big = SimplicialComplex.from_graph([0, 1, 2], [(0, 1), (1, 2)])
+    small = SimplicialComplex([0, 1], [(0, 1)])
+    big = SimplicialComplex([0, 1, 2], [(0, 1), (1, 2)])
     assert small.is_subcomplex_of(big)
     assert not big.is_subcomplex_of(small)
     assert big.difference(small) == {(2,), (1, 2)}
+
+
+def all_simplices(cx):
+    """Every simplex of the flag complex of ``cx``'s graph, found by brute force."""
+    edges = set(cx.edges)
+    tris = {
+        t for t in itertools.combinations(cx.vertices, 3)
+        if all(e in edges for e in itertools.combinations(t, 2))
+    }
+    return {(v,) for v in cx.vertices} | edges | tris
+
+
+@given(st.integers(0, 2**30), st.sampled_from(list(FiltrationMode)))
+def test_complex_set_operations_match_all_simplices(seed, mode):
+    rng = np.random.default_rng(seed)
+    n = 40
+    ids = sorted(int(v) for v in rng.choice(n, size=7, replace=False))  # sets iterate unsorted
+
+    def random_snap(index):
+        edges = [
+            (u, v, float(rng.uniform(0.05, 1.0)))
+            for u, v in itertools.combinations(ids, 2)
+            if rng.random() < 0.5
+        ]
+        return snap(edges, n=n, index=index, nodes=ids)
+
+    if mode is FiltrationMode.POWER:
+        lo, hi = sorted(rng.integers(0, 4, size=2).astype(float))
+    else:
+        lo, hi = sorted(rng.uniform(0.0, 1.5, size=2))
+    first = random_snap(1)
+    complexes = [build_complex(first, float(lo), mode), build_complex(first, float(hi), mode),
+                 build_complex(random_snap(2), float(hi), mode)]
+    simplices = [all_simplices(cx) for cx in complexes]
+    for cx, sx in zip(complexes, simplices):
+        assert len(cx) == len(sx)
+        assert list(cx) == sorted(sx, key=lambda s: (len(s), s))
+        for s in itertools.chain.from_iterable(
+            itertools.product(ids + [-1, n], repeat=k) for k in range(5)
+        ):  # every tuple of length 0..4 over the ids, sorted or not, repeated or not
+            assert (s in cx) == (s in sx), s
+    for (a, sa), (b, sb) in itertools.permutations(zip(complexes, simplices), 2):
+        assert a.is_subcomplex_of(b) == (sa <= sb)
+        assert a.difference(b) == sa - sb
+        assert (a == b) == (sa == sb)
 
 
 # --- build_complex per mode -----------------------------------------------------
@@ -143,8 +205,8 @@ def test_monotone_in_scale_and_face_closed(seed, mode):
     small = build_complex(s, float(lo), mode)
     large = build_complex(s, float(hi), mode)
     assert small.is_subcomplex_of(large)
-    # face closure is revalidated by the constructor
-    SimplicialComplex(list(large))
+    for s in large:
+        assert all(face in large for face in itertools.combinations(s, len(s) - 1) if face)
 
 
 @given(st.integers(0, 2**30))

@@ -122,7 +122,7 @@ def test_encoder_positive_scaling():
     z1, cache1 = zpi_encoder(img, layer, cfg.cnn_stride)
     z2, _ = zpi_encoder(3.0 * img, layer, cfg.cnn_stride)
     # biases are zero at init, so pre-pool activations scale linearly
-    max1 = cache1[7]
+    max1 = cache1[4]  # the per-channel maxima
     assert np.allclose(z2 - layer.zmap_b, 3.0 * (z1 - layer.zmap_b), rtol=1e-10)
     assert np.all(max1 >= 0.0)
 

@@ -81,6 +81,17 @@ def test_config_booleans_are_strict():
         RunConfig.from_file(None, {"check": "ture"})
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("tau", "1.5", "int"),
+    ("nu_star", "abc", "float"),
+    ("homology_dims", "0,x", "int"),
+    ("split", "0.6,0.2,y", "float"),
+])
+def test_config_numbers_name_the_key(key, value, kind):
+    with pytest.raises(ValueError, match=f"^{key} expects {kind} values, got '{value}'$"):
+        RunConfig.from_file(None, {key: value})
+
+
 def test_config_rejects_unknown_key(tmp_path):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("bogus = 1\n")
@@ -153,18 +164,23 @@ def test_cmd_zigzag_golden_window(golden_paths):
     assert zpd.pairs(0) == [(1.0, 3.0)]
 
 
-def test_cmd_zigzag_parallel_matches_serial(tmp_path):
-    # 9 snapshots and tau = 3 give 7 windows, split into 3 blocks of 2, 2 and 3.
+def test_cmd_zigzag_matches_the_one_window_api(tmp_path):
+    # 9 snapshots and tau = 3 give 7 windows.
     snaps = tmp_path / "snapshots.csv"
     write_snapshot_csv(gen_synthetic(n_nodes=8, length=9, seed=5).network, snaps)
-    base = RunConfig(snapshots=str(snaps), nu_star=0.5, tau=3, check=True)
-    out_s = cmd_zigzag(replace(base, outdir=str(tmp_path / "s")))
-    out_p = cmd_zigzag(replace(base, outdir=str(tmp_path / "p"), jobs=3))
-    assert out_s["windows"] == out_p["windows"] == 7
-    assert out_s["violations"] == out_p["violations"] == 0
-    for a, b in zip(out_s["zpd"], out_p["zpd"], strict=True):
-        assert os.path.basename(a) == os.path.basename(b)
-        assert open(a, "rb").read() == open(b, "rb").read()
+    network = read_snapshot_csv(snaps)
+    cfg = RunConfig(snapshots=str(snaps), outdir=str(tmp_path / "out"), nu_star=0.5, tau=3,
+                    check=True)
+    out = cmd_zigzag(cfg)
+    assert out["windows"] == 7 and out["violations"] == 0
+    want = tmp_path / "want.csv"
+    for k, path in enumerate(out["zpd"]):
+        assert os.path.basename(path) == f"zpd_window_{k:04d}.csv"
+        window = network.snapshots[k : k + 3]
+        write_zpd_csv(compute_zigzag_persistence(build_zigzag(window, 0.5)), want)
+        assert open(path, "rb").read() == want.read_bytes()
+    with pytest.raises(ValueError, match="unknown config key 'jobs'"):
+        RunConfig.from_file(None, {"jobs": "2"})
 
 
 def _nine_snapshots(tmp_path):

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -180,4 +182,19 @@ def test_checkpoint_version_2_without_settings_is_rejected(tmp_path):
     old["checkpoint_version"] = np.int64(2)
     np.savez(path, **old)
     with pytest.raises(ValueError, match="unsupported checkpoint version 2; retrain it"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_3_with_pool_size_is_rejected(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(0)),
+                    (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0), {})
+    with np.load(path) as data:
+        old = {k: data[k] for k in data.files}
+    stored = json.loads(bytes(old["config_json"]).decode("ascii"))
+    old["config_json"] = np.bytes_(json.dumps({**stored, "pool_size": 5}).encode("ascii"))
+    old["checkpoint_version"] = np.int64(3)
+    np.savez(path, **old)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 3; retrain it"):
         load_checkpoint(path)

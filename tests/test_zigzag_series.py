@@ -158,9 +158,10 @@ def test_series_memory_is_bounded(monkeypatch):
     build = zigzag.build_complex
 
     def tracked(*args, **kwargs):
-        cx = _TrackedComplex(build(*args, **kwargs))
-        live.add(cx)
-        return cx
+        cx = build(*args, **kwargs)
+        tracked_cx = _TrackedComplex(cx.vertices, cx.edges)
+        live.add(tracked_cx)
+        return tracked_cx
 
     monkeypatch.setattr(zigzag, "build_complex", tracked)
     consumed = []
