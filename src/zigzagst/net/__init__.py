@@ -7,8 +7,6 @@ from .config import (
     init_params,
     load_checkpoint,
     save_checkpoint,
-    token_config,
-    traffic_config,
 )
 from .layers import (
     adaptive_laplacian,
@@ -16,7 +14,6 @@ from .layers import (
     laplacian_powers,
     spatial_conv,
     temporal_conv,
-    zigzag_layer,
     zpi_encoder,
 )
 from .model import (
@@ -47,7 +44,6 @@ __all__ = [
     "backward", "chronological_split", "evaluate", "forward", "grad_check",
     "gru_cell", "init_params", "laplacian_powers", "load_checkpoint",
     "loss_metrics", "mae_loss_and_grad", "predict", "save_checkpoint",
-    "spatial_conv", "temporal_conv", "tiny_config", "token_config",
-    "traffic_config", "train", "write_history_csv", "zigzag_layer",
-    "zpi_encoder",
+    "spatial_conv", "temporal_conv", "tiny_config", "train",
+    "write_history_csv", "zpi_encoder",
 ]

@@ -13,13 +13,11 @@ __all__ = [
     "LayerParams",
     "ModelParams",
     "init_params",
-    "traffic_config",
-    "token_config",
     "save_checkpoint",
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 4
+CHECKPOINT_VERSION = 5
 
 
 @dataclass(frozen=True)
@@ -72,26 +70,6 @@ class ModelConfig:
 
     def layer_input_width(self, layer: int) -> int:
         return self.in_features if layer == 0 else self.hidden
-
-
-def traffic_config(n_nodes: int, in_features: int = 3, **overrides) -> ModelConfig:
-    """Traffic-style defaults: 12-step window and horizon, 64 hidden units."""
-    kw = dict(
-        window=12, horizon=12, laplacian_order=2, hidden=64, num_layers=2,
-        learning_rate=0.003, lr_decay=0.3, batch_size=64, epochs=300,
-    )
-    kw.update(overrides)
-    return ModelConfig(n_nodes=n_nodes, in_features=in_features, **kw)
-
-
-def token_config(n_nodes: int = 100, in_features: int = 1, **overrides) -> ModelConfig:
-    """Token-network defaults: weekly window and horizon, 16 hidden units."""
-    kw = dict(
-        window=7, horizon=7, laplacian_order=3, hidden=16, num_layers=2,
-        learning_rate=0.001, lr_decay=0.1, batch_size=8, epochs=100,
-    )
-    kw.update(overrides)
-    return ModelConfig(n_nodes=n_nodes, in_features=in_features, **kw)
 
 
 @dataclass

@@ -25,7 +25,6 @@ __all__ = [
     "zpi_encoder",
     "zpi_encoder_output_size",
     "zpi_encoder_backward",
-    "zigzag_layer",
     "gru_cell",
     "gru_cell_backward",
 ]
@@ -259,11 +258,6 @@ def zpi_encoder_backward(cache, dz):
     dconv1_k = dpre1.reshape(-1, cout).T @ patch0.reshape(-1, k * k * cin)
     dconv1_k = dconv1_k.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)
     return dconv1_k, dconv1_b, dconv2_k, dconv2_b, dzmap_w, dzmap_b
-
-
-def zigzag_layer(h_spatial, h_temporal, z):
-    """Channelwise gate by the image code, then channel concatenation."""
-    return np.concatenate([h_spatial * z, h_temporal * z], axis=-1)
 
 
 def _gru_terms(o_prev, h_in, layer):

@@ -25,30 +25,32 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Batch:
-    """Input windows, their images, and the targets.
+    """Input windows, their images and their targets, stacked along a leading axis.
 
-    One sample, or several stacked along a leading batch axis.
+    ``len`` counts the windows.  An index array or a slice selects
+    windows as a ``Batch``; an integer selects a batch of one.
     """
 
-    inputs: np.ndarray   # ([B,] window, n_nodes, in_features)
-    image: np.ndarray    # ([B,] p, p)
-    targets: np.ndarray  # ([B,] horizon, n_nodes, out_features)
+    inputs: np.ndarray   # (B, window, n_nodes, in_features)
+    image: np.ndarray    # (B, p, p)
+    targets: np.ndarray  # (B, horizon, n_nodes, out_features)
 
-    @classmethod
-    def stack(cls, batches) -> "Batch":
-        """One batch holding single samples along a new leading axis."""
-        return cls(
-            np.stack([b.inputs for b in batches]),
-            np.stack([b.image for b in batches]),
-            np.stack([b.targets for b in batches]),
-        )
+    def __len__(self) -> int:
+        return len(self.inputs)
+
+    def __getitem__(self, index) -> "Batch":
+        if isinstance(index, (int, np.integer)):
+            index = [index]
+        return Batch(self.inputs[index], self.image[index], self.targets[index])
 
 
 @dataclass(frozen=True)
 class Dataset:
-    train: tuple[Batch, ...]
-    val: tuple[Batch, ...]
-    test: tuple[Batch, ...]
+    """The chronological parts of a sequence of windows, usually ``Batch``es."""
+
+    train: Batch
+    val: Batch
+    test: Batch
 
 
 class TrainingDiverged(RuntimeError):
@@ -91,25 +93,20 @@ class Adam:
             arr -= lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
 
 
-def chronological_split(batches: list[Batch], fractions: tuple[float, ...] = (0.6, 0.2, 0.2)) -> Dataset:
-    """Split windows in time order; (train, val, test) or (train, test)."""
+def chronological_split(windows, fractions: tuple[float, ...] = (0.6, 0.2, 0.2)) -> Dataset:
+    """Split windows in time order into (train, val, test), or (train, test) with val empty.
+
+    ``windows`` is any sequence that slices: a ``Batch``, a list or a
+    ``range``; each part is a slice of it.
+    """
     if len(fractions) not in (2, 3) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must be 2 or 3 values summing to 1")
-    n = len(batches)
+    n = len(windows)
     n_train = int(round(n * fractions[0]))
-    if len(fractions) == 3:
-        n_val = int(round(n * fractions[1]))
-        return Dataset(
-            tuple(batches[:n_train]),
-            tuple(batches[n_train : n_train + n_val]),
-            tuple(batches[n_train + n_val :]),
-        )
-    return Dataset(tuple(batches[:n_train]), (), tuple(batches[n_train:]))
-
-
-def _fit_input_range(batches: tuple[Batch, ...]) -> tuple[np.ndarray, np.ndarray]:
-    stack = np.concatenate([b.inputs.reshape(-1, b.inputs.shape[-1]) for b in batches])
-    return stack.min(axis=0), stack.max(axis=0)
+    n_val = int(round(n * fractions[1])) if len(fractions) == 3 else 0
+    return Dataset(
+        windows[:n_train], windows[n_train : n_train + n_val], windows[n_train + n_val :]
+    )
 
 
 def _scale_inputs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
@@ -118,41 +115,33 @@ def _scale_inputs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
 
 
 def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation()) -> np.ndarray:
-    """Forecast for raw (unnormalized) windows using stored scalers.
+    """Forecasts (B, horizon, n_nodes, out_features) for a batch of raw windows.
 
-    ``batch`` holds one window or a stack of them along a leading axis;
-    a stack is predicted ``batch_size`` windows per forward call.
+    The windows go ``batch_size`` at a time through ``forward``, and each
+    chunk is scaled with the stored scalers when it is taken, so no
+    scaled copy of the whole batch is held.
     """
-    if batch.inputs.ndim == 3:
-        return predict(result, Batch.stack([batch]), ablation)[0]
-    x = _scale_inputs(batch.inputs, result.input_lo, result.input_hi)
-    image = batch.image / result.image_scale
-    step = result.config.batch_size
-    return np.concatenate([
-        forward(x[start : start + step], image[start : start + step],
-                result.params, result.config, ablation)
-        for start in range(0, len(x), step)
-    ])
+    cfg = result.config
+    step = cfg.batch_size
+    preds = np.empty((len(batch), cfg.horizon, cfg.n_nodes, cfg.out_features))
+    for start in range(0, len(batch), step):
+        chunk = batch[start : start + step]
+        x = _scale_inputs(chunk.inputs, result.input_lo, result.input_hi)
+        preds[start : start + step] = forward(
+            x, chunk.image / result.image_scale, result.params, cfg, ablation
+        )
+    return preds
 
 
 def evaluate(
-    result: TrainResult, batches: list[Batch], ablation: Ablation = Ablation()
+    result: TrainResult, batch: Batch, ablation: Ablation = Ablation()
 ) -> tuple[float, float, float]:
-    """Pooled MAE/RMSE/MAPE of ``predict`` over a list of raw samples.
-
-    The samples are stacked ``batch_size`` at a time, so no scaled copy
-    of the whole list is ever held.
-    """
-    step = result.config.batch_size
-    preds = [
-        predict(result, Batch.stack(batches[start : start + step]), ablation)
-        for start in range(0, len(batches), step)
-    ]
-    return loss_metrics(np.concatenate(preds), np.stack([b.targets for b in batches]))
+    """Pooled MAE/RMSE/MAPE of ``predict`` over a batch of raw windows."""
+    return loss_metrics(predict(result, batch, ablation), batch.targets)
 
 
 def _step(result: TrainResult, chunk: Batch, ablation, adam: Adam, lr: float) -> float:
-    """One Adam step on a raw stacked minibatch; returns its MAE.
+    """One Adam step on a minibatch of raw windows; returns its MAE.
 
     A function of its own so that the minibatch's cache is freed before
     the next forward call.
@@ -172,13 +161,14 @@ def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation()
     The learning rate is multiplied by the configured decay whenever the
     monitored MAE (validation when a val split exists, else training)
     fails to improve for ``plateau_patience`` epochs.  Each minibatch is
-    one stacked forward and one backward call, and is scaled when it is
-    stacked.  Deterministic under the config seed.
+    one forward and one backward call on the windows it indexes, scaled
+    when they are taken.  Deterministic under the config seed.
     """
     if not dataset.train:
         raise ValueError("training split is empty")
-    lo, hi = _fit_input_range(dataset.train)
-    image_scale = max(float(np.max([b.image.max() for b in dataset.train])), 1e-12)
+    inputs = dataset.train.inputs
+    lo, hi = inputs.min(axis=(0, 1, 2)), inputs.max(axis=(0, 1, 2))
+    image_scale = max(float(dataset.train.image.max()), 1e-12)
 
     rng = np.random.default_rng(config.seed)
     history: list[tuple[int, str, float, float, float]] = []
@@ -193,7 +183,7 @@ def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation()
         order = rng.permutation(len(dataset.train))
         try:
             for start in range(0, len(order), config.batch_size):
-                chunk = Batch.stack([dataset.train[i] for i in order[start : start + config.batch_size]])
+                chunk = dataset.train[order[start : start + config.batch_size]]
                 if not np.isfinite(_step(result, chunk, ablation, adam, lr)):
                     raise TrainingDiverged(epoch)
             tr = evaluate(result, dataset.train, ablation)

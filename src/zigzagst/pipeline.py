@@ -150,8 +150,10 @@ class RunConfig:
         return self.nu_star
 
     def grid_spec(self) -> GridSpec:
+        if not 0 <= self.theta < math.inf:
+            raise ValueError(f"theta must be finite and >= 0 (0 = default), got {self.theta}")
         domain = default_domain(self.tau)
-        theta = self.theta if self.theta > 0 else default_theta(domain, self.resolution)
+        theta = self.theta or default_theta(domain, self.resolution)
         return GridSpec(self.resolution, *domain, theta)
 
     def weighting(self) -> WeightingSpec:
@@ -316,37 +318,51 @@ def window_image(
     return _diagram_image(zpd, grid, weighting, homology_dims)
 
 
+def _forecast_windows(length: int, config: RunConfig) -> range:
+    """The windows of ``tau`` snapshots that ``horizon`` more snapshots follow."""
+    window_count(length, config.tau)  # rejects tau < 1 and tau > T
+    if length - config.horizon < config.tau:
+        raise ValueError(
+            f"no window can be forecast: tau {config.tau} plus horizon {config.horizon} "
+            f"exceeds series length {length}"
+        )
+    return range(length - config.horizon - config.tau + 1)
+
+
 def assemble_batches(
     network: DynamicNetwork,
     features: FeatureSeries,
     config: RunConfig,
-) -> list[net.Batch]:
-    """One batch per forecastable window; images are computed once each.
+    windows: range | None = None,
+) -> net.Batch:
+    """The forecastable windows ``windows`` (default all) as one stacked batch.
 
-    The forecastable windows are exactly the windows of the first T - horizon
-    snapshots, so the series engine runs on that prefix.
+    Window k reads snapshots k .. k + tau - 1 and predicts the ``horizon``
+    after them.  The series engine runs only on the snapshots the windows
+    cover, and each image is computed once, into one preallocated array.
     """
     nu = config.require_nu_star()
     mode = config.filtration_mode()
     grid = config.grid_spec()
     weighting = config.weighting()
     tau, h = config.tau, config.horizon
-    t_len = len(network)
-    if features.shape[0] != t_len:
+    if features.shape[0] != len(network):
         raise ValueError("feature series length does not match the network")
-    window_count(t_len, tau)  # rejects tau < 1 and tau > T
+    every = _forecast_windows(len(network), config)
+    windows = every if windows is None else windows
+    if every[windows.start : windows.stop] != windows:
+        raise ValueError(f"{windows} is not a run of the {len(every)} forecastable windows")
+    images = np.zeros((len(windows), grid.resolution, grid.resolution))
+    snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
+    for k, (_, zpd) in enumerate(zigzag_series(snapshots, tau, nu, mode)):
+        images[k] = _diagram_image(zpd, grid, weighting, config.homology_dims)
+    steps = np.arange(windows.start, windows.stop)[:, None]
     values = features.values
-    batches = []
-    diagrams = zigzag_series(network.snapshots[: max(t_len - h, 0)], tau, nu, mode)
-    for start, (_, zpd) in enumerate(diagrams):
-        batches.append(
-            net.Batch(
-                inputs=values[start : start + tau],
-                image=_diagram_image(zpd, grid, weighting, config.homology_dims),
-                targets=values[start + tau : start + tau + h, :, : config.out_features],
-            )
-        )
-    return batches
+    return net.Batch(
+        values[steps + np.arange(tau)],
+        images,
+        values[steps + tau + np.arange(h), :, : config.out_features],
+    )
 
 
 def _model_config(config: RunConfig, n_nodes: int, in_features: int) -> net.ModelConfig:
@@ -379,21 +395,24 @@ def _load_data(config: RunConfig) -> tuple[DynamicNetwork, FeatureSeries]:
     return network, features
 
 
-def _inject_noise(batches: list[net.Batch], n_train: int, config: RunConfig) -> list[net.Batch]:
-    """Gaussian noise on a fraction of the training windows (inputs only)."""
-    if config.noise_sigma <= 0:
-        return batches
-    rng = np.random.default_rng(config.seed + 1)
-    chosen = rng.permutation(n_train)[: int(round(config.noise_fraction * n_train))]
-    noisy = list(batches)
-    for idx in chosen:
-        b = noisy[idx]
-        noisy[idx] = net.Batch(
-            b.inputs + rng.normal(0.0, config.noise_sigma, b.inputs.shape),
-            b.image,
-            b.targets,
-        )
-    return noisy
+def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
+    """The split windows and the model shape that ``cmd_train`` and ``cmd_ablate`` train.
+
+    With ``noise_sigma > 0``, Gaussian noise is added to the inputs of a
+    ``noise_fraction`` of the training windows, drawn from a generator
+    seeded ``seed + 1``: first the window order, then the noise of each
+    chosen window in that order.
+    """
+    network, features = _load_data(config)
+    dataset = net.chronological_split(assemble_batches(network, features, config), config.split)
+    if config.noise_sigma > 0:
+        train = dataset.train
+        rng = np.random.default_rng(config.seed + 1)
+        chosen = rng.permutation(len(train))[: int(round(config.noise_fraction * len(train)))]
+        inputs = train.inputs.copy()
+        inputs[chosen] += rng.normal(0.0, config.noise_sigma, inputs[chosen].shape)
+        dataset = replace(dataset, train=net.Batch(inputs, train.image, train.targets))
+    return dataset, _model_config(config, network.universe_size, features.shape[2])
 
 
 # ---------------------------------------------------------------------------
@@ -523,19 +542,13 @@ def cmd_synth(config: RunConfig) -> dict:
 def cmd_train(config: RunConfig) -> dict:
     """Assemble windows, train, and write checkpoint plus metric history."""
     out = _ensure_outdir(config)
-    network, features = _load_data(config)
-    batches = assemble_batches(network, features, config)
-    dataset = net.chronological_split(batches, config.split)
-    if config.noise_sigma > 0:
-        noisy = _inject_noise(list(dataset.train), len(dataset.train), config)
-        dataset = net.Dataset(tuple(noisy), dataset.val, dataset.test)
-    model_cfg = _model_config(config, network.universe_size, features.shape[2])
+    dataset, model_cfg = _training_data(config)
     result = net.train(dataset, model_cfg, config.ablation_flags())
     ckpt = os.path.join(out, "checkpoint.npz")
     hist = os.path.join(out, "history.csv")
     net.save_checkpoint(
         ckpt, model_cfg, result.params, (result.input_lo, result.input_hi, result.image_scale),
-        _image_settings(config),
+        _checkpoint_settings(config),
     )
     net.write_history_csv(result.history, hist)
     test_rows = [row for row in result.history if row[1] == "test"]
@@ -543,9 +556,10 @@ def cmd_train(config: RunConfig) -> dict:
     return {"checkpoint": ckpt, "history": hist, "test_metrics": metrics}
 
 
-def _image_settings(config: RunConfig) -> dict:
-    """The settings that shape a window's image, as a checkpoint stores them."""
+def _checkpoint_settings(config: RunConfig) -> dict:
+    """The ablation and the settings that shape a window's image, as a checkpoint stores them."""
     return {
+        "ablation": config.ablation,
         "filtration": config.filtration,
         "nu_star": config.nu_star,
         "homology_dims": list(config.homology_dims),
@@ -566,7 +580,9 @@ def _require_checkpoint_match(
         "horizon": (config.horizon, model_cfg.horizon),
         "resolution": (config.resolution, model_cfg.zpi_resolution),
     }
-    pairs.update((name, (got, settings.get(name))) for name, got in _image_settings(config).items())
+    pairs.update(
+        (name, (got, settings.get(name))) for name, got in _checkpoint_settings(config).items()
+    )
     for name, (got, trained) in pairs.items():
         if got != trained:
             raise ValueError(f"{name} is {got} here but the checkpoint was trained with {trained}")
@@ -576,21 +592,18 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     """Predict the test windows with a stored checkpoint and its stored scalers.
 
     The scalers are the ones training fitted, so a model trained on
-    noisy windows sees its inputs scaled as in training.  All test
-    windows go to one ``predict`` call.
+    noisy windows sees its inputs scaled as in training.  Only the test
+    windows are assembled, and they go to one ``predict`` call.
     """
     out = _ensure_outdir(config)
     model_cfg, params, scalers, settings = net.load_checkpoint(checkpoint)
     network, features = _load_data(config)
     _require_checkpoint_match(model_cfg, settings, network.universe_size, features.shape[2], config)
     result = net.TrainResult(params, model_cfg, [], *scalers)
-    batches = assemble_batches(network, features, config)
-    dataset = net.chronological_split(batches, config.split)
-    preds = []
-    if dataset.test:
-        preds = net.predict(result, net.Batch.stack(dataset.test), config.ablation_flags())
+    test = net.chronological_split(_forecast_windows(len(network), config), config.split).test
+    batch = assemble_batches(network, features, config, test)
+    preds = net.predict(result, batch, config.ablation_flags())
     path = os.path.join(out, "forecast.csv")
-    offset = len(dataset.train) + len(dataset.val)
     with open(path, "w", encoding="ascii") as fh:
         fh.write("window,step,node,feature,value\n")
         for w, pred in enumerate(preds):
@@ -598,21 +611,15 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
                 for node in range(pred.shape[1]):
                     for feat in range(pred.shape[2]):
                         fh.write(
-                            f"{offset + w},{step},{node},{feat},{pred[step, node, feat]:.17g}\n"
+                            f"{test.start + w},{step},{node},{feat},{pred[step, node, feat]:.17g}\n"
                         )
-    return {"forecast": path, "windows": len(dataset.test)}
+    return {"forecast": path, "windows": len(test)}
 
 
 def cmd_ablate(config: RunConfig) -> dict:
     """Full model plus the three architecture ablations, on shared data."""
     out = _ensure_outdir(config)
-    network, features = _load_data(config)
-    batches = assemble_batches(network, features, config)
-    dataset = net.chronological_split(batches, config.split)
-    if config.noise_sigma > 0:
-        noisy = _inject_noise(list(dataset.train), len(dataset.train), config)
-        dataset = net.Dataset(tuple(noisy), dataset.val, dataset.test)
-    model_cfg = _model_config(config, network.universe_size, features.shape[2])
+    dataset, model_cfg = _training_data(config)
     rows = []
     for name in ("none", "no-zigzag", "no-spatial", "no-temporal"):
         run_cfg = replace(config, ablation=name)

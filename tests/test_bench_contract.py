@@ -10,7 +10,7 @@ import os
 
 import pytest
 
-from zigzagst import dyngraph, zigzag
+from zigzagst import dyngraph, net, pipeline, zigzag
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -48,3 +48,17 @@ def test_checks_library_calls_exist():
         (zigzag, "read_zpd_csv"),
     ]:
         assert callable(getattr(owner, attr, None)), f"{owner.__name__}.{attr} is missing"
+
+
+def test_split_and_assembly_sizes_the_benchmark_reads(tracing):
+    # perfbench/run.py counts training samples by splitting a plain list
+    split = net.chronological_split([None] * 57, (0.6, 0.2, 0.2))
+    assert [len(split.train), len(split.val), len(split.test)] == [34, 11, 12]
+    # the count pass records len() of each assemble_batches result
+    data = pipeline.gen_synthetic(n_nodes=6, length=12, seed=0)
+    cfg = pipeline.RunConfig(nu_star=0.5, tau=3, horizon=2, resolution=8)
+    counter = tracing.Counter()
+    with counter.active():
+        pipeline.assemble_batches(data.network, data.features, cfg)
+        pipeline.assemble_batches(data.network, data.features, cfg, range(5, 8))
+    assert counter.assembled == [8, 3]

@@ -11,7 +11,6 @@ from zigzagst.net import (
     spatial_conv,
     temporal_conv,
     tiny_config,
-    zigzag_layer,
     zpi_encoder,
 )
 from zigzagst.net.layers import zpi_encoder_output_size
@@ -134,20 +133,6 @@ def test_encoder_rejects_small_images():
         zpi_encoder(np.zeros((5, 5)), layer, cfg.cnn_stride)
     assert zpi_encoder_output_size(16, 3, 2) == 3
     assert zpi_encoder_output_size(100, 3, 2) == 24
-
-
-# --- zigzag layer -----------------------------------------------------------------------
-
-def test_zigzag_layer_identity_and_zero():
-    rng = np.random.default_rng(7)
-    hs = rng.normal(size=(5, 3))
-    ht = rng.normal(size=(5, 3))
-    ones = np.ones(3)
-    out = zigzag_layer(hs, ht, ones)
-    assert out.shape == (5, 6)
-    assert np.array_equal(out[:, :3], hs)
-    assert np.array_equal(out[:, 3:], ht)
-    assert np.array_equal(zigzag_layer(hs, ht, np.zeros(3)), np.zeros((5, 6)))
 
 
 # --- GRU cell ----------------------------------------------------------------------------

@@ -7,7 +7,9 @@ import pytest
 
 from zigzagst.cli import main
 from zigzagst.dyngraph import (
-    read_feature_csv,
+    DynamicNetwork,
+    FeatureSeries,
+    Snapshot,
     read_snapshot_csv,
     write_feature_csv,
     write_snapshot_csv,
@@ -15,9 +17,9 @@ from zigzagst.dyngraph import (
 from zigzagst.filtration import FiltrationMode, build_complex, betti_numbers
 from zigzagst.pipeline import (
     RunConfig,
-    _image_settings,
-    _inject_noise,
-    _model_config,
+    _checkpoint_settings,
+    _load_data,
+    _training_data,
     assemble_batches,
     cmd_ablate,
     cmd_distance,
@@ -37,7 +39,7 @@ from zigzagst.zigzag import (
     read_zpd_csv,
     write_zpd_csv,
 )
-from zigzagst.zpi import read_zpi
+from zigzagst.zpi import default_domain, default_theta, read_zpi
 
 
 GOLDEN_CSV = """t,u,v,w
@@ -103,6 +105,15 @@ def test_nu_star_is_required():
     cfg = RunConfig()
     with pytest.raises(ValueError, match="nu_star"):
         cfg.require_nu_star()
+
+
+def test_theta_is_zero_for_the_default_or_positive():
+    default = default_theta(default_domain(6), 20)
+    assert RunConfig(tau=6, resolution=20).grid_spec().theta == default
+    assert RunConfig(theta=0.5).grid_spec().theta == 0.5
+    for value in ["-3", "nan", "inf", "-inf"]:
+        with pytest.raises(ValueError, match="^theta must be finite and >= 0"):
+            RunConfig.from_file(None, {"theta": value}).grid_spec()
 
 
 def test_unknown_filtration_and_ablation():
@@ -384,7 +395,7 @@ def forecast_inputs(tmp_path):
     ckpt = str(tmp_path / "checkpoint.npz")
     identity = (np.zeros(1), np.ones(1), 1.0)
     params = net.init_params(model_cfg, np.random.default_rng(0))
-    net.save_checkpoint(ckpt, model_cfg, params, identity, _image_settings(cfg))
+    net.save_checkpoint(ckpt, model_cfg, params, identity, _checkpoint_settings(cfg))
     return cfg, data, ckpt
 
 
@@ -397,6 +408,7 @@ def test_cmd_forecast_accepts_a_matching_checkpoint(forecast_inputs):
 OTHER_SETTINGS = {
     "tau": 5, "horizon": 3, "resolution": 9, "filtration": "vietoris-rips", "nu_star": 0.6,
     "homology_dims": (0, 1), "theta": 0.5, "weight_kind": "constant", "weight_cap": 2.0,
+    "ablation": "no-zigzag",
 }
 
 
@@ -443,46 +455,55 @@ def test_cmd_forecast_scales_with_the_scalers_training_fitted(tmp_path):
     out = cmd_forecast(cfg, trained["checkpoint"])
 
     # the same run, repeated in the library, gives the TrainResult cmd_train saw
-    network, features = read_snapshot_csv(cfg.snapshots), read_feature_csv(cfg.features)
-    dataset = net.chronological_split(assemble_batches(network, features, cfg), cfg.split)
-    clean_train = dataset.train
-    noisy = _inject_noise(list(dataset.train), len(dataset.train), cfg)
-    dataset = net.Dataset(tuple(noisy), dataset.val, dataset.test)
-    result = net.train(dataset, _model_config(cfg, 6, 1), cfg.ablation_flags())
+    dataset, model_cfg = _training_data(cfg)
+    result = net.train(dataset, model_cfg, cfg.ablation_flags())
     _, _, (lo, hi, scale), _ = net.load_checkpoint(trained["checkpoint"])
     assert np.array_equal(lo, result.input_lo) and np.array_equal(hi, result.input_hi)
     assert scale == result.image_scale
-    want = net.predict(result, net.Batch.stack(dataset.test))
+    want = net.predict(result, dataset.test)
     # scalers refitted on the clean windows would give other forecasts
-    clean = np.concatenate([b.inputs.reshape(-1, 1) for b in clean_train])
-    refit = replace(result, input_lo=clean.min(axis=0), input_hi=clean.max(axis=0))
-    assert not np.allclose(net.predict(refit, net.Batch.stack(dataset.test)), want)
+    clean = net.chronological_split(assemble_batches(*_load_data(cfg), cfg), cfg.split).train
+    flat = clean.inputs.reshape(-1, 1)
+    refit = replace(result, input_lo=flat.min(axis=0), input_hi=flat.max(axis=0))
+    assert not np.allclose(net.predict(refit, dataset.test), want)
 
     rows = np.loadtxt(out["forecast"], delimiter=",", skiprows=1)
     assert len(rows) == want.size
     assert np.array_equal(rows[:, 4].reshape(want.shape), want)
 
 
-def test_noise_injection_perturbs_only_training_inputs():
+def _series_files(tmp_path, data):
+    snaps, feats = tmp_path / "snapshots.csv", tmp_path / "features.csv"
+    write_snapshot_csv(data.network, snaps)
+    write_feature_csv(data.features, feats)
+    return str(snaps), str(feats)
+
+
+def test_noise_injection_perturbs_only_training_inputs(tmp_path):
     data = gen_synthetic(n_nodes=8, length=20, period=4, delta=1.0, noise=0.1, seed=4)
-    cfg = RunConfig(nu_star=0.5, tau=4, horizon=2, resolution=10,
-                    noise_sigma=2.0, noise_fraction=0.5, seed=0)
-    batches = assemble_batches(data.network, data.features, cfg)
-    n_train = 8
-    noisy = _inject_noise(batches, n_train, cfg)
-    changed = [
-        i for i, (a, b) in enumerate(zip(batches, noisy))
-        if not np.array_equal(a.inputs, b.inputs)
-    ]
+    snaps, feats = _series_files(tmp_path, data)
+    cfg = RunConfig(snapshots=snaps, features=feats, nu_star=0.5, tau=4, horizon=2,
+                    resolution=10, noise_sigma=2.0, noise_fraction=0.5, seed=0)
+    clean, _ = _training_data(replace(cfg, noise_sigma=0.0))
+    noisy, _ = _training_data(cfg)
+    # a per-window reference loop on the same generator stream
+    rng = np.random.default_rng(cfg.seed + 1)
+    n_train = len(clean.train)
+    want = [clean.train.inputs[k] for k in range(n_train)]
+    for k in rng.permutation(n_train)[: round(0.5 * n_train)]:
+        want[k] = want[k] + rng.normal(0.0, cfg.noise_sigma, want[k].shape)
+    assert noisy.train.inputs.tobytes() == np.stack(want).tobytes()
+    changed = [k for k in range(n_train)
+               if not np.array_equal(noisy.train.inputs[k], clean.train.inputs[k])]
     assert len(changed) == round(0.5 * n_train)
-    assert all(i < n_train for i in changed)
-    for i in changed:
-        assert np.array_equal(batches[i].image, noisy[i].image)
-        assert np.array_equal(batches[i].targets, noisy[i].targets)
+    assert np.array_equal(noisy.train.image, clean.train.image)
+    assert np.array_equal(noisy.train.targets, clean.train.targets)
+    for got, unchanged in [(noisy.val, clean.val), (noisy.test, clean.test)]:
+        for field in ("inputs", "image", "targets"):
+            assert np.array_equal(getattr(got, field), getattr(unchanged, field))
     # deterministic under the same seed
-    again = _inject_noise(batches, n_train, cfg)
-    for a, b in zip(noisy, again):
-        assert np.array_equal(a.inputs, b.inputs)
+    again, _ = _training_data(cfg)
+    assert np.array_equal(again.train.inputs, noisy.train.inputs)
 
 
 def test_assemble_batches_counts_and_shapes():
@@ -490,10 +511,83 @@ def test_assemble_batches_counts_and_shapes():
     cfg = RunConfig(nu_star=0.5, tau=4, horizon=2, resolution=10)
     batches = assemble_batches(data.network, data.features, cfg)
     assert len(batches) == 20 - 4 - 2 + 1
-    b = batches[0]
-    assert b.inputs.shape == (4, 8, 1)
-    assert b.image.shape == (10, 10)
-    assert b.targets.shape == (2, 8, 1)
+    assert batches.inputs.shape == (15, 4, 8, 1)
+    assert batches.image.shape == (15, 10, 10)
+    assert batches.targets.shape == (15, 2, 8, 1)
+    values = data.features.values
+    assert np.array_equal(batches.inputs[3], values[3:7])
+    assert np.array_equal(batches.targets[3], values[7:9])
+
+
+def _random_series(seed, n=7, length=9, edge_prob=0.4):
+    rng = np.random.default_rng(seed)
+    snaps = []
+    for t in range(1, length + 1):
+        edges = [(u, v, float(rng.uniform(0.05, 1.0)))
+                 for u in range(n) for v in range(u + 1, n) if rng.random() < edge_prob]
+        snaps.append(Snapshot.from_edges(t, n, edges, nodes=range(n)))
+    return DynamicNetwork(tuple(snaps), n), FeatureSeries(rng.normal(size=(length, n, 2)))
+
+
+@pytest.mark.parametrize("tau", [1, 3])
+def test_assemble_batches_of_a_run_equals_the_full_assembly_indexed(tau):
+    network, features = _random_series(seed=tau)
+    cfg = RunConfig(nu_star=0.6, tau=tau, horizon=2, resolution=9, homology_dims=(0, 1),
+                    weight_kind="constant")  # tau = 1 gives only zero-persistence points
+    full = assemble_batches(network, features, cfg)
+    n = len(network) - 2 - tau + 1
+    assert len(full) == n and full.image.any()
+    for start in range(n + 1):
+        for stop in range(start, n + 1):
+            part = assemble_batches(network, features, cfg, range(start, stop))
+            for field in ("inputs", "image", "targets"):
+                got, want = getattr(part, field), getattr(full, field)[start:stop]
+                assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    for bad in (range(0, n + 1), range(-1, 2), range(0, n, 2)):
+        with pytest.raises(ValueError, match="is not a run of the"):
+            assemble_batches(network, features, cfg, bad)
+
+
+def test_cmd_forecast_runs_the_engine_on_its_test_windows_only(forecast_inputs, monkeypatch):
+    from zigzagst import pipeline
+
+    cfg, data, ckpt = forecast_inputs
+    engine, seen = pipeline.zigzag_series, []
+
+    def recorded(snapshots, *args):
+        snapshots = list(snapshots)
+        seen.append([s.index for s in snapshots])
+        return engine(snapshots, *args)
+
+    monkeypatch.setattr(pipeline, "zigzag_series", recorded)
+    out = cmd_forecast(cfg, ckpt)
+    # 16 snapshots, tau 4 and horizon 2 give 11 windows; the test split is windows 9 and 10,
+    # which read snapshots 10 to 14 (t counts from 1)
+    assert out["windows"] == 2
+    assert seen == [[10, 11, 12, 13, 14]]
+    windows = np.loadtxt(out["forecast"], delimiter=",", skiprows=1)[:, 0]
+    assert sorted(set(windows)) == [9, 10]
+
+
+def test_an_overlong_horizon_names_horizon_and_tau(forecast_inputs, tmp_path):
+    from zigzagst import net
+
+    cfg, _, _ = forecast_inputs
+    # 16 snapshots cannot hold a window of 4 plus 13 more
+    cfg = replace(cfg, horizon=13, epochs=1)
+    message = "no window can be forecast: tau 4 plus horizon 13 exceeds series length 16"
+    with pytest.raises(ValueError, match=message):
+        cmd_train(cfg)
+    model_cfg = net.ModelConfig(
+        n_nodes=8, in_features=1, window=4, horizon=13, hidden=4, num_layers=1,
+        embed_dim=2, laplacian_order=1, zpi_resolution=8,
+    )
+    ckpt = str(tmp_path / "long.npz")
+    net.save_checkpoint(ckpt, model_cfg, net.init_params(model_cfg, np.random.default_rng(0)),
+                        (np.zeros(1), np.ones(1), 1.0), _checkpoint_settings(cfg))
+    with pytest.raises(ValueError, match=message):
+        cmd_forecast(cfg, ckpt)
+    assert not os.path.exists(os.path.join(cfg.outdir, "forecast.csv"))
 
 
 # --- CLI ------------------------------------------------------------------------------

@@ -23,17 +23,17 @@ from zigzagst.net import (
 
 
 def make_batches(cfg, count, seed=0):
+    """``count`` random windows, drawn one after another, as one stacked Batch."""
     rng = np.random.default_rng(seed)
-    out = []
-    for _ in range(count):
-        out.append(
-            Batch(
-                rng.uniform(0, 1, (cfg.window, cfg.n_nodes, cfg.in_features)),
-                rng.uniform(0, 1, (cfg.zpi_resolution, cfg.zpi_resolution)),
-                rng.uniform(0, 1, (cfg.horizon, cfg.n_nodes, cfg.out_features)),
-            )
+    samples = [
+        (
+            rng.uniform(0, 1, (cfg.window, cfg.n_nodes, cfg.in_features)),
+            rng.uniform(0, 1, (cfg.zpi_resolution, cfg.zpi_resolution)),
+            rng.uniform(0, 1, (cfg.horizon, cfg.n_nodes, cfg.out_features)),
         )
-    return out
+        for _ in range(count)
+    ]
+    return Batch(*(np.stack(parts) for parts in zip(*samples)))
 
 
 def small_cfg(**kw):
@@ -53,9 +53,29 @@ def test_chronological_split_counts():
     assert (len(ds.train), len(ds.val), len(ds.test)) == (6, 2, 2)
     ds2 = chronological_split(batches, (0.8, 0.2))
     assert (len(ds2.train), len(ds2.val), len(ds2.test)) == (8, 0, 2)
-    assert ds.train[0] is batches[0]  # time order preserved
+    # time order preserved: each part is a slice of the stack
+    for part, (lo, hi) in zip((ds.train, ds.val, ds.test), [(0, 6), (6, 8), (8, 10)]):
+        assert np.array_equal(part.inputs, batches.inputs[lo:hi])
+        assert np.array_equal(part.image, batches.image[lo:hi])
+        assert np.array_equal(part.targets, batches.targets[lo:hi])
+    # the same boundaries for any sequence that slices
+    assert chronological_split(range(10), (0.6, 0.2, 0.2)) == Dataset(
+        range(6), range(6, 8), range(8, 10))
+    assert chronological_split(list(range(10)), (0.8, 0.2)) == Dataset(
+        list(range(8)), [], [8, 9])
     with pytest.raises(ValueError):
         chronological_split(batches, (0.5, 0.2))
+
+
+def test_batch_indexing_keeps_the_batch_axis():
+    cfg = small_cfg()
+    batches = make_batches(cfg, 5)
+    assert len(batches) == 5 and len(batches[:0]) == 0
+    one = batches[-1]
+    assert len(one) == 1 and one.inputs.shape == (1, cfg.window, cfg.n_nodes, cfg.in_features)
+    assert np.array_equal(one.image, batches.image[4:])
+    picked = batches[np.array([3, 0])]
+    assert np.array_equal(picked.targets, batches.targets[[3, 0]])
 
 
 def test_train_is_deterministic_under_seed():
@@ -70,9 +90,9 @@ def test_train_is_deterministic_under_seed():
 
 def test_full_batch_permutation_has_no_effect():
     cfg = small_cfg(batch_size=8, epochs=2)
-    ds = Dataset(tuple(make_batches(cfg, 8)), (), ())
+    ds = Dataset(make_batches(cfg, 8), (), ())
     r1 = train(ds, cfg)
-    shuffled = Dataset(tuple(reversed(ds.train)), (), ())
+    shuffled = Dataset(ds.train[::-1], (), ())
     r2 = train(shuffled, cfg)
     for (_, a), (_, b) in zip(r1.params.named_arrays(), r2.params.named_arrays()):
         assert np.allclose(a, b, atol=1e-12)
@@ -111,10 +131,9 @@ def test_normalization_fits_on_train_only():
     cfg = small_cfg(epochs=1)
     batches = make_batches(cfg, 8)
     # blow up the test split; the input scaler must ignore it
-    scaled = list(batches)
-    big = batches[-1]
-    scaled[-1] = Batch(big.inputs * 100.0, big.image, big.targets)
-    ds = chronological_split(scaled, (0.8, 0.2))
+    inputs = batches.inputs.copy()
+    inputs[-1] *= 100.0
+    ds = chronological_split(Batch(inputs, batches.image, batches.targets), (0.8, 0.2))
     result = train(ds, cfg)
     assert float(result.input_hi.max()) <= 1.0  # raw inputs were in [0, 1]
 
@@ -124,14 +143,14 @@ def test_predict_uses_stored_scalers():
     ds = chronological_split(make_batches(cfg, 8), (0.8, 0.2))
     result = train(ds, cfg)
     pred = predict(result, ds.test[0])
-    assert pred.shape == (cfg.horizon, cfg.n_nodes, cfg.out_features)
+    assert pred.shape == (1, cfg.horizon, cfg.n_nodes, cfg.out_features)
     assert np.all(np.isfinite(pred))
 
 
 def test_adam_moves_toward_minimum():
     cfg = small_cfg()
     params = init_params(cfg, np.random.default_rng(0))
-    batch = make_batches(cfg, 1, seed=3)[0]
+    batch = make_batches(cfg, 1, seed=3)
     adam = Adam()
     losses = []
     for _ in range(60):
@@ -197,4 +216,18 @@ def test_checkpoint_version_3_with_pool_size_is_rejected(tmp_path):
     old["checkpoint_version"] = np.int64(3)
     np.savez(path, **old)
     with pytest.raises(ValueError, match="unsupported checkpoint version 3; retrain it"):
+        load_checkpoint(path)
+
+
+def test_checkpoint_version_4_without_ablation_is_rejected(tmp_path):
+    cfg = small_cfg()
+    path = tmp_path / "ckpt.npz"
+    settings = {"filtration": "weight-sublevel-clique", "nu_star": 0.5}
+    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(0)),
+                    (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0), settings)
+    with np.load(path) as data:
+        old = {k: data[k] for k in data.files}
+    old["checkpoint_version"] = np.int64(4)
+    np.savez(path, **old)
+    with pytest.raises(ValueError, match="unsupported checkpoint version 4; retrain it"):
         load_checkpoint(path)
