@@ -329,6 +329,17 @@ def _forecast_windows(length: int, config: RunConfig) -> range:
     return range(length - config.horizon - config.tau + 1)
 
 
+def _split_windows(length: int, config: RunConfig) -> net.Dataset:
+    """The forecastable windows split in time order; the test part must not be empty."""
+    every = _forecast_windows(length, config)
+    split = net.chronological_split(every, config.split)
+    if not split.test:
+        raise ValueError(
+            f"split {config.split} leaves no test window of the {len(every)} forecastable windows"
+        )
+    return split
+
+
 def assemble_batches(
     network: DynamicNetwork,
     features: FeatureSeries,
@@ -404,6 +415,7 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
     chosen window in that order.
     """
     network, features = _load_data(config)
+    _split_windows(len(network), config)  # rejects an empty test split before assembly
     dataset = net.chronological_split(assemble_batches(network, features, config), config.split)
     if config.noise_sigma > 0:
         train = dataset.train
@@ -552,8 +564,7 @@ def cmd_train(config: RunConfig) -> dict:
     )
     net.write_history_csv(result.history, hist)
     test_rows = [row for row in result.history if row[1] == "test"]
-    metrics = test_rows[-1][2:] if test_rows else result.history[-1][2:]
-    return {"checkpoint": ckpt, "history": hist, "test_metrics": metrics}
+    return {"checkpoint": ckpt, "history": hist, "test_metrics": test_rows[-1][2:]}
 
 
 def _checkpoint_settings(config: RunConfig) -> dict:
@@ -600,7 +611,7 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     network, features = _load_data(config)
     _require_checkpoint_match(model_cfg, settings, network.universe_size, features.shape[2], config)
     result = net.TrainResult(params, model_cfg, [], *scalers)
-    test = net.chronological_split(_forecast_windows(len(network), config), config.split).test
+    test = _split_windows(len(network), config).test
     batch = assemble_batches(network, features, config, test)
     preds = net.predict(result, batch, config.ablation_flags())
     path = os.path.join(out, "forecast.csv")

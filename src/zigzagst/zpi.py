@@ -84,6 +84,8 @@ class ZPIGrid:
         p = self.spec.resolution
         if arr.shape != (p, p):
             raise ValueError(f"pixels must be {p}x{p}, got {arr.shape}")
+        if not np.all(np.isfinite(arr)):
+            raise ValueError("pixel values must be finite")
         if np.any(arr < 0.0):
             raise ValueError("pixel values must be nonnegative")
         arr = arr.copy()
@@ -147,23 +149,56 @@ def render_zpi(
 
 
 def write_zpi(z: ZPIGrid, path) -> None:
-    """Text format: header `p x_lo x_hi y_lo y_hi theta`, then p rows of p values."""
+    """Text format: header `p x_lo x_hi y_lo y_hi theta`, then p rows of p values.
+
+    Every value is written with ``%.17g``, which round-trips a float64
+    exactly.  The whole image is formatted by one ``%`` and written once.
+    """
     s = z.spec
+    p = s.resolution
+    header = f"{p} {s.x_lo:.17g} {s.x_hi:.17g} {s.y_lo:.17g} {s.y_hi:.17g} {s.theta:.17g}\n"
+    rows = (" ".join(["%.17g"] * p) + "\n") * p
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"{s.resolution} {s.x_lo:.17g} {s.x_hi:.17g} {s.y_lo:.17g} {s.y_hi:.17g} {s.theta:.17g}\n")
-        for row in z.pixels:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(header + rows % tuple(z.pixels.ravel().tolist()))
 
 
 def read_zpi(path) -> ZPIGrid:
+    """Read a ``.zpi`` file: the header, then exactly p rows of p finite values.
+
+    A missing, short or long row, a value that is not a finite number and
+    any line after the p rows raise a ``ValueError`` naming the line.
+    """
     with open(path, "r", encoding="ascii") as fh:
-        header = fh.readline().split()
+        lines = fh.read().splitlines()
+    header = lines[0].split() if lines else []
+    try:
         if len(header) != 6:
-            raise ValueError(f"{path}: malformed header")
-        p = int(header[0])
-        spec = GridSpec(p, *(float(x) for x in header[1:5]), float(header[5]))
-        rows = [[float(x) for x in fh.readline().split()] for _ in range(p)]
-    return ZPIGrid(spec, np.array(rows, dtype=np.float64))
+            raise ValueError(f"expected 6 fields, got {len(header)}")
+        spec = GridSpec(int(header[0]), *(float(x) for x in header[1:]))
+    except ValueError as exc:
+        raise ValueError(f"{path}: line 1: malformed header: {exc}") from None
+    p = spec.resolution
+    if len(lines) != p + 1:
+        raise ValueError(
+            f"{path}: line {min(len(lines), p + 1) + 1}: expected {p} rows, got {len(lines) - 1}"
+        )
+    pixels = np.empty((p, p))
+    for iy, line in enumerate(lines[1:]):
+        values = line.split()
+        if len(values) != p:
+            raise ValueError(f"{path}: line {iy + 2}: expected {p} values, got {len(values)}")
+        try:
+            pixels[iy] = values
+        except ValueError as exc:
+            raise ValueError(f"{path}: line {iy + 2}: {exc}") from None
+    bad = np.argwhere(~np.isfinite(pixels))
+    if len(bad):
+        iy, ix = bad[0]
+        raise ValueError(f"{path}: line {iy + 2}: value {pixels[iy, ix]} is not finite")
+    return ZPIGrid(spec, pixels)
+
+
+_GRAY = [str(level) for level in range(256)]
 
 
 def write_pgm(z: ZPIGrid, path) -> None:
@@ -174,7 +209,6 @@ def write_pgm(z: ZPIGrid, path) -> None:
     else:
         img = np.zeros_like(z.pixels, dtype=np.int64)
     p = z.spec.resolution
+    body = "\n".join(" ".join([_GRAY[v] for v in row]) for row in img[::-1].tolist())
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P2\n{p} {p}\n255\n")
-        for row in img[::-1]:
-            fh.write(" ".join(str(v) for v in row) + "\n")
+        fh.write(f"P2\n{p} {p}\n255\n{body}\n")

@@ -62,3 +62,32 @@ def test_split_and_assembly_sizes_the_benchmark_reads(tracing):
         pipeline.assemble_batches(data.network, data.features, cfg)
         pipeline.assemble_batches(data.network, data.features, cfg, range(5, 8))
     assert counter.assembled == [8, 3]
+
+
+def test_cmd_zpi_reaches_the_wrapped_image_functions(tmp_path, monkeypatch):
+    # the zpi.render and zpi.write spans and the zpi.bytes_written counter wrap these
+    # names on the pipeline module, count len(args[0]) points and size the file args[1]
+    calls = {"render_zpi": [], "write_zpi": [], "write_pgm": []}
+    for name, log in calls.items():
+        original = getattr(pipeline, name)
+
+        def recorded(*args, _original=original, _log=log, **kwargs):
+            _log.append(args)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, recorded)
+    data = pipeline.gen_synthetic(n_nodes=6, length=8, seed=0)
+    snaps = tmp_path / "snapshots.csv"
+    dyngraph.write_snapshot_csv(data.network, snaps)
+    cfg = pipeline.RunConfig(snapshots=str(snaps), outdir=str(tmp_path / "out"), nu_star=0.5,
+                             tau=3, homology_dims=(0, 1), resolution=6)
+    windows = pipeline.cmd_zigzag(cfg)["windows"]
+    assert windows == 6
+    written = pipeline.cmd_zpi(cfg)["zpi"]
+    assert len(written) == 2 * windows
+    assert len(calls["render_zpi"]) == 2 * windows
+    assert all(isinstance(args[0], list) for args in calls["render_zpi"])
+    for name, suffix in [("write_zpi", ".zpi"), ("write_pgm", ".pgm")]:
+        paths = [args[1] for args in calls[name]]
+        assert paths == [path[: -len(".zpi")] + suffix for path in written]
+        assert all(os.path.getsize(path) > 0 for path in paths)

@@ -590,6 +590,28 @@ def test_an_overlong_horizon_names_horizon_and_tau(forecast_inputs, tmp_path):
     assert not os.path.exists(os.path.join(cfg.outdir, "forecast.csv"))
 
 
+def test_an_empty_test_split_is_refused_before_assembly(forecast_inputs, monkeypatch):
+    from zigzagst import net, pipeline
+
+    cfg, _, ckpt = forecast_inputs
+    # 6 snapshots hold one window of 4 plus 2 more, and the default split sends it to training
+    data = gen_synthetic(n_nodes=8, length=6, seed=3)
+    write_snapshot_csv(data.network, cfg.snapshots)
+    write_feature_csv(data.features, cfg.features)
+    cfg = replace(cfg, epochs=1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("entered")
+
+    monkeypatch.setattr(pipeline, "assemble_batches", never)
+    monkeypatch.setattr(net, "train", never)
+    message = r"split \(0\.6, 0\.2, 0\.2\) leaves no test window of the 1 forecastable windows"
+    for run in (cmd_train, cmd_ablate, lambda c: cmd_forecast(c, ckpt)):
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+    assert os.listdir(cfg.outdir) == []
+
+
 # --- CLI ------------------------------------------------------------------------------
 
 def test_cli_zigzag_and_distance(golden_paths, capsys):

@@ -1,10 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
+import reference_zpi
 from zigzagst.zigzag import ZPD
 from zigzagst.zpi import (
     GridSpec,
@@ -183,3 +185,110 @@ def test_pgm_all_zero(tmp_path):
     write_pgm(z, path)
     values = [int(v) for row in path.read_text().splitlines()[3:] for v in row.split()]
     assert set(values) == {0}
+
+
+# --- writers against the row-at-a-time reference ------------------------------------------
+
+def test_writers_golden_bytes(tmp_path):
+    # 0.1 / 3 * 255 is exactly 8.5, which np.rint rounds to the even 8
+    z = ZPIGrid(GridSpec(2, 0.0, 1.0, 0.0, 2.0, 0.5), np.array([[0.0, 0.1], [2.0, 3.0]]))
+    write_zpi(z, tmp_path / "g.zpi")
+    write_pgm(z, tmp_path / "g.pgm")
+    assert (tmp_path / "g.zpi").read_bytes() == b"2 0 1 0 2 0.5\n0 0.10000000000000001\n2 3\n"
+    assert (tmp_path / "g.pgm").read_bytes() == b"P2\n2 2\n255\n170 255\n0 8\n"
+
+
+def _awkward_pixels(rng, p):
+    """Pixels drawn from zeros, subnormals, values near 1e300, integers and plain floats."""
+    kinds = rng.integers(0, 5, (p, p))
+    return np.select(
+        [kinds == 0, kinds == 1, kinds == 2, kinds == 3],
+        [0.0, 5e-324 * rng.integers(1, 1000, (p, p)), rng.uniform(0.5e300, 1.5e300, (p, p)),
+         rng.integers(0, 10**6, (p, p)).astype(np.float64)],
+        rng.random((p, p)) * 10.0 ** rng.integers(-30, 30, (p, p)),
+    )
+
+
+def _half_steps(top):
+    """Pixels whose scaled value p / top * 255 lands exactly on k + 0.5."""
+    candidates = (np.arange(255) + 0.5) / 255.0 * top
+    return candidates[candidates / top * 255.0 % 1.0 == 0.5]
+
+
+def _same_bytes(z, tmp_path):
+    for reference, writer in [(reference_zpi.write_zpi, write_zpi),
+                              (reference_zpi.write_pgm, write_pgm)]:
+        reference(z, tmp_path / "want")
+        writer(z, tmp_path / "got")
+        assert (tmp_path / "got").read_bytes() == (tmp_path / "want").read_bytes(), writer
+
+
+@pytest.mark.parametrize("seed", range(6))
+@pytest.mark.parametrize("p", [1, 2, 7, 40])
+def test_writers_match_reference_bytes(seed, p, tmp_path):
+    rng = np.random.default_rng(seed)
+    spec = GridSpec(p, 1.0 / 3.0, 12.0, 0.0, 1e300, 5e-324)
+    pixels = _awkward_pixels(rng, p)
+    _same_bytes(ZPIGrid(spec, pixels), tmp_path)
+    # one pixel at the top scale so the rest span the gray levels
+    pixels = np.minimum(pixels, 1.0)
+    pixels.flat[rng.integers(p * p)] = 1.0
+    _same_bytes(ZPIGrid(spec, pixels), tmp_path)
+
+
+def test_writers_match_reference_on_zero_and_half_step_images(tmp_path):
+    _same_bytes(ZPIGrid(grid(res=5), np.zeros((5, 5))), tmp_path)
+    _same_bytes(ZPIGrid(grid(res=1), np.zeros((1, 1))), tmp_path)
+    for top in (1.0, 3.0, 1e-300):
+        halves = _half_steps(top)
+        # both parities of k occur, so round-half-to-even goes both ways
+        assert set(np.floor(halves / top * 255.0) % 2) == {0.0, 1.0}
+        p = 16
+        pixels = np.resize(halves, p * p).reshape(p, p)
+        pixels[0, 0] = top
+        _same_bytes(ZPIGrid(grid(res=p), pixels), tmp_path)
+
+
+# --- read_zpi -----------------------------------------------------------------------------
+
+def _zpi_text(*rows):
+    """A 3x3 ``.zpi`` file with the given pixel lines."""
+    return "3 0 1 0 1 0.5\n" + "".join(row + "\n" for row in rows)
+
+
+def test_read_zpi_round_trips_awkward_values_bit_exactly(tmp_path):
+    z = ZPIGrid(GridSpec(9, 1.0 / 3.0, 12.0, 0.0, 1e300, 5e-324),
+                _awkward_pixels(np.random.default_rng(7), 9))
+    write_zpi(z, tmp_path / "a.zpi")
+    back = read_zpi(tmp_path / "a.zpi")
+    assert back.spec == z.spec
+    assert np.array_equal(back.pixels.view(np.int64), z.pixels.view(np.int64))
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_zpi_text("1 2 3", "4 5 6"), r"line 4: expected 3 rows, got 2"),
+        (_zpi_text("1 2 3", "4 5", "7 8 9"), r"line 3: expected 3 values, got 2"),
+        (_zpi_text("1 2 3", "4 5 6", "7 8 9", "1 2 3"), r"line 5: expected 3 rows, got 4"),
+        (_zpi_text("1 2 3", "4 5 6", "7 8 9", ""), r"line 5: expected 3 rows, got 4"),
+        (_zpi_text("1 2 3", "4 nan 6", "7 8 9"), r"line 3: value nan is not finite"),
+        (_zpi_text("1 2 3", "4 5 6", "7 8 -inf"), r"line 4: value -inf is not finite"),
+        (_zpi_text("1 2 3", "4 5 x", "7 8 9"), r"line 3: could not convert"),
+        ("3 0 1 0 1\n", r"line 1: malformed header"),
+        ("", r"line 1: malformed header"),
+    ],
+    ids=["missing-row", "short-row", "extra-row", "extra-blank-line", "nan", "inf",
+         "not-a-number", "short-header", "empty"],
+)
+def test_read_zpi_rejects_malformed_files(tmp_path, text, message):
+    path = tmp_path / "bad.zpi"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"{re.escape(str(path))}: {message}"):
+        read_zpi(path)
+
+
+def test_zpigrid_rejects_non_finite_pixels():
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            ZPIGrid(grid(res=2), np.array([[0.0, bad], [1.0, 2.0]]))
