@@ -8,6 +8,8 @@ from typing import Iterator
 
 import numpy as np
 
+from .layers import zpi_encoder_output_size
+
 __all__ = [
     "ModelConfig",
     "LayerParams",
@@ -63,6 +65,8 @@ class ModelConfig:
             raise ValueError("hidden width must be even (two half-width branches)")
         if self.learning_rate <= 0 or not 0 < self.lr_decay <= 1:
             raise ValueError("learning_rate must be > 0 and lr_decay in (0, 1]")
+        # the image encoder's two convolutions must fit in the image
+        zpi_encoder_output_size(self.zpi_resolution, self.cnn_kernel, self.cnn_stride)
 
     @property
     def half_hidden(self) -> int:

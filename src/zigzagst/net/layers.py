@@ -1,10 +1,11 @@
 """Network layers with hand-derived backward passes.
 
 Every forward returns its output plus an opaque cache; the matching
-backward consumes the cache and the output gradient.  All math is
-float64 so the finite-difference gradient check is meaningful.  Leading
-axes are batch axes, and a backward sums its parameter gradients over
-them.
+backward consumes the cache and the output gradient.  The image encoder
+reads every layer at once and returns one (code, cache) pair per layer.
+All math is float64 so the finite-difference gradient check is
+meaningful.  Leading axes are batch axes, and a backward sums its
+parameter gradients over them.
 """
 
 from __future__ import annotations
@@ -166,23 +167,33 @@ def temporal_conv_backward(cache, dout):
     return dh_win, np.broadcast_to(dpower_sum, powers_shape), dembed, dweight[:, 0], dtime_mix
 
 
-def _relu_conv(x, kernel, bias, stride):
-    """ReLU of a valid strided convolution, channels first.
+# Bytes of per-call buffers one block of images may take in ``zpi_encoder``
+# (``_image_buffer_sizes``).  With 8 filters of 3x3 at stride 2 and two
+# layers, a 100x100 image needs about 0.85 MB of them and goes alone; a
+# 16x16 image needs about 16 kB, so a batch of up to 67 goes as one block.
+ENCODER_BLOCK_BYTES = 1 << 20
 
-    (Cin, B, H, W) -> (Cout, B, Ho, Wo) through im2col: one strided copy
-    per kernel tap builds the (k*k*Cin, B*Ho*Wo) column matrix, which
-    meets the kernel in one matmul.
+
+def _im2col(x, out, k, stride, side):
+    """Columns of a valid strided k x k convolution of ``x``, written into ``out``.
+
+    ``x`` is (C, B, H, W) and ``out`` a flat buffer with room for them;
+    the result is a view of it, (k*k*C, B*side*side) with rows ordered
+    (ky, kx, c), built by one strided copy per kernel tap.
     """
-    cout, cin, k, _ = kernel.shape
-    _, b, h, w = x.shape
-    ho, wo = (h - k) // stride + 1, (w - k) // stride + 1
-    cols = np.empty((k, k, cin, b, ho, wo))
+    c, b = x.shape[:2]
+    cols = out[: k * k * c * b * side * side].reshape(k, k, c, b, side, side)
     for ky in range(k):
         for kx in range(k):
-            cols[ky, kx] = x[:, :, ky : ky + stride * ho : stride, kx : kx + stride * wo : stride]
-    pre = kernel.transpose(0, 2, 3, 1).reshape(cout, -1) @ cols.reshape(k * k * cin, -1)
+            cols[ky, kx] = x[:, :, ky : ky + stride * side : stride, kx : kx + stride * side : stride]
+    return cols.reshape(k * k * c, -1)
+
+
+def _relu_matmul(kernel, cols, bias, out):
+    """ReLU(kernel @ cols + bias) into the front of the flat buffer ``out``."""
+    pre = np.matmul(kernel, cols, out=out[: len(kernel) * cols.shape[1]].reshape(len(kernel), -1))
     pre += bias[:, None]
-    return np.maximum(pre, 0.0, out=pre).reshape(cout, b, ho, wo)
+    return np.maximum(pre, 0.0, out=pre)
 
 
 def _patches(x, ys, xs, k, stride):
@@ -202,35 +213,79 @@ def zpi_encoder_output_size(p: int, kernel: int, stride: int) -> int:
     """Feature-map side length after the two strided convolutions."""
     s1 = (p - kernel) // stride + 1
     if s1 < kernel:
-        raise ValueError(f"image side {p} too small for two {kernel}x{kernel} stride-{stride} convolutions")
+        raise ValueError(
+            f"image resolution {p} is too small for two {kernel}x{kernel} stride-{stride} "
+            f"convolutions; it must be at least {kernel + (kernel - 1) * stride}"
+        )
     return (s1 - kernel) // stride + 1
 
 
-def zpi_encoder(image, layer, stride: int):
-    """Two ReLU convolutions, a global max per channel, and a linear map.
+def _image_buffer_sizes(p, k, stride, filters, n_layers):
+    """Elements one image takes in each of ``zpi_encoder``'s per-call buffers.
 
-    ``image`` is (..., p, p) and the code is (..., half); every leading
-    axis is a batch axis.  Max-pooling in 5x5 regions followed by a
-    global max over the pooled map collapses to one global max per
-    channel, which is what is computed; gradients route to the argmax
-    position.  So the cache keeps only what that one position per
-    sample and channel needs: where it sits, and its k x k patch of the
-    first feature map (whose sign is the first ReLU's mask).
+    They are the first convolution's columns, every layer's first map,
+    the second convolution's columns, and one second map.
+    """
+    s2 = zpi_encoder_output_size(p, k, stride)
+    s1 = (p - k) // stride + 1
+    return k * k * s1 * s1, n_layers * filters * s1 * s1, k * k * filters * s2 * s2, filters * s2 * s2
+
+
+def zpi_encoder(image, layers, stride: int):
+    """Every layer's code of the same images: one ``(z, cache)`` per layer.
+
+    A layer's code is two ReLU convolutions, a global max per channel,
+    and a linear map.  ``image`` is (..., p, p) and each code is
+    (..., half); every leading axis is a batch axis.  Max-pooling in 5x5
+    regions followed by a global max over the pooled map collapses to one
+    global max per channel, which is what is computed; gradients route to
+    the argmax position.  So a layer's cache keeps only what that one
+    position per sample and channel needs: where it sits, and its k x k
+    patch of the first feature map (whose sign is the first ReLU's mask).
+
+    Every layer's first convolution is one matmul of the stacked
+    (layers*filters, k*k) kernels against one set of im2col columns.
+    The images go in blocks sized so that the column and feature-map
+    buffers fit ``ENCODER_BLOCK_BYTES``; those buffers are allocated
+    once per call and reused from block to block, and each block's
+    argmax, maxima and first-map patches are gathered before the next.
     """
     p = image.shape[-1]
-    k = layer.conv1_k.shape[2]
-    side = zpi_encoder_output_size(p, k, stride)
+    filters, _, k, _ = layers[0].conv1_k.shape
+    n_layers = len(layers)
+    s2 = zpi_encoder_output_size(p, k, stride)
+    s1 = (p - k) // stride + 1
     x0 = image.reshape(1, -1, p, p)  # one input channel
-    r1 = _relu_conv(x0, layer.conv1_k, layer.conv1_b, stride)
-    r2 = _relu_conv(r1, layer.conv2_k, layer.conv2_b, stride)
-    flat = r2.reshape(r2.shape[0], r2.shape[1], -1).swapaxes(0, 1)  # (B, channels, side^2)
-    arg = flat.argmax(axis=2)  # row-major position
-    y2, x2 = np.divmod(arg, side)
-    maxvals = np.take_along_axis(flat, arg[..., None], axis=2)[..., 0]
-    patch1 = _patches(r1, y2, x2, k, stride)
-    z = maxvals @ layer.zmap_w + layer.zmap_b
-    cache = (x0, y2, x2, patch1, maxvals, layer, stride)
-    return z.reshape(image.shape[:-2] + z.shape[1:]), cache
+    b = x0.shape[1]
+    sizes = _image_buffer_sizes(p, k, stride, filters, n_layers)
+    block = max(1, min(b, ENCODER_BLOCK_BYTES // (8 * sum(sizes))))
+    cols1, maps1, cols2, maps2 = (np.empty(block * size) for size in sizes)
+    kernel1 = np.concatenate([lp.conv1_k.reshape(filters, k * k) for lp in layers])
+    bias1 = np.concatenate([lp.conv1_b for lp in layers])
+    kernels2 = [lp.conv2_k.transpose(0, 2, 3, 1).reshape(filters, -1) for lp in layers]
+    y2, x2 = np.empty((2, n_layers, b, filters), dtype=np.intp)
+    maxvals = np.empty((n_layers, b, filters))
+    patch1 = np.empty((n_layers, b, filters, k, k, filters))
+    for b0 in range(0, b, block):
+        rows = slice(b0, min(b0 + block, b))
+        nb = rows.stop - b0
+        r1 = _relu_matmul(kernel1, _im2col(x0[:, rows], cols1, k, stride, s1), bias1, maps1)
+        r1 = r1.reshape(n_layers, filters, nb, s1, s1)
+        for li, lp in enumerate(layers):
+            cols = _im2col(r1[li], cols2, k, stride, s2)
+            flat = _relu_matmul(kernels2[li], cols, lp.conv2_b, maps2).reshape(filters, nb, -1)
+            arg = flat.argmax(axis=2)  # row-major position, (filters, nb)
+            maxvals[li, rows] = flat.max(axis=2).T
+            y2[li, rows], x2[li, rows] = np.divmod(arg.T, s2)
+            patch1[li, rows] = _patches(r1[li], y2[li, rows], x2[li, rows], k, stride)
+    lead = image.shape[:-2]
+    return [
+        (
+            (maxvals[li] @ lp.zmap_w + lp.zmap_b).reshape(lead + lp.zmap_b.shape),
+            (x0, y2[li], x2[li], patch1[li], maxvals[li], lp, stride),
+        )
+        for li, lp in enumerate(layers)
+    ]
 
 
 def zpi_encoder_backward(cache, dz):

@@ -5,7 +5,9 @@ convolves the snapshot at each window step, the temporal branch
 convolves the whole window into one feature map, both are gated
 channelwise by the image code of that layer's encoder, and a GRU runs
 over the gated sequence; its state sequence is the next layer's input.
-The final state is projected linearly to the forecast horizon.
+The final state is projected linearly to the forecast horizon.  Every
+layer's encoder reads the same image, so ``forward`` encodes it for all
+layers in one ``zpi_encoder`` call before the layer loop.
 """
 
 from __future__ import annotations
@@ -42,6 +44,20 @@ def _ensure_finite(name: str, arr: np.ndarray) -> None:
         raise FloatingPointError(f"non-finite values produced in {name}")
 
 
+def _override_gates(z_override, b: int, config: ModelConfig) -> list[np.ndarray]:
+    """Each layer's (b, half) gates from ``z_override``: one entry per layer, (half,) or (b, half)."""
+    if len(z_override) != config.num_layers:
+        raise ValueError(f"z_override has {len(z_override)} entries for {config.num_layers} layers")
+    half = config.half_hidden
+    gates = [np.asarray(z, dtype=np.float64) for z in z_override]
+    for li, z in enumerate(gates):
+        if z.shape not in ((half,), (b, half)):
+            raise ValueError(
+                f"z_override for layer {li} has shape {z.shape}, expected ({half},) or ({b}, {half})"
+            )
+    return [np.broadcast_to(z, (b, half)) for z in gates]
+
+
 def forward(
     x_win: np.ndarray,
     image: np.ndarray,
@@ -57,9 +73,10 @@ def forward(
     (B, p, p).  One window (window, n_nodes, in_features) with one (p, p)
     image is a batch of one whose prediction drops the batch axis.
     ``z_override`` injects fixed gate vectors (one per layer, each (half,)
-    for the whole batch or (B, half)) in place of the encoder output; the
-    no_zigzag ablation is exactly a ones override.  Returns the
-    prediction, or (prediction, cache) when ``want_cache`` is set.
+    for the whole batch or (B, half), else a ValueError) in place of the
+    encoder output; the no_zigzag ablation is exactly a ones override.
+    Returns the prediction, or (prediction, cache) when ``want_cache`` is
+    set.
     """
     x_win = np.asarray(x_win, dtype=np.float64)
     image = np.asarray(image, dtype=np.float64)
@@ -75,6 +92,15 @@ def forward(
         raise ValueError(f"image has shape {image.shape}, expected "
                          f"({b}, {config.zpi_resolution}, {config.zpi_resolution})")
     tau, n = config.window, config.n_nodes
+    # one (z, encoder cache) per layer; the encoder reads every layer's
+    # kernels in one pass over the images
+    half = config.half_hidden
+    if ablation.no_zigzag:
+        gates = [(np.ones((b, half)), None)] * config.num_layers
+    elif z_override is not None:
+        gates = [(z, None) for z in _override_gates(z_override, b, config)]
+    else:
+        gates = L.zpi_encoder(image, params.layers, config.cnn_stride)
 
     lap, lap_cache = L.adaptive_laplacian(params.embedding)
     _ensure_finite("adaptive_laplacian", lap)
@@ -84,15 +110,7 @@ def forward(
     # with the batch's B * N node rows side by side
     seq = np.moveaxis(x_win, 1, 0)
     layer_caches = []
-    half = config.half_hidden
-    for li, lp in enumerate(params.layers):
-        if ablation.no_zigzag:
-            z, enc_cache = np.ones((b, half)), None
-        elif z_override is not None:
-            z = np.broadcast_to(np.asarray(z_override[li], dtype=np.float64), (b, half))
-            enc_cache = None
-        else:
-            z, enc_cache = L.zpi_encoder(image, lp, config.cnn_stride)
+    for li, (lp, (z, enc_cache)) in enumerate(zip(params.layers, gates)):
         s_out, s_cache = L.spatial_conv_window(seq, powers, params.embedding, lp.spatial_w)
         t_out, _, t_cache = L.temporal_conv(seq, powers, params.embedding, lp.temporal_w, params.time_mix)
         s_scaled = np.zeros_like(s_out) if ablation.no_spatial else s_out * z[:, None, :]

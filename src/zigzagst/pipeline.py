@@ -416,6 +416,7 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
     """
     network, features = _load_data(config)
     _split_windows(len(network), config)  # rejects an empty test split before assembly
+    model_cfg = _model_config(config, network.universe_size, features.shape[2])  # and a bad shape
     dataset = net.chronological_split(assemble_batches(network, features, config), config.split)
     if config.noise_sigma > 0:
         train = dataset.train
@@ -424,7 +425,7 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
         inputs = train.inputs.copy()
         inputs[chosen] += rng.normal(0.0, config.noise_sigma, inputs[chosen].shape)
         dataset = replace(dataset, train=net.Batch(inputs, train.image, train.targets))
-    return dataset, _model_config(config, network.universe_size, features.shape[2])
+    return dataset, model_cfg
 
 
 # ---------------------------------------------------------------------------

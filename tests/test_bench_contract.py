@@ -8,6 +8,7 @@ deleting one of them breaks the benchmark without failing any other test.
 import importlib.util
 import os
 
+import numpy as np
 import pytest
 
 from zigzagst import dyngraph, net, pipeline, zigzag
@@ -91,3 +92,31 @@ def test_cmd_zpi_reaches_the_wrapped_image_functions(tmp_path, monkeypatch):
         paths = [args[1] for args in calls[name]]
         assert paths == [path[: -len(".zpi")] + suffix for path in written]
         assert all(os.path.getsize(path) > 0 for path in paths)
+
+
+def test_forward_encodes_every_layer_in_one_wrapped_call(monkeypatch):
+    # the net.zpi_encoder span wraps layers.zpi_encoder, so every forward must reach the
+    # encoder through that module global, once, and never when no code is needed
+    from zigzagst.net import layers
+
+    calls = []
+    original = layers.zpi_encoder
+
+    def recorded(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(layers, "zpi_encoder", recorded)
+    cfg = net.tiny_config()
+    params = net.init_params(cfg, np.random.default_rng(0))
+    rng = np.random.default_rng(1)
+    x = rng.uniform(0, 1, (3, cfg.window, cfg.n_nodes, cfg.in_features))
+    img = rng.uniform(0, 1, (3, cfg.zpi_resolution, cfg.zpi_resolution))
+    net.forward(x, img, params, cfg)
+    net.forward(x, img, params, cfg, want_cache=True)
+    assert len(calls) == 2
+    assert all(len(args[1]) == cfg.num_layers for args in calls)
+    ones = [np.ones(cfg.half_hidden)] * cfg.num_layers
+    net.forward(x, img, params, cfg, z_override=ones, want_cache=True)
+    net.forward(x, img, params, cfg, ablation=net.Ablation(no_zigzag=True), want_cache=True)
+    assert len(calls) == 2

@@ -1,6 +1,7 @@
 """The batched network against the per-sample reference in reference_net.py."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -154,13 +155,14 @@ def test_batched_backward_matches_finite_differences():
 
 def test_encoder_batch_matches_reference_per_sample():
     cfg = wider_config()
-    layer = init_params(cfg, np.random.default_rng(16)).layers[1]
+    params = init_params(cfg, np.random.default_rng(16))
+    layer = params.layers[1]
     layer.conv1_b[...] = np.linspace(-0.3, 0.3, cfg.cnn_filters)  # some channels die
     rng = np.random.default_rng(17)
     img = rng.uniform(0, 1, (4, cfg.zpi_resolution, cfg.zpi_resolution))
     img[1] = 0.0  # a sample whose maps are all zero after the ReLUs
     dz = rng.normal(size=(4, cfg.half_hidden))
-    z, cache = layers.zpi_encoder(img, layer, cfg.cnn_stride)
+    [(z, cache)] = layers.zpi_encoder(img, [layer], cfg.cnn_stride)
     got = layers.zpi_encoder_backward(cache, dz)
     want = [np.zeros_like(g) for g in got]
     for i in range(4):
@@ -171,3 +173,86 @@ def test_encoder_batch_matches_reference_per_sample():
     for a, b in zip(got, want):
         assert a.shape == b.shape
         assert np.allclose(a, b, **TOL)
+
+
+def encoder_layers(p, kernel, stride, n_layers, seed):
+    """``n_layers`` encoder layers with dead channels: one first-map and one second-map channel."""
+    cfg = ModelConfig(n_nodes=2, in_features=1, hidden=6, num_layers=n_layers, zpi_resolution=p,
+                      cnn_filters=5, cnn_kernel=kernel, cnn_stride=stride)
+    rng = np.random.default_rng(seed)
+    params = init_params(cfg, rng)
+    for lp in params.layers:
+        lp.conv1_b[...] = rng.uniform(-0.2, 0.2, lp.conv1_b.shape)
+        lp.conv2_b[...] = rng.uniform(-0.2, 0.2, lp.conv2_b.shape)
+        lp.conv1_b[1] = lp.conv2_b[3] = -100.0
+    return cfg, params.layers
+
+
+ENCODER_SHAPES = [
+    (p, kernel, stride)
+    for p in (15, 16, 17, 100)
+    for kernel in (2, 3, 5)
+    for stride in (1, 2, 3)
+    if kernel + (kernel - 1) * stride <= p
+]
+
+
+@pytest.mark.parametrize("n_layers", [1, 3])
+@pytest.mark.parametrize("p,kernel,stride", ENCODER_SHAPES)
+def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, n_layers, monkeypatch):
+    cfg, enc_layers = encoder_layers(p, kernel, stride, n_layers, seed=p + 10 * kernel + stride)
+    rng = np.random.default_rng(p * stride)
+    images = rng.uniform(0, 1, (17, p, p))
+    images[4] = 0.0
+    dzs = rng.normal(size=(n_layers, 17, cfg.half_hidden))
+    per_image = 8 * sum(layers._image_buffer_sizes(p, kernel, stride, cfg.cnn_filters, n_layers))
+    for b in (1, 2, 17):
+        img = images[:b]
+        want = []  # per layer: the reference codes and summed gradients
+        for li, lp in enumerate(enc_layers):
+            codes, grads = [], None
+            for i in range(b):
+                z_i, cache_i = ref.zpi_encoder(img[i], lp, stride)
+                codes.append(z_i)
+                g_i = ref.zpi_encoder_backward(cache_i, dzs[li, i])
+                grads = g_i if grads is None else [acc + g for acc, g in zip(grads, g_i)]
+            want.append((np.stack(codes), grads))
+        # the default budget; blocks of 5 (17 ends in a partial block); one image at a time
+        for budget in (layers.ENCODER_BLOCK_BYTES, 5 * per_image, 1):
+            monkeypatch.setattr(layers, "ENCODER_BLOCK_BYTES", budget)
+            got = layers.zpi_encoder(img, enc_layers, stride)
+            assert len(got) == n_layers
+            for li, ((z, cache), (want_z, want_grads)) in enumerate(zip(got, want)):
+                assert np.allclose(z, want_z, **TOL), (b, budget, li)
+                grads = layers.zpi_encoder_backward(cache, dzs[li, :b])
+                for g, w in zip(grads, want_grads):
+                    assert g.shape == w.shape
+                    assert np.allclose(g, w, **TOL), (b, budget, li)
+            monkeypatch.undo()
+
+
+def test_encoder_of_an_unbatched_image_drops_the_batch_axis():
+    cfg, enc_layers = encoder_layers(16, 3, 2, 2, seed=0)
+    img = np.random.default_rng(1).uniform(0, 1, (3, 16, 16))
+    batched = layers.zpi_encoder(img, enc_layers, 2)
+    for i in range(3):
+        for (z, _), (zb, _) in zip(layers.zpi_encoder(img[i], enc_layers, 2), batched):
+            assert z.shape == (cfg.half_hidden,)
+            assert np.array_equal(z, zb[i])
+
+
+def _encoder_peak_bytes(b):
+    cfg, enc_layers = encoder_layers(100, 3, 2, 2, seed=0)
+    img = np.random.default_rng(2).uniform(0, 1, (b, 100, 100))
+    tracemalloc.start()
+    try:
+        layers.zpi_encoder(img, enc_layers, 2)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_encoder_memory_grows_with_the_image_not_the_batch():
+    # whole-batch columns would grow about 20 times from 1 to 32 images of 100x100
+    one, many = _encoder_peak_bytes(1), _encoder_peak_bytes(32)
+    assert many <= 1.5 * one, (one, many)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -110,7 +111,7 @@ def test_encoder_zero_image_zero_biases_gives_zero():
     cfg = tiny_config()
     layer = _layer(cfg)
     layer.zmap_b[...] = 0.0
-    z, _ = zpi_encoder(np.zeros((16, 16)), layer, cfg.cnn_stride)
+    [(z, _)] = zpi_encoder(np.zeros((16, 16)), [layer], cfg.cnn_stride)
     assert np.array_equal(z, np.zeros(cfg.half_hidden))
 
 
@@ -118,8 +119,8 @@ def test_encoder_positive_scaling():
     cfg = tiny_config()
     layer = _layer(cfg, seed=5)
     img = np.abs(np.random.default_rng(6).normal(size=(16, 16)))
-    z1, cache1 = zpi_encoder(img, layer, cfg.cnn_stride)
-    z2, _ = zpi_encoder(3.0 * img, layer, cfg.cnn_stride)
+    [(z1, cache1)] = zpi_encoder(img, [layer], cfg.cnn_stride)
+    [(z2, _)] = zpi_encoder(3.0 * img, [layer], cfg.cnn_stride)
     # biases are zero at init, so pre-pool activations scale linearly
     max1 = cache1[4]  # the per-channel maxima
     assert np.allclose(z2 - layer.zmap_b, 3.0 * (z1 - layer.zmap_b), rtol=1e-10)
@@ -129,10 +130,19 @@ def test_encoder_positive_scaling():
 def test_encoder_rejects_small_images():
     cfg = tiny_config()
     layer = _layer(cfg)
-    with pytest.raises(ValueError):
-        zpi_encoder(np.zeros((5, 5)), layer, cfg.cnn_stride)
+    with pytest.raises(ValueError, match="resolution 5 is too small"):
+        zpi_encoder(np.zeros((5, 5)), [layer], cfg.cnn_stride)
     assert zpi_encoder_output_size(16, 3, 2) == 3
     assert zpi_encoder_output_size(100, 3, 2) == 24
+    assert zpi_encoder_output_size(7, 3, 2) == 1  # the smallest side two 3x3 stride-2 convolutions fit
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_model_config_rejects_a_resolution_the_encoder_cannot_read(p):
+    with pytest.raises(ValueError, match=f"resolution {p} is too small .* at least 7"):
+        replace(tiny_config(), zpi_resolution=p)
+    with pytest.raises(ValueError, match=f"resolution {p} is too small .* at least 9"):
+        replace(tiny_config(), zpi_resolution=p, cnn_kernel=3, cnn_stride=3)
 
 
 # --- GRU cell ----------------------------------------------------------------------------

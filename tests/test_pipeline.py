@@ -612,6 +612,29 @@ def test_an_empty_test_split_is_refused_before_assembly(forecast_inputs, monkeyp
     assert os.listdir(cfg.outdir) == []
 
 
+@pytest.mark.parametrize("resolution", [5, 6])
+def test_a_resolution_the_encoder_cannot_read_is_refused_before_assembly(
+    forecast_inputs, monkeypatch, resolution
+):
+    from zigzagst import net, pipeline
+
+    cfg, _, _ = forecast_inputs
+    data = gen_synthetic(n_nodes=8, length=40, seed=3)
+    write_snapshot_csv(data.network, cfg.snapshots)
+    write_feature_csv(data.features, cfg.features)
+    cfg = replace(cfg, resolution=resolution, epochs=1)
+
+    def never(*args, **kwargs):
+        raise AssertionError("entered")
+
+    monkeypatch.setattr(pipeline, "assemble_batches", never)
+    monkeypatch.setattr(net, "train", never)
+    message = rf"resolution {resolution} is too small .* at least 7"
+    for run in (cmd_train, cmd_ablate):
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+
+
 # --- CLI ------------------------------------------------------------------------------
 
 def test_cli_zigzag_and_distance(golden_paths, capsys):
