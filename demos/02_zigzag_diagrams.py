@@ -6,7 +6,9 @@ A window of T snapshots produces the alternating inclusion sequence
 
 and the interval decomposition of its homology records when components
 (dim 0) and cycles (dim 1) are born and die on the half-integer grid
-{1, 3/2, 2, ...}.
+{1, 3/2, 2, ...}.  A diagram lists each distinct (birth, death) point
+once, with the number of bars there: ``zpd.points(dim)`` gives the
+``(birth, death, count)`` rows of one dimension.
 
 Run:  python demos/02_zigzag_diagrams.py
 """
@@ -30,8 +32,8 @@ window = [snap(1, path), snap(2, square), snap(3, path)]
 
 zf = build_zigzag(window, nu_star=0.5)
 zpd = compute_zigzag_persistence(zf)
-print("components:", zpd.pairs(0))   # one component alive the whole window
-print("cycles:    ", zpd.pairs(1))   # the loop exists from 1.5 to 2.5
+print("components:", zpd.points(0))   # one component alive the whole window
+print("cycles:    ", zpd.points(1))   # the loop exists from 1.5 to 2.5
 
 # The cycle is born in the *union* C(G1 u G2), before G2 itself is
 # observed, hence the half-integer birth 1.5; it dies entering G3.
@@ -40,12 +42,12 @@ print("cycles:    ", zpd.pairs(1))   # the loop exists from 1.5 to 2.5
 # the survivor lives on.
 merge = [snap(1, [(0, 1), (2, 3)]), snap(2, [(0, 1), (1, 2), (2, 3)])]
 zpd2 = compute_zigzag_persistence(build_zigzag(merge, nu_star=0.5))
-print("\nmerge example components:", sorted(zpd2.pairs(0)))
+print("\nmerge example components:", zpd2.points(0))
 
 # A cycle can exist only in a union: two half-squares overlapping.
 halves = [snap(1, [(0, 1), (1, 2)]), snap(2, [(2, 3), (0, 3)])]
 zpd3 = compute_zigzag_persistence(build_zigzag(halves, nu_star=0.5))
-print("union-born cycle:", zpd3.pairs(1))
+print("union-born cycle:", zpd3.points(1))
 
 # Every diagram is validated against an independent Betti-number oracle:
 # at each grid position the number of live bars must equal the rank of

@@ -38,7 +38,6 @@ from .zpi import (
     default_domain,
     default_theta,
     render_zpi,
-    transform_diagram,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +67,6 @@ __all__ = [
     "reduce_top_edges",
     "render_zpi",
     "sliding_windows",
-    "transform_diagram",
     "union_graph",
     "wasserstein1",
     "zigzag_series",

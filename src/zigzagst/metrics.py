@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -13,6 +14,7 @@ from scipy.optimize import linear_sum_assignment
 from .zpi import ZPIGrid
 
 Point = tuple[float, float]
+Row = tuple[float, float, int]  # (birth, death, count)
 
 __all__ = ["MatchingResult", "wasserstein1", "linf_distance"]
 
@@ -25,14 +27,16 @@ class MatchingResult:
     pairing: tuple[tuple[Point | None, Point | None], ...]
 
 
-def wasserstein1(d1: Sequence[Point], d2: Sequence[Point]) -> MatchingResult:
+def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
     """Wasserstein-1 distance with L-infinity ground metric.
 
+    A diagram is ``(birth, death, count)`` rows, as ``ZPD.points`` gives
+    them; a count that is not a positive integer raises ``ValueError``.
     Points both diagrams hold (as multisets) are paired with themselves
-    at cost 0.  The remainders are augmented with the other side's
-    diagonal projections (a point may only pair with its own projection,
-    whose cost is half its persistence), and the resulting square
-    assignment problem is solved exactly.
+    at cost 0.  Only the remainders are expanded into points; they are
+    augmented with the other side's diagonal projections (a point may only
+    pair with its own projection, whose cost is half its persistence), and
+    the resulting square assignment problem is solved exactly.
 
     Cancelling shared points is exact: routing a pair through the
     diagonal whenever that is cheaper makes the ground cost the metric
@@ -40,8 +44,12 @@ def wasserstein1(d1: Sequence[Point], d2: Sequence[Point]) -> MatchingResult:
     only on the difference of the two measures (Kantorovich-Rubinstein),
     so shared mass can stay where it is.
     """
-    c1 = Counter((float(b), float(d)) for b, d in d1)
-    c2 = Counter((float(b), float(d)) for b, d in d2)
+    c1, c2 = Counter(), Counter()
+    for counts, rows in ((c1, d1), (c2, d2)):
+        for b, d, m in rows:
+            if not (isinstance(m, Integral) and m >= 1):
+                raise ValueError(f"count must be a positive integer, got {m!r}")
+            counts[float(b), float(d)] += m
     shared = c1 & c2
     pairing: list[tuple[Point | None, Point | None]] = [(p, p) for p in shared.elements()]
     r1 = list((c1 - shared).elements())

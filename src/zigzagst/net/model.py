@@ -239,6 +239,8 @@ def loss_metrics(pred: np.ndarray, target: np.ndarray) -> tuple[float, float, fl
 
 
 def mae_loss_and_grad(pred: np.ndarray, target: np.ndarray) -> tuple[float, np.ndarray]:
+    if pred.shape != target.shape:
+        raise ValueError(f"shape mismatch {pred.shape} vs {target.shape}")
     diff = pred - target
     mae = float(np.mean(np.abs(diff)))
     return mae, np.sign(diff) / diff.size

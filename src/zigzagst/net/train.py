@@ -97,10 +97,13 @@ def chronological_split(windows, fractions: tuple[float, ...] = (0.6, 0.2, 0.2))
     """Split windows in time order into (train, val, test), or (train, test) with val empty.
 
     ``windows`` is any sequence that slices: a ``Batch``, a list or a
-    ``range``; each part is a slice of it.
+    ``range``; each part is a slice of it.  A fraction outside [0, 1]
+    (NaN included) would make the parts overlap, so it raises.
     """
     if len(fractions) not in (2, 3) or abs(sum(fractions) - 1.0) > 1e-9:
         raise ValueError("fractions must be 2 or 3 values summing to 1")
+    if not all(0.0 <= f <= 1.0 for f in fractions):
+        raise ValueError(f"fractions must each lie in [0, 1], got {tuple(fractions)}")
     n = len(windows)
     n_train = int(round(n * fractions[0]))
     n_val = int(round(n * fractions[1])) if len(fractions) == 3 else 0

@@ -49,7 +49,6 @@ from .zpi import (
     default_domain,
     default_theta,
     render_zpi,
-    transform_diagram,
     write_pgm,
     write_zpi,
 )
@@ -148,6 +147,16 @@ class RunConfig:
         if math.isnan(self.nu_star):
             raise ValueError("nu_star must be set (no default scale parameter)")
         return self.nu_star
+
+    def require_homology_dims(self) -> tuple[int, ...]:
+        """The dimensions whose images a window gets: 0, 1 or both, each once."""
+        dims = self.homology_dims
+        for dim in dims:
+            if dim not in (0, 1):
+                raise ValueError(f"homology_dims: dimension must be 0 or 1, got {dim}")
+        if not dims or len(set(dims)) < len(dims):
+            raise ValueError(f"homology_dims must list 0, 1 or both once each, got {dims}")
+        return dims
 
     def grid_spec(self) -> GridSpec:
         if not 0 <= self.theta < math.inf:
@@ -301,7 +310,7 @@ def _diagram_image(
     """ZPI of a diagram; multiple dimensions sum pixelwise."""
     pixels = np.zeros((grid.resolution, grid.resolution))
     for dim in homology_dims:
-        pixels += render_zpi(transform_diagram(zpd, dim), grid, weighting).pixels
+        pixels += render_zpi(zpd.points(dim), grid, weighting).pixels
     return pixels
 
 
@@ -356,6 +365,7 @@ def assemble_batches(
     mode = config.filtration_mode()
     grid = config.grid_spec()
     weighting = config.weighting()
+    dims = config.require_homology_dims()
     tau, h = config.tau, config.horizon
     if features.shape[0] != len(network):
         raise ValueError("feature series length does not match the network")
@@ -366,7 +376,7 @@ def assemble_batches(
     images = np.zeros((len(windows), grid.resolution, grid.resolution))
     snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
     for k, (_, zpd) in enumerate(zigzag_series(snapshots, tau, nu, mode)):
-        images[k] = _diagram_image(zpd, grid, weighting, config.homology_dims)
+        images[k] = _diagram_image(zpd, grid, weighting, dims)
     steps = np.arange(windows.start, windows.stop)[:, None]
     values = features.values
     return net.Batch(
@@ -412,11 +422,21 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
     With ``noise_sigma > 0``, Gaussian noise is added to the inputs of a
     ``noise_fraction`` of the training windows, drawn from a generator
     seeded ``seed + 1``: first the window order, then the noise of each
-    chosen window in that order.
+    chosen window in that order.  Bad settings are refused before any
+    window is assembled.
     """
+    if not 0.0 <= config.noise_fraction <= 1.0:
+        raise ValueError(f"noise_fraction must lie in [0, 1], got {config.noise_fraction}")
+    if not 0.0 <= config.noise_sigma < math.inf:
+        raise ValueError(f"noise_sigma must be finite and >= 0, got {config.noise_sigma}")
     network, features = _load_data(config)
     _split_windows(len(network), config)  # rejects an empty test split before assembly
     model_cfg = _model_config(config, network.universe_size, features.shape[2])  # and a bad shape
+    if config.out_features > features.shape[2]:
+        raise ValueError(
+            f"out_features {config.out_features} exceeds the {features.shape[2]} feature "
+            f"column(s) of {config.features}"
+        )
     dataset = net.chronological_split(assemble_batches(network, features, config), config.split)
     if config.noise_sigma > 0:
         train = dataset.train
@@ -505,6 +525,7 @@ def cmd_zpi(config: RunConfig) -> dict:
     out = _ensure_outdir(config)
     grid = config.grid_spec()
     weighting = config.weighting()
+    dims = config.require_homology_dims()
     names = sorted(f for f in os.listdir(out) if f.startswith("zpd_") and f.endswith(".csv"))
     if not names:
         raise FileNotFoundError(f"no zpd_*.csv files in {out}; run the zigzag command first")
@@ -512,8 +533,8 @@ def cmd_zpi(config: RunConfig) -> dict:
     for name in names:
         zpd = read_zpd_csv(os.path.join(out, name))
         stem = name[: -len(".csv")]
-        for dim in config.homology_dims:
-            z = render_zpi(transform_diagram(zpd, dim), grid, weighting)
+        for dim in dims:
+            z = render_zpi(zpd.points(dim), grid, weighting)
             base = os.path.join(out, f"{stem}_dim{dim}")
             write_zpi(z, base + ".zpi")
             write_pgm(z, base + ".pgm")
@@ -523,9 +544,7 @@ def cmd_zpi(config: RunConfig) -> dict:
 
 def cmd_distance(config: RunConfig, path_a: str, path_b: str, dim: int = 1) -> dict:
     """Wasserstein-1 distance between two diagram files."""
-    d1 = read_zpd_csv(path_a).pairs(dim)
-    d2 = read_zpd_csv(path_b).pairs(dim)
-    result = wasserstein1(d1, d2)
+    result = wasserstein1(read_zpd_csv(path_a).points(dim), read_zpd_csv(path_b).points(dim))
     return {"cost": result.cost, "pairing": result.pairing}
 
 
@@ -574,7 +593,7 @@ def _checkpoint_settings(config: RunConfig) -> dict:
         "ablation": config.ablation,
         "filtration": config.filtration,
         "nu_star": config.nu_star,
-        "homology_dims": list(config.homology_dims),
+        "homology_dims": list(config.require_homology_dims()),
         "theta": config.theta,
         "weight_kind": config.weight_kind,
         "weight_cap": config.weight_cap,

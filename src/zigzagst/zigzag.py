@@ -97,14 +97,10 @@ class ZPD:
             counts[dim, b, d] = counts.get((dim, b, d), 0) + m
         object.__setattr__(self, "rows", tuple((*k, m) for k, m in sorted(counts.items())))
 
-    def pairs(self, dim: int) -> list[tuple[float, float]]:
-        """(birth, death) values in one homology dimension, each repeated ``count`` times."""
+    def points(self, dim: int) -> list[tuple[float, float, int]]:
+        """``(birth, death, count)`` rows of one homology dimension, in row order."""
         _check_dim(dim)
-        out: list[tuple[float, float]] = []
-        for p, b, d, m in self.rows:
-            if p == dim:
-                out += [(b / 2.0, d / 2.0)] * m
-        return out
+        return [(b / 2.0, d / 2.0, m) for p, b, d, m in self.rows if p == dim]
 
     def count_alive(self, dim: int, twice: int) -> int:
         _check_dim(dim)

@@ -10,20 +10,17 @@ than by quadrature.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 from scipy.special import ndtr
 
-from .zigzag import ZPD
-
 __all__ = [
     "GridSpec",
     "WeightingSpec",
     "ZPIGrid",
-    "transform_diagram",
     "default_domain",
     "default_theta",
     "render_zpi",
@@ -93,11 +90,6 @@ class ZPIGrid:
         object.__setattr__(self, "pixels", arr)
 
 
-def transform_diagram(zpd: ZPD, dim: int) -> list[tuple[float, float]]:
-    """Points of one homology dimension in (birth, persistence) coordinates."""
-    return [(b, d - b) for b, d in zpd.pairs(dim)]
-
-
 def default_domain(t: int) -> tuple[float, float, float, float]:
     """Reachable birth/persistence rectangle [1, T] x [0, T-1] for a window.
 
@@ -122,23 +114,28 @@ def default_theta(domain: tuple[float, float, float, float], resolution: int) ->
 
 
 def render_zpi(
-    points: Sequence[tuple[float, float]],
+    points: Sequence[tuple[float, float, int]],
     grid: GridSpec,
     w: WeightingSpec = WeightingSpec(),
 ) -> ZPIGrid:
     """Integrate the weighted Gaussian mixture over every grid box.
 
-    Each point contributes g(point) * 2*pi*theta^2 times the product of
-    per-axis CDF differences, so the render is additive over points and
-    monotone under adding points.  A point repeated m times is rendered
-    once with weight m * g, in order of first appearance.
+    ``points`` are ``(birth, death, count)`` rows, as ``ZPD.points`` gives
+    them.  Each row, in order, contributes count * g(persistence) *
+    2*pi*theta^2 times the product of per-axis CDF differences at (birth,
+    death - birth), so the render is additive over rows and monotone
+    under adding rows.  A count that is not a positive integer raises
+    ``ValueError``.
     """
     p = grid.resolution
     ex = np.linspace(grid.x_lo, grid.x_hi, p + 1)
     ey = np.linspace(grid.y_lo, grid.y_hi, p + 1)
     pixels = np.zeros((p, p), dtype=np.float64)
     mass = 2.0 * math.pi * grid.theta * grid.theta
-    for (bx, pers), count in Counter((float(b), float(q)) for b, q in points).items():
+    for bx, death, count in points:
+        if not (isinstance(count, Integral) and count >= 1):
+            raise ValueError(f"count must be a positive integer, got {count!r}")
+        pers = float(death) - float(bx)
         g = w.weight(pers)
         if g == 0.0:
             continue

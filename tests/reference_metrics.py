@@ -1,13 +1,19 @@
-"""Dense-matrix Wasserstein-1, kept as a differential reference.
+"""Replaced Wasserstein-1 paths, kept as differential references.
 
-This is the path ``zigzagst.metrics.wasserstein1`` replaced: every point
-of both diagrams enters one ``(n1 + n2)²`` assignment problem, filled
-entry by entry.  ``wasserstein1`` is kept verbatim; on half-grid
-diagrams the library must reproduce its costs exactly.
+``wasserstein1`` is the dense path: every point of both diagrams enters
+one ``(n1 + n2)²`` assignment problem, filled entry by entry.  On
+half-grid diagrams the library must reproduce its costs exactly.  Where
+several matchings are optimal it may return another one, so pairings are
+compared with ``wasserstein1_counted``: the path over expanded point
+lists that counts them back with ``Counter`` and cancels the shared
+points, which the library must follow pairing for pairing.  Both are
+kept verbatim.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from typing import Sequence
 
 import numpy as np
@@ -66,3 +72,49 @@ def wasserstein1(d1: Sequence[Point], d2: Sequence[Point]) -> MatchingResult:
             continue  # diagonal matched to diagonal, free
         total += cost[r, c]
     return MatchingResult(float(total), tuple(pairing))
+
+
+def wasserstein1_counted(d1: Sequence[Point], d2: Sequence[Point]) -> MatchingResult:
+    """Wasserstein-1 distance with L-infinity ground metric.
+
+    Points both diagrams hold (as multisets) are paired with themselves
+    at cost 0.  The remainders are augmented with the other side's
+    diagonal projections (a point may only pair with its own projection,
+    whose cost is half its persistence), and the resulting square
+    assignment problem is solved exactly.
+
+    Cancelling shared points is exact: routing a pair through the
+    diagonal whenever that is cheaper makes the ground cost the metric
+    min(|x - y|_inf, d(x, D) + d(y, D)), and under a metric W1 depends
+    only on the difference of the two measures (Kantorovich-Rubinstein),
+    so shared mass can stay where it is.
+    """
+    c1 = Counter((float(b), float(d)) for b, d in d1)
+    c2 = Counter((float(b), float(d)) for b, d in d2)
+    shared = c1 & c2
+    pairing: list[tuple[Point | None, Point | None]] = [(p, p) for p in shared.elements()]
+    r1 = list((c1 - shared).elements())
+    r2 = list((c2 - shared).elements())
+    n1, n2 = len(r1), len(r2)
+    if n1 == 0 and n2 == 0:
+        return MatchingResult(0.0, tuple(pairing))
+    a = np.array(r1, dtype=np.float64).reshape(n1, 2)
+    b = np.array(r2, dtype=np.float64).reshape(n2, 2)
+    ground = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
+    diag1 = (a[:, 1] - a[:, 0]) / 2.0
+    diag2 = (b[:, 1] - b[:, 0]) / 2.0
+    big = ground.sum() + diag1.sum() + diag2.sum() + 1.0
+    cost = np.full((n1 + n2, n1 + n2), big)
+    cost[:n1, :n2] = ground
+    cost[n1:, n2:] = 0.0  # diagonal matched to diagonal, free
+    cost[np.arange(n1), n2 + np.arange(n1)] = diag1
+    cost[n1 + np.arange(n2), np.arange(n2)] = diag2
+    rows, cols = linear_sum_assignment(cost)
+    for r, c in zip(rows.tolist(), cols.tolist()):
+        if r < n1:
+            pairing.append((r1[r], r2[c] if c < n2 else None))
+        elif c < n2:
+            pairing.append((None, r2[c]))
+    return MatchingResult(math.fsum(cost[rows, cols].tolist()), tuple(pairing))
+
+

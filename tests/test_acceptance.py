@@ -41,7 +41,14 @@ from zigzagst.zpi import (
     default_theta,
     render_zpi,
 )
-from util import brute_force_w1, perturb_diagram, random_diagram, reverse_window
+from util import (
+    brute_force_w1,
+    persistence_rows,
+    perturb_diagram,
+    random_diagram,
+    reverse_window,
+    rows,
+)
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -66,11 +73,11 @@ def test_criterion_1_zigzag_betti_oracle_and_goldens():
     golden = compute_zigzag_persistence(
         build_zigzag([snap(1, path), snap(2, square), snap(3, path)], 0.5)
     )
-    goldens_ok = golden.pairs(0) == [(1.0, 3.0)] and golden.pairs(1) == [(1.5, 2.5)]
+    goldens_ok = golden.points(0) == [(1.0, 3.0, 1)] and golden.points(1) == [(1.5, 2.5, 1)]
     merge = compute_zigzag_persistence(
         build_zigzag([snap(1, [(0, 1), (2, 3)]), snap(2, [(0, 1), (1, 2), (2, 3)])], 0.5)
     )
-    goldens_ok &= sorted(merge.pairs(0)) == [(1.0, 1.0), (1.0, 2.0)]
+    goldens_ok &= merge.points(0) == [(1.0, 1.0, 1), (1.0, 2.0, 1)]
     elapsed = time.time() - start
     _report(
         1,
@@ -89,8 +96,8 @@ def test_criterion_2_time_reversal():
         fwd = compute_zigzag_persistence(build_zigzag(window, nu))
         rev = compute_zigzag_persistence(build_zigzag(reverse_window(window), nu))
         for dim in (0, 1):
-            mapped = sorted((t + 1 - d, t + 1 - b) for b, d in rev.pairs(dim))
-            if sorted(fwd.pairs(dim)) != mapped:
+            mapped = sorted((t + 1 - d, t + 1 - b, m) for b, d, m in rev.points(dim))
+            if fwd.points(dim) != mapped:
                 failures += 1
     _report(2, "time-reversal property", failures == 0, f"{failures} mismatches in 100 windows")
 
@@ -101,7 +108,7 @@ def test_criterion_3_wasserstein_vs_bruteforce():
         rng = np.random.default_rng(seed)
         d1 = random_diagram(rng, t=10, max_points=5)
         d2 = random_diagram(rng, t=10, max_points=5)
-        worst = max(worst, abs(wasserstein1(d1, d2).cost - brute_force_w1(d1, d2)))
+        worst = max(worst, abs(wasserstein1(rows(d1), rows(d2)).cost - brute_force_w1(d1, d2)))
     _report(3, "assignment solver vs exhaustive oracle", worst <= 1e-9,
             f"worst deviation {worst:.2e} on 100 pairs")
 
@@ -114,8 +121,8 @@ def test_criterion_4_zpi_properties():
     empty_ok = float(render_zpi([], grid, weighting).pixels.max()) == 0.0
 
     rng = np.random.default_rng(42)
-    d1 = [(float(rng.uniform(1, 12)), float(rng.uniform(0, 4))) for _ in range(6)]
-    d2 = [(float(rng.uniform(1, 12)), float(rng.uniform(0, 4))) for _ in range(5)]
+    d1 = persistence_rows([(float(rng.uniform(1, 12)), float(rng.uniform(0, 4))) for _ in range(6)])
+    d2 = persistence_rows([(float(rng.uniform(1, 12)), float(rng.uniform(0, 4))) for _ in range(5)])
     combined = render_zpi(d1 + d2, grid, weighting).pixels
     separate = render_zpi(d1, grid, weighting).pixels + render_zpi(d2, grid, weighting).pixels
     scale = np.maximum(np.abs(separate), 1e-300)
@@ -123,7 +130,7 @@ def test_criterion_4_zpi_properties():
 
     theta = 0.25
     wide = GridSpec(80, -8 * theta, 8 * theta, -8 * theta, 8 * theta, theta)
-    mass = float(render_zpi([(0.0, 0.0)], wide, WeightingSpec("constant")).pixels.sum())
+    mass = float(render_zpi([(0.0, 0.0, 1)], wide, WeightingSpec("constant")).pixels.sum())
     expected = 2.0 * np.pi * theta * theta
     mass_err = abs(mass - expected) / expected
 
@@ -133,11 +140,11 @@ def test_criterion_4_zpi_properties():
             r = np.random.default_rng(seed)
             a = random_diagram(r, t=12, max_points=10)
             b = perturb_diagram(r, a, t=12) if r.random() < 0.7 else random_diagram(r, t=12, max_points=10)
-            w1 = wasserstein1(a, b).cost
+            w1 = wasserstein1(rows(a), rows(b)).cost
             if w1 < 1e-9:
                 continue
-            za = render_zpi([(x, y - x) for x, y in a], grid, weighting)
-            zb = render_zpi([(x, y - x) for x, y in b], grid, weighting)
+            za = render_zpi(rows(a), grid, weighting)
+            zb = render_zpi(rows(b), grid, weighting)
             out.append(linf_distance(za, zb) / w1)
         return out
 

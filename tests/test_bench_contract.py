@@ -94,6 +94,24 @@ def test_cmd_zpi_reaches_the_wrapped_image_functions(tmp_path, monkeypatch):
         assert all(os.path.getsize(path) > 0 for path in paths)
 
 
+def test_cmd_zpi_and_cmd_distance_run_under_the_count_pass(tracing, tmp_path):
+    # the count pass sizes the arguments of render_zpi and wasserstein1 with len() and set()
+    data = pipeline.gen_synthetic(n_nodes=6, length=8, seed=0)
+    snaps = tmp_path / "snapshots.csv"
+    dyngraph.write_snapshot_csv(data.network, snaps)
+    cfg = pipeline.RunConfig(snapshots=str(snaps), outdir=str(tmp_path / "out"), nu_star=0.5,
+                             tau=3, homology_dims=(0, 1), resolution=6)
+    paths = pipeline.cmd_zigzag(cfg)["zpd"]
+    counter = tracing.Counter()
+    with counter.active():
+        written = pipeline.cmd_zpi(cfg)["zpi"]
+        costs = [pipeline.cmd_distance(cfg, paths[0], paths[1], dim)["cost"] for dim in (0, 1)]
+    assert len(written) == 2 * len(paths)
+    assert all(cost >= 0.0 for cost in costs)
+    assert counter.n["zpi.render_calls"] == len(written)
+    assert counter.n["metrics.wasserstein1_calls"] == 2
+
+
 def test_forward_encodes_every_layer_in_one_wrapped_call(monkeypatch):
     # the net.zpi_encoder span wraps layers.zpi_encoder, so every forward must reach the
     # encoder through that module global, once, and never when no code is needed

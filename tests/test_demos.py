@@ -1,6 +1,7 @@
-"""Every demo script runs to completion from a fresh working directory."""
+"""Every demo script and the README's quick start run from a fresh working directory."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,12 +12,25 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
-@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
-def test_demo_runs(demo, tmp_path):
+def _run(args, cwd) -> subprocess.CompletedProcess:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
-        capture_output=True, text=True, timeout=300,
+        [sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
+    return proc
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
+def test_demo_runs(demo, tmp_path):
+    _run([str(demo)], tmp_path)
+
+
+def test_readme_quick_start_runs_and_prints_what_it_shows(tmp_path):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library quick start", 1)[1]
+    code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    shown = re.findall(r"^print\(.*\)\s+# (.*?) - ", code, re.M)
+    proc = _run(["-c", code], tmp_path)
+    assert shown and proc.stdout.splitlines() == shown

@@ -6,21 +6,23 @@ import pytest
 from hypothesis import given, strategies as st
 
 from zigzagst.metrics import linf_distance, wasserstein1
+from zigzagst.pipeline import random_dynamic_network
+from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import GridSpec, WeightingSpec, ZPIGrid, render_zpi
-from util import brute_force_w1, random_diagram
+from util import brute_force_w1, expand, independent_snapshots, random_diagram, rows
 import reference_metrics
 
 
 # --- wasserstein1 -----------------------------------------------------------------
 
 def test_identical_diagrams_cost_zero():
-    d = [(1.0, 3.0), (2.0, 5.0)]
+    d = [(1.0, 3.0, 1), (2.0, 5.0, 2)]
     result = wasserstein1(d, d)
     assert result.cost == 0.0
 
 
 def test_single_point_to_empty_costs_half_persistence():
-    result = wasserstein1([(1.0, 3.0)], [])
+    result = wasserstein1([(1.0, 3.0, 1)], [])
     assert result.cost == pytest.approx(1.0)
     assert result.pairing == (((1.0, 3.0), None),)
 
@@ -32,7 +34,7 @@ def test_empty_diagrams():
 def test_pairing_is_perfect_and_costs_add_up():
     d1 = [(1.0, 4.0), (2.0, 3.0)]
     d2 = [(1.5, 4.5)]
-    result = wasserstein1(d1, d2)
+    result = wasserstein1(rows(d1), rows(d2))
     matched_1 = [a for a, _ in result.pairing if a is not None]
     matched_2 = [b for _, b in result.pairing if b is not None]
     assert sorted(matched_1) == sorted(d1)
@@ -52,14 +54,14 @@ def test_matches_bruteforce_oracle(seed):
     rng = np.random.default_rng(seed)
     d1 = random_diagram(rng, t=10, max_points=4)
     d2 = random_diagram(rng, t=10, max_points=4)
-    assert wasserstein1(d1, d2).cost == pytest.approx(brute_force_w1(d1, d2), abs=1e-9)
+    assert wasserstein1(rows(d1), rows(d2)).cost == pytest.approx(brute_force_w1(d1, d2), abs=1e-9)
 
 
 @given(st.integers(0, 400))
 def test_symmetry_and_identity(seed):
     rng = np.random.default_rng(seed)
-    d1 = random_diagram(rng, max_points=5)
-    d2 = random_diagram(rng, max_points=5)
+    d1 = rows(random_diagram(rng, max_points=5))
+    d2 = rows(random_diagram(rng, max_points=5))
     assert wasserstein1(d1, d2).cost == pytest.approx(wasserstein1(d2, d1).cost, abs=1e-12)
     assert wasserstein1(d1, d1).cost == pytest.approx(0.0, abs=1e-12)
 
@@ -67,9 +69,9 @@ def test_symmetry_and_identity(seed):
 @given(st.integers(0, 300))
 def test_triangle_inequality(seed):
     rng = np.random.default_rng(seed)
-    a = random_diagram(rng, max_points=6)
-    b = random_diagram(rng, max_points=6)
-    c = random_diagram(rng, max_points=6)
+    a = rows(random_diagram(rng, max_points=6))
+    b = rows(random_diagram(rng, max_points=6))
+    c = rows(random_diagram(rng, max_points=6))
     ab = wasserstein1(a, b).cost
     bc = wasserstein1(b, c).cost
     ac = wasserstein1(a, c).cost
@@ -79,8 +81,8 @@ def test_triangle_inequality(seed):
 @given(st.integers(0, 300))
 def test_cost_invariant_under_permutation(seed):
     rng = np.random.default_rng(seed)
-    d1 = random_diagram(rng, max_points=6)
-    d2 = random_diagram(rng, max_points=6)
+    d1 = rows(random_diagram(rng, max_points=6))
+    d2 = rows(random_diagram(rng, max_points=6))
     rng.shuffle(d1)
     base = wasserstein1(d1, d2).cost
     rng.shuffle(d1)
@@ -89,8 +91,8 @@ def test_cost_invariant_under_permutation(seed):
 
 def test_assignment_beats_greedy():
     # a crossing pair where greedy nearest matching is suboptimal
-    d1 = [(0.0, 4.0), (0.0, 10.0)]
-    d2 = [(0.0, 9.0), (0.0, 3.0)]
+    d1 = [(0.0, 4.0, 1), (0.0, 10.0, 1)]
+    d2 = [(0.0, 9.0, 1), (0.0, 3.0, 1)]
     cost = wasserstein1(d1, d2).cost
     greedy = max(abs(0.0), abs(4.0 - 9.0)) + max(0.0, abs(10.0 - 3.0))
     assert cost <= greedy
@@ -131,7 +133,7 @@ def test_matches_dense_reference_exactly_on_half_grid():
     shared_seen = unshared_seen = 0
     for _ in range(250):
         d1, d2 = _half_grid_pair(rng)
-        result = wasserstein1(d1, d2)
+        result = wasserstein1(rows(d1), rows(d2))
         assert result.cost == reference_metrics.wasserstein1(d1, d2).cost
         assert sorted(a for a, _ in result.pairing if a is not None) == sorted(d1)
         assert sorted(b for _, b in result.pairing if b is not None) == sorted(d2)
@@ -149,17 +151,53 @@ def test_matches_dense_reference_off_the_grid():
         common = random_diagram(rng, max_points=5)
         d1 = common + random_diagram(rng, max_points=8)
         d2 = common * 2 + random_diagram(rng, max_points=8)
-        got = wasserstein1(d1, d2).cost
+        got = wasserstein1(rows(d1), rows(d2)).cost
         assert got == pytest.approx(reference_metrics.wasserstein1(d1, d2).cost, abs=1e-9)
 
 
 def test_shared_points_pair_with_themselves():
-    d1 = [(1.0, 3.0)] * 3 + [(2.0, 6.0)]
-    d2 = [(1.0, 3.0)] * 2 + [(2.5, 6.0)]
+    d1 = [(1.0, 3.0, 3), (2.0, 6.0, 1)]
+    d2 = [(1.0, 3.0, 2), (2.5, 6.0, 1)]
     result = wasserstein1(d1, d2)
     assert result.cost == 1.0 + 0.5
     assert result.pairing.count(((1.0, 3.0), (1.0, 3.0))) == 2
-    assert sorted(wasserstein1(d1, d1).pairing) == sorted((p, p) for p in d1)
+    assert sorted(wasserstein1(d1, d1).pairing) == sorted((p, p) for p in expand(d1))
+    # a point split over several rows counts as one multiset
+    assert wasserstein1([(1.0, 3.0, 1)] * 3 + [(2.0, 6.0, 1)], d2) == result
+
+
+def _same_as_expanded_references(a, b):
+    """Rows match as the replaced paths match the expanded lists: cost and pairing."""
+    result = wasserstein1(a, b)
+    ea, eb = expand(a), expand(b)
+    assert result.cost == reference_metrics.wasserstein1(ea, eb).cost
+    counted = reference_metrics.wasserstein1_counted(ea, eb)
+    assert Counter(result.pairing) == Counter(counted.pairing)
+
+
+def test_matches_expanded_references_on_random_windows():
+    diagrams = []
+    for seed in range(30):
+        window, nu = random_dynamic_network(seed)
+        diagrams.append(compute_zigzag_persistence(build_zigzag(window, nu)))
+    for za, zb in zip(diagrams, diagrams[1:]):
+        for dim in (0, 1):
+            _same_as_expanded_references(za.points(dim), zb.points(dim))
+
+
+def test_matches_expanded_references_on_wide_windows():
+    (_, za), = zigzag_series(independent_snapshots(0, n=64, length=12, density=0.08), 12, 0.5)
+    (_, zb), = zigzag_series(independent_snapshots(1, n=64, length=12, density=0.08), 12, 0.5)
+    for dim in (0, 1):
+        _same_as_expanded_references(za.points(dim), zb.points(dim))
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5])
+def test_rejects_a_count_that_is_not_a_positive_integer(count):
+    bad = [(1.0, 2.0, 1), (1.0, 3.0, count)]
+    for d1, d2 in [(bad, []), ([(1.0, 3.0, 1)], bad)]:
+        with pytest.raises(ValueError, match=f"count must be a positive integer, got {count}"):
+            wasserstein1(d1, d2)
 
 
 # --- linf_distance -------------------------------------------------------------------
@@ -170,7 +208,7 @@ def _grid():
 
 def test_linf_examples():
     g = _grid()
-    z1 = render_zpi([(2.0, 2.0)], g, WeightingSpec("constant"))
+    z1 = render_zpi([(2.0, 4.0, 1)], g, WeightingSpec("constant"))
     assert linf_distance(z1, z1) == 0.0
     zero = render_zpi([], g, WeightingSpec("constant"))
     bumped = ZPIGrid(g, np.where(np.arange(36).reshape(6, 6) == 7, 0.5, 0.0))

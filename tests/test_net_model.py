@@ -155,6 +155,12 @@ def test_mae_grad_matches_definition():
     assert np.array_equal(grad, np.sign(pred - target) / pred.size)
 
 
+def test_mae_loss_rejects_unequal_shapes():
+    # broadcasting (..., 1) targets against (..., 2) predictions would train on them silently
+    with pytest.raises(ValueError, match=r"shape mismatch \(2, 3, 2\) vs \(2, 3, 1\)"):
+        mae_loss_and_grad(np.zeros((2, 3, 2)), np.zeros((2, 3, 1)))
+
+
 def test_backward_matches_finite_difference_spot_check():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(7))

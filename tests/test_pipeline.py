@@ -1,5 +1,6 @@
 import math
 import os
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -171,8 +172,8 @@ def test_cmd_zigzag_golden_window(golden_paths):
     out = cmd_zigzag(cfg)
     assert out["windows"] == 1 and out["violations"] == 0
     zpd = read_zpd_csv(out["zpd"][0])
-    assert zpd.pairs(1) == [(1.5, 2.5)]
-    assert zpd.pairs(0) == [(1.0, 3.0)]
+    assert zpd.points(1) == [(1.5, 2.5, 1)]
+    assert zpd.points(0) == [(1.0, 3.0, 1)]
 
 
 def test_cmd_zigzag_matches_the_one_window_api(tmp_path):
@@ -284,9 +285,9 @@ def test_pipeline_matches_direct_library_calls(golden_paths):
     cmd_zpi(cfg)
     network = read_snapshot_csv(str(snaps))
     zpd = compute_zigzag_persistence(build_zigzag(network.snapshots, 0.5))
-    from zigzagst.zpi import render_zpi, transform_diagram
+    from zigzagst.zpi import render_zpi
 
-    direct = render_zpi(transform_diagram(zpd, 1), cfg.grid_spec(), cfg.weighting())
+    direct = render_zpi(zpd.points(1), cfg.grid_spec(), cfg.weighting())
     rendered = read_zpi(out_dir / "zpd_window_0000_dim1.zpi")
     assert np.allclose(rendered.pixels, direct.pixels, rtol=0, atol=0)
 
@@ -631,6 +632,62 @@ def test_a_resolution_the_encoder_cannot_read_is_refused_before_assembly(
     monkeypatch.setattr(net, "train", never)
     message = rf"resolution {resolution} is too small .* at least 7"
     for run in (cmd_train, cmd_ablate):
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+
+
+def _never(*args, **kwargs):
+    raise AssertionError("entered")
+
+
+@pytest.mark.parametrize("setting, value", [
+    ("noise_fraction", -0.3), ("noise_fraction", 5.0), ("noise_fraction", math.nan),
+    ("noise_sigma", -1.0), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+])
+def test_bad_noise_settings_are_refused_before_assembly(
+    forecast_inputs, monkeypatch, setting, value
+):
+    from zigzagst import pipeline
+
+    cfg, _, _ = forecast_inputs
+    cfg = replace(cfg, epochs=1, **{"noise_sigma": 2.0, setting: value})
+    monkeypatch.setattr(pipeline, "assemble_batches", _never)
+    for run in (_training_data, cmd_train, cmd_ablate):
+        with pytest.raises(ValueError, match=f"^{setting} must "):
+            run(cfg)
+
+
+@pytest.mark.parametrize("dims, message", [
+    ((), r"must list 0, 1 or both once each, got \(\)"),
+    ((1, 1), r"must list 0, 1 or both once each, got \(1, 1\)"),
+    ((0, 2), "dimension must be 0 or 1, got 2"),
+])
+def test_bad_homology_dims_are_refused_before_any_zigzag_work(
+    forecast_inputs, monkeypatch, dims, message
+):
+    from zigzagst import pipeline
+
+    cfg, _, ckpt = forecast_inputs
+    cmd_zigzag(cfg)
+    cfg = replace(cfg, epochs=1, homology_dims=dims)
+    for name in ("zigzag_series", "read_zpd_csv", "render_zpi"):
+        monkeypatch.setattr(pipeline, name, _never)
+    for run in (cmd_zpi, _training_data, cmd_train, lambda c: cmd_forecast(c, ckpt)):
+        with pytest.raises(ValueError, match=f"^homology_dims.*{message}"):
+            run(cfg)
+    assert not any(name.endswith((".zpi", ".pgm")) for name in os.listdir(cfg.outdir))
+
+
+def test_out_features_wider_than_the_feature_file_is_refused_before_assembly(
+    forecast_inputs, monkeypatch
+):
+    from zigzagst import pipeline
+
+    cfg, _, _ = forecast_inputs
+    cfg = replace(cfg, epochs=1, out_features=2)
+    monkeypatch.setattr(pipeline, "assemble_batches", _never)
+    message = "^" + re.escape(f"out_features 2 exceeds the 1 feature column(s) of {cfg.features}")
+    for run in (_training_data, cmd_train, cmd_ablate):
         with pytest.raises(ValueError, match=message):
             run(cfg)
 

@@ -1,4 +1,6 @@
 import json
+import math
+import re
 
 import numpy as np
 import pytest
@@ -65,6 +67,17 @@ def test_chronological_split_counts():
         list(range(8)), [], [8, 9])
     with pytest.raises(ValueError):
         chronological_split(batches, (0.5, 0.2))
+
+
+@pytest.mark.parametrize("fractions", [
+    (-0.2, 0.6, 0.6),  # trains on windows 0-27 and tests on 14-34 of 35
+    (0.8, -0.2, 0.4),  # the test part would start inside the training part
+    (math.nan, 0.5, 0.5),
+    (0.5, math.nan),
+])
+def test_chronological_split_rejects_a_fraction_outside_zero_one(fractions):
+    with pytest.raises(ValueError, match=re.escape(f"[0, 1], got {fractions}")):
+        chronological_split(range(35), fractions)
 
 
 def test_batch_indexing_keeps_the_batch_axis():

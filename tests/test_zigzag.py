@@ -52,10 +52,11 @@ def test_zpd_table_sorts_and_merges_rows():
         zpd.rows = ()
 
 
-def test_zpd_table_views_expand_counts_in_row_order():
+def test_zpd_table_views_keep_counts_in_row_order():
     zpd = ZPD(((1, 3, 5, 2), (0, 2, 9, 1), (1, 2, 6, 1)))
-    assert zpd.pairs(1) == [(1.0, 3.0), (1.5, 2.5), (1.5, 2.5)]
-    assert zpd.pairs(0) == [(1.0, 4.5)]
+    assert zpd.points(1) == [(1.0, 3.0, 1), (1.5, 2.5, 2)]
+    assert zpd.points(0) == [(1.0, 4.5, 1)]
+    assert ZPD(()).points(0) == []
     assert [zpd.count_alive(1, t) for t in range(2, 8)] == [1, 3, 3, 3, 1, 0]
 
 
@@ -63,7 +64,7 @@ def test_zpd_table_views_expand_counts_in_row_order():
 def test_zpd_table_rejects_other_dimensions(dim):
     zpd = ZPD(((1, 3, 5, 2),))
     with pytest.raises(ValueError, match=f"dimension must be 0 or 1, got {dim}"):
-        zpd.pairs(dim)
+        zpd.points(dim)
     with pytest.raises(ValueError, match=f"dimension must be 0 or 1, got {dim}"):
         zpd.count_alive(dim, 4)
 
@@ -102,28 +103,28 @@ def test_inclusion_violation_named():
 
 def test_golden_cycle_diagram():
     zpd = compute_zigzag_persistence(build_zigzag(golden_cycle_window(), 0.5))
-    assert zpd.pairs(0) == [(1.0, 3.0)]
-    assert zpd.pairs(1) == [(1.5, 2.5)]
+    assert zpd.points(0) == [(1.0, 3.0, 1)]
+    assert zpd.points(1) == [(1.5, 2.5, 1)]
 
 
 def test_golden_merge_diagram():
     g1 = snap([(0, 1), (2, 3)], index=1)
     g2 = snap([(0, 1), (1, 2), (2, 3)], index=2)
     zpd = compute_zigzag_persistence(build_zigzag([g1, g2], 0.5))
-    assert sorted(zpd.pairs(0)) == [(1.0, 1.0), (1.0, 2.0)]
-    assert zpd.pairs(1) == []
+    assert zpd.points(0) == [(1.0, 1.0, 1), (1.0, 2.0, 1)]
+    assert zpd.points(1) == []
 
 
 def test_single_complex_all_classes_born_and_die_at_one():
     s = Snapshot(1, 5, frozenset({0, 1, 2, 3}), {(0, 1): 0.2})
     zpd = compute_zigzag_persistence(build_zigzag([s], 0.5))
-    assert zpd.pairs(0) == [(1.0, 1.0)] * 3
+    assert zpd.points(0) == [(1.0, 1.0, 3)]
 
 
 def test_isolated_nodes_full_bars():
     window = [Snapshot(i, 3, frozenset({0, 1, 2}), {}) for i in range(1, 5)]
     zpd = compute_zigzag_persistence(build_zigzag(window, 0.5))
-    assert zpd.pairs(0) == [(1.0, 4.0)] * 3
+    assert zpd.points(0) == [(1.0, 4.0, 3)]
 
 
 def test_union_born_class():
@@ -132,7 +133,7 @@ def test_union_born_class():
     g1 = snap([(0, 1), (1, 2)], index=1)
     g2 = snap([(2, 3), (0, 3)], index=2)
     zpd = compute_zigzag_persistence(build_zigzag([g1, g2], 0.5))
-    assert zpd.pairs(1) == [(1.5, 1.5)]
+    assert zpd.points(1) == [(1.5, 1.5, 1)]
 
 
 def test_determinism():
@@ -176,8 +177,8 @@ def test_time_reversal_small():
         fwd = compute_zigzag_persistence(build_zigzag(window, nu))
         rev = compute_zigzag_persistence(build_zigzag(reverse_window(window), nu))
         for dim in (0, 1):
-            mapped = sorted((t + 1 - d, t + 1 - b) for b, d in rev.pairs(dim))
-            assert sorted(fwd.pairs(dim)) == mapped
+            mapped = sorted((t + 1 - d, t + 1 - b, m) for b, d, m in rev.points(dim))
+            assert fwd.points(dim) == mapped
 
 
 # --- CSV -----------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from zigzagst.filtration import FiltrationMode, SimplicialComplex
 from zigzagst.pipeline import RunConfig, cmd_zigzag, random_dynamic_network
 from zigzagst.zigzag import InclusionError, write_zpd_csv, zigzag_series
 from reference_zigzag import reference_window_zpd
+from util import independent_snapshots
 
 # Complexes of these modes can fail to include into the union's.
 NON_MONOTONE = (FiltrationMode.WEIGHT_RANK_CLIQUE, FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL)
@@ -82,19 +83,6 @@ def test_series_matches_reference_on_slowly_changing_graph(tmp_path):
             assert not assert_matches_reference(snaps, tau, 0.5, mode, tmp_path)
 
 
-def dense_independent(seed, n, length, density):
-    """Snapshots drawn afresh at every step, as in the wide benchmark but denser."""
-    rng = np.random.default_rng(seed)
-    pairs = list(itertools.combinations(range(n), 2))
-    m = int(round(density * len(pairs)))
-    return [
-        Snapshot.from_edges(t, n, [(*pairs[i], float(rng.uniform(0.05, 0.45)))
-                                   for i in rng.choice(len(pairs), m, replace=False)],
-                            nodes=range(n))
-        for t in range(1, length + 1)
-    ]
-
-
 def arrow_kinds(zpd, twice_end):
     """(birth arrow, death arrow) of each H1 bar that has both inside the window.
 
@@ -118,7 +106,7 @@ def test_series_matches_reference_on_dense_independent_snapshots(tmp_path):
     # Unions of density-0.3 clique complexes rarely hold a cycle neither
     # snapshot has; the 0.25 series supplies the union-born bars.
     for seed, (n, length, density) in enumerate([(16, 8, 0.25), (20, 7, 0.3), (24, 6, 0.3)]):
-        snaps = dense_independent(seed, n, length, density)
+        snaps = independent_snapshots(seed, n, length, density)
         for tau in (2, 3, length):
             assert not assert_matches_reference(
                 snaps, tau, 0.5, FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE, tmp_path)

@@ -1,5 +1,6 @@
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
 import reference_zpi
-from zigzagst.zigzag import ZPD
+from util import expand, independent_snapshots, persistence_rows
+from zigzagst.pipeline import random_dynamic_network
+from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import (
     GridSpec,
     WeightingSpec,
@@ -16,7 +19,6 @@ from zigzagst.zpi import (
     default_theta,
     read_zpi,
     render_zpi,
-    transform_diagram,
     write_pgm,
     write_zpi,
 )
@@ -55,15 +57,6 @@ def test_zpigrid_validation():
         ZPIGrid(grid(res=2), -np.ones((2, 2)))
 
 
-# --- transform_diagram ---------------------------------------------------------------
-
-def test_transform_to_birth_persistence():
-    zpd = ZPD(((1, 3, 5, 1), (0, 4, 4, 1)))
-    assert transform_diagram(zpd, 1) == [(1.5, 1.0)]
-    assert transform_diagram(zpd, 0) == [(2.0, 0.0)]
-    assert transform_diagram(ZPD(()), 0) == []
-
-
 # --- default domain -------------------------------------------------------------------
 
 def test_default_domain():
@@ -88,16 +81,18 @@ def test_empty_diagram_renders_zero():
 def test_single_point_total_mass():
     # wide domain: the full Gaussian mass 2*pi*theta^2 is captured
     g = GridSpec(60, -6.0, 6.0, -6.0, 6.0, 0.5)
-    z = render_zpi([(0.0, 0.0)], g, WeightingSpec("constant"))
+    z = render_zpi([(0.0, 0.0, 1)], g, WeightingSpec("constant"))
     expected = 2.0 * math.pi * 0.5**2
     assert z.pixels.sum() == pytest.approx(expected, rel=1e-3)
 
 
 def test_two_identical_points_double():
     g = grid()
-    one = render_zpi([(3.0, 2.0)], g, WeightingSpec("constant"))
-    two = render_zpi([(3.0, 2.0), (3.0, 2.0)], g, WeightingSpec("constant"))
+    one = render_zpi([(3.0, 5.0, 1)], g, WeightingSpec("constant"))
+    two = render_zpi([(3.0, 5.0, 2)], g, WeightingSpec("constant"))
+    twice = render_zpi([(3.0, 5.0, 1)] * 2, g, WeightingSpec("constant"))
     assert np.allclose(two.pixels, 2.0 * one.pixels, rtol=1e-12)
+    assert np.allclose(twice.pixels, two.pixels, rtol=1e-12)
 
 
 def _render_per_point(points, g, w):
@@ -112,28 +107,32 @@ def _render_per_point(points, g, w):
     return pixels
 
 
+WEIGHTINGS = (WeightingSpec("linear"), WeightingSpec("constant"), WeightingSpec("linear", cap=3.0))
+
+
 @pytest.mark.parametrize("seed", range(6))
-def test_repeated_points_render_as_each_point_once(seed):
+def test_row_count_renders_as_repeated_points(seed):
     rng = np.random.default_rng(seed)
     g = grid(res=25, theta=0.7)
     distinct = {(int(b) / 2, int(p) / 2) for b, p in rng.integers(0, 20, (12, 2))}
     points = [pt for pt in distinct for _ in range(int(rng.integers(1, 31)))]
     points = [points[i] for i in rng.permutation(len(points))]
-    for w in (WeightingSpec("linear"), WeightingSpec("constant"), WeightingSpec("linear", cap=3.0)):
+    rows = [(b, b + q, m) for (b, q), m in Counter(points).items()]
+    for w in WEIGHTINGS:
         want = _render_per_point(points, g, w)
-        got = render_zpi(points, g, w).pixels
+        got = render_zpi(rows, g, w).pixels
         assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
 
 
 def test_linear_weight_scales_by_persistence():
     g = grid()
-    const = render_zpi([(3.0, 2.0)], g, WeightingSpec("constant"))
-    lin = render_zpi([(3.0, 2.0)], g, WeightingSpec("linear"))
+    const = render_zpi([(3.0, 5.0, 1)], g, WeightingSpec("constant"))
+    lin = render_zpi([(3.0, 5.0, 1)], g, WeightingSpec("linear"))
     assert np.allclose(lin.pixels, 2.0 * const.pixels, rtol=1e-12)
 
 
 def test_zero_persistence_contributes_nothing_under_linear():
-    z = render_zpi([(3.0, 0.0)], grid(), WeightingSpec("linear"))
+    z = render_zpi([(3.0, 3.0, 1)], grid(), WeightingSpec("linear"))
     assert np.all(z.pixels == 0.0)
 
 
@@ -143,6 +142,7 @@ def test_additivity_and_monotonicity(seed):
     g = grid(res=12)
     d1 = [(float(rng.uniform(0, 10)), float(rng.uniform(0, 5))) for _ in range(int(rng.integers(0, 5)))]
     d2 = [(float(rng.uniform(0, 10)), float(rng.uniform(0, 5))) for _ in range(int(rng.integers(1, 5)))]
+    d1, d2 = persistence_rows(d1), persistence_rows(d2)
     w = WeightingSpec("linear")
     combined = render_zpi(d1 + d2, g, w)
     separate = render_zpi(d1, g, w).pixels + render_zpi(d2, g, w).pixels
@@ -152,15 +152,54 @@ def test_additivity_and_monotonicity(seed):
 
 def test_render_orientation_row_zero_is_low_persistence():
     g = GridSpec(4, 0.0, 4.0, 0.0, 4.0, 0.3)
-    z = render_zpi([(0.5, 0.5)], g, WeightingSpec("constant"))
+    z = render_zpi([(0.5, 1.0, 1)], g, WeightingSpec("constant"))
     assert z.pixels[0, 0] == z.pixels.max()
+
+
+# --- render against the expanded-point reference ---------------------------------------
+
+def _same_render_as_expanded_reference(zpd, t):
+    """Rows render exactly as the replaced path renders the expanded (birth, persistence) list."""
+    domain = default_domain(t)
+    g = GridSpec(100, *domain, default_theta(domain, 100))
+    for dim in (0, 1):
+        rows = zpd.points(dim)
+        points = [(b, d - b) for b, d in expand(rows)]
+        for w in WEIGHTINGS:
+            got = render_zpi(rows, g, w).pixels
+            assert (got == reference_zpi.render_zpi(points, g, w).pixels).all(), (dim, w)
+
+
+def test_render_matches_expanded_reference_on_random_windows():
+    repeated = 0
+    for seed in range(40):
+        window, nu = random_dynamic_network(seed)
+        zpd = compute_zigzag_persistence(build_zigzag(window, nu))
+        repeated += any(row[3] > 1 for row in zpd.rows)
+        _same_render_as_expanded_reference(zpd, len(window))
+    assert repeated >= 10
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_render_matches_expanded_reference_on_wide_windows(seed):
+    window = independent_snapshots(seed, n=64, length=12, density=0.08)
+    ((_, zpd),) = zigzag_series(window, len(window), 0.5)
+    assert len(zpd) > 5 * len(zpd.rows)  # many bars share a point
+    _same_render_as_expanded_reference(zpd, len(window))
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5])
+def test_render_rejects_a_count_that_is_not_a_positive_integer(count):
+    with pytest.raises(ValueError, match=f"count must be a positive integer, got {count}"):
+        render_zpi([(1.0, 2.0, 1), (1.0, 3.0, count)], grid(), WeightingSpec())
+    render_zpi([(1.0, 3.0, np.int64(2))], grid(), WeightingSpec())  # numpy integers count
 
 
 # --- files -------------------------------------------------------------------------------
 
 def test_zpi_file_roundtrip(tmp_path):
     g = grid(res=8)
-    z = render_zpi([(2.0, 1.0), (7.0, 3.0)], g, WeightingSpec("linear"))
+    z = render_zpi([(2.0, 3.0, 1), (7.0, 10.0, 1)], g, WeightingSpec("linear"))
     path = tmp_path / "image.zpi"
     write_zpi(z, path)
     back = read_zpi(path)
@@ -170,7 +209,7 @@ def test_zpi_file_roundtrip(tmp_path):
 
 def test_pgm_output(tmp_path):
     g = grid(res=4)
-    z = render_zpi([(5.0, 5.0)], g, WeightingSpec("constant"))
+    z = render_zpi([(5.0, 10.0, 1)], g, WeightingSpec("constant"))
     path = tmp_path / "image.pgm"
     write_pgm(z, path)
     lines = path.read_text().splitlines()

@@ -69,6 +69,21 @@ def random_diagram(rng: np.random.Generator, t: int = 12, max_points: int = 10):
     return points
 
 
+def rows(points):
+    """``(birth, death)`` points as diagram rows ``(birth, death, 1)``, one per point."""
+    return [(b, d, 1) for b, d in points]
+
+
+def persistence_rows(points):
+    """``(birth, persistence)`` points as diagram rows ``(birth, birth + persistence, 1)``."""
+    return [(b, b + q, 1) for b, q in points]
+
+
+def expand(rows):
+    """Diagram rows ``(birth, death, count)`` as ``(birth, death)`` points, ``count`` times each."""
+    return [(b, d) for b, d, m in rows for _ in range(m)]
+
+
 def perturb_diagram(rng: np.random.Generator, points, t: int = 12):
     """Jitter coordinates and occasionally drop or add a point."""
     out = []
@@ -82,6 +97,19 @@ def perturb_diagram(rng: np.random.Generator, points, t: int = 12):
         b = float(rng.uniform(1.0, t))
         out.append((b, float(rng.uniform(b, t))))
     return out
+
+
+def independent_snapshots(seed: int, n: int, length: int, density: float):
+    """Snapshots drawn afresh at every step, as in the ``wide`` benchmark (n=64, density 0.08)."""
+    rng = np.random.default_rng(seed)
+    pairs = list(itertools.combinations(range(n), 2))
+    m = int(round(density * len(pairs)))
+    return [
+        Snapshot.from_edges(t, n, [(*pairs[i], float(rng.uniform(0.05, 0.45)))
+                                   for i in rng.choice(len(pairs), m, replace=False)],
+                            nodes=range(n))
+        for t in range(1, length + 1)
+    ]
 
 
 def reverse_window(window):
