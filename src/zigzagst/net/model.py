@@ -93,14 +93,15 @@ def forward(
                          f"({b}, {config.zpi_resolution}, {config.zpi_resolution})")
     tau, n = config.window, config.n_nodes
     # one (z, encoder cache) per layer; the encoder reads every layer's
-    # kernels in one pass over the images
+    # kernels in one pass over the images, and builds no cache unless a
+    # backward will read it
     half = config.half_hidden
     if ablation.no_zigzag:
         gates = [(np.ones((b, half)), None)] * config.num_layers
     elif z_override is not None:
         gates = [(z, None) for z in _override_gates(z_override, b, config)]
     else:
-        gates = L.zpi_encoder(image, params.layers, config.cnn_stride)
+        gates = L.zpi_encoder(image, params.layers, config.cnn_stride, want_cache=want_cache)
 
     lap, lap_cache = L.adaptive_laplacian(params.embedding)
     _ensure_finite("adaptive_laplacian", lap)

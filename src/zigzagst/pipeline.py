@@ -636,15 +636,21 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     preds = net.predict(result, batch, config.ablation_flags())
     path = os.path.join(out, "forecast.csv")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("window,step,node,feature,value\n")
-        for w, pred in enumerate(preds):
-            for step in range(pred.shape[0]):
-                for node in range(pred.shape[1]):
-                    for feat in range(pred.shape[2]):
-                        fh.write(
-                            f"{test.start + w},{step},{node},{feat},{pred[step, node, feat]:.17g}\n"
-                        )
+        fh.write(_forecast_csv_text(preds, test.start))
     return {"forecast": path, "windows": len(test)}
+
+
+def _forecast_csv_text(preds: np.ndarray, start: int) -> str:
+    """``forecast.csv`` for predictions (W, horizon, N, F) of windows start, start+1, ...
+
+    One row ``window,step,node,feature,value`` per entry, values written
+    with ``%.17g``.  The rows of one window share their step, node and
+    feature columns, so those are formatted once; every value then goes
+    through one ``%``.
+    """
+    cells = [f"{step},{node},{feat},%.17g" for step, node, feat in np.ndindex(preds.shape[1:])]
+    rows = "".join(f"{w}," + f"\n{w},".join(cells) + "\n" for w in range(start, start + len(preds)))
+    return "window,step,node,feature,value\n" + rows % tuple(preds.ravel().tolist())
 
 
 def cmd_ablate(config: RunConfig) -> dict:

@@ -138,3 +138,19 @@ def test_forward_encodes_every_layer_in_one_wrapped_call(monkeypatch):
     net.forward(x, img, params, cfg, z_override=ones, want_cache=True)
     net.forward(x, img, params, cfg, ablation=net.Ablation(no_zigzag=True), want_cache=True)
     assert len(calls) == 2
+
+
+def test_cmd_train_calls_the_counted_gru_step_once_per_step_and_layer(tracing, tmp_path):
+    # net.gru_cell_calls counts calls of layers.gru_cell; a sequence kernel that
+    # bypassed that name would leave the counter short of the steps actually run
+    base = dict(outdir=str(tmp_path / "out"), nu_star=0.5, seed=2, synth_nodes=6,
+                synth_length=20, synth_period=4, tau=3, horizon=2, resolution=8, hidden=4,
+                num_layers=2, embed_dim=2, laplacian_order=1, epochs=2, batch_size=4)
+    paths = pipeline.cmd_synth(pipeline.RunConfig(**base))
+    cfg = pipeline.RunConfig(**base, snapshots=paths["snapshots"], features=paths["features"])
+    counter = tracing.Counter()
+    with counter.active():
+        pipeline.cmd_train(cfg)
+    forwards = counter.n["net.forward_calls"]
+    assert forwards > 0
+    assert counter.n["net.gru_cell_calls"] == forwards * cfg.tau * cfg.num_layers

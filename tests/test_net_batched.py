@@ -256,3 +256,68 @@ def test_encoder_memory_grows_with_the_image_not_the_batch():
     # whole-batch columns would grow about 20 times from 1 to 32 images of 100x100
     one, many = _encoder_peak_bytes(1), _encoder_peak_bytes(32)
     assert many <= 1.5 * one, (one, many)
+
+
+def gru_inputs(cfg, seed, saturate):
+    """A GRU layer and (o_prev, h_in, do) rows; ``saturate`` spreads the pre-activations over [-800, 800]."""
+    rng = np.random.default_rng(seed)
+    layer = init_params(cfg, rng).layers[0]
+    rows, hidden = 3 * cfg.n_nodes, cfg.hidden
+    o_prev, h_in = rng.uniform(-1, 1, (2, rows, hidden))
+    if saturate:
+        # biases from -720 to 720; 2h inputs in [-1, 1] times weights below 40/h add at most 80
+        for name in ("gru_wz", "gru_wr", "gru_wo"):
+            getattr(layer, name)[...] = rng.uniform(-40, 40, (2 * hidden, hidden)) / hidden
+        for name in ("gru_bz", "gru_br", "gru_bo"):
+            getattr(layer, name)[...] = rng.permutation(np.linspace(-720, 720, hidden))
+    return layer, o_prev, h_in, rng.normal(size=(rows, hidden))
+
+
+@pytest.mark.parametrize("saturate", [False, True])
+@pytest.mark.parametrize("name", sorted(CONFIGS))
+def test_gru_cell_matches_the_expit_reference(name, saturate):
+    cfg = CONFIGS[name]()
+    layer, o_prev, h_in, do = gru_inputs(cfg, seed=20, saturate=saturate)
+    want_o, want_cache = ref.gru_cell(o_prev, h_in, layer)
+    want = ref.gru_cell_backward(want_cache, do)
+    if saturate:  # the reference's gates reach 0 and 1, so the test covers both ends
+        z, r = want_cache[3], want_cache[4]
+        assert np.any(z == 0.0) and np.any(z == 1.0) and np.any(r == 0.0) and np.any(r == 1.0)
+        assert np.max(np.abs(want_cache[2] @ layer.gru_wz + layer.gru_bz)) > 700
+    with np.errstate(all="raise"):  # the tanh form neither overflows nor underflows
+        o, cache = layers.gru_cell(o_prev, h_in, layer)
+        got = layers.gru_cell_backward(cache, do)
+    assert np.allclose(o, want_o, **TOL)
+    assert np.all(np.isfinite(o))
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.all(np.isfinite(g))
+        assert np.allclose(g, w, **TOL)
+
+
+@pytest.mark.parametrize("p,kernel,stride", [(16, 3, 2), (17, 5, 1), (100, 3, 2)])
+def test_encoder_without_cache_gives_the_same_codes(p, kernel, stride):
+    _, enc_layers = encoder_layers(p, kernel, stride, 3, seed=p + kernel)
+    img = np.random.default_rng(p).uniform(0, 1, (5, p, p))
+    img[2] = 0.0
+    cached = layers.zpi_encoder(img, enc_layers, stride)
+    bare = layers.zpi_encoder(img, enc_layers, stride, want_cache=False)
+    assert len(bare) == len(cached) == 3
+    for (z, cache), (zc, _) in zip(bare, cached):
+        assert cache is None
+        assert z.shape == zc.shape and np.all(z == zc)
+
+
+def test_forward_without_cache_gathers_no_patches(monkeypatch):
+    cfg = wider_config()
+    params = init_params(cfg, np.random.default_rng(21))
+    x, img, _ = make_batch(cfg, 3, seed=22)
+    want, _ = forward(x, img, params, cfg, want_cache=True)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a forward without a cache gathered encoder patches")
+
+    monkeypatch.setattr(layers, "_patches", refuse)
+    assert np.all(forward(x, img, params, cfg) == want)
+    with pytest.raises(AssertionError, match="gathered encoder patches"):
+        forward(x, img, params, cfg, want_cache=True)

@@ -19,6 +19,7 @@ from zigzagst.filtration import FiltrationMode, build_complex, betti_numbers
 from zigzagst.pipeline import (
     RunConfig,
     _checkpoint_settings,
+    _forecast_csv_text,
     _load_data,
     _training_data,
     assemble_batches,
@@ -374,6 +375,29 @@ def test_cmd_forecast_and_ablate(tmp_path):
     header = open(ab["ablation"]).read().splitlines()[0]
     assert header == "ablation,mae,rmse,mape"
     assert os.path.exists(out_dir / "history_no-zigzag.csv")
+
+
+def forecast_csv_by_rows(preds, start):
+    """``forecast.csv`` as ``cmd_forecast`` wrote it before, one write per row."""
+    out = ["window,step,node,feature,value\n"]
+    for w, pred in enumerate(preds):
+        for step in range(pred.shape[0]):
+            for node in range(pred.shape[1]):
+                for feat in range(pred.shape[2]):
+                    out.append(f"{start + w},{step},{node},{feat},{pred[step, node, feat]:.17g}\n")
+    return "".join(out)
+
+
+@pytest.mark.parametrize("shape,start", [((12, 12, 16, 1), 45), ((3, 2, 5, 3), 0), ((1, 1, 1, 1), 7)])
+def test_forecast_csv_is_byte_identical_to_the_row_writer(shape, start):
+    rng = np.random.default_rng(sum(shape))
+    preds = rng.normal(scale=10.0, size=shape) ** 3
+    flat = preds.reshape(-1)
+    specials = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1.7976931348623157e308, 0.1, 1 / 3, 123456789.0]
+    flat[: len(specials)] = specials[: flat.size]
+    text = _forecast_csv_text(preds, start)
+    assert text == forecast_csv_by_rows(preds, start)
+    assert len(text.splitlines()) == 1 + preds.size
 
 
 @pytest.fixture
