@@ -12,7 +12,6 @@ from .layers import (
     adaptive_laplacian,
     gru_cell,
     laplacian_powers,
-    spatial_conv,
     temporal_conv,
     zpi_encoder,
 )
@@ -44,6 +43,6 @@ __all__ = [
     "backward", "chronological_split", "evaluate", "forward", "grad_check",
     "gru_cell", "init_params", "laplacian_powers", "load_checkpoint",
     "loss_metrics", "mae_loss_and_grad", "predict", "save_checkpoint",
-    "spatial_conv", "temporal_conv", "tiny_config", "train",
+    "temporal_conv", "tiny_config", "train",
     "write_history_csv", "zpi_encoder",
 ]

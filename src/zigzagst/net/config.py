@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import zipfile
 from dataclasses import dataclass, asdict
 from typing import Iterator
 
@@ -19,7 +20,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 5
+CHECKPOINT_VERSION = 6
 
 
 @dataclass(frozen=True)
@@ -88,12 +89,10 @@ class LayerParams:
     conv2_b: np.ndarray     # (filters,)
     zmap_w: np.ndarray      # (filters, half)
     zmap_b: np.ndarray      # (half,)
-    gru_wz: np.ndarray      # (2*hidden, hidden)
-    gru_wr: np.ndarray
-    gru_wo: np.ndarray
-    gru_bz: np.ndarray      # (hidden,)
-    gru_br: np.ndarray
-    gru_bo: np.ndarray
+    gru_wzr: np.ndarray     # (2*hidden, 2*hidden), [W_z | W_r]
+    gru_wo: np.ndarray      # (2*hidden, hidden)
+    gru_bzr: np.ndarray     # (2*hidden,), [b_z | b_r]
+    gru_bo: np.ndarray      # (hidden,)
 
 
 @dataclass
@@ -110,12 +109,8 @@ class ModelParams:
         yield "embedding", self.embedding
         yield "time_mix", self.time_mix
         for i, lp in enumerate(self.layers):
-            for fname in (
-                "spatial_w", "temporal_w", "conv1_k", "conv1_b", "conv2_k",
-                "conv2_b", "zmap_w", "zmap_b", "gru_wz", "gru_wr", "gru_wo",
-                "gru_bz", "gru_br", "gru_bo",
-            ):
-                yield f"layers.{i}.{fname}", getattr(lp, fname)
+            for fname, arr in vars(lp).items():
+                yield f"layers.{i}.{fname}", arr
         yield "out_w", self.out_w
         yield "out_b", self.out_b
 
@@ -174,11 +169,11 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
                 # gates start neutral: the image code multiplies both
                 # branches, so its bias begins at one, not zero
                 zmap_b=np.ones(half),
-                gru_wz=dense(2 * hidden, hidden),
-                gru_wr=dense(2 * hidden, hidden),
+                # W_z, then W_r, as two draws: one (2h, 2h) draw would spread
+                # the same numbers row by row over both gates
+                gru_wzr=np.concatenate([dense(2 * hidden, hidden), dense(2 * hidden, hidden)], axis=1),
                 gru_wo=dense(2 * hidden, hidden),
-                gru_bz=np.zeros(hidden),
-                gru_br=np.zeros(hidden),
+                gru_bzr=np.zeros(2 * hidden),
                 gru_bo=np.zeros(hidden),
             )
         )
@@ -215,19 +210,26 @@ def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers, set
 def load_checkpoint(
     path,
 ) -> tuple[ModelConfig, ModelParams, tuple[np.ndarray, np.ndarray, float], dict]:
-    """The configuration, parameters, scalers and settings ``save_checkpoint`` stored."""
-    with np.load(path) as data:
-        version = int(data["checkpoint_version"])
-        if version != CHECKPOINT_VERSION:
-            raise ValueError(f"unsupported checkpoint version {version}; retrain it")
-        config = ModelConfig(**json.loads(bytes(data["config_json"]).decode("ascii")))
-        rng = np.random.default_rng(0)
-        params = init_params(config, rng)
-        for name, arr in params.named_arrays():
-            stored = data[name.replace(".", "__")]
-            if stored.shape != arr.shape:
-                raise ValueError(f"checkpoint array {name} has shape {stored.shape}, expected {arr.shape}")
-            arr[...] = stored
-        scalers = (data["input_lo"], data["input_hi"], float(data["image_scale"]))
-        settings = json.loads(bytes(data["settings_json"]).decode("ascii"))
+    """The configuration, parameters, scalers and settings ``save_checkpoint`` stored.
+
+    A file that is not an npz archive, a missing entry, a wrong shape or
+    version, or an unreadable or unknown configuration raises a
+    ``ValueError`` naming ``path``.
+    """
+    try:
+        with np.load(path) as data:
+            version = int(data["checkpoint_version"])
+            if version != CHECKPOINT_VERSION:
+                raise ValueError(f"unsupported checkpoint version {version}; retrain it")
+            config = ModelConfig(**json.loads(bytes(data["config_json"]).decode("ascii")))
+            params = init_params(config, np.random.default_rng(0))
+            for name, arr in params.named_arrays():
+                stored = data[name.replace(".", "__")]
+                if stored.shape != arr.shape:
+                    raise ValueError(f"checkpoint array {name} has shape {stored.shape}, expected {arr.shape}")
+                arr[...] = stored
+            scalers = (data["input_lo"], data["input_hi"], float(data["image_scale"]))
+            settings = json.loads(bytes(data["settings_json"]).decode("ascii"))
+    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise ValueError(f"checkpoint {path}: {exc}") from exc
     return config, params, scalers, settings

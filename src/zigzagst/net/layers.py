@@ -17,7 +17,6 @@ __all__ = [
     "adaptive_laplacian_backward",
     "laplacian_powers",
     "laplacian_powers_backward",
-    "spatial_conv",
     "spatial_conv_window",
     "spatial_conv_window_backward",
     "temporal_conv",
@@ -66,12 +65,6 @@ def laplacian_powers_backward(powers: np.ndarray, dpowers: np.ndarray, lap: np.n
         dlap += dpow[k] @ powers[k - 1].T
         dpow[k - 1] += lap.T @ dpow[k]
     return dlap
-
-
-def spatial_conv(h: np.ndarray, powers: np.ndarray, embedding: np.ndarray, weight: np.ndarray) -> np.ndarray:
-    """Single-slice graph convolution, out[n,o] = sum_kfe (L^k h)[n,f] E[n,e] W[e,k,f,o]."""
-    out, _ = spatial_conv_window(h[None], powers, embedding, weight)
-    return out[0]
 
 
 def _node_major(h: np.ndarray) -> np.ndarray:
@@ -155,7 +148,7 @@ def temporal_conv(h_win, powers, embedding, weight, time_mix):
     """
     slices, conv_cache = _graph_conv(h_win, powers.sum(axis=0)[None], embedding, weight[:, None])
     out = (time_mix @ slices.reshape(len(time_mix), -1)).reshape(slices.shape[1:])
-    return out, slices, (conv_cache, powers.shape, time_mix, slices)
+    return out, (conv_cache, powers.shape, time_mix, slices)
 
 
 def temporal_conv_backward(cache, dout):
@@ -333,23 +326,19 @@ def _sigmoid(a):
     return a
 
 
-def _gru_zr_weights(layer):
-    """The update and reset gate weights side by side, [W_z | W_r]."""
-    return np.concatenate([layer.gru_wz, layer.gru_wr], axis=1)
-
-
 def gru_cell(o_prev, h_in, layer):
     """One gated recurrent step on per-node feature rows.
 
-    The update gate z and reset gate r come from one product against
-    [W_z | W_r] and one sigmoid call.  The cache holds the step's inputs
-    and the gate activations it computed, z|r and the candidate o~, so
-    the backward applies no transcendental function; of the forward it
-    redoes only the two concatenated gate inputs, which are copies.
+    The update gate z and reset gate r come from one product against the
+    stored [W_z | W_r] plus [b_z | b_r] and one sigmoid call.  The cache
+    holds the step's inputs and the gate activations it computed, z|r
+    and the candidate o~, so the backward applies no transcendental
+    function; of the forward it redoes only the two concatenated gate
+    inputs, which are copies.
     """
     hidden = o_prev.shape[1]
-    zr = np.concatenate([o_prev, h_in], axis=1) @ _gru_zr_weights(layer)
-    zr += np.concatenate([layer.gru_bz, layer.gru_br])
+    zr = np.concatenate([o_prev, h_in], axis=1) @ layer.gru_wzr
+    zr += layer.gru_bzr
     _sigmoid(zr)
     z, r = zr[:, :hidden], zr[:, hidden:]
     o_tilde = np.concatenate([r * o_prev, h_in], axis=1) @ layer.gru_wo
@@ -361,6 +350,7 @@ def gru_cell(o_prev, h_in, layer):
 
 
 def gru_cell_backward(cache, do):
+    """Returns (do_prev, dh_in, dw_zr, dw_o, db_zr, db_o), the z|r ones joined as stored."""
     o_prev, h_in, zr, o_tilde, layer = cache
     hidden = o_prev.shape[1]
     z, r = zr[:, :hidden], zr[:, hidden:]
@@ -382,8 +372,7 @@ def gru_cell_backward(cache, do):
     da_zr[:, hidden:] *= dro * o_prev
     dw_zr = np.concatenate([o_prev, h_in], axis=1).T @ da_zr
     db_zr = da_zr.sum(axis=0)
-    dcat = da_zr @ _gru_zr_weights(layer).T
+    dcat = da_zr @ layer.gru_wzr.T
     do_prev += dcat[:, :hidden]
     dh_in += dcat[:, hidden:]
-    return (do_prev, dh_in, dw_zr[:, :hidden], dw_zr[:, hidden:], dw_o,
-            db_zr[:hidden], db_zr[hidden:], db_o)
+    return do_prev, dh_in, dw_zr, dw_o, db_zr, db_o

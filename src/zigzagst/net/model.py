@@ -113,7 +113,7 @@ def forward(
     layer_caches = []
     for li, (lp, (z, enc_cache)) in enumerate(zip(params.layers, gates)):
         s_out, s_cache = L.spatial_conv_window(seq, powers, params.embedding, lp.spatial_w)
-        t_out, _, t_cache = L.temporal_conv(seq, powers, params.embedding, lp.temporal_w, params.time_mix)
+        t_out, t_cache = L.temporal_conv(seq, powers, params.embedding, lp.temporal_w, params.time_mix)
         s_scaled = np.zeros_like(s_out) if ablation.no_spatial else s_out * z[:, None, :]
         t_scaled = np.zeros_like(t_out) if ablation.no_temporal else t_out * z[:, None, :]
         _ensure_finite(f"layer {li} branches", s_scaled)
@@ -174,13 +174,11 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
         do_prev = np.zeros((b * n, config.hidden))
         for i in range(tau - 1, -1, -1):
             do = dstates_ext[i] + do_prev
-            do_prev, dh_in, dwz, dwr, dwo, dbz, dbr, dbo = L.gru_cell_backward(step_caches[i], do)
+            do_prev, dh_in, dwzr, dwo, dbzr, dbo = L.gru_cell_backward(step_caches[i], do)
             dgru_in[i] = dh_in
-            glp.gru_wz += dwz
-            glp.gru_wr += dwr
+            glp.gru_wzr += dwzr
             glp.gru_wo += dwo
-            glp.gru_bz += dbz
-            glp.gru_br += dbr
+            glp.gru_bzr += dbzr
             glp.gru_bo += dbo
 
         dgru_in = dgru_in.reshape(tau, b, n, config.hidden)

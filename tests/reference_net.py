@@ -4,9 +4,11 @@ This is the path the batched ``zigzagst.net.forward``/``backward``
 replaced: one window per call, the GRU over (N, hidden) rows, the image
 encoder as 9-tap ``einsum`` convolutions that cache every activation,
 and the graph convolutions as three-operand ``einsum`` contractions.
-The layer functions, ``forward`` and ``backward`` are kept verbatim
-(only the ``L.`` module prefix is dropped); a batch of B in the library
-must match B calls here.
+The layer functions, ``forward`` and ``backward`` are kept verbatim,
+except that the ``L.`` module prefix is dropped and the GRU reads and
+writes W_z, W_r, b_z and b_r as slices of the stored ``[W_z | W_r]``
+and ``[b_z | b_r]``; a batch of B in the library must match B calls
+here.
 """
 
 from __future__ import annotations
@@ -146,9 +148,10 @@ def zpi_encoder_backward(cache, dz):
 
 def gru_cell(o_prev, h_in, layer):
     """One gated recurrent step on per-node feature rows."""
+    hidden = o_prev.shape[1]
     cat = np.concatenate([o_prev, h_in], axis=1)
-    z = expit(cat @ layer.gru_wz + layer.gru_bz)
-    r = expit(cat @ layer.gru_wr + layer.gru_br)
+    z = expit(cat @ layer.gru_wzr[:, :hidden] + layer.gru_bzr[:hidden])
+    r = expit(cat @ layer.gru_wzr[:, hidden:] + layer.gru_bzr[hidden:])
     cat_o = np.concatenate([r * o_prev, h_in], axis=1)
     o_tilde = np.tanh(cat_o @ layer.gru_wo + layer.gru_bo)
     o = z * o_prev + (1.0 - z) * o_tilde
@@ -178,7 +181,7 @@ def gru_cell_backward(cache, do):
     db_z = da_z.sum(axis=0)
     dw_r = cat.T @ da_r
     db_r = da_r.sum(axis=0)
-    dcat = da_z @ layer.gru_wz.T + da_r @ layer.gru_wr.T
+    dcat = da_z @ layer.gru_wzr[:, :hidden].T + da_r @ layer.gru_wzr[:, hidden:].T
     do_prev += dcat[:, :hidden]
     dh_in += dcat[:, hidden:]
     return do_prev, dh_in, dw_z, dw_r, dw_o, db_z, db_r, db_o
@@ -280,11 +283,11 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
             do = dstates_ext[i] + do_prev
             do_prev, dh_in, dwz, dwr, dwo, dbz, dbr, dbo = gru_cell_backward(step_caches[i], do)
             dgru_in[i] = dh_in
-            glp.gru_wz += dwz
-            glp.gru_wr += dwr
+            glp.gru_wzr[:, :config.hidden] += dwz
+            glp.gru_wzr[:, config.hidden:] += dwr
             glp.gru_wo += dwo
-            glp.gru_bz += dbz
-            glp.gru_br += dbr
+            glp.gru_bzr[:config.hidden] += dbz
+            glp.gru_bzr[config.hidden:] += dbr
             glp.gru_bo += dbo
 
         ds_scaled = dgru_in[:, :, :half]

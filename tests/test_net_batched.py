@@ -266,10 +266,10 @@ def gru_inputs(cfg, seed, saturate):
     o_prev, h_in = rng.uniform(-1, 1, (2, rows, hidden))
     if saturate:
         # biases from -720 to 720; 2h inputs in [-1, 1] times weights below 40/h add at most 80
-        for name in ("gru_wz", "gru_wr", "gru_wo"):
-            getattr(layer, name)[...] = rng.uniform(-40, 40, (2 * hidden, hidden)) / hidden
-        for name in ("gru_bz", "gru_br", "gru_bo"):
-            getattr(layer, name)[...] = rng.permutation(np.linspace(-720, 720, hidden))
+        for w in (layer.gru_wzr[:, :hidden], layer.gru_wzr[:, hidden:], layer.gru_wo):
+            w[...] = rng.uniform(-40, 40, (2 * hidden, hidden)) / hidden
+        for b in (layer.gru_bzr[:hidden], layer.gru_bzr[hidden:], layer.gru_bo):
+            b[...] = rng.permutation(np.linspace(-720, 720, hidden))
     return layer, o_prev, h_in, rng.normal(size=(rows, hidden))
 
 
@@ -279,16 +279,19 @@ def test_gru_cell_matches_the_expit_reference(name, saturate):
     cfg = CONFIGS[name]()
     layer, o_prev, h_in, do = gru_inputs(cfg, seed=20, saturate=saturate)
     want_o, want_cache = ref.gru_cell(o_prev, h_in, layer)
-    want = ref.gru_cell_backward(want_cache, do)
+    do_prev, dh_in, dw_z, dw_r, dw_o, db_z, db_r, db_o = ref.gru_cell_backward(want_cache, do)
+    want = (do_prev, dh_in, np.concatenate([dw_z, dw_r], axis=1), dw_o, np.concatenate([db_z, db_r]), db_o)
     if saturate:  # the reference's gates reach 0 and 1, so the test covers both ends
         z, r = want_cache[3], want_cache[4]
         assert np.any(z == 0.0) and np.any(z == 1.0) and np.any(r == 0.0) and np.any(r == 1.0)
-        assert np.max(np.abs(want_cache[2] @ layer.gru_wz + layer.gru_bz)) > 700
+        h = cfg.hidden
+        assert np.max(np.abs(want_cache[2] @ layer.gru_wzr[:, :h] + layer.gru_bzr[:h])) > 700
     with np.errstate(all="raise"):  # the tanh form neither overflows nor underflows
         o, cache = layers.gru_cell(o_prev, h_in, layer)
         got = layers.gru_cell_backward(cache, do)
     assert np.allclose(o, want_o, **TOL)
     assert np.all(np.isfinite(o))
+    assert len(got) == len(want)
     for g, w in zip(got, want):
         assert g.shape == w.shape
         assert np.all(np.isfinite(g))

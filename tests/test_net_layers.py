@@ -9,12 +9,11 @@ from zigzagst.net import (
     gru_cell,
     init_params,
     laplacian_powers,
-    spatial_conv,
     temporal_conv,
     tiny_config,
     zpi_encoder,
 )
-from zigzagst.net.layers import zpi_encoder_output_size
+from zigzagst.net.layers import spatial_conv_window, zpi_encoder_output_size
 
 
 # --- adaptive laplacian ------------------------------------------------------------
@@ -62,30 +61,38 @@ def test_powers_of_row_stochastic_are_row_stochastic():
 # --- spatial conv -----------------------------------------------------------------------
 
 def test_spatial_conv_zero_weight_zero_output():
-    h = np.ones((3, 2))
+    h = np.ones((1, 3, 2))
     powers = laplacian_powers(np.full((3, 3), 1 / 3), 2)
-    out = spatial_conv(h, powers, np.ones((3, 2)), np.zeros((2, 3, 2, 4)))
-    assert np.array_equal(out, np.zeros((3, 4)))
+    out, _ = spatial_conv_window(h, powers, np.ones((3, 2)), np.zeros((2, 3, 2, 4)))
+    assert np.array_equal(out, np.zeros((1, 3, 4)))
 
 
 def test_spatial_conv_all_ones_hand_contraction():
     # N=1, c=1, K=1, Cin=1, half=1: out = 1*1*1 + 1*1*1 = 2
-    h = np.ones((1, 1))
+    h = np.ones((1, 1, 1))
     powers = laplacian_powers(np.ones((1, 1)), 1)
-    out = spatial_conv(h, powers, np.ones((1, 1)), np.ones((1, 2, 1, 1)))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == pytest.approx(2.0)
+    out, _ = spatial_conv_window(h, powers, np.ones((1, 1)), np.ones((1, 2, 1, 1)))
+    assert out.shape == (1, 1, 1)
+    assert out[0, 0, 0] == pytest.approx(2.0)
 
 
 # --- temporal conv ---------------------------------------------------------------------
+
+def temporal_slices(h, powers, emb, weight):
+    """The per-slice maps ``temporal_conv`` mixes: the window convolved with the summed powers."""
+    slices, _ = spatial_conv_window(h, powers.sum(axis=0)[None], emb, weight[:, None])
+    return slices
+
 
 def test_temporal_conv_zero_mix_zero_output():
     rng = np.random.default_rng(3)
     h = rng.normal(size=(4, 3, 2))
     powers = laplacian_powers(np.full((3, 3), 1 / 3), 1)
-    out, slices, _ = temporal_conv(h, powers, rng.normal(size=(3, 2)), rng.normal(size=(2, 2, 5)), np.zeros(4))
+    emb, weight = rng.normal(size=(3, 2)), rng.normal(size=(2, 2, 5))
+    out, _ = temporal_conv(h, powers, emb, weight, np.zeros(4))
     assert np.array_equal(out, np.zeros((3, 5)))
-    assert slices.shape == (4, 3, 5)
+    slices = temporal_slices(h, powers, emb, weight)
+    assert slices.shape == (4, 3, 5) and np.any(slices != 0.0)
 
 
 def test_temporal_conv_single_slice_reduces_to_contraction():
@@ -94,11 +101,13 @@ def test_temporal_conv_single_slice_reduces_to_contraction():
     powers = laplacian_powers(np.full((3, 3), 1 / 3), 2)
     emb = rng.normal(size=(3, 2))
     weight = rng.normal(size=(2, 2, 5))
-    out, slices, _ = temporal_conv(h, powers, emb, weight, np.ones(1))
+    out, _ = temporal_conv(h, powers, emb, weight, np.ones(1))
+    slices = temporal_slices(h, powers, emb, weight)
     assert np.allclose(out, slices[0])
     # each slice equals the spatial contraction with a k-uniform weight
     expanded = np.broadcast_to(weight[:, None], (2, 3, 2, 5))
-    assert np.allclose(slices[0], spatial_conv(h[0], powers, emb, expanded))
+    spatial, _ = spatial_conv_window(h, powers, emb, expanded)
+    assert np.allclose(slices[0], spatial[0])
 
 
 # --- image encoder ----------------------------------------------------------------------
@@ -150,7 +159,7 @@ def test_model_config_rejects_a_resolution_the_encoder_cannot_read(p):
 def test_gru_zero_weights_halves_state():
     cfg = tiny_config()
     layer = _layer(cfg)
-    for name in ("gru_wz", "gru_wr", "gru_wo", "gru_bz", "gru_br", "gru_bo"):
+    for name in ("gru_wzr", "gru_wo", "gru_bzr", "gru_bo"):
         getattr(layer, name)[...] = 0.0
     o_prev = np.random.default_rng(8).normal(size=(6, 4))
     h_in = np.zeros((6, 4))

@@ -31,6 +31,31 @@ def test_config_validation():
         ModelConfig(n_nodes=0, in_features=1)
 
 
+class DrawLog:
+    """Stands in for a Generator: the i-th ``normal`` draw is filled with i."""
+
+    def __init__(self):
+        self.shapes = []
+
+    def normal(self, loc, scale, shape):
+        self.shapes.append(tuple(shape))
+        return np.full(shape, float(len(self.shapes)))
+
+
+def test_init_draws_the_update_then_the_reset_gate_as_two_blocks():
+    # a trained model depends on the draw order, so the joined [W_z | W_r]
+    # must still be two whole (2h, h) draws, W_z first
+    cfg = tiny_config()
+    log = DrawLog()
+    params = init_params(cfg, log)
+    h = cfg.hidden
+    for lp in params.layers:
+        wz, wr = lp.gru_wzr[:, :h], lp.gru_wzr[:, h:]
+        draw = int(wz[0, 0])
+        assert np.all(wz == draw) and np.all(wr == draw + 1)
+        assert log.shapes[draw - 1] == log.shapes[draw] == (2 * h, h)
+
+
 def test_forward_output_shape():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(1))

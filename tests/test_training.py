@@ -196,51 +196,89 @@ def test_checkpoint_stores_scalers(tmp_path):
     save_checkpoint(path, cfg, params, (np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 0.25), {})
     _, _, (lo, hi, scale), _ = load_checkpoint(path)
     assert lo.tolist() == [-1.0, 2.0] and hi.tolist() == [3.0, 5.0] and scale == 0.25
-    with np.load(path) as data:
-        old = {k: data[k] for k in data.files if k not in ("input_lo", "input_hi", "image_scale")}
-    old["checkpoint_version"] = np.int64(1)
-    np.savez(path, **old)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 1"):
-        load_checkpoint(path)
 
 
-def test_checkpoint_version_2_without_settings_is_rejected(tmp_path):
+def saved_checkpoint(path):
+    """The entries of a fresh checkpoint of ``small_cfg`` written to ``path``, as a dict."""
     cfg = small_cfg()
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(0)),
-                    (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0), {})
-    with np.load(path) as data:
-        old = {k: data[k] for k in data.files if k != "settings_json"}
-    old["checkpoint_version"] = np.int64(2)
-    np.savez(path, **old)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 2; retrain it"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_version_3_with_pool_size_is_rejected(tmp_path):
-    cfg = small_cfg()
-    path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(0)),
-                    (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0), {})
-    with np.load(path) as data:
-        old = {k: data[k] for k in data.files}
-    stored = json.loads(bytes(old["config_json"]).decode("ascii"))
-    old["config_json"] = np.bytes_(json.dumps({**stored, "pool_size": 5}).encode("ascii"))
-    old["checkpoint_version"] = np.int64(3)
-    np.savez(path, **old)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 3; retrain it"):
-        load_checkpoint(path)
-
-
-def test_checkpoint_version_4_without_ablation_is_rejected(tmp_path):
-    cfg = small_cfg()
-    path = tmp_path / "ckpt.npz"
     settings = {"filtration": "weight-sublevel-clique", "nu_star": 0.5}
     save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(0)),
                     (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0), settings)
     with np.load(path) as data:
-        old = {k: data[k] for k in data.files}
-    old["checkpoint_version"] = np.int64(4)
+        return {k: data[k] for k in data.files}
+
+
+def without(*keys):
+    return lambda entries: {k: v for k, v in entries.items() if k not in keys}
+
+
+def with_config(**extra):
+    def edit(entries):
+        stored = json.loads(bytes(entries["config_json"]).decode("ascii"))
+        return {**entries, "config_json": np.bytes_(json.dumps({**stored, **extra}).encode("ascii"))}
+    return edit
+
+
+def split_gates(entries):
+    """The entries with each [W_z | W_r] and [b_z | b_r] split, as version 5 stored them."""
+    split = {}
+    for key, arr in entries.items():
+        if key.endswith(("__gru_wzr", "__gru_bzr")):
+            half = arr.shape[-1] // 2
+            split[key[:-1]], split[key[:-2] + "r"] = arr[..., :half], arr[..., half:]
+        else:
+            split[key] = arr
+    return split
+
+
+# what each retired layout lacked or held; the saved settings have no
+# "ablation", which version 4 also lacked
+OLD_LAYOUTS = {
+    1: without("input_lo", "input_hi", "image_scale"),
+    2: without("settings_json"),
+    3: with_config(pool_size=5),
+    4: lambda entries: entries,
+    5: split_gates,
+}
+
+
+@pytest.mark.parametrize("version", sorted(OLD_LAYOUTS))
+def test_retired_checkpoint_versions_are_rejected(tmp_path, version):
+    path = tmp_path / "ckpt.npz"
+    old = OLD_LAYOUTS[version](saved_checkpoint(path))
+    old["checkpoint_version"] = np.int64(version)
     np.savez(path, **old)
-    with pytest.raises(ValueError, match="unsupported checkpoint version 4; retrain it"):
+    with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; retrain it"):
         load_checkpoint(path)
+
+
+def saved_with(edit):
+    """Writes a fresh checkpoint's entries, passed through ``edit``, to a path."""
+    return lambda path: np.savez(path, **edit(saved_checkpoint(path)))
+
+
+def truncated(path):
+    saved_checkpoint(path)
+    path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+
+
+# how each bad file is written, and a word its error holds besides the path
+MALFORMED = {
+    "missing parameter": (saved_with(without("out_b")), "out_b"),
+    "missing scaler": (saved_with(without("image_scale")), "image_scale"),
+    "unknown config key": (saved_with(with_config(pool_size=5)), "pool_size"),
+    "bad config json": (
+        saved_with(lambda entries: {**entries, "config_json": np.bytes_(b"{not json")}), "Expecting"),
+    "truncated archive": (truncated, "zip"),
+    "text file": (lambda path: path.write_bytes(b"not a checkpoint\n"), "pickled"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_checkpoint_raises_a_value_error_naming_the_path(tmp_path, case):
+    write, detail = MALFORMED[case]
+    path = tmp_path / "ckpt.npz"
+    write(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+        load_checkpoint(path)
+    assert detail in str(info.value)
