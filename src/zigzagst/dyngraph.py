@@ -23,6 +23,8 @@ __all__ = [
     "DynamicNetwork",
     "FeatureSeries",
     "UniverseMismatchError",
+    "SnapshotSpanError",
+    "MAX_SNAPSHOT_SPAN",
     "rbf_censored_weights",
     "normalize_transaction_weights",
     "reduce_top_edges",
@@ -38,6 +40,10 @@ __all__ = [
 
 class UniverseMismatchError(ValueError):
     """Two snapshots with different node universes were combined."""
+
+
+class SnapshotSpanError(ValueError):
+    """A snapshot file's time steps span more than ``MAX_SNAPSHOT_SPAN`` snapshots."""
 
 
 def _canonical(u: int, v: int) -> Edge:
@@ -306,6 +312,12 @@ def sliding_windows(net: DynamicNetwork, tau: int) -> list[tuple[Snapshot, ...]]
 
 _SNAPSHOT_HEADER = "t,u,v,w"
 
+# Most snapshots ``read_snapshot_csv`` builds from one file.  Every step
+# between the first and last t becomes a snapshot, empty or not, so the
+# span, not the row count, sizes the result: 100,000 empty snapshots take
+# about 47 MB, while two rows with t = 1 and t = 10**9 would exhaust memory.
+MAX_SNAPSHOT_SPAN = 100_000
+
 
 def write_snapshot_csv(net: DynamicNetwork, path) -> None:
     with open(path, "w", encoding="ascii") as fh:
@@ -319,7 +331,9 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     """Read an edge-list CSV back into a DynamicNetwork.
 
     Active nodes are the edge endpoints; time steps between the smallest
-    and largest t that have no rows become empty snapshots.
+    and largest t that have no rows become empty snapshots.  Raises
+    SnapshotSpanError, before building any snapshot, when that is more
+    than ``MAX_SNAPSHOT_SPAN`` snapshots.
     """
     by_time: dict[int, list[tuple[int, int, float]]] = {}
     max_node = -1
@@ -342,6 +356,9 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
         raise ValueError(f"{path}: no edge rows")
     n = universe_size if universe_size is not None else max_node + 1
     t_lo, t_hi = min(by_time), max(by_time)
+    if t_hi - t_lo + 1 > MAX_SNAPSHOT_SPAN:
+        raise SnapshotSpanError(
+            f"{path}: t runs from {t_lo} to {t_hi}, more than {MAX_SNAPSHOT_SPAN} snapshots")
     snaps = [Snapshot.from_edges(t, n, by_time.get(t, [])) for t in range(t_lo, t_hi + 1)]
     return DynamicNetwork(tuple(snaps), n)
 

@@ -80,17 +80,14 @@ class TrackedBasis:
             combo ^= hit[1]
         return vec, combo
 
-    def insert(self, vec: int, label: int | None = None) -> tuple[bool, int]:
+    def insert(self, vec: int) -> tuple[bool, int]:
         """Insert a vector; return (was_independent, combination).
 
         The combination is a bitset over insertion indices (this call
         included) and is only meaningful when tracking is enabled.  For a
         dependent vector it is a kernel element of the inserted family.
-        A ``label`` replaces the vector's own insertion bit, so only the
-        insertions that carry one show up in combinations.
         """
-        if label is None:
-            label = (1 << self._n_inserted) if self.track else 0
+        label = (1 << self._n_inserted) if self.track else 0
         self._n_inserted += 1
         vec, combo = self._eliminate(vec, label)
         if vec == 0:

@@ -19,6 +19,13 @@ the series length.  A single window (``build_zigzag`` then
 ``compute_zigzag_persistence``) is the one-window case of the same code.
 Births and deaths land on a half-integer time grid stored exactly as
 doubled integers.
+
+Homology bases follow the arrows.  Each union's spanning forest is grown
+from the forest of the snapshot whose forward arrow enters it, so a
+snapshot's H1 representative is a single coordinate bit of the union
+and its forward image needs no cycle; fundamental cycles are built only
+for snapshots leaving by a backward arrow.  The interval decomposition
+does not depend on the bases chosen, so neither do the diagrams.
 """
 
 from __future__ import annotations
@@ -179,20 +186,27 @@ def build_zigzag(
 class _ComplexHom:
     """Homology bases of one complex in cycle-space coordinates.
 
-    A spanning forest grown by union-find in edge order splits the edges
-    into tree and non-tree edges.  H0 has one class per component, named
-    by its lowest vertex, in vertex order.  A 1-cycle is fixed by its
-    non-tree edges, so cycles are bitsets over those (|E| - |V| + b0
-    bits).  Triangle boundaries, projected there, span the boundaries;
-    the non-tree edges whose unit vectors stay independent of them and of
-    the earlier units are the H1 representatives, each standing for its
-    fundamental cycle.  ``_basis`` labels only the representatives, so a
-    reduction against it reads a cycle's homology coordinates.
+    A spanning forest grown by union-find splits the edges into tree and
+    non-tree edges.  H0 has one class per component, named by its lowest
+    vertex, in vertex order.  A 1-cycle is fixed by its non-tree edges,
+    so cycles are bitsets over those, bit k for the k-th non-tree edge in
+    edge order (|E| - |V| + b0 bits).  The triangle boundaries, projected
+    there, are reduced to an echelon keyed on each vector's highest bit,
+    so bit k is a pivot iff some boundary combination has highest bit k.
+    The non-pivot bits, in ascending order, are the H1 representatives,
+    each standing for its edge's fundamental cycle; ``coords`` reads a
+    cycle's homology coordinates over them in one walk down its bits.
+
+    A union's forest is grown from that of ``grow_from``, the snapshot
+    whose forward arrow enters it: the snapshot's tree edges first, then
+    the remaining edges in edge order.  The snapshot's fundamental cycles
+    are then the union's, so each of its representative edges projects
+    onto that edge's own bit of the union.
     """
 
-    __slots__ = ("comp", "reps0", "nontree", "cycles", "_basis")
+    __slots__ = ("comp", "reps0", "tree", "reps1", "_bit", "_pivots", "_rank")
 
-    def __init__(self, cx: SimplicialComplex):
+    def __init__(self, cx: SimplicialComplex, grow_from: _ComplexHom | None = None):
         root = {v: v for v in cx.vertices}
 
         def find(v: int) -> int:
@@ -201,45 +215,72 @@ class _ComplexHom:
                 v = root[v]
             return v
 
-        tree: list[tuple[int, int]] = []
-        self.nontree: dict[tuple[int, int], int] = {}  # non-tree edge -> bit
-        for e in cx.edges:
+        edges: Sequence[tuple[int, int]] = cx.edges
+        if grow_from is not None:
+            first = set(grow_from.tree)
+            edges = grow_from.tree + [e for e in cx.edges if e not in first]
+        self.tree: list[tuple[int, int]] = []
+        nontree: list[tuple[int, int]] = []
+        bit: dict[tuple[int, int], int] = {}  # edge -> its projection: 0 on tree edges
+        for e in edges:
             a, b = find(e[0]), find(e[1])
             if a == b:
-                self.nontree[e] = len(self.nontree)
+                bit[e] = 1 << len(nontree)
+                nontree.append(e)
             else:
                 root[max(a, b)] = min(a, b)  # a component's root is its lowest vertex
-                tree.append(e)
+                bit[e] = 0
+                self.tree.append(e)
         self.reps0 = [v for v in cx.vertices if root[v] == v]
         index = {v: i for i, v in enumerate(self.reps0)}
         self.comp = {v: index[find(v)] for v in cx.vertices}
 
-        n = len(self.nontree)
-        basis = gf2.TrackedBasis()
+        n = len(nontree)
+        pivots: dict[int, int] = {}  # highest bit -> reduced boundary
         for (u, v, w) in cx.triangles:
-            if len(basis) == n:
+            if len(pivots) == n:
                 break  # the boundaries span every cycle: b1 = 0
-            basis.insert(self.project(((u, v), (u, w), (v, w))))
-        reps: list[tuple[int, int]] = []
-        for e, k in self.nontree.items():
-            if len(basis) == n:
-                break
-            if basis.insert(1 << k, label=1 << len(reps))[0]:
-                reps.append(e)
-        self._basis = basis
-        self.cycles = _fundamental_cycles(tree, reps) if reps else []
+            vec = bit[u, v] ^ bit[u, w] ^ bit[v, w]
+            while vec:
+                top = vec.bit_length() - 1
+                hit = pivots.get(top)
+                if hit is None:
+                    pivots[top] = vec
+                    break
+                vec ^= hit
+        free = [k for k in range(n) if k not in pivots]
+        self.reps1 = [nontree[k] for k in free]
+        self._rank = {k: i for i, k in enumerate(free)}
+        self._bit = bit
+        self._pivots = pivots
 
     def betti(self, p: int) -> int:
-        return len(self.cycles) if p else len(self.reps0)
+        return len(self.reps1) if p else len(self.reps0)
 
     def project(self, edges: Iterable[tuple[int, int]]) -> int:
         """Cycle-space coordinates of an edge chain: its non-tree edges' bits."""
         vec = 0
         for e in edges:
-            k = self.nontree.get(e)
-            if k is not None:
-                vec |= 1 << k
+            vec ^= self._bit[e]
         return vec
+
+    def coords(self, vec: int) -> int:
+        """Homology coordinates of a cycle given in cycle-space coordinates.
+
+        Walking down from the highest bit, a pivot bit adds its boundary
+        and any other bit is a representative: it is recorded and cleared.
+        """
+        pivots, rank = self._pivots, self._rank
+        out = 0
+        while vec:
+            top = vec.bit_length() - 1
+            hit = pivots.get(top)
+            if hit is None:
+                out |= 1 << rank[top]
+                vec ^= 1 << top
+            else:
+                vec ^= hit
+        return out
 
 
 def _fundamental_cycles(
@@ -277,13 +318,20 @@ def _fundamental_cycles(
     return cycles
 
 
-def _induced_map(p: int, sub: _ComplexHom, sup: _ComplexHom) -> list[int]:
-    """Homology map of the inclusion: one super-coordinate column per sub basis vector."""
+def _induced_map(p: int, sub: _ComplexHom, sup: _ComplexHom, forward: bool) -> list[int]:
+    """Homology map of the inclusion: one super-coordinate column per sub basis vector.
+
+    On a forward arrow ``sup``'s forest was grown from ``sub``'s, so a
+    representative's cycle is the unit vector of its edge's bit; on a
+    backward arrow the fundamental cycles are built and projected.
+    """
     if p == 0:
         return [1 << sup.comp[v] for v in sub.reps0]
-    if not sup.cycles:
-        return [0] * len(sub.cycles)
-    return [sup._basis.reduce(sup.project(cycle))[1] for cycle in sub.cycles]
+    if not (sub.reps1 and sup.reps1):
+        return [0] * len(sub.reps1)
+    if forward:
+        return [sup.coords(sup._bit[e]) for e in sub.reps1]
+    return [sup.coords(sup.project(cycle)) for cycle in _fundamental_cycles(sub.tree, sub.reps1)]
 
 
 class _Sweep:
@@ -384,15 +432,17 @@ def _window_diagrams(
     prev: _ComplexHom | None = None
     for q, cx in enumerate(complexes):
         kept.append(cx)
-        hom = _ComplexHom(cx)
         if prev is None or width == 1:
+            hom = _ComplexHom(cx)
             sweeps = [_Sweep(q, hom.betti(p)) for p in (0, 1)]
         elif q % 2 == 1:
+            hom = _ComplexHom(cx, grow_from=prev)
             for p, sweep in enumerate(sweeps):
-                sweep.forward(q, _induced_map(p, prev, hom), hom.betti(p))
+                sweep.forward(q, _induced_map(p, prev, hom, True), hom.betti(p))
         else:
+            hom = _ComplexHom(cx)
             for p, sweep in enumerate(sweeps):
-                sweep.backward(q, _induced_map(p, hom, prev), hom.betti(p))
+                sweep.backward(q, _induced_map(p, hom, prev, False), hom.betti(p))
         prev = hom
         start = q - width + 1
         if start >= 0 and start % stride == 0:

@@ -7,11 +7,13 @@ deleting one of them breaks the benchmark without failing any other test.
 
 import importlib.util
 import os
+import sys
 
 import numpy as np
 import pytest
 
-from zigzagst import dyngraph, net, pipeline, zigzag
+from zigzagst import dyngraph, gf2, net, pipeline, zigzag
+from util import independent_snapshots
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
 
@@ -39,6 +41,27 @@ def test_tracer_and_counter_enter_and_exit(tracing):
     with tracing.Counter().active():
         pass
     assert [getattr(owner, attr) for owner, attr in targets] == before
+
+
+def test_count_pass_wraps_the_series_engine_and_restores_every_name(tracing):
+    # the count pass replaces names on these owners; a renamed counted name such as
+    # TrackedBasis.insert would otherwise break the benchmark's count pass silently
+    from zigzagst.net import layers
+
+    owners = [zigzag, gf2, gf2.TrackedBasis, pipeline, layers, sys.modules["zigzagst.net.train"]]
+    before = [dict(vars(owner)) for owner in owners]
+    snaps = independent_snapshots(0, n=10, length=5, density=0.4)
+    want = [zpd for _, zpd in zigzag.zigzag_series(snaps, 3, 0.5)]
+    counter = tracing.Counter()
+    with counter.active():
+        got = [zpd for _, zpd in zigzag.zigzag_series(snaps, 3, 0.5)]
+        wrapped = sum(dict(vars(o)) != b for o, b in zip(owners, before))
+    assert [dict(vars(owner)) for owner in owners] == before
+    assert wrapped == len(owners)
+    assert got == want
+    assert counter.n["dyngraph.union_graph_calls"] == len(snaps) - 1
+    assert counter.n["filtration.build_complex_calls"] == 2 * len(snaps) - 1
+    assert counter.n["gf2.insert_calls"] > 0 and counter.n["gf2.matvec_calls"] > 0
 
 
 def test_checks_library_calls_exist():

@@ -4,10 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zigzagst import dyngraph
 from zigzagst.dyngraph import (
+    MAX_SNAPSHOT_SPAN,
     DynamicNetwork,
     FeatureSeries,
     Snapshot,
+    SnapshotSpanError,
     UniverseMismatchError,
     normalize_transaction_weights,
     rbf_censored_weights,
@@ -230,6 +233,30 @@ def test_snapshot_csv_errors(tmp_path):
     bad.write_text("t,u,v,w\n1,2,3\n")
     with pytest.raises(ValueError, match="line 2"):
         read_snapshot_csv(bad)
+
+
+def test_snapshot_csv_span_is_bounded_before_any_snapshot_is_built(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a snapshot was built")
+
+    monkeypatch.setattr(dyngraph.Snapshot, "from_edges", unreachable)
+    path = tmp_path / "far.csv"
+    path.write_text("t,u,v,w\n1,0,1,0.5\n1000000000,1,2,0.5\n")
+    with pytest.raises(SnapshotSpanError, match=r"far\.csv: t runs from 1 to 1000000000"):
+        read_snapshot_csv(path)
+    path.write_text(f"t,u,v,w\n5,0,1,0.5\n{5 + MAX_SNAPSHOT_SPAN},1,2,0.5\n")
+    with pytest.raises(SnapshotSpanError, match=rf"from 5 to {5 + MAX_SNAPSHOT_SPAN}"):
+        read_snapshot_csv(path)
+
+
+def test_snapshot_csv_span_at_the_bound_is_read(tmp_path, monkeypatch):
+    monkeypatch.setattr(dyngraph, "MAX_SNAPSHOT_SPAN", 3)
+    path = tmp_path / "near.csv"
+    path.write_text("t,u,v,w\n4,0,1,0.5\n6,1,2,0.5\n")
+    assert [s.index for s in read_snapshot_csv(path)] == [4, 5, 6]
+    path.write_text("t,u,v,w\n4,0,1,0.5\n7,1,2,0.5\n")
+    with pytest.raises(SnapshotSpanError, match="from 4 to 7, more than 3 snapshots"):
+        read_snapshot_csv(path)
 
 
 def test_feature_csv_roundtrip(tmp_path):

@@ -76,6 +76,100 @@ def test_series_matches_per_window_reference(tmp_path):
     assert all(raised.values()), raised  # the raising branch was exercised
 
 
+def shaped_snapshot(rng, t, n, kind):
+    """One snapshot of a named shape on a random subset of the n nodes.
+
+    ``empty`` has isolated vertices only (possibly none), ``forest`` no
+    cycle, ``complete`` a clique whose triangles bound every cycle, ``ring``
+    a cycle no triangle fills once it has four nodes, ``random`` anything.
+    """
+    nodes = [int(v) for v in rng.permutation(n)[: int(rng.integers(0, n + 1))]]
+    if kind == "empty":
+        pairs = []
+    elif kind == "forest":
+        pairs = [(nodes[i], nodes[int(rng.integers(0, i))]) for i in range(1, len(nodes))
+                 if rng.random() < 0.8]
+    elif kind == "complete":
+        pairs = list(itertools.combinations(nodes, 2))
+    elif kind == "ring":
+        pairs = list(zip(nodes, nodes[1:] + nodes[:1])) if len(nodes) >= 3 else []
+    else:
+        pairs = [pair for pair in itertools.combinations(nodes, 2) if rng.random() < 0.4]
+    edges = [(u, v, float(rng.uniform(0.05, 0.45))) for u, v in pairs]
+    return Snapshot.from_edges(t, n, edges, nodes=nodes)
+
+
+SHAPES = ("empty", "forest", "complete", "ring", "random")
+
+
+def test_series_matches_reference_on_shaped_snapshots(tmp_path):
+    shapes_seen = set()
+    for seed in range(45):
+        rng = np.random.default_rng(seed)
+        n, length = int(rng.integers(1, 8)), int(rng.integers(1, 8))
+        if seed < len(SHAPES):  # one shape throughout: no arrow mixes shapes
+            kinds = [SHAPES[seed]] * length
+        else:
+            kinds = [SHAPES[int(k)] for k in rng.integers(0, len(SHAPES), length)]
+        snaps = [shaped_snapshot(rng, t, n, kind) for t, kind in enumerate(kinds, start=1)]
+        shapes_seen.update(kinds)
+        for mode in FiltrationMode:
+            # One hop in power mode; odd seeds keep every edge in rank mode and
+            # most nodes in degree mode, even seeds raise InclusionError more.
+            wide = mode is FiltrationMode.POWER or (seed % 2 and mode in NON_MONOTONE)
+            scale = 1.0 if wide else 0.5
+            for tau in range(1, min(4, length) + 1):
+                raised = assert_matches_reference(snaps, tau, scale, mode, tmp_path)
+                assert not raised or mode in NON_MONOTONE
+    assert shapes_seen == set(SHAPES)
+
+
+def snapshot_and_union_homs(snaps, nu, mode=FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE):
+    """(snapshot basis, union basis grown from it) for every forward arrow."""
+    complexes = list(zigzag._series_complexes(snaps, nu, mode, None, True))
+    for q in range(0, len(complexes) - 1, 2):
+        sub = zigzag._ComplexHom(complexes[q])
+        yield sub, zigzag._ComplexHom(complexes[q + 1], grow_from=sub)
+
+
+def test_forward_h1_column_by_unit_bit_equals_projected_path():
+    columns = 0
+    for seed in range(4):
+        snaps = slowly_changing(seed, n=16, length=6, density=0.3, churn=0.3)
+        for sub, sup in snapshot_and_union_homs(snaps, 0.5):
+            assert sup.tree[: len(sub.tree)] == sub.tree
+            by_path = [sup.coords(sup.project(cycle))
+                       for cycle in zigzag._fundamental_cycles(sub.tree, sub.reps1)]
+            assert zigzag._induced_map(1, sub, sup, True) == by_path
+            columns += sum(1 for col in by_path if col)
+    assert columns  # some representative survives into the union
+
+
+def test_fundamental_cycles_are_built_only_at_backward_arrows(monkeypatch):
+    homs = []
+    init = zigzag._ComplexHom.__init__
+
+    def recorded_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        homs.append(self)
+
+    trees = []
+    cycles = zigzag._fundamental_cycles
+
+    def recorded_cycles(tree, edges):
+        trees.append(tree)
+        return cycles(tree, edges)
+
+    monkeypatch.setattr(zigzag._ComplexHom, "__init__", recorded_init)
+    monkeypatch.setattr(zigzag, "_fundamental_cycles", recorded_cycles)
+    snaps = slowly_changing(seed=3, n=16, length=8, density=0.3, churn=0.3)
+    list(zigzag_series(snaps, 4, 0.5))
+    assert len(homs) == 2 * len(snaps) - 1  # one basis per complex, in series order
+    # each call reads a snapshot on the sub side of a backward arrow, never a union
+    later_snapshots = {id(hom.tree) for hom in homs[2::2]}
+    assert trees and all(id(tree) in later_snapshots for tree in trees)
+
+
 def test_series_matches_reference_on_slowly_changing_graph(tmp_path):
     snaps = slowly_changing(seed=7)
     for mode in (FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE, FiltrationMode.VIETORIS_RIPS):
