@@ -50,6 +50,13 @@ def _canonical(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _check_edge(u: int, v: int, w: float) -> None:
+    if u == v:
+        raise ValueError(f"self loop on node {u}")
+    if not math.isfinite(w) or w < 0.0:
+        raise ValueError(f"weight {(u, v)} = {w} is not finite nonnegative")
+
+
 @dataclass(frozen=True)
 class Snapshot:
     """One weighted graph observation at an integer time step.
@@ -75,13 +82,10 @@ class Snapshot:
                 raise ValueError(f"node {v} outside universe of size {self.universe_size}")
         clean: dict[Edge, float] = {}
         for (u, v), w in self.weights.items():
-            if u == v:
-                raise ValueError(f"self loop on node {u}")
-            if (u, v) != _canonical(u, v):
+            if u > v:
                 raise ValueError(f"weight key {(u, v)} is not canonical (u < v)")
             w = float(w)
-            if not math.isfinite(w) or w < 0.0:
-                raise ValueError(f"weight {(u, v)} = {w} is not finite nonnegative")
+            _check_edge(u, v, w)
             if w == 0.0:
                 continue
             if u not in self.nodes or v not in self.nodes:
@@ -333,10 +337,14 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     Active nodes are the edge endpoints; time steps between the smallest
     and largest t that have no rows become empty snapshots.  Raises
     SnapshotSpanError, before building any snapshot, when that is more
-    than ``MAX_SNAPSHOT_SPAN`` snapshots.
+    than ``MAX_SNAPSHOT_SPAN`` snapshots.  A row with a node outside the
+    universe, a self loop, a weight that is not finite nonnegative, or a
+    weight other than an earlier row's for the same pair and t raises a
+    ``ValueError`` naming its line.
     """
-    by_time: dict[int, list[tuple[int, int, float]]] = {}
+    by_time: dict[int, dict[Edge, float]] = {}
     max_node = -1
+    bound = universe_size if universe_size is not None else math.inf
     with open(path, "r", encoding="ascii") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -348,10 +356,21 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
             try:
                 t, u, v = int(parts[0]), int(parts[1]), int(parts[2])
                 w = float(parts[3])
+                if u > v:
+                    u, v = v, u
+                if not (0 <= u < v < bound and 0.0 <= w < math.inf):  # a bad row: say why
+                    if u < 0:
+                        raise ValueError(f"negative node id {u}")
+                    if v >= bound:
+                        raise ValueError(f"node {v} outside universe of size {universe_size}")
+                    _check_edge(u, v, w)
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-            by_time.setdefault(t, []).append((u, v, w))
-            max_node = max(max_node, u, v)
+            edges = by_time.setdefault(t, {})
+            if edges.setdefault((u, v), w) != w:
+                raise ValueError(f"{path}: line {lineno}: conflicting weights for edge {(u, v)} "
+                                 f"at t={t}: {edges[u, v]} vs {w}")
+            max_node = max(max_node, v)
     if not by_time:
         raise ValueError(f"{path}: no edge rows")
     n = universe_size if universe_size is not None else max_node + 1
@@ -359,7 +378,11 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     if t_hi - t_lo + 1 > MAX_SNAPSHOT_SPAN:
         raise SnapshotSpanError(
             f"{path}: t runs from {t_lo} to {t_hi}, more than {MAX_SNAPSHOT_SPAN} snapshots")
-    snaps = [Snapshot.from_edges(t, n, by_time.get(t, [])) for t in range(t_lo, t_hi + 1)]
+    snaps = []
+    for t in range(t_lo, t_hi + 1):
+        weights = by_time.get(t, {})
+        active = {x for (u, v), w in weights.items() if w > 0.0 for x in (u, v)}
+        snaps.append(Snapshot(t, n, frozenset(active), weights))
     return DynamicNetwork(tuple(snaps), n)
 
 
@@ -395,6 +418,8 @@ def read_feature_csv(path) -> FeatureSeries:
                 vals = [float(x) for x in parts[2:]]
             except ValueError as exc:
                 raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            if not all(map(math.isfinite, vals)):
+                raise ValueError(f"{path}: line {lineno}: feature values must be finite")
             if n_feat is None:
                 n_feat = len(vals)
             elif len(vals) != n_feat:

@@ -16,7 +16,18 @@ from .zpi import ZPIGrid
 Point = tuple[float, float]
 Row = tuple[float, float, int]  # (birth, death, count)
 
-__all__ = ["MatchingResult", "wasserstein1", "linf_distance"]
+__all__ = ["MatchingResult", "MatchingSizeError", "MAX_MATCHING_DOUBLES", "wasserstein1",
+           "linf_distance"]
+
+# Most cost-matrix entries ``wasserstein1`` may build, (r1 + r2)**2 doubles
+# for r1 and r2 unshared points: 32 MiB at r1 + r2 = 2048, whose assignment
+# takes about 0.5 s on random costs (one core).  The largest benchmark
+# workload, ``wide``, builds about 4 MB over its 12 calls.
+MAX_MATCHING_DOUBLES = 2**22
+
+
+class MatchingSizeError(ValueError):
+    """A W1 matching would need more than ``MAX_MATCHING_DOUBLES`` cost entries."""
 
 
 @dataclass(frozen=True)
@@ -43,6 +54,9 @@ def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
     min(|x - y|_inf, d(x, D) + d(y, D)), and under a metric W1 depends
     only on the difference of the two measures (Kantorovich-Rubinstein),
     so shared mass can stay where it is.
+
+    Raises ``MatchingSizeError`` before expanding any point when the
+    remainders' cost matrix would exceed ``MAX_MATCHING_DOUBLES`` entries.
     """
     c1, c2 = Counter(), Counter()
     for counts, rows in ((c1, d1), (c2, d2)):
@@ -51,12 +65,17 @@ def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
                 raise ValueError(f"count must be a positive integer, got {m!r}")
             counts[float(b), float(d)] += m
     shared = c1 & c2
+    rest1, rest2 = c1 - shared, c2 - shared
+    n1, n2 = rest1.total(), rest2.total()
+    if (n1 + n2) ** 2 > MAX_MATCHING_DOUBLES:
+        raise MatchingSizeError(
+            f"W1 over {n1} and {n2} unshared points needs a {n1 + n2}-square cost matrix, "
+            f"more than MAX_MATCHING_DOUBLES = {MAX_MATCHING_DOUBLES} entries; "
+            "shorter windows (a smaller tau) give fewer bars")
     pairing: list[tuple[Point | None, Point | None]] = [(p, p) for p in shared.elements()]
-    r1 = list((c1 - shared).elements())
-    r2 = list((c2 - shared).elements())
-    n1, n2 = len(r1), len(r2)
     if n1 == 0 and n2 == 0:
         return MatchingResult(0.0, tuple(pairing))
+    r1, r2 = list(rest1.elements()), list(rest2.elements())
     a = np.array(r1, dtype=np.float64).reshape(n1, 2)
     b = np.array(r2, dtype=np.float64).reshape(n2, 2)
     ground = np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)

@@ -20,12 +20,12 @@ the series length.  A single window (``build_zigzag`` then
 Births and deaths land on a half-integer time grid stored exactly as
 doubled integers.
 
-Homology bases follow the arrows.  Each union's spanning forest is grown
-from the forest of the snapshot whose forward arrow enters it, so a
-snapshot's H1 representative is a single coordinate bit of the union
-and its forward image needs no cycle; fundamental cycles are built only
-for snapshots leaving by a backward arrow.  The interval decomposition
-does not depend on the bases chosen, so neither do the diagrams.
+Every complex gets its own homology bases, and one formula gives the H1
+column of either arrow: the sub complex's forest, weighted by the super
+complex's cycle-space bits, gives each vertex a potential, and a
+representative edge's cycle projects to its own bit plus its endpoints'
+potentials.  The interval decomposition does not depend on the bases
+chosen, so neither do the diagrams.
 """
 
 from __future__ import annotations
@@ -183,30 +183,38 @@ def build_zigzag(
     return ZigzagFiltration(tuple(_series_complexes(window, nu_star, mode, node_function, True)))
 
 
+def _echelon_insert(pivots: dict[int, int], vec: int) -> bool:
+    """Whether ``vec`` is independent of ``pivots`` (highest bit -> vector); keeps its remainder."""
+    while vec:
+        top = vec.bit_length() - 1
+        hit = pivots.get(top)
+        if hit is None:
+            pivots[top] = vec
+            return True
+        vec ^= hit
+    return False
+
+
 class _ComplexHom:
     """Homology bases of one complex in cycle-space coordinates.
 
-    A spanning forest grown by union-find splits the edges into tree and
-    non-tree edges.  H0 has one class per component, named by its lowest
-    vertex, in vertex order.  A 1-cycle is fixed by its non-tree edges,
-    so cycles are bitsets over those, bit k for the k-th non-tree edge in
-    edge order (|E| - |V| + b0 bits).  The triangle boundaries, projected
-    there, are reduced to an echelon keyed on each vector's highest bit,
-    so bit k is a pivot iff some boundary combination has highest bit k.
-    The non-pivot bits, in ascending order, are the H1 representatives,
-    each standing for its edge's fundamental cycle; ``coords`` reads a
-    cycle's homology coordinates over them in one walk down its bits.
-
-    A union's forest is grown from that of ``grow_from``, the snapshot
-    whose forward arrow enters it: the snapshot's tree edges first, then
-    the remaining edges in edge order.  The snapshot's fundamental cycles
-    are then the union's, so each of its representative edges projects
-    onto that edge's own bit of the union.
+    A spanning forest grown by union-find over the edges in order splits
+    them into tree and non-tree edges.  H0 has one class per component,
+    named by its lowest vertex, in vertex order.  A 1-cycle is fixed by
+    its non-tree edges, so cycles are bitsets over those, bit k for the
+    k-th non-tree edge (|E| - |V| + b0 bits), and ``_bit[u][v]`` is edge
+    (u, v)'s projection there (0 on tree edges).  The triangle boundaries,
+    projected there, are reduced to an echelon keyed on each vector's
+    highest bit, so bit k is a pivot iff some boundary combination has
+    highest bit k.  The non-pivot bits, in ascending order, are the H1
+    representatives, each standing for its edge's fundamental cycle;
+    ``coords`` reads a cycle's homology coordinates over them in one walk
+    down its bits.
     """
 
     __slots__ = ("comp", "reps0", "tree", "reps1", "_bit", "_pivots", "_rank")
 
-    def __init__(self, cx: SimplicialComplex, grow_from: _ComplexHom | None = None):
+    def __init__(self, cx: SimplicialComplex):
         root = {v: v for v in cx.vertices}
 
         def find(v: int) -> int:
@@ -215,39 +223,31 @@ class _ComplexHom:
                 v = root[v]
             return v
 
-        edges: Sequence[tuple[int, int]] = cx.edges
-        if grow_from is not None:
-            first = set(grow_from.tree)
-            edges = grow_from.tree + [e for e in cx.edges if e not in first]
         self.tree: list[tuple[int, int]] = []
         nontree: list[tuple[int, int]] = []
-        bit: dict[tuple[int, int], int] = {}  # edge -> its projection: 0 on tree edges
-        for e in edges:
-            a, b = find(e[0]), find(e[1])
+        # keyed by the lower vertex, then the higher: int keys, no tuple per lookup
+        bit: dict[int, dict[int, int]] = {v: {} for v in cx.vertices}
+        for e in cx.edges:
+            u, v = e
+            a, b = find(u), find(v)
             if a == b:
-                bit[e] = 1 << len(nontree)
+                bit[u][v] = 1 << len(nontree)
                 nontree.append(e)
             else:
                 root[max(a, b)] = min(a, b)  # a component's root is its lowest vertex
-                bit[e] = 0
+                bit[u][v] = 0
                 self.tree.append(e)
         self.reps0 = [v for v in cx.vertices if root[v] == v]
         index = {v: i for i, v in enumerate(self.reps0)}
         self.comp = {v: index[find(v)] for v in cx.vertices}
 
         n = len(nontree)
-        pivots: dict[int, int] = {}  # highest bit -> reduced boundary
+        pivots: dict[int, int] = {}
         for (u, v, w) in cx.triangles:
             if len(pivots) == n:
                 break  # the boundaries span every cycle: b1 = 0
-            vec = bit[u, v] ^ bit[u, w] ^ bit[v, w]
-            while vec:
-                top = vec.bit_length() - 1
-                hit = pivots.get(top)
-                if hit is None:
-                    pivots[top] = vec
-                    break
-                vec ^= hit
+            bu = bit[u]
+            _echelon_insert(pivots, bu[v] ^ bu[w] ^ bit[v][w])
         free = [k for k in range(n) if k not in pivots]
         self.reps1 = [nontree[k] for k in free]
         self._rank = {k: i for i, k in enumerate(free)}
@@ -256,13 +256,6 @@ class _ComplexHom:
 
     def betti(self, p: int) -> int:
         return len(self.reps1) if p else len(self.reps0)
-
-    def project(self, edges: Iterable[tuple[int, int]]) -> int:
-        """Cycle-space coordinates of an edge chain: its non-tree edges' bits."""
-        vec = 0
-        for e in edges:
-            vec ^= self._bit[e]
-        return vec
 
     def coords(self, vec: int) -> int:
         """Homology coordinates of a cycle given in cycle-space coordinates.
@@ -283,55 +276,49 @@ class _ComplexHom:
         return out
 
 
-def _fundamental_cycles(
-    tree: Sequence[tuple[int, int]], edges: Sequence[tuple[int, int]]
-) -> list[list[tuple[int, int]]]:
-    """Each non-tree edge with the forest path joining its endpoints."""
-    adj: dict[int, list[int]] = {}
+def _tree_potentials(
+    tree: Sequence[tuple[int, int]], bit: Mapping[int, Mapping[int, int]]
+) -> dict[int, int]:
+    """Each forest vertex's XOR of ``bit`` over the forest path from its root.
+
+    Over GF(2) the forest path from a to b is the root's path to a plus
+    its path to b, so a non-tree edge (a, b) with its forest path
+    projects to ``bit[a][b] ^ pot[a] ^ pot[b]``.
+    """
+    adj: dict[int, list[tuple[int, int]]] = {}
     for u, v in tree:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    up: dict[int, int] = {}
-    depth: dict[int, int] = {}
+        b = bit[u][v]
+        adj.setdefault(u, []).append((v, b))
+        adj.setdefault(v, []).append((u, b))
+    pot: dict[int, int] = {}
     for r in adj:
-        if r in depth:
+        if r in pot:
             continue
-        depth[r] = 0
+        pot[r] = 0
         stack = [r]
         while stack:
             u = stack.pop()
-            for v in adj[u]:
-                if v not in depth:
-                    up[v], depth[v] = u, depth[u] + 1
+            for v, b in adj[u]:
+                if v not in pot:
+                    pot[v] = pot[u] ^ b
                     stack.append(v)
-    cycles = []
-    for e in edges:
-        cycle = [e]
-        a, b = e
-        while a != b:
-            if depth[a] < depth[b]:
-                a, b = b, a
-            c = up[a]
-            cycle.append((c, a) if c < a else (a, c))
-            a = c
-        cycles.append(cycle)
-    return cycles
+    return pot
 
 
-def _induced_map(p: int, sub: _ComplexHom, sup: _ComplexHom, forward: bool) -> list[int]:
+def _induced_map(p: int, sub: _ComplexHom, sup: _ComplexHom) -> list[int]:
     """Homology map of the inclusion: one super-coordinate column per sub basis vector.
 
-    On a forward arrow ``sup``'s forest was grown from ``sub``'s, so a
-    representative's cycle is the unit vector of its edge's bit; on a
-    backward arrow the fundamental cycles are built and projected.
+    An H1 representative of ``sub`` is a non-tree edge with its path in
+    ``sub``'s forest; the path's projection into ``sup`` is read off the
+    forest's potentials over ``sup``'s bits.
     """
     if p == 0:
         return [1 << sup.comp[v] for v in sub.reps0]
     if not (sub.reps1 and sup.reps1):
         return [0] * len(sub.reps1)
-    if forward:
-        return [sup.coords(sup._bit[e]) for e in sub.reps1]
-    return [sup.coords(sup.project(cycle)) for cycle in _fundamental_cycles(sub.tree, sub.reps1)]
+    bit = sup._bit
+    pot = _tree_potentials(sub.tree, bit)
+    return [sup.coords(bit[a][b] ^ pot[a] ^ pot[b]) for a, b in sub.reps1]
 
 
 class _Sweep:
@@ -356,18 +343,21 @@ class _Sweep:
         self.closed: deque[tuple[int, int]] = deque()
 
     def forward(self, q: int, cols: list[int], m: int) -> None:
-        """Cross the forward arrow V_{q-1} -> V_q, given by ``cols``; m = dim V_q."""
-        images = gf2.TrackedBasis()
+        """Cross the forward arrow V_{q-1} -> V_q, given by ``cols``; m = dim V_q.
+
+        A class whose image depends on earlier ones ends.  e_i is independent
+        of the images and e_0, ..., e_{i-1} iff bit i is no pivot of the
+        images' echelon, so those unit vectors are the classes born at q.
+        """
+        images: dict[int, int] = {}
         live = []
         for vec, birth in self.live:
             image = gf2.matvec(cols, vec)
-            if images.insert(image)[0]:
+            if _echelon_insert(images, image):
                 live.append((image, birth))
             else:
                 self.closed.append((birth, q - 1))
-        for i in range(m):
-            if images.insert(1 << i)[0]:
-                live.append((1 << i, q))
+        live += [(1 << i, q) for i in range(m) if i not in images]
         self.live = live
 
     def backward(self, q: int, cols: list[int], m: int) -> None:
@@ -432,17 +422,15 @@ def _window_diagrams(
     prev: _ComplexHom | None = None
     for q, cx in enumerate(complexes):
         kept.append(cx)
+        hom = _ComplexHom(cx)
         if prev is None or width == 1:
-            hom = _ComplexHom(cx)
             sweeps = [_Sweep(q, hom.betti(p)) for p in (0, 1)]
         elif q % 2 == 1:
-            hom = _ComplexHom(cx, grow_from=prev)
             for p, sweep in enumerate(sweeps):
-                sweep.forward(q, _induced_map(p, prev, hom, True), hom.betti(p))
+                sweep.forward(q, _induced_map(p, prev, hom), hom.betti(p))
         else:
-            hom = _ComplexHom(cx)
             for p, sweep in enumerate(sweeps):
-                sweep.backward(q, _induced_map(p, hom, prev, False), hom.betti(p))
+                sweep.backward(q, _induced_map(p, hom, prev), hom.betti(p))
         prev = hom
         start = q - width + 1
         if start >= 0 and start % stride == 0:
@@ -464,11 +452,10 @@ def zigzag_series(
 
     Windows come in chronological order; window k (from 0) is yielded as
     soon as k + tau snapshots have been read, so ``snapshots`` may be a
-    lazy iterable.  A
-    series shorter than ``tau`` yields nothing.  The diagrams equal
-    ``compute_zigzag_persistence(build_zigzag(window, ...))`` window by
-    window, and a failing inclusion raises InclusionError when its arrow
-    is reached.
+    lazy iterable.  A series shorter than ``tau`` yields nothing.  The
+    diagrams equal ``compute_zigzag_persistence(build_zigzag(window, ...))``
+    window by window, and a failing inclusion raises InclusionError when
+    its arrow is reached.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")

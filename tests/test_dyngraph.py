@@ -239,7 +239,7 @@ def test_snapshot_csv_span_is_bounded_before_any_snapshot_is_built(tmp_path, mon
     def unreachable(*args, **kwargs):
         raise AssertionError("a snapshot was built")
 
-    monkeypatch.setattr(dyngraph.Snapshot, "from_edges", unreachable)
+    monkeypatch.setattr(dyngraph.Snapshot, "__post_init__", unreachable)
     path = tmp_path / "far.csv"
     path.write_text("t,u,v,w\n1,0,1,0.5\n1000000000,1,2,0.5\n")
     with pytest.raises(SnapshotSpanError, match=r"far\.csv: t runs from 1 to 1000000000"):
@@ -282,3 +282,32 @@ def test_feature_csv_requires_every_cell_once(tmp_path):
     path.write_text("t,node,f1\n1,-1,0.5\n")
     with pytest.raises(ValueError, match="line 2: negative node id -1"):
         read_feature_csv(path)
+
+
+@pytest.mark.parametrize("reader, rows, message", [
+    (read_snapshot_csv, "t,u,v,w\n1,-1,2,0.3\n", "line 2: negative node id -1"),
+    (read_snapshot_csv, "t,u,v,w\n1,2,2,0.3\n", "line 2: self loop on node 2"),
+    (read_snapshot_csv, "t,u,v,w\n1,0,1,nan\n",
+     r"line 2: weight \(0, 1\) = nan is not finite nonnegative"),
+    (read_snapshot_csv, "t,u,v,w\n1,0,1,-0.5\n",
+     r"line 2: weight \(0, 1\) = -0.5 is not finite nonnegative"),
+    (read_snapshot_csv, "t,u,v,w\n1,0,1,0.3\n1,1,0,0.4\n",
+     r"line 3: conflicting weights for edge \(0, 1\) at t=1: 0.3 vs 0.4"),
+    (read_feature_csv, "t,node,f1\n1,0,nan\n", "line 2: feature values must be finite"),
+])
+def test_readers_name_the_path_and_line_of_a_bad_row(tmp_path, reader, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text(rows)
+    with pytest.raises(ValueError, match=rf"bad\.csv: {message}"):
+        reader(path)
+
+
+def test_snapshot_csv_rejects_a_node_outside_the_given_universe(tmp_path):
+    path = tmp_path / "snaps.csv"
+    path.write_text("t,u,v,w\n1,0,1,0.3\n2,1,6,0.3\n")
+    with pytest.raises(ValueError, match=r"snaps\.csv: line 3: node 6 outside universe of size 6"):
+        read_snapshot_csv(path, universe_size=6)
+    assert read_snapshot_csv(path, universe_size=7).universe_size == 7
+    # the same pair and weight twice is one edge
+    path.write_text("t,u,v,w\n1,0,1,0.3\n1,1,0,0.3\n")
+    assert dict(read_snapshot_csv(path).snapshots[0].weights) == {(0, 1): 0.3}

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from zigzagst.metrics import linf_distance, wasserstein1
+from zigzagst import metrics
+from zigzagst.metrics import MatchingSizeError, linf_distance, wasserstein1
 from zigzagst.pipeline import random_dynamic_network
 from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import GridSpec, WeightingSpec, ZPIGrid, render_zpi
@@ -221,3 +222,21 @@ def test_linf_requires_same_spec():
     z2 = render_zpi([], GridSpec(6, 0.0, 5.0, 0.0, 6.0, 0.5), WeightingSpec("constant"))
     with pytest.raises(ValueError):
         linf_distance(z1, z2)
+
+
+def test_w1_size_guard_fires_before_any_matrix_is_built(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the assignment was entered")
+
+    monkeypatch.setattr(metrics, "linear_sum_assignment", unreachable)
+    # the default bound: 2049**2 > 2**22
+    with pytest.raises(MatchingSizeError, match="over 0 and 2049 unshared points"):
+        wasserstein1([], [(1.0, 3.0, 2049)])
+    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 24)
+    shared = (0.0, 9.0, 100)  # cancelled before sizing, so it counts for nothing
+    with pytest.raises(MatchingSizeError, match="over 3 and 2 unshared points") as info:
+        wasserstein1([(1.0, 2.0, 3), shared], [(1.0, 3.0, 2), shared])
+    assert isinstance(info.value, ValueError)
+    monkeypatch.undo()
+    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 25)  # (3 + 2)**2 is at the bound
+    assert wasserstein1([(1.0, 2.0, 3)], [(1.0, 3.0, 2)]).cost == pytest.approx(2.5)

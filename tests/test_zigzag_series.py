@@ -5,8 +5,9 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
-from zigzagst import zigzag
+from zigzagst import gf2, zigzag
 from zigzagst.dyngraph import DynamicNetwork, Snapshot, write_snapshot_csv
 from zigzagst.filtration import FiltrationMode, SimplicialComplex
 from zigzagst.pipeline import RunConfig, cmd_zigzag, random_dynamic_network
@@ -124,50 +125,93 @@ def test_series_matches_reference_on_shaped_snapshots(tmp_path):
     assert shapes_seen == set(SHAPES)
 
 
-def snapshot_and_union_homs(snaps, nu, mode=FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE):
-    """(snapshot basis, union basis grown from it) for every forward arrow."""
-    complexes = list(zigzag._series_complexes(snaps, nu, mode, None, True))
-    for q in range(0, len(complexes) - 1, 2):
-        sub = zigzag._ComplexHom(complexes[q])
-        yield sub, zigzag._ComplexHom(complexes[q + 1], grow_from=sub)
+def fundamental_cycles(tree, edges):
+    """Each non-tree edge with the forest path joining its endpoints, walked up by depth."""
+    adj = {}
+    for u, v in tree:
+        adj.setdefault(u, []).append(v)
+        adj.setdefault(v, []).append(u)
+    up, depth = {}, {}
+    for r in adj:
+        if r in depth:
+            continue
+        depth[r] = 0
+        stack = [r]
+        while stack:
+            u = stack.pop()
+            for v in adj[u]:
+                if v not in depth:
+                    up[v], depth[v] = u, depth[u] + 1
+                    stack.append(v)
+    cycles = []
+    for e in edges:
+        cycle = [e]
+        a, b = e
+        while a != b:
+            if depth[a] < depth[b]:
+                a, b = b, a
+            c = up[a]
+            cycle.append((c, a) if c < a else (a, c))
+            a = c
+        cycles.append(cycle)
+    return cycles
 
 
-def test_forward_h1_column_by_unit_bit_equals_projected_path():
-    columns = 0
+def arrows(snaps, nu, mode=FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE):
+    """(direction, sub basis, sup basis) for every arrow of the series, in order."""
+    homs = [zigzag._ComplexHom(cx) for cx in zigzag._series_complexes(snaps, nu, mode, None, True)]
+    for q in range(1, len(homs)):
+        if q % 2:
+            yield "forward", homs[q - 1], homs[q]
+        else:
+            yield "backward", homs[q], homs[q - 1]
+
+
+def test_h1_columns_equal_projected_fundamental_cycles_on_both_arrows():
+    nonzero = {"forward": 0, "backward": 0}
     for seed in range(4):
         snaps = slowly_changing(seed, n=16, length=6, density=0.3, churn=0.3)
-        for sub, sup in snapshot_and_union_homs(snaps, 0.5):
-            assert sup.tree[: len(sub.tree)] == sub.tree
-            by_path = [sup.coords(sup.project(cycle))
-                       for cycle in zigzag._fundamental_cycles(sub.tree, sub.reps1)]
-            assert zigzag._induced_map(1, sub, sup, True) == by_path
-            columns += sum(1 for col in by_path if col)
-    assert columns  # some representative survives into the union
+        for direction, sub, sup in arrows(snaps, 0.5):
+            by_path = []
+            for cycle in fundamental_cycles(sub.tree, sub.reps1):
+                vec = 0
+                for a, b in cycle:
+                    vec ^= sup._bit[a][b]
+                by_path.append(sup.coords(vec))
+            assert zigzag._induced_map(1, sub, sup) == by_path, direction
+            nonzero[direction] += sum(1 for col in by_path if col)
+    assert all(nonzero.values()), nonzero  # representatives survive both ways
 
 
-def test_fundamental_cycles_are_built_only_at_backward_arrows(monkeypatch):
-    homs = []
-    init = zigzag._ComplexHom.__init__
+def forward_by_unit_inserts(sweep, q, cols, m):
+    """The forward step as a lowest-bit echelon of the images, then every unit vector."""
+    images = gf2.TrackedBasis()
+    live = []
+    for vec, birth in sweep.live:
+        image = gf2.matvec(cols, vec)
+        if images.insert(image)[0]:
+            live.append((image, birth))
+        else:
+            sweep.closed.append((birth, q - 1))
+    for i in range(m):
+        if images.insert(1 << i)[0]:
+            live.append((1 << i, q))
+    sweep.live = live
 
-    def recorded_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        homs.append(self)
 
-    trees = []
-    cycles = zigzag._fundamental_cycles
-
-    def recorded_cycles(tree, edges):
-        trees.append(tree)
-        return cycles(tree, edges)
-
-    monkeypatch.setattr(zigzag._ComplexHom, "__init__", recorded_init)
-    monkeypatch.setattr(zigzag, "_fundamental_cycles", recorded_cycles)
-    snaps = slowly_changing(seed=3, n=16, length=8, density=0.3, churn=0.3)
-    list(zigzag_series(snaps, 4, 0.5))
-    assert len(homs) == 2 * len(snaps) - 1  # one basis per complex, in series order
-    # each call reads a snapshot on the sub side of a backward arrow, never a union
-    later_snapshots = {id(hom.tree) for hom in homs[2::2]}
-    assert trees and all(id(tree) in later_snapshots for tree in trees)
+@given(st.integers(0, 8), st.integers(0, 8), st.data())
+def test_forward_sweep_equals_unit_inserts_into_a_lowest_bit_basis(n, m, data):
+    cols = data.draw(st.lists(st.integers(0, 2**m - 1), min_size=n, max_size=n))
+    classes = data.draw(st.lists(st.integers(0, 2**n - 1), max_size=n))
+    q = 20
+    got, want = zigzag._Sweep(q - 1, 0), zigzag._Sweep(q - 1, 0)
+    for sweep in (got, want):
+        sweep.live = [(vec, 2 + k) for k, vec in enumerate(classes)]
+        sweep.closed.append((2, 3))
+    got.forward(q, cols, m)
+    forward_by_unit_inserts(want, q, cols, m)
+    assert got.live == want.live
+    assert got.closed == want.closed
 
 
 def test_series_matches_reference_on_slowly_changing_graph(tmp_path):
