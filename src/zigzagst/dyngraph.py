@@ -64,6 +64,10 @@ class Snapshot:
     ``weights`` holds only strictly positive entries under canonical
     (u < v) keys, which makes symmetry exact by construction.  ``nodes``
     is the set of active nodes and must cover every weighted endpoint.
+    ``Snapshot(...)`` checks all of this and drops zero weights; the
+    library builds snapshots from parts that are already checked (a
+    union of two snapshots, rows the reader has checked) through
+    ``_checked_snapshot``, which skips those checks.
     """
 
     index: int
@@ -146,6 +150,19 @@ class Snapshot:
             adj[u].add(v)
             adj[v].add(u)
         return adj
+
+
+def _checked_snapshot(index: int, universe_size: int, nodes: frozenset[int],
+                      weights: dict[Edge, float]) -> Snapshot:
+    """A snapshot from parts that already pass ``Snapshot.__post_init__``, unchecked.
+
+    ``weights`` must hold only positive finite floats under canonical keys
+    whose endpoints are in ``nodes``, inside the universe; it is not copied.
+    """
+    s = object.__new__(Snapshot)
+    vars(s).update(index=index, universe_size=universe_size, nodes=nodes,
+                   weights=MappingProxyType(weights))
+    return s
 
 
 @dataclass(frozen=True)
@@ -281,7 +298,8 @@ def union_graph(g1: Snapshot, g2: Snapshot) -> Snapshot:
 
     The minimum is the one weight choice that keeps every sublevel
     threshold inclusion valid: an edge surviving either snapshot's
-    threshold also survives the union's.
+    threshold also survives the union's.  The minimum of two valid
+    weights is valid, so the union is not checked again.
     """
     if g1.universe_size != g2.universe_size:
         raise UniverseMismatchError(
@@ -293,7 +311,7 @@ def union_graph(g1: Snapshot, g2: Snapshot) -> Snapshot:
             weights[e] = min(weights[e], w)
         else:
             weights[e] = w
-    return Snapshot(g1.index, g1.universe_size, g1.nodes | g2.nodes, weights)
+    return _checked_snapshot(g1.index, g1.universe_size, g1.nodes | g2.nodes, weights)
 
 
 def window_count(length: int, tau: int) -> int:
@@ -337,10 +355,12 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     Active nodes are the edge endpoints; time steps between the smallest
     and largest t that have no rows become empty snapshots.  Raises
     SnapshotSpanError, before building any snapshot, when that is more
-    than ``MAX_SNAPSHOT_SPAN`` snapshots.  A row with a node outside the
-    universe, a self loop, a weight that is not finite nonnegative, or a
-    weight other than an earlier row's for the same pair and t raises a
-    ``ValueError`` naming its line.
+    than ``MAX_SNAPSHOT_SPAN`` snapshots, and then ValueError when the
+    smallest t is below 1.  A row with a node outside the universe, a
+    self loop, a weight that is not finite nonnegative, or a weight other
+    than an earlier row's for the same pair and t raises a ``ValueError``
+    naming its line.  Rows of weight zero are dropped.  Every row is
+    checked as it is read, so the snapshots are not checked again.
     """
     by_time: dict[int, dict[Edge, float]] = {}
     max_node = -1
@@ -378,11 +398,13 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     if t_hi - t_lo + 1 > MAX_SNAPSHOT_SPAN:
         raise SnapshotSpanError(
             f"{path}: t runs from {t_lo} to {t_hi}, more than {MAX_SNAPSHOT_SPAN} snapshots")
+    if t_lo < 1:
+        raise ValueError(f"{path}: snapshot index must be >= 1, got {t_lo}")
     snaps = []
     for t in range(t_lo, t_hi + 1):
-        weights = by_time.get(t, {})
-        active = {x for (u, v), w in weights.items() if w > 0.0 for x in (u, v)}
-        snaps.append(Snapshot(t, n, frozenset(active), weights))
+        weights = {e: w for e, w in by_time.get(t, {}).items() if w > 0.0}
+        active = frozenset(x for e in weights for x in e)
+        snaps.append(_checked_snapshot(t, n, active, weights))
     return DynamicNetwork(tuple(snaps), n)
 
 

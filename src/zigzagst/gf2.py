@@ -4,7 +4,9 @@ A vector over GF(2) is stored as a Python integer whose bit i holds
 coordinate i, so vector addition is XOR and the dimension never has to
 be declared.  A matrix is a list of column bitsets.  This representation
 keeps boundary-matrix reductions exact and fast at the graph sizes this
-package targets.
+package targets.  Eliminations pivot on a vector's highest set bit, which
+``int.bit_length`` reads in one call, as standard persistence reductions
+do (Bauer, Kerber, Reininghaus & Wagner, "PHAT", 2017).
 """
 
 from __future__ import annotations
@@ -49,10 +51,14 @@ class TrackedBasis:
     """Echelon basis with optional combination tracking.
 
     Vectors are inserted one at a time and reduced against the stored
-    pivots (pivot = lowest set bit).  When tracking is on, every stored
+    pivots (pivot = highest set bit).  When tracking is on, every stored
     pivot carries the combination of *inserted* vectors that produced it,
     so dependent insertions report an exact kernel element and
     :meth:`reduce` can express an external vector over the insertions.
+    Which inserts are independent, and the combination of a dependent or
+    in-span vector over the independent inserts, do not depend on the
+    pivot rule: those inserts are linearly independent, so that
+    combination is unique.
     """
 
     __slots__ = ("_pivots", "_n_inserted", "track")
@@ -72,8 +78,7 @@ class TrackedBasis:
     def _eliminate(self, vec: int, combo: int) -> tuple[int, int]:
         pivots = self._pivots
         while vec:
-            low = (vec & -vec).bit_length() - 1
-            hit = pivots.get(low)
+            hit = pivots.get(vec.bit_length() - 1)
             if hit is None:
                 break
             vec ^= hit[0]
@@ -92,7 +97,7 @@ class TrackedBasis:
         vec, combo = self._eliminate(vec, label)
         if vec == 0:
             return False, combo
-        self._pivots[(vec & -vec).bit_length() - 1] = (vec, combo)
+        self._pivots[vec.bit_length() - 1] = (vec, combo)
         return True, combo
 
     def reduce(self, vec: int) -> tuple[int, int]:

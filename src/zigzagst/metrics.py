@@ -9,7 +9,6 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .zpi import ZPIGrid
 
@@ -57,6 +56,8 @@ def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
 
     Raises ``MatchingSizeError`` before expanding any point when the
     remainders' cost matrix would exceed ``MAX_MATCHING_DOUBLES`` entries.
+    ``scipy.optimize`` is imported here, on the first call, so that the
+    commands that compute no distance do not pay for importing it.
     """
     c1, c2 = Counter(), Counter()
     for counts, rows in ((c1, d1), (c2, d2)):
@@ -87,6 +88,8 @@ def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
     cost[n1:, n2:] = 0.0  # diagonal matched to diagonal, free
     cost[np.arange(n1), n2 + np.arange(n1)] = diag1
     cost[n1 + np.arange(n2), np.arange(n2)] = diag2
+    from scipy.optimize import linear_sum_assignment
+
     rows, cols = linear_sum_assignment(cost)
     for r, c in zip(rows.tolist(), cols.tolist()):
         if r < n1:

@@ -6,7 +6,9 @@ sweeps every segment rank of its own.  ``_interval_multiplicities`` is
 kept verbatim, with the lowest-bit-pivot echelon it relies on, and so are
 the tracked edge-coordinate homology bases (``_ComplexHom``) and arrow
 maps (``_induced_map``) it reads; nothing here shares the engine's
-bases, maps or sweep.  The engine must reproduce its diagrams exactly.
+bases, maps or sweep.  Its tracked eliminations run on the lowest-bit
+``reference_gf2.TrackedBasis``, not on the library's highest-bit one.
+The engine must reproduce its diagrams exactly.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from zigzagst import gf2
 from zigzagst.dyngraph import Snapshot, union_graph
 from zigzagst.filtration import FiltrationMode, SimplicialComplex, build_complex
 from zigzagst.zigzag import ZPD, InclusionError
+from reference_gf2 import TrackedBasis
 
 
 class _ComplexHom:
@@ -36,7 +39,7 @@ class _ComplexHom:
         self.vpos = {v: i for i, v in enumerate(self.verts)}
         self.epos = {e: i for i, e in enumerate(self.edges)}
 
-        tb0 = gf2.TrackedBasis(track=True)
+        tb0 = TrackedBasis(track=True)
         edge_cycles: list[int] = []
         for (u, v) in self.edges:
             added, combo = tb0.insert((1 << self.vpos[u]) | (1 << self.vpos[v]))
@@ -50,7 +53,7 @@ class _ComplexHom:
                 reps0.append(1 << i)
                 slots0.append(tb0.n_inserted - 1)
 
-        tb1 = gf2.TrackedBasis(track=True)
+        tb1 = TrackedBasis(track=True)
         for (u, v, w) in cx.triangles:
             tb1.insert(
                 gf2.from_indices(
@@ -167,7 +170,7 @@ def _interval_multiplicities(homs: Sequence[_ComplexHom], p: int) -> dict[tuple[
             else:
                 # Backward arrow g: V_b -> V_{b-1}; take preimages of K.
                 m_prev = dims[b - 1]
-                tb = gf2.TrackedBasis(track=True)
+                tb = TrackedBasis(track=True)
                 for u, v in pairs:
                     tb.insert((u << m_prev) | v)
                 n_seed = tb.n_inserted

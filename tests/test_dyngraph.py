@@ -1,4 +1,6 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
@@ -240,6 +242,7 @@ def test_snapshot_csv_span_is_bounded_before_any_snapshot_is_built(tmp_path, mon
         raise AssertionError("a snapshot was built")
 
     monkeypatch.setattr(dyngraph.Snapshot, "__post_init__", unreachable)
+    monkeypatch.setattr(dyngraph, "_checked_snapshot", unreachable)
     path = tmp_path / "far.csv"
     path.write_text("t,u,v,w\n1,0,1,0.5\n1000000000,1,2,0.5\n")
     with pytest.raises(SnapshotSpanError, match=r"far\.csv: t runs from 1 to 1000000000"):
@@ -247,6 +250,51 @@ def test_snapshot_csv_span_is_bounded_before_any_snapshot_is_built(tmp_path, mon
     path.write_text(f"t,u,v,w\n5,0,1,0.5\n{5 + MAX_SNAPSHOT_SPAN},1,2,0.5\n")
     with pytest.raises(SnapshotSpanError, match=rf"from 5 to {5 + MAX_SNAPSHOT_SPAN}"):
         read_snapshot_csv(path)
+
+
+def test_snapshot_csv_rejects_t_below_one_before_any_snapshot_is_built(tmp_path, monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("a snapshot was built")
+
+    monkeypatch.setattr(dyngraph.Snapshot, "__post_init__", unreachable)
+    monkeypatch.setattr(dyngraph, "_checked_snapshot", unreachable)
+    path = tmp_path / "zero.csv"
+    for rows in ("2,0,1,0.5\n0,1,2,0.5\n", "-3,0,1,0.5\n"):
+        path.write_text("t,u,v,w\n" + rows)
+        with pytest.raises(ValueError, match=r"zero\.csv: snapshot index must be >= 1, got -?\d"):
+            read_snapshot_csv(path)
+
+
+def validated(s):
+    """The same snapshot built again through every check of ``Snapshot(...)``."""
+    return Snapshot(s.index, s.universe_size, s.nodes, dict(s.weights))
+
+
+@given(st.lists(st.tuples(st.integers(1, 4), st.integers(0, 7), st.integers(0, 7),
+                          st.sampled_from([0.0, 0.125, 0.5, 1 / 3, 2.0, 1e-300])), max_size=30),
+       st.sampled_from([None, 8, 70]))
+def test_read_and_union_snapshots_equal_validated_ones(rows, universe_size):
+    rows = [(t, u, v, w) for t, u, v, w in rows if u != v]
+    first = {}  # the reader rejects a second weight for the same pair and t
+    rows = [r for r in rows if first.setdefault((r[0], min(r[1:3]), max(r[1:3])), r[3]) == r[3]]
+    if not rows:
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "snaps.csv")
+        with open(path, "w") as fh:
+            fh.write("t,u,v,w\n" + "".join(f"{t},{u},{v},{w!r}\n" for t, u, v, w in rows))
+        net = read_snapshot_csv(path, universe_size)
+    for s in net:
+        assert s == validated(s)
+        want = {(min(u, v), max(u, v)): w for t, u, v, w in rows if t == s.index and w > 0}
+        assert dict(s.weights) == want
+        assert s.nodes == {x for e in want for x in e}
+    for a, b in zip(net.snapshots, net.snapshots[1:]):
+        u = union_graph(a, b)
+        assert u == validated(u) == Snapshot(a.index, a.universe_size, a.nodes | b.nodes, {
+            e: min(a.weights.get(e, math.inf), b.weights.get(e, math.inf))
+            for e in {*a.weights, *b.weights}})
+        assert type(u.weights) is type(validated(u).weights)
 
 
 def test_snapshot_csv_span_at_the_bound_is_read(tmp_path, monkeypatch):

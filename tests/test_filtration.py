@@ -1,19 +1,23 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from zigzagst import filtration, zigzag
 from zigzagst.dyngraph import Snapshot, union_graph
 from zigzagst.filtration import (
+    MAX_TRIANGLES,
     FiltrationMode,
     SimplicialComplex,
+    TriangleBudgetError,
     betti_numbers,
     build_complex,
     read_complex_dump,
     write_complex_dump,
 )
-from util import union_find_components
+from util import independent_snapshots, union_find_components
 
 
 def snap(edges, n=6, index=1, nodes=None):
@@ -112,6 +116,57 @@ def test_complex_set_operations_match_all_simplices(seed, mode):
         assert a.is_subcomplex_of(b) == (sa <= sb)
         assert a.difference(b) == sa - sb
         assert (a == b) == (sa == sb)
+
+
+def brute_force_triangles(vertices, edges):
+    """Every triple of vertices whose three edges are all edges, in sorted order."""
+    edges = {tuple(sorted(e)) for e in edges}
+    return tuple(t for t in itertools.combinations(sorted(set(vertices)), 3)
+                 if all(e in edges for e in itertools.combinations(t, 2)))
+
+
+@given(st.lists(st.integers(0, 300), min_size=0, max_size=24, unique=True), st.data())
+def test_bitset_triangles_equal_brute_force(ids, data):
+    pairs = list(itertools.combinations(ids, 2))
+    edges = data.draw(st.lists(st.sampled_from(pairs), max_size=80) if pairs else st.just([]))
+    edges = [(v, u) if data.draw(st.booleans()) else (u, v) for u, v in edges]  # either orientation
+    cx = SimplicialComplex(ids, edges)
+    assert cx.vertices == tuple(sorted(ids))
+    assert cx.edges == tuple(sorted({tuple(sorted(e)) for e in edges}))
+    assert cx.triangles == brute_force_triangles(ids, edges)
+
+
+@pytest.mark.parametrize("ids", [[], [5], list(range(10)), list(range(60, 75)), [0, 63, 64, 65, 127, 128, 200]])
+def test_bitset_triangles_of_empty_and_complete_graphs(ids):
+    assert SimplicialComplex(ids, []).triangles == ()
+    complete = SimplicialComplex(ids, itertools.combinations(ids, 2))
+    assert complete.triangles == brute_force_triangles(ids, itertools.combinations(ids, 2))
+    assert len(complete.triangles) == math.comb(len(ids), 3)
+
+
+def test_triangle_budget_raises_before_homology(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("homology was computed")
+
+    k4 = list(itertools.combinations(range(4), 2))
+    monkeypatch.setattr(filtration, "MAX_TRIANGLES", 4)  # K4 has 4 triangles, at the budget
+    assert len(SimplicialComplex(range(4), k4).triangles) == 4
+    monkeypatch.setattr(filtration, "MAX_TRIANGLES", 3)
+    with pytest.raises(TriangleBudgetError, match="more than MAX_TRIANGLES = 3 triangles; "
+                                                  "lower nu_star or the graph's density") as info:
+        SimplicialComplex(range(4), k4)
+    assert isinstance(info.value, ValueError)
+    monkeypatch.setattr(zigzag, "_ComplexHom", unreachable)
+    snaps = independent_snapshots(0, n=12, length=3, density=0.6)
+    with pytest.raises(TriangleBudgetError):
+        list(zigzag.zigzag_series(snaps, 2, 0.5))
+
+
+def test_triangle_budget_holds_the_dense_window():
+    # the densest window the engine is timed on: N = 192, density 0.2, tau = 2
+    first, second = independent_snapshots(0, n=192, length=2, density=0.2)
+    union = build_complex(union_graph(first, second), 0.5)
+    assert 50_000 < len(union.triangles) < MAX_TRIANGLES // 10
 
 
 # --- build_complex per mode -----------------------------------------------------

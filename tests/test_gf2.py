@@ -2,6 +2,7 @@ import numpy as np
 from hypothesis import given, strategies as st
 
 from zigzagst import gf2
+from reference_gf2 import TrackedBasis as LowestBitBasis
 
 
 def test_from_indices_and_bits_roundtrip():
@@ -65,3 +66,26 @@ def test_rank_matches_numpy_gf2_elimination(cols):
         if rank == m.shape[0]:
             break
     assert gf2.rank_of_columns(cols) == rank
+
+
+@given(
+    st.lists(st.integers(min_value=0, max_value=2**10 - 1), max_size=16),
+    st.lists(st.integers(min_value=0, max_value=2**16 - 1), max_size=8),
+)
+def test_highest_bit_pivots_agree_with_the_lowest_bit_reference(vecs, picks):
+    high, low = gf2.TrackedBasis(track=True), LowestBitBasis(track=True)
+    for vec in vecs:
+        added, combo = high.insert(vec)
+        want_added, want_combo = low.insert(vec)
+        assert added == want_added
+        if not added:  # over the independent inserts, a dependent vector's combination is unique
+            assert combo == want_combo
+            assert gf2.matvec(vecs, combo) == 0
+        assert len(high) == len(low)
+    for pick in picks:  # vectors in the span, as sums of inserted ones
+        vec = gf2.matvec(vecs, pick & ((1 << len(vecs)) - 1))
+        residual, combo = high.reduce(vec)
+        assert (residual, combo) == (0, low.reduce(vec)[1])
+        assert gf2.matvec(vecs, combo) == vec
+    for vec in range(2**10):
+        assert (high.reduce(vec)[0] == 0) == (low.reduce(vec)[0] == 0)

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, strategies as st
 
+import zigzagst
 from zigzagst import metrics
 from zigzagst.metrics import MatchingSizeError, linf_distance, wasserstein1
 from zigzagst.pipeline import random_dynamic_network
@@ -217,6 +222,17 @@ def test_linf_examples():
     assert linf_distance(bumped, zero) == 0.5
 
 
+def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
+    # only W1 needs scipy.optimize, and it imports it on its first call
+    src = os.path.dirname(os.path.dirname(zigzagst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, zigzagst.cli; print('scipy.optimize' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "False"
+
+
 def test_linf_requires_same_spec():
     z1 = render_zpi([], _grid(), WeightingSpec("constant"))
     z2 = render_zpi([], GridSpec(6, 0.0, 5.0, 0.0, 6.0, 0.5), WeightingSpec("constant"))
@@ -228,7 +244,7 @@ def test_w1_size_guard_fires_before_any_matrix_is_built(monkeypatch):
     def unreachable(*args, **kwargs):
         raise AssertionError("the assignment was entered")
 
-    monkeypatch.setattr(metrics, "linear_sum_assignment", unreachable)
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", unreachable)
     # the default bound: 2049**2 > 2**22
     with pytest.raises(MatchingSizeError, match="over 0 and 2049 unshared points"):
         wasserstein1([], [(1.0, 3.0, 2049)])

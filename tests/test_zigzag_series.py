@@ -12,6 +12,7 @@ from zigzagst.dyngraph import DynamicNetwork, Snapshot, write_snapshot_csv
 from zigzagst.filtration import FiltrationMode, SimplicialComplex
 from zigzagst.pipeline import RunConfig, cmd_zigzag, random_dynamic_network
 from zigzagst.zigzag import InclusionError, write_zpd_csv, zigzag_series
+from reference_gf2 import TrackedBasis
 from reference_zigzag import reference_window_zpd
 from util import independent_snapshots
 
@@ -185,7 +186,7 @@ def test_h1_columns_equal_projected_fundamental_cycles_on_both_arrows():
 
 def forward_by_unit_inserts(sweep, q, cols, m):
     """The forward step as a lowest-bit echelon of the images, then every unit vector."""
-    images = gf2.TrackedBasis()
+    images = TrackedBasis()
     live = []
     for vec, birth in sweep.live:
         image = gf2.matvec(cols, vec)
