@@ -54,9 +54,10 @@ class SimplicialComplex:
     as homology reads them) is the one thing derived from them.  Each
     vertex's higher neighbours are held as an integer bitset over vertex
     ranks, so the apexes of an edge (a, b) are the set bits of
-    ``up[a] & up[b]``.  The triangles are counted edge by edge as they are
-    emitted, and ``TriangleBudgetError`` is raised once there are more
-    than ``MAX_TRIANGLES``.
+    ``up[a] & up[b]``.  ``TriangleBudgetError`` is raised before any
+    triangle is built when there are more than ``MAX_TRIANGLES``: a graph
+    with m edges holds at most (2m)^1.5 / 6 triangles (Rivin, 2002), and
+    only a graph whose bound exceeds the budget has them counted exactly.
     """
 
     __slots__ = ("vertices", "edges", "triangles", "_vset", "_eset")
@@ -74,12 +75,20 @@ class SimplicialComplex:
                 up[a] |= bit[b]
             except KeyError:
                 raise ValueError(f"edge {(a, b)} endpoint outside vertex set") from None
+        m = sum(x.bit_count() for x in up.values())
+        if 8 * m**3 > 36 * MAX_TRIANGLES**2:  # the bound (2m)^1.5 / 6 exceeds the budget
+            ranked = list(up.values())  # in vertex order: bit i stands for ranked[i]'s vertex
+            count = sum((x & ranked[i]).bit_count() for x in ranked for i in gf2.bits_of(x))
+            if count > MAX_TRIANGLES:
+                raise TriangleBudgetError(
+                    f"the clique complex of {len(verts)} vertices has more than "
+                    f"MAX_TRIANGLES = {MAX_TRIANGLES} triangles; "
+                    "lower nu_star or the graph's density")
         # Walking a, then b and then c from the low bits up emits the edges (a, b)
         # and the triangles (a, b, c) in sorted order; the apexes c > b of (a, b)
         # are a's neighbours above b that are also b's.
         sorted_edges = []
         triangles = []
-        count = 0
         for a in verts:
             above = up[a]
             while above:
@@ -88,17 +97,10 @@ class SimplicialComplex:
                 sorted_edges.append((a, b))
                 above ^= low
                 apexes = above & up[b]
-                if apexes:
-                    count += apexes.bit_count()
-                    if count > MAX_TRIANGLES:
-                        raise TriangleBudgetError(
-                            f"the clique complex of {len(verts)} vertices has more than "
-                            f"MAX_TRIANGLES = {MAX_TRIANGLES} triangles; "
-                            "lower nu_star or the graph's density")
-                    while apexes:
-                        low = apexes & -apexes
-                        triangles.append((a, b, verts[low.bit_length() - 1]))
-                        apexes ^= low
+                while apexes:
+                    low = apexes & -apexes
+                    triangles.append((a, b, verts[low.bit_length() - 1]))
+                    apexes ^= low
         self.vertices: tuple[int, ...] = verts
         self.edges: tuple[Simplex, ...] = tuple(sorted_edges)
         self.triangles: tuple[Simplex, ...] = tuple(triangles)

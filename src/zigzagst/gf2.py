@@ -7,6 +7,12 @@ keeps boundary-matrix reductions exact and fast at the graph sizes this
 package targets.  Eliminations pivot on a vector's highest set bit, which
 ``int.bit_length`` reads in one call, as standard persistence reductions
 do (Bauer, Kerber, Reininghaus & Wagner, "PHAT", 2017).
+
+``echelon_insert`` is the one elimination: the zigzag engine reduces
+triangle boundaries and forward images with it, and ``rank_of_columns``
+counts its independent inserts.  Only the backward arrow needs to know
+which inserts a dependent vector combines, and ``TrackedBasis`` carries
+that combination along.
 """
 
 from __future__ import annotations
@@ -17,8 +23,8 @@ __all__ = [
     "from_indices",
     "bits_of",
     "matvec",
+    "echelon_insert",
     "rank_of_columns",
-    "nullspace_of_columns",
     "TrackedBasis",
 ]
 
@@ -47,87 +53,57 @@ def matvec(columns: list[int], v: int) -> int:
     return out
 
 
-class TrackedBasis:
-    """Echelon basis with optional combination tracking.
-
-    Vectors are inserted one at a time and reduced against the stored
-    pivots (pivot = highest set bit).  When tracking is on, every stored
-    pivot carries the combination of *inserted* vectors that produced it,
-    so dependent insertions report an exact kernel element and
-    :meth:`reduce` can express an external vector over the insertions.
-    Which inserts are independent, and the combination of a dependent or
-    in-span vector over the independent inserts, do not depend on the
-    pivot rule: those inserts are linearly independent, so that
-    combination is unique.
-    """
-
-    __slots__ = ("_pivots", "_n_inserted", "track")
-
-    def __init__(self, track: bool = False):
-        self._pivots: dict[int, tuple[int, int]] = {}
-        self._n_inserted = 0
-        self.track = track
-
-    def __len__(self) -> int:
-        return len(self._pivots)
-
-    @property
-    def n_inserted(self) -> int:
-        return self._n_inserted
-
-    def _eliminate(self, vec: int, combo: int) -> tuple[int, int]:
-        pivots = self._pivots
-        while vec:
-            hit = pivots.get(vec.bit_length() - 1)
-            if hit is None:
-                break
-            vec ^= hit[0]
-            combo ^= hit[1]
-        return vec, combo
-
-    def insert(self, vec: int) -> tuple[bool, int]:
-        """Insert a vector; return (was_independent, combination).
-
-        The combination is a bitset over insertion indices (this call
-        included) and is only meaningful when tracking is enabled.  For a
-        dependent vector it is a kernel element of the inserted family.
-        """
-        label = (1 << self._n_inserted) if self.track else 0
-        self._n_inserted += 1
-        vec, combo = self._eliminate(vec, label)
-        if vec == 0:
-            return False, combo
-        self._pivots[vec.bit_length() - 1] = (vec, combo)
-        return True, combo
-
-    def reduce(self, vec: int) -> tuple[int, int]:
-        """Reduce ``vec`` without inserting it.
-
-        Returns (residual, combination); residual == 0 means ``vec`` lies
-        in the span, and the combination names the inserted vectors that
-        sum to it (when tracking).
-        """
-        return self._eliminate(vec, 0)
+def echelon_insert(pivots: dict[int, int], vec: int) -> bool:
+    """Whether ``vec`` is independent of ``pivots`` (highest bit -> vector); keeps its remainder."""
+    while vec:
+        top = vec.bit_length() - 1
+        hit = pivots.get(top)
+        if hit is None:
+            pivots[top] = vec
+            return True
+        vec ^= hit
+    return False
 
 
 def rank_of_columns(columns: Iterable[int]) -> int:
     """GF(2) rank of a matrix given as column bitsets."""
-    basis = TrackedBasis()
-    for col in columns:
-        basis.insert(col)
-    return len(basis)
+    pivots: dict[int, int] = {}
+    return sum(echelon_insert(pivots, col) for col in columns)
 
 
-def nullspace_of_columns(columns: Iterable[int]) -> list[int]:
-    """Kernel basis of a column-bitset matrix.
+class TrackedBasis:
+    """Echelon basis whose stored vectors remember the inserts that made them.
 
-    Each returned bitset is a combination of column indices that XORs to
-    zero; together they span the nullspace.
+    Each stored pivot (pivot = highest set bit) carries the combination
+    of inserted vectors that produced it, so a dependent insert reports
+    an exact kernel element of the inserted family.  Which inserts are
+    independent, and the combination of a dependent one over the
+    independent inserts, do not depend on the pivot rule: those inserts
+    are linearly independent, so that combination is unique.
     """
-    basis = TrackedBasis(track=True)
-    kernel = []
-    for col in columns:
-        added, combo = basis.insert(col)
-        if not added:
-            kernel.append(combo)
-    return kernel
+
+    __slots__ = ("_pivots", "_label")
+
+    def __init__(self):
+        self._pivots: dict[int, tuple[int, int]] = {}
+        self._label = 1
+
+    def insert(self, vec: int) -> tuple[bool, int]:
+        """Insert a vector; return (was_independent, combination).
+
+        The combination is a bitset over insertion indices, this call
+        included.  For a dependent vector it is a kernel element of the
+        inserted family.
+        """
+        combo = self._label
+        self._label <<= 1
+        pivots = self._pivots
+        while vec:
+            top = vec.bit_length() - 1
+            hit = pivots.get(top)
+            if hit is None:
+                pivots[top] = (vec, combo)
+                return True, combo
+            vec ^= hit[0]
+            combo ^= hit[1]
+        return False, combo

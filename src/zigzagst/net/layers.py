@@ -98,12 +98,13 @@ def _propagate(h_win, powers):
 
 
 def _graph_conv(h_win, powers, embedding, weight):
-    """out[..., n, o] = sum_kfe (L^k h)[..., n, f] E[n,e] W[e,k,f,o], any leading axes.
+    """Graph convolution of every slice: (..., N, F) -> (..., N, O).
 
-    Node-major layout turns the power propagation into one matmul and
-    the per-node weight contraction into matmuls batched over (power,
-    node).  The cache holds the inputs only; the backward recomputes
-    the propagation.
+    out[..., n, o] = sum_kfe (L^k h)[..., n, f] E[n,e] W[e,k,f,o], and
+    every leading axis is a batch axis.  Node-major layout turns the
+    power propagation into one matmul and the per-node weight
+    contraction into matmuls batched over (power, node).  The cache
+    holds the inputs only; the backward recomputes the propagation.
     """
     _, prop = _propagate(h_win, powers)
     out = (prop @ _node_weights(embedding, weight)).sum(axis=0)
@@ -126,16 +127,10 @@ def _graph_conv_backward(cache, dout):
     return dh_win, dpowers, dembed, dweight
 
 
-def spatial_conv_window(h_win, powers, embedding, weight):
-    """Graph convolution of every slice: (..., N, F) -> (..., N, O).
-
-    Every leading axis is a batch axis.
-    """
-    return _graph_conv(h_win, powers, embedding, weight)
-
-
-def spatial_conv_window_backward(cache, dout):
-    return _graph_conv_backward(cache, dout)
+# The model's spatial layer; ``temporal_conv`` calls the private names, so
+# that a wrapper put on these public names sees spatial calls only.
+spatial_conv_window = _graph_conv
+spatial_conv_window_backward = _graph_conv_backward
 
 
 def temporal_conv(h_win, powers, embedding, weight, time_mix):

@@ -35,6 +35,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from . import gf2
+from .gf2 import echelon_insert
 from .dyngraph import Snapshot, union_graph
 from .filtration import (
     FiltrationMode,
@@ -183,18 +184,6 @@ def build_zigzag(
     return ZigzagFiltration(tuple(_series_complexes(window, nu_star, mode, node_function, True)))
 
 
-def _echelon_insert(pivots: dict[int, int], vec: int) -> bool:
-    """Whether ``vec`` is independent of ``pivots`` (highest bit -> vector); keeps its remainder."""
-    while vec:
-        top = vec.bit_length() - 1
-        hit = pivots.get(top)
-        if hit is None:
-            pivots[top] = vec
-            return True
-        vec ^= hit
-    return False
-
-
 class _ComplexHom:
     """Homology bases of one complex in cycle-space coordinates.
 
@@ -247,7 +236,7 @@ class _ComplexHom:
             if len(pivots) == n:
                 break  # the boundaries span every cycle: b1 = 0
             bu = bit[u]
-            _echelon_insert(pivots, bu[v] ^ bu[w] ^ bit[v][w])
+            echelon_insert(pivots, bu[v] ^ bu[w] ^ bit[v][w])
         free = [k for k in range(n) if k not in pivots]
         self.reps1 = [nontree[k] for k in free]
         self._rank = {k: i for i, k in enumerate(free)}
@@ -353,7 +342,7 @@ class _Sweep:
         live = []
         for vec, birth in self.live:
             image = gf2.matvec(cols, vec)
-            if _echelon_insert(images, image):
+            if echelon_insert(images, image):
                 live.append((image, birth))
             else:
                 self.closed.append((birth, q - 1))
@@ -367,7 +356,7 @@ class _Sweep:
         lies in the image plus the classes below it lifts to V_q through
         the column part of its combination; any other class ends.
         """
-        span = gf2.TrackedBasis(track=True)
+        span = gf2.TrackedBasis()
         kernel = []
         for col in cols:
             added, combo = span.insert(col)

@@ -15,7 +15,6 @@ from numbers import Integral
 from typing import Sequence
 
 import numpy as np
-from scipy.special import ndtr
 
 __all__ = [
     "GridSpec",
@@ -125,8 +124,11 @@ def render_zpi(
     2*pi*theta^2 times the product of per-axis CDF differences at (birth,
     death - birth), so the render is additive over rows and monotone
     under adding rows.  A count that is not a positive integer raises
-    ``ValueError``.
+    ``ValueError``.  ``scipy.special`` is imported here, on the first
+    call, so that importing the CLI loads no scipy module.
     """
+    from scipy.special import ndtr
+
     p = grid.resolution
     ex = np.linspace(grid.x_lo, grid.x_hi, p + 1)
     ey = np.linspace(grid.y_lo, grid.y_hi, p + 1)

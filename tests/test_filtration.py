@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -160,6 +161,29 @@ def test_triangle_budget_raises_before_homology(monkeypatch):
     snaps = independent_snapshots(0, n=12, length=3, density=0.6)
     with pytest.raises(TriangleBudgetError):
         list(zigzag.zigzag_series(snaps, 2, 0.5))
+
+
+def test_triangle_budget_raises_before_any_triangle_is_built(monkeypatch):
+    k60 = list(itertools.combinations(range(60), 2))  # C(60, 3) = 34,220 triangles
+    monkeypatch.setattr(filtration, "MAX_TRIANGLES", 30_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(TriangleBudgetError):
+            SimplicialComplex(range(60), k60)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 500_000
+
+
+@given(st.integers(1, 40), st.floats(0.0, 1.0), st.integers(0, 2**30))
+def test_triangle_count_never_exceeds_rivins_bound(n, density, seed):
+    # a graph with m edges has at most (2m)^1.5 / 6 triangles: 36 t^2 <= 8 m^3
+    pairs = list(itertools.combinations(range(n), 2))
+    keep = np.random.default_rng(seed).random(len(pairs)) < density
+    edges = [e for e, k in zip(pairs, keep) if k]
+    t = len(SimplicialComplex(range(n), edges).triangles)
+    assert 36 * t**2 <= 8 * len(edges) ** 3
 
 
 def test_triangle_budget_holds_the_dense_window():
