@@ -15,6 +15,8 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
+from . import textio
+
 Edge = tuple[int, int]
 
 __all__ = [
@@ -342,11 +344,8 @@ MAX_SNAPSHOT_SPAN = 100_000
 
 
 def write_snapshot_csv(net: DynamicNetwork, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_SNAPSHOT_HEADER + "\n")
-        for s in net:
-            for (u, v) in s.edges():
-                fh.write(f"{s.index},{u},{v},{s.weights[(u, v)]:.17g}\n")
+    rows = [f"{s.index},{u},{v},{s.weights[(u, v)]:.17g}\n" for s in net for (u, v) in s.edges()]
+    textio.write(path, _SNAPSHOT_HEADER + "\n" + "".join(rows))
 
 
 def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
@@ -365,31 +364,27 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     by_time: dict[int, dict[Edge, float]] = {}
     max_node = -1
     bound = universe_size if universe_size is not None else math.inf
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with textio.lines(path) as lines:
+        for _, line in lines:
             if not line or line == _SNAPSHOT_HEADER:
                 continue
             parts = line.split(",")
             if len(parts) != 4:
-                raise ValueError(f"{path}: line {lineno}: expected 4 fields, got {len(parts)}")
-            try:
-                t, u, v = int(parts[0]), int(parts[1]), int(parts[2])
-                w = float(parts[3])
-                if u > v:
-                    u, v = v, u
-                if not (0 <= u < v < bound and 0.0 <= w < math.inf):  # a bad row: say why
-                    if u < 0:
-                        raise ValueError(f"negative node id {u}")
-                    if v >= bound:
-                        raise ValueError(f"node {v} outside universe of size {universe_size}")
-                    _check_edge(u, v, w)
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                raise ValueError(f"expected 4 fields, got {len(parts)}")
+            t, u, v = int(parts[0]), int(parts[1]), int(parts[2])
+            w = float(parts[3])
+            if u > v:
+                u, v = v, u
+            if not (0 <= u < v < bound and 0.0 <= w < math.inf):  # a bad row: say why
+                if u < 0:
+                    raise ValueError(f"negative node id {u}")
+                if v >= bound:
+                    raise ValueError(f"node {v} outside universe of size {universe_size}")
+                _check_edge(u, v, w)
             edges = by_time.setdefault(t, {})
             if edges.setdefault((u, v), w) != w:
-                raise ValueError(f"{path}: line {lineno}: conflicting weights for edge {(u, v)} "
-                                 f"at t={t}: {edges[u, v]} vs {w}")
+                raise ValueError(
+                    f"conflicting weights for edge {(u, v)} at t={t}: {edges[u, v]} vs {w}")
             max_node = max(max_node, v)
     if not by_time:
         raise ValueError(f"{path}: no edge rows")
@@ -411,12 +406,9 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
 def write_feature_csv(fs: FeatureSeries, path, t0: int = 1) -> None:
     t_len, n, f = fs.shape
     cols = ",".join(f"f{i + 1}" for i in range(f))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"t,node,{cols}\n")
-        for t in range(t_len):
-            for node in range(n):
-                vals = ",".join(f"{x:.17g}" for x in fs.values[t, node])
-                fh.write(f"{t + t0},{node},{vals}\n")
+    rows = [f"{t + t0},{node}," + ",".join(f"{x:.17g}" for x in fs.values[t, node]) + "\n"
+            for t in range(t_len) for node in range(n)]
+    textio.write(path, f"t,node,{cols}\n" + "".join(rows))
 
 
 def read_feature_csv(path) -> FeatureSeries:
@@ -427,29 +419,25 @@ def read_feature_csv(path) -> FeatureSeries:
     """
     rows: dict[tuple[int, int], Sequence[float]] = {}
     n_feat = None
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with textio.lines(path) as lines:
+        for _, line in lines:
             if not line or line.startswith("t,node"):
                 continue
             parts = line.split(",")
             if len(parts) < 3:
-                raise ValueError(f"{path}: line {lineno}: expected t,node,f1,... row")
-            try:
-                t, node = int(parts[0]), int(parts[1])
-                vals = [float(x) for x in parts[2:]]
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+                raise ValueError("expected t,node,f1,... row")
+            t, node = int(parts[0]), int(parts[1])
+            vals = [float(x) for x in parts[2:]]
             if not all(map(math.isfinite, vals)):
-                raise ValueError(f"{path}: line {lineno}: feature values must be finite")
+                raise ValueError("feature values must be finite")
             if n_feat is None:
                 n_feat = len(vals)
             elif len(vals) != n_feat:
-                raise ValueError(f"{path}: line {lineno}: inconsistent feature count")
+                raise ValueError("inconsistent feature count")
             if node < 0:
-                raise ValueError(f"{path}: line {lineno}: negative node id {node}")
+                raise ValueError(f"negative node id {node}")
             if (t, node) in rows:
-                raise ValueError(f"{path}: line {lineno}: repeated row for t={t}, node={node}")
+                raise ValueError(f"repeated row for t={t}, node={node}")
             rows[(t, node)] = vals
     if not rows:
         raise ValueError(f"{path}: no feature rows")

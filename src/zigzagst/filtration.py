@@ -14,7 +14,7 @@ import itertools
 import math
 from typing import Callable, Iterable, Mapping
 
-from . import gf2
+from . import gf2, textio
 from .dyngraph import Snapshot
 
 Simplex = tuple[int, ...]
@@ -267,9 +267,7 @@ def betti_numbers(c: SimplicialComplex, p: int) -> int:
 
 def write_complex_dump(c: SimplicialComplex, path) -> None:
     """Debug dump: one simplex per line, vertices space-separated."""
-    with open(path, "w", encoding="ascii") as fh:
-        for s in c:
-            fh.write(" ".join(str(v) for v in s) + "\n")
+    textio.write(path, "".join(" ".join(map(str, s)) + "\n" for s in c))
 
 
 def read_complex_dump(path) -> SimplicialComplex:
@@ -282,21 +280,15 @@ def read_complex_dump(path) -> SimplicialComplex:
     verts: set[Simplex] = set()
     edges: set[Simplex] = set()
     tris: set[Simplex] = set()
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
+    with textio.lines(path) as lines:
+        for _, line in lines:
             if not line:
                 continue
-            try:
-                s = tuple(int(x) for x in line.split())
-            except ValueError as exc:
-                raise ValueError(f"{path}: line {lineno}: {exc}") from exc
+            s = tuple(int(x) for x in line.split())
             if len(s) > 3:
-                raise ValueError(f"{path}: line {lineno}: simplex {s} has dimension outside 0..2")
+                raise ValueError(f"simplex {s} has dimension outside 0..2")
             if any(s[i] >= s[i + 1] for i in range(len(s) - 1)):
-                raise ValueError(
-                    f"{path}: line {lineno}: simplex {s} is not sorted with distinct vertices"
-                )
+                raise ValueError(f"simplex {s} is not sorted with distinct vertices")
             (verts, edges, tris)[len(s) - 1].add(s)
     for (u, v) in edges:
         if (u,) not in verts or (v,) not in verts:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import zipfile
 from dataclasses import dataclass, asdict
+from tokenize import TokenError
 from typing import Iterator
 
 import numpy as np
@@ -212,9 +213,9 @@ def load_checkpoint(
 ) -> tuple[ModelConfig, ModelParams, tuple[np.ndarray, np.ndarray, float], dict]:
     """The configuration, parameters, scalers and settings ``save_checkpoint`` stored.
 
-    A file that is not an npz archive, a missing entry, a wrong shape or
-    version, or an unreadable or unknown configuration raises a
-    ``ValueError`` naming ``path``.
+    A file that is not an npz archive (empty, cut or corrupt), a missing
+    entry, a wrong shape or version, or an unreadable or unknown
+    configuration raises a ``ValueError`` naming ``path``.
     """
     try:
         with np.load(path) as data:
@@ -230,6 +231,9 @@ def load_checkpoint(
                 arr[...] = stored
             scalers = (data["input_lo"], data["input_hi"], float(data["image_scale"]))
             settings = json.loads(bytes(data["settings_json"]).decode("ascii"))
-    except (KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+    except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TokenError, TypeError,
+            ValueError, zipfile.BadZipFile) as exc:
+        if isinstance(exc, OSError) and exc.filename is not None:
+            raise  # the file itself could not be opened
         raise ValueError(f"checkpoint {path}: {exc}") from exc
     return config, params, scalers, settings

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import textio
 from .config import ModelConfig, ModelParams, init_params
 from .model import Ablation, backward, forward, loss_metrics, mae_loss_and_grad
 
@@ -215,7 +216,6 @@ def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation()
 
 
 def write_history_csv(history, path) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("epoch,split,mae,rmse,mape\n")
-        for epoch, split, mae, rmse, mape in history:
-            fh.write(f"{epoch},{split},{mae:.17g},{rmse:.17g},{mape:.17g}\n")
+    textio.write(path, "epoch,split,mae,rmse,mape\n" + "".join(
+        f"{epoch},{split},{mae:.17g},{rmse:.17g},{mape:.17g}\n"
+        for epoch, split, mae, rmse, mape in history))

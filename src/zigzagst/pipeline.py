@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import net
+from . import net, textio
 from .dyngraph import (
     DynamicNetwork,
     FeatureSeries,
@@ -115,26 +115,19 @@ class RunConfig:
 
     @classmethod
     def from_file(cls, path: str | None, overrides: dict[str, str] | None = None) -> "RunConfig":
-        raw: dict[str, str] = {}
+        """Defaults, then ``path``'s ``key = value`` lines, then ``overrides``, checked as read."""
+        parsed = {}
         if path:
-            with open(path, "r", encoding="ascii") as fh:
-                for lineno, line in enumerate(fh, start=1):
-                    line = line.strip()
+            with textio.lines(path) as lines:
+                for _, line in lines:
                     if not line or line.startswith("#"):
                         continue
                     if "=" not in line:
-                        raise ValueError(f"{path}: line {lineno}: expected key = value")
-                    key, _, value = line.partition("=")
-                    raw[key.strip()] = value.strip()
-        raw.update(overrides or {})
-        cfg = cls()
-        valid = {f.name: f for f in fields(cls)}
-        parsed = {}
-        for key, value in raw.items():
-            if key not in valid:
-                raise ValueError(f"unknown config key {key!r}")
-            parsed[key] = _coerce(key, value, getattr(cfg, key))
-        return replace(cfg, **parsed)
+                        raise ValueError("expected key = value")
+                    key, _, value = (part.strip() for part in line.partition("="))
+                    parsed[key] = _coerce(key, value)
+        parsed.update((key, _coerce(key, value)) for key, value in (overrides or {}).items())
+        return replace(cls(), **parsed)
 
     def filtration_mode(self) -> FiltrationMode:
         if self.filtration not in _MODE_NAMES:
@@ -180,11 +173,15 @@ class RunConfig:
         return table[self.ablation]
 
 
+_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
-def _coerce(key: str, value: str, current):
+def _coerce(key: str, value: str):
+    if key not in _DEFAULTS:
+        raise ValueError(f"unknown config key {key!r}")
+    current = _DEFAULTS[key]
     if isinstance(current, bool):
         if value.lower() not in _BOOLEANS:
             raise ValueError(f"{key} must be one of {sorted(_BOOLEANS)}, got {value!r}")
@@ -464,15 +461,13 @@ def cmd_filtrate(config: RunConfig) -> dict:
     mode = config.filtration_mode()
     network = read_snapshot_csv(config.snapshots, config.universe_size or None)
     betti_path = os.path.join(out, "betti.csv")
-    dumps = []
-    with open(betti_path, "w", encoding="ascii") as fh:
-        fh.write("t,b0,b1\n")
-        for s in network:
-            cx = build_complex(s, nu, mode)
-            path = os.path.join(out, f"complex_t{s.index}.txt")
-            write_complex_dump(cx, path)
-            dumps.append(path)
-            fh.write(f"{s.index},{betti_numbers(cx, 0)},{betti_numbers(cx, 1)}\n")
+    dumps, rows = [], ["t,b0,b1\n"]
+    for s in network:
+        cx = build_complex(s, nu, mode)
+        dumps.append(os.path.join(out, f"complex_t{s.index}.txt"))
+        write_complex_dump(cx, dumps[-1])
+        rows.append(f"{s.index},{betti_numbers(cx, 0)},{betti_numbers(cx, 1)}\n")
+    textio.write(betti_path, "".join(rows))
     return {"betti": betti_path, "complexes": dumps}
 
 
@@ -564,10 +559,8 @@ def cmd_synth(config: RunConfig) -> dict:
     truth_path = os.path.join(out, "cycle_truth.csv")
     write_snapshot_csv(data.network, snap_path)
     write_feature_csv(data.features, feat_path)
-    with open(truth_path, "w", encoding="ascii") as fh:
-        fh.write("t,cycle_present\n")
-        for t, flag in enumerate(data.indicator, start=1):
-            fh.write(f"{t},{int(flag)}\n")
+    rows = [f"{t},{int(flag)}\n" for t, flag in enumerate(data.indicator, start=1)]
+    textio.write(truth_path, "t,cycle_present\n" + "".join(rows))
     return {"snapshots": snap_path, "features": feat_path, "truth": truth_path}
 
 
@@ -635,8 +628,7 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     batch = assemble_batches(network, features, config, test)
     preds = net.predict(result, batch, config.ablation_flags())
     path = os.path.join(out, "forecast.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_forecast_csv_text(preds, test.start))
+    textio.write(path, _forecast_csv_text(preds, test.start))
     return {"forecast": path, "windows": len(test)}
 
 
@@ -666,10 +658,8 @@ def cmd_ablate(config: RunConfig) -> dict:
         rows.append((name, mae, rmse, mape))
         net.write_history_csv(result.history, os.path.join(out, f"history_{name}.csv"))
     path = os.path.join(out, "ablation.csv")
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("ablation,mae,rmse,mape\n")
-        for name, mae, rmse, mape in rows:
-            fh.write(f"{name},{mae:.17g},{rmse:.17g},{mape:.17g}\n")
+    textio.write(path, "ablation,mae,rmse,mape\n" + "".join(
+        f"{name},{mae:.17g},{rmse:.17g},{mape:.17g}\n" for name, mae, rmse, mape in rows))
     return {"ablation": path, "rows": rows}
 
 

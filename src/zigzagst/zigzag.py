@@ -34,7 +34,7 @@ from collections import Counter, deque
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
-from . import gf2
+from . import gf2, textio
 from .gf2 import echelon_insert
 from .dyngraph import Snapshot, union_graph
 from .filtration import (
@@ -498,38 +498,27 @@ _ZPD_HEADER = "p,twice_birth,twice_death"
 
 def write_zpd_csv(zpd: ZPD, path) -> None:
     """One line per point: each row is written ``count`` times, in row order."""
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(_ZPD_HEADER + "\n")
-        for dim, b, d, m in zpd.rows:
-            fh.write(f"{dim},{b},{d}\n" * m)
+    rows = [f"{dim},{b},{d}\n" * m for dim, b, d, m in zpd.rows]
+    textio.write(path, _ZPD_HEADER + "\n" + "".join(rows))
 
 
 def read_zpd_csv(path) -> ZPD:
     """Diagram from a CSV written by ``write_zpd_csv``.
 
-    A diagram repeats few distinct rows many times, so the distinct
-    stripped lines are counted first and each is parsed and validated
-    once; an error names the first line holding it.  Blank and header
-    lines are skipped.
+    A diagram repeats few distinct rows many times, so a stripped line is parsed
+    when first seen and only counted after; blank and header lines are skipped.
     """
-    lines: dict[str, list[int]] = {}  # stripped line -> [first line number, count]
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            lines.setdefault(raw.strip(), [lineno, 0])[1] += 1
-    lines.pop("", None)
-    lines.pop(_ZPD_HEADER, None)
-    return ZPD(tuple(
-        (*_parse_zpd_row(path, lineno, line), count) for line, (lineno, count) in lines.items()
-    ))
-
-
-def _parse_zpd_row(path, lineno: int, line: str) -> tuple[int, int, int]:
-    parts = line.split(",")
-    if len(parts) != 3:
-        raise ValueError(f"{path}: line {lineno}: expected 3 fields")
-    try:
-        dim, b, d = (int(x) for x in parts)
-        _check_point(dim, b, d)
-    except ValueError as exc:
-        raise ValueError(f"{path}: line {lineno}: {exc}") from exc
-    return dim, b, d
+    counts = {"": [None, 0], _ZPD_HEADER: [None, 0]}  # stripped line -> [point, count]
+    with textio.lines(path) as lines:
+        for _, line in lines:
+            entry = counts.get(line)
+            if entry is not None:
+                entry[1] += 1
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError("expected 3 fields")
+            point = tuple(map(int, parts))
+            _check_point(*point)
+            counts[line] = [point, 1]
+    return ZPD(tuple((*point, m) for point, m in counts.values() if point is not None))

@@ -16,7 +16,10 @@ from typing import Sequence
 
 import numpy as np
 
+from . import textio
+
 __all__ = [
+    "MAX_RESOLUTION",
     "GridSpec",
     "WeightingSpec",
     "ZPIGrid",
@@ -27,6 +30,10 @@ __all__ = [
     "read_zpi",
     "write_pgm",
 ]
+
+
+# Largest image side p; the encoder's buffers alone take about 89 MB at p = 1000.
+MAX_RESOLUTION = 1000
 
 
 @dataclass(frozen=True)
@@ -43,8 +50,12 @@ class GridSpec:
     def __post_init__(self):
         if self.resolution < 1:
             raise ValueError("resolution must be >= 1")
-        if not (self.x_hi > self.x_lo and self.y_hi > self.y_lo):
-            raise ValueError("domain rectangle must have positive extent")
+        if self.resolution > MAX_RESOLUTION:
+            raise ValueError(f"resolution {self.resolution} exceeds "
+                             f"MAX_RESOLUTION = {MAX_RESOLUTION}")
+        if not (math.inf > self.x_hi > self.x_lo > -math.inf
+                and math.inf > self.y_hi > self.y_lo > -math.inf):
+            raise ValueError("domain rectangle must be finite with positive extent")
         if not (self.theta > 0.0 and math.isfinite(self.theta)):
             raise ValueError(f"bandwidth theta must be positive, got {self.theta}")
 
@@ -80,13 +91,17 @@ class ZPIGrid:
         p = self.spec.resolution
         if arr.shape != (p, p):
             raise ValueError(f"pixels must be {p}x{p}, got {arr.shape}")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("pixel values must be finite")
-        if np.any(arr < 0.0):
-            raise ValueError("pixel values must be nonnegative")
+        _check_pixels(arr)
         arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
+
+
+def _check_pixels(values: np.ndarray) -> None:
+    bad = np.flatnonzero(~(values >= 0.0) | (values == math.inf))
+    if len(bad):
+        x = values.flat[bad[0]]
+        raise ValueError(f"value {x} is {'negative' if math.isfinite(x) else 'not finite'}")
 
 
 def default_domain(t: int) -> tuple[float, float, float, float]:
@@ -157,44 +172,35 @@ def write_zpi(z: ZPIGrid, path) -> None:
     p = s.resolution
     header = f"{p} {s.x_lo:.17g} {s.x_hi:.17g} {s.y_lo:.17g} {s.y_hi:.17g} {s.theta:.17g}\n"
     rows = (" ".join(["%.17g"] * p) + "\n") * p
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(header + rows % tuple(z.pixels.ravel().tolist()))
+    textio.write(path, header + rows % tuple(z.pixels.ravel().tolist()))
 
 
 def read_zpi(path) -> ZPIGrid:
-    """Read a ``.zpi`` file: the header, then exactly p rows of p finite values.
+    """Read a ``.zpi`` file: the header, then exactly p rows of p finite nonnegative values.
 
-    A missing, short or long row, a value that is not a finite number and
-    any line after the p rows raise a ``ValueError`` naming the line.
+    Anything else raises a ``ValueError`` naming the line.  Rows are checked as
+    read and later lines only counted, so nothing p x p precedes the row count.
     """
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    header = lines[0].split() if lines else []
-    try:
-        if len(header) != 6:
-            raise ValueError(f"expected 6 fields, got {len(header)}")
-        spec = GridSpec(int(header[0]), *(float(x) for x in header[1:]))
-    except ValueError as exc:
-        raise ValueError(f"{path}: line 1: malformed header: {exc}") from None
-    p = spec.resolution
-    if len(lines) != p + 1:
-        raise ValueError(
-            f"{path}: line {min(len(lines), p + 1) + 1}: expected {p} rows, got {len(lines) - 1}"
-        )
-    pixels = np.empty((p, p))
-    for iy, line in enumerate(lines[1:]):
-        values = line.split()
-        if len(values) != p:
-            raise ValueError(f"{path}: line {iy + 2}: expected {p} values, got {len(values)}")
+    rows, n = [], 1
+    with textio.lines(path) as lines:
+        fields = next(lines, (1, ""))[1].split()
         try:
-            pixels[iy] = values
+            if len(fields) != 6:
+                raise ValueError(f"expected 6 fields, got {len(fields)}")
+            spec = GridSpec(int(fields[0]), *map(float, fields[1:]))
         except ValueError as exc:
-            raise ValueError(f"{path}: line {iy + 2}: {exc}") from None
-    bad = np.argwhere(~np.isfinite(pixels))
-    if len(bad):
-        iy, ix = bad[0]
-        raise ValueError(f"{path}: line {iy + 2}: value {pixels[iy, ix]} is not finite")
-    return ZPIGrid(spec, pixels)
+            raise ValueError(f"malformed header: {exc}") from exc
+        p = spec.resolution
+        for n, line in lines:
+            if n <= p + 1:
+                values = line.split()
+                if len(values) != p:
+                    raise ValueError(f"expected {p} values, got {len(values)}")
+                rows.append(np.array(values, dtype=np.float64))
+                _check_pixels(rows[-1])
+    if n != p + 1:
+        raise ValueError(f"{path}: line {min(n, p + 1) + 1}: expected {p} rows, got {n - 1}")
+    return ZPIGrid(spec, np.array(rows))
 
 
 _GRAY = [str(level) for level in range(256)]
@@ -209,5 +215,4 @@ def write_pgm(z: ZPIGrid, path) -> None:
         img = np.zeros_like(z.pixels, dtype=np.int64)
     p = z.spec.resolution
     body = "\n".join(" ".join([_GRAY[v] for v in row]) for row in img[::-1].tolist())
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"P2\n{p} {p}\n255\n{body}\n")
+    textio.write(path, f"P2\n{p} {p}\n255\n{body}\n")

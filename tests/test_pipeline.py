@@ -702,6 +702,24 @@ def test_bad_homology_dims_are_refused_before_any_zigzag_work(
     assert not any(name.endswith((".zpi", ".pgm")) for name in os.listdir(cfg.outdir))
 
 
+def test_a_resolution_above_the_image_bound_is_refused_before_any_zigzag_work(
+    forecast_inputs, monkeypatch
+):
+    from zigzagst import pipeline
+    from zigzagst.zpi import MAX_RESOLUTION
+
+    cfg, _, _ = forecast_inputs
+    cmd_zigzag(cfg)
+    cfg = replace(cfg, epochs=1, resolution=MAX_RESOLUTION + 1)
+    for name in ("zigzag_series", "render_zpi"):
+        monkeypatch.setattr(pipeline, name, _never)
+    message = f"^resolution {MAX_RESOLUTION + 1} exceeds MAX_RESOLUTION = {MAX_RESOLUTION}$"
+    for run in (cmd_zpi, cmd_train, cmd_ablate):
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+    assert not any(name.endswith((".zpi", ".pgm", ".npz")) for name in os.listdir(cfg.outdir))
+
+
 def test_out_features_wider_than_the_feature_file_is_refused_before_assembly(
     forecast_inputs, monkeypatch
 ):

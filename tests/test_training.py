@@ -262,6 +262,23 @@ def truncated(path):
     path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
 
 
+def cut_npy_header(path):
+    """A ``.npy`` array whose header dict is never closed."""
+    with open(path, "wb") as fh:
+        np.save(fh, np.arange(3))
+    path.write_bytes(path.read_bytes().replace(b"}", b" ", 1))
+
+
+def zip_patched(signature, offset, value):
+    """A fresh checkpoint with ``value`` written ``offset`` bytes into its first ``signature``."""
+    def write(path):
+        saved_checkpoint(path)
+        data = path.read_bytes()
+        at = data.index(signature) + offset
+        path.write_bytes(data[:at] + value + data[at + len(value):])
+    return write
+
+
 # how each bad file is written, and a word its error holds besides the path
 MALFORMED = {
     "missing parameter": (saved_with(without("out_b")), "out_b"),
@@ -271,6 +288,12 @@ MALFORMED = {
         saved_with(lambda entries: {**entries, "config_json": np.bytes_(b"{not json")}), "Expecting"),
     "truncated archive": (truncated, "zip"),
     "text file": (lambda path: path.write_bytes(b"not a checkpoint\n"), "pickled"),
+    "empty file": (lambda path: path.write_bytes(b""), "No data left"),
+    "cut npy header": (cut_npy_header, "EOF in multi-line statement"),
+    # the version needed to extract, the flags and the directory offset of a zip archive
+    "zip version": (zip_patched(b"PK\x01\x02", 6, b"\xff"), "zip file version"),
+    "zip encrypted": (zip_patched(b"PK\x01\x02", 8, b"\x01"), "encrypted"),
+    "zip directory offset": (zip_patched(b"PK\x05\x06", 16, b"\xff" * 4), "Invalid argument"),
 }
 
 

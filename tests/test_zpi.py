@@ -12,6 +12,7 @@ from util import expand, independent_snapshots, persistence_rows
 from zigzagst.pipeline import random_dynamic_network
 from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import (
+    MAX_RESOLUTION,
     GridSpec,
     WeightingSpec,
     ZPIGrid,
@@ -37,6 +38,27 @@ def test_grid_spec_validation():
         GridSpec(10, 0, 0, 0, 1, 0.5)
     with pytest.raises(ValueError):
         GridSpec(10, 0, 1, 0, 1, 0.0)
+
+
+def test_grid_spec_refuses_an_infinite_domain(tmp_path):
+    for bounds in [(-math.inf, 1, 0, 1), (0, math.inf, 0, 1), (0, 1, 0, math.nan)]:
+        with pytest.raises(ValueError, match="^domain rectangle must be finite"):
+            GridSpec(3, *bounds, 0.5)
+    path = tmp_path / "inf.zpi"  # it read back, though no image can be rendered on it
+    path.write_text("2 -inf inf 0 1 0.5\n0 0\n0 0\n")
+    with pytest.raises(ValueError, match="inf.zpi: line 1: malformed header: domain rectangle"):
+        read_zpi(path)
+
+
+def test_grid_spec_refuses_a_resolution_above_the_bound(tmp_path):
+    assert GridSpec(MAX_RESOLUTION, 0, 1, 0, 1, 0.5).resolution == MAX_RESOLUTION
+    message = f"resolution {MAX_RESOLUTION + 1} exceeds MAX_RESOLUTION = {MAX_RESOLUTION}$"
+    with pytest.raises(ValueError, match=message):
+        GridSpec(MAX_RESOLUTION + 1, 0, 1, 0, 1, 0.5)
+    path = tmp_path / "huge.zpi"  # a header alone: its rows would be checked only after it
+    path.write_text(f"{MAX_RESOLUTION + 1} 0 1 0 1 0.5\n")
+    with pytest.raises(ValueError, match=f"huge.zpi: line 1: malformed header: {message}"):
+        read_zpi(path)
 
 
 def test_weighting_spec():
