@@ -197,9 +197,10 @@ class DynamicNetwork:
 
 @dataclass(frozen=True)
 class FeatureSeries:
-    """T x N x F array of node features aligned with a DynamicNetwork."""
+    """T x N x F array of node features; row 0 is time step ``start``."""
 
     values: np.ndarray
+    start: int = 1
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=np.float64)
@@ -403,10 +404,10 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     return DynamicNetwork(tuple(snaps), n)
 
 
-def write_feature_csv(fs: FeatureSeries, path, t0: int = 1) -> None:
+def write_feature_csv(fs: FeatureSeries, path) -> None:
     t_len, n, f = fs.shape
     cols = ",".join(f"f{i + 1}" for i in range(f))
-    rows = [f"{t + t0},{node}," + ",".join(f"{x:.17g}" for x in fs.values[t, node]) + "\n"
+    rows = [f"{t + fs.start},{node}," + ",".join(f"{x:.17g}" for x in fs.values[t, node]) + "\n"
             for t in range(t_len) for node in range(n)]
     textio.write(path, f"t,node,{cols}\n" + "".join(rows))
 
@@ -415,7 +416,8 @@ def read_feature_csv(path) -> FeatureSeries:
     """Read a feature CSV; every ``(t, node)`` cell must have exactly one row.
 
     The cells are every t from the smallest to the largest and every node
-    from 0 to the largest id; a repeated or missing cell raises.
+    from 0 to the largest id; a repeated or missing cell raises.  The
+    smallest t is the series' ``start``.
     """
     rows: dict[tuple[int, int], Sequence[float]] = {}
     n_feat = None
@@ -452,4 +454,4 @@ def read_feature_csv(path) -> FeatureSeries:
     arr = np.empty((t_len, n, n_feat), dtype=np.float64)
     for (t, node), vals in rows.items():
         arr[t - t_lo, node] = vals
-    return FeatureSeries(arr)
+    return FeatureSeries(arr, t_lo)

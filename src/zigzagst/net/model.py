@@ -254,14 +254,14 @@ def tiny_config(seed: int = 0) -> ModelConfig:
     )
 
 
-def grad_check(config: ModelConfig | None = None, epsilon: float = 1e-5, seed: int = 0) -> float:
+def grad_check(seed: int = 0) -> float:
     """Worst relative error between analytic and central-difference gradients.
 
-    Relative error uses max(|analytic|, |numeric|, 1e-3) as denominator
-    so near-zero entries compare in absolute terms.
+    The model is ``tiny_config(seed)``, stepped by 1e-5.  Relative error
+    uses max(|analytic|, |numeric|, 1e-3) as denominator so near-zero
+    entries compare in absolute terms.
     """
-    if config is None:
-        config = tiny_config(seed)
+    config, epsilon = tiny_config(seed), 1e-5
     rng = np.random.default_rng(seed)
     params = init_params(config, rng)
     x_win = rng.uniform(0.0, 1.0, (config.window, config.n_nodes, config.in_features))

@@ -70,28 +70,29 @@ class TrainResult:
     image_scale: float
 
 
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
     """Standard Adam over the named parameter arrays."""
 
-    def __init__(self, beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
+    def __init__(self):
         self.m: dict[str, np.ndarray] = {}
         self.v: dict[str, np.ndarray] = {}
         self.t = 0
 
     def step(self, params: ModelParams, grads: ModelParams, lr: float) -> None:
         self.t += 1
-        b1, b2 = self.beta1, self.beta2
-        corr1 = 1.0 - b1 ** self.t
-        corr2 = 1.0 - b2 ** self.t
+        corr1 = 1.0 - BETA1 ** self.t
+        corr2 = 1.0 - BETA2 ** self.t
         grad_map = dict(grads.named_arrays())
         for name, arr in params.named_arrays():
             g = grad_map[name]
             m = self.m.setdefault(name, np.zeros_like(arr))
             v = self.v.setdefault(name, np.zeros_like(arr))
-            m += (1.0 - b1) * (g - m)
-            v += (1.0 - b2) * (g * g - v)
-            arr -= lr * (m / corr1) / (np.sqrt(v / corr2) + self.eps)
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            arr -= lr * (m / corr1) / (np.sqrt(v / corr2) + EPS)
 
 
 def chronological_split(windows, fractions: tuple[float, ...] = (0.6, 0.2, 0.2)) -> Dataset:

@@ -346,6 +346,12 @@ def _split_windows(length: int, config: RunConfig) -> net.Dataset:
     return split
 
 
+def _window_settings(config: RunConfig) -> tuple:
+    """``nu_star``, filtration, grid, weighting and dims, checked in that order."""
+    return (config.require_nu_star(), config.filtration_mode(), config.grid_spec(),
+            config.weighting(), config.require_homology_dims())
+
+
 def assemble_batches(
     network: DynamicNetwork,
     features: FeatureSeries,
@@ -355,17 +361,18 @@ def assemble_batches(
     """The forecastable windows ``windows`` (default all) as one stacked batch.
 
     Window k reads snapshots k .. k + tau - 1 and predicts the ``horizon``
-    after them.  The series engine runs only on the snapshots the windows
-    cover, and each image is computed once, into one preallocated array.
+    after them; the features must have the network's first step, length
+    and universe.  The series engine runs only on the snapshots the
+    windows cover, and each image is computed once, into one
+    preallocated array.
     """
-    nu = config.require_nu_star()
-    mode = config.filtration_mode()
-    grid = config.grid_spec()
-    weighting = config.weighting()
-    dims = config.require_homology_dims()
+    nu, mode, grid, weighting, dims = _window_settings(config)
     tau, h = config.tau, config.horizon
-    if features.shape[0] != len(network):
-        raise ValueError("feature series length does not match the network")
+    got = (features.start, *features.shape[:2])
+    want = (network.snapshots[0].index, len(network), network.universe_size)
+    if got != want:
+        raise ValueError(
+            f"features (first step, steps, nodes) {got} do not match the snapshots' {want}")
     every = _forecast_windows(len(network), config)
     windows = every if windows is None else windows
     if every[windows.start : windows.stop] != windows:
@@ -384,33 +391,23 @@ def assemble_batches(
 
 
 def _model_config(config: RunConfig, n_nodes: int, in_features: int) -> net.ModelConfig:
-    return net.ModelConfig(
-        n_nodes=n_nodes,
-        in_features=in_features,
-        out_features=config.out_features,
-        embed_dim=config.embed_dim,
-        laplacian_order=config.laplacian_order,
-        window=config.tau,
-        horizon=config.horizon,
-        hidden=config.hidden,
-        num_layers=config.num_layers,
-        zpi_resolution=config.resolution,
-        learning_rate=config.learning_rate,
-        lr_decay=config.lr_decay,
-        batch_size=config.batch_size,
-        epochs=config.epochs,
-        seed=config.seed,
-    )
+    """The network of ``config``: every model field a run setting of the same name sets."""
+    shared = {f.name: getattr(config, f.name) for f in fields(net.ModelConfig)
+              if f.name in _DEFAULTS}
+    return net.ModelConfig(n_nodes=n_nodes, in_features=in_features, window=config.tau,
+                           zpi_resolution=config.resolution, **shared)
 
 
 def _load_data(config: RunConfig) -> tuple[DynamicNetwork, FeatureSeries]:
+    """Check the window settings, then read the feature file, then the snapshots.
+
+    With ``universe_size`` 0 the feature file's nodes are the snapshots' universe.
+    """
+    _window_settings(config)
     if not config.snapshots or not config.features:
         raise ValueError("snapshots and features paths are required")
-    network = read_snapshot_csv(config.snapshots, config.universe_size or None)
     features = read_feature_csv(config.features)
-    if features.shape[1] < network.universe_size:
-        raise ValueError("feature series covers fewer nodes than the network universe")
-    return network, features
+    return read_snapshot_csv(config.snapshots, config.universe_size or features.shape[1]), features
 
 
 def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
@@ -566,9 +563,10 @@ def cmd_synth(config: RunConfig) -> dict:
 
 def cmd_train(config: RunConfig) -> dict:
     """Assemble windows, train, and write checkpoint plus metric history."""
+    ablation = config.ablation_flags()
     out = _ensure_outdir(config)
     dataset, model_cfg = _training_data(config)
-    result = net.train(dataset, model_cfg, config.ablation_flags())
+    result = net.train(dataset, model_cfg, ablation)
     ckpt = os.path.join(out, "checkpoint.npz")
     hist = os.path.join(out, "history.csv")
     net.save_checkpoint(
@@ -619,14 +617,15 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     noisy windows sees its inputs scaled as in training.  Only the test
     windows are assembled, and they go to one ``predict`` call.
     """
+    ablation = config.ablation_flags()
     out = _ensure_outdir(config)
-    model_cfg, params, scalers, settings = net.load_checkpoint(checkpoint)
     network, features = _load_data(config)
+    model_cfg, params, scalers, settings = net.load_checkpoint(checkpoint)
     _require_checkpoint_match(model_cfg, settings, network.universe_size, features.shape[2], config)
     result = net.TrainResult(params, model_cfg, [], *scalers)
     test = _split_windows(len(network), config).test
     batch = assemble_batches(network, features, config, test)
-    preds = net.predict(result, batch, config.ablation_flags())
+    preds = net.predict(result, batch, ablation)
     path = os.path.join(out, "forecast.csv")
     textio.write(path, _forecast_csv_text(preds, test.start))
     return {"forecast": path, "windows": len(test)}

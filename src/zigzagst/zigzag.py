@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gf2, textio
 from .gf2 import echelon_insert
@@ -143,7 +143,6 @@ def _series_complexes(
     snapshots: Iterable[Snapshot],
     nu_star: float,
     mode: FiltrationMode,
-    node_function: Callable[[int], float] | Mapping[int, float] | None,
     unions: bool,
 ) -> Iterator[SimplicialComplex]:
     """Complexes of the alternating diagram, in order, one snapshot read at a time.
@@ -158,8 +157,8 @@ def _series_complexes(
     for s in snapshots:
         u = None
         if unions and prev is not None:
-            u = build_complex(union_graph(prev, s), nu_star, mode, node_function)
-        cx = build_complex(s, nu_star, mode, node_function)
+            u = build_complex(union_graph(prev, s), nu_star, mode)
+        cx = build_complex(s, nu_star, mode)
         if u is not None:
             union = f"C(G_{prev.index} u G_{s.index})"
             _check_inclusion(prev_cx, u, f"C(G_{prev.index}) -> {union}")
@@ -173,7 +172,6 @@ def build_zigzag(
     window: Sequence[Snapshot],
     nu_star: float,
     mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
-    node_function: Callable[[int], float] | Mapping[int, float] | None = None,
 ) -> ZigzagFiltration:
     """Complexes of the alternating diagram for one window.
 
@@ -181,7 +179,7 @@ def build_zigzag(
     """
     if not window:
         raise ValueError("window must contain at least one snapshot")
-    return ZigzagFiltration(tuple(_series_complexes(window, nu_star, mode, node_function, True)))
+    return ZigzagFiltration(tuple(_series_complexes(window, nu_star, mode, True)))
 
 
 class _ComplexHom:
@@ -435,7 +433,6 @@ def zigzag_series(
     tau: int,
     nu_star: float,
     mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
-    node_function: Callable[[int], float] | Mapping[int, float] | None = None,
 ) -> Iterator[tuple[ZigzagFiltration, ZPD]]:
     """(filtration, diagram) of every window of ``tau`` consecutive snapshots.
 
@@ -448,7 +445,7 @@ def zigzag_series(
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
-    complexes = _series_complexes(snapshots, nu_star, mode, node_function, unions=tau > 1)
+    complexes = _series_complexes(snapshots, nu_star, mode, unions=tau > 1)
     return _window_diagrams(complexes, tau)
 
 

@@ -111,7 +111,7 @@ def default_domain(t: int) -> tuple[float, float, float, float]:
     positive extent.
     """
     if t < 1:
-        raise ValueError("window length must be >= 1")
+        raise ValueError(f"window length tau must be >= 1, got {t}")
     x_lo, x_hi = 1.0, float(t)
     y_lo, y_hi = 0.0, float(t - 1)
     if x_hi == x_lo:

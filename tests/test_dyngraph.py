@@ -312,7 +312,16 @@ def test_feature_csv_roundtrip(tmp_path):
     path = tmp_path / "features.csv"
     write_feature_csv(fs, path)
     back = read_feature_csv(path)
-    assert np.array_equal(back.values, fs.values)
+    assert np.array_equal(back.values, fs.values) and back.start == 1
+
+
+def test_feature_csv_roundtrip_keeps_the_first_step(tmp_path):
+    fs = FeatureSeries(np.arange(24, dtype=float).reshape(4, 3, 2) / 7.0, start=5)
+    path = tmp_path / "features.csv"
+    write_feature_csv(fs, path)
+    assert path.read_text().splitlines()[1].startswith("5,0,")
+    back = read_feature_csv(path)
+    assert back.start == 5 and np.array_equal(back.values, fs.values)
 
 
 def test_feature_csv_requires_every_cell_once(tmp_path):

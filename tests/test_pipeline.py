@@ -664,6 +664,15 @@ def _never(*args, **kwargs):
     raise AssertionError("entered")
 
 
+def _no_input_files(monkeypatch):
+    """Fail on opening a snapshot CSV, a feature CSV or a checkpoint."""
+    from zigzagst import net, pipeline
+
+    monkeypatch.setattr(pipeline, "read_snapshot_csv", _never)
+    monkeypatch.setattr(pipeline, "read_feature_csv", _never)
+    monkeypatch.setattr(net, "load_checkpoint", _never)
+
+
 @pytest.mark.parametrize("setting, value", [
     ("noise_fraction", -0.3), ("noise_fraction", 5.0), ("noise_fraction", math.nan),
     ("noise_sigma", -1.0), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
@@ -676,6 +685,7 @@ def test_bad_noise_settings_are_refused_before_assembly(
     cfg, _, _ = forecast_inputs
     cfg = replace(cfg, epochs=1, **{"noise_sigma": 2.0, setting: value})
     monkeypatch.setattr(pipeline, "assemble_batches", _never)
+    _no_input_files(monkeypatch)
     for run in (_training_data, cmd_train, cmd_ablate):
         with pytest.raises(ValueError, match=f"^{setting} must "):
             run(cfg)
@@ -696,6 +706,7 @@ def test_bad_homology_dims_are_refused_before_any_zigzag_work(
     cfg = replace(cfg, epochs=1, homology_dims=dims)
     for name in ("zigzag_series", "read_zpd_csv", "render_zpi"):
         monkeypatch.setattr(pipeline, name, _never)
+    _no_input_files(monkeypatch)
     for run in (cmd_zpi, _training_data, cmd_train, lambda c: cmd_forecast(c, ckpt)):
         with pytest.raises(ValueError, match=f"^homology_dims.*{message}"):
             run(cfg)
@@ -708,16 +719,103 @@ def test_a_resolution_above_the_image_bound_is_refused_before_any_zigzag_work(
     from zigzagst import pipeline
     from zigzagst.zpi import MAX_RESOLUTION
 
-    cfg, _, _ = forecast_inputs
+    cfg, _, ckpt = forecast_inputs
     cmd_zigzag(cfg)
     cfg = replace(cfg, epochs=1, resolution=MAX_RESOLUTION + 1)
     for name in ("zigzag_series", "render_zpi"):
         monkeypatch.setattr(pipeline, name, _never)
+    _no_input_files(monkeypatch)
     message = f"^resolution {MAX_RESOLUTION + 1} exceeds MAX_RESOLUTION = {MAX_RESOLUTION}$"
-    for run in (cmd_zpi, cmd_train, cmd_ablate):
+    for run in (cmd_zpi, cmd_train, cmd_ablate, lambda c: cmd_forecast(c, ckpt)):
         with pytest.raises(ValueError, match=message):
             run(cfg)
     assert not any(name.endswith((".zpi", ".pgm", ".npz")) for name in os.listdir(cfg.outdir))
+
+
+@pytest.mark.parametrize("setting, value, message", [
+    ("nu_star", math.nan, "nu_star must be set"),
+    ("filtration", "vietoris", "unknown filtration 'vietoris'"),
+    ("theta", -0.5, "theta must be finite and >= 0"),
+    ("weight_kind", "lineal", "unknown weighting kind 'lineal'"),
+])
+def test_bad_window_settings_are_refused_before_any_input_file_is_read(
+    forecast_inputs, monkeypatch, setting, value, message
+):
+    cfg, _, ckpt = forecast_inputs
+    cfg = replace(cfg, epochs=1, **{setting: value})
+    _no_input_files(monkeypatch)
+    for run in (_load_data, cmd_train, cmd_ablate, lambda c: cmd_forecast(c, ckpt)):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            run(cfg)
+
+
+def test_an_unknown_ablation_is_refused_before_any_input_file_is_read(
+    forecast_inputs, monkeypatch
+):
+    cfg, _, ckpt = forecast_inputs
+    cfg = replace(cfg, epochs=1, ablation="no-zigzg")
+    _no_input_files(monkeypatch)
+    for run in (cmd_train, lambda c: cmd_forecast(c, ckpt)):
+        with pytest.raises(ValueError, match="^unknown ablation 'no-zigzg'"):
+            run(cfg)
+
+
+def test_features_from_other_steps_are_refused_before_any_window(forecast_inputs, monkeypatch):
+    from zigzagst import pipeline
+
+    cfg, data, ckpt = forecast_inputs
+    # the snapshots name steps 1..16; the same feature rows now name steps 101..116
+    write_feature_csv(FeatureSeries(data.features.values, start=101), cfg.features)
+    cfg = replace(cfg, epochs=1)
+    monkeypatch.setattr(pipeline, "zigzag_series", _never)
+    message = "^" + re.escape(
+        "features (first step, steps, nodes) (101, 16, 8) do not match the snapshots' (1, 16, 8)")
+    for run in (lambda c: assemble_batches(*_load_data(c), c), cmd_train, cmd_ablate,
+                lambda c: cmd_forecast(c, ckpt)):
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+
+
+def _four_node_snapshots_and_six_node_features(tmp_path, length=20):
+    """Snapshots on nodes 0..3 (a 4-cycle every other step) and features of 6 nodes."""
+    snaps, feats = tmp_path / "snapshots.csv", tmp_path / "features.csv"
+    rows = [f"{t},{u},{v},0.2\n" for t in range(1, length + 1)
+            for u, v in [(0, 1), (1, 2), (2, 3)] + [(0, 3)] * (t % 2)]
+    snaps.write_text("t,u,v,w\n" + "".join(rows))
+    values = np.random.default_rng(0).uniform(0.5, 1.5, (length, 6, 1))
+    write_feature_csv(FeatureSeries(values), feats)
+    return RunConfig(
+        snapshots=str(snaps), features=str(feats), outdir=str(tmp_path / "out"), nu_star=0.5,
+        tau=4, horizon=2, resolution=8, hidden=4, num_layers=1, embed_dim=2, laplacian_order=1,
+        epochs=1,
+    )
+
+
+def test_a_universe_smaller_than_the_feature_file_is_refused(tmp_path, monkeypatch):
+    from zigzagst import pipeline
+
+    cfg = replace(_four_node_snapshots_and_six_node_features(tmp_path), universe_size=4)
+    monkeypatch.setattr(pipeline, "zigzag_series", _never)
+    message = "^" + re.escape(
+        "features (first step, steps, nodes) (1, 20, 6) do not match the snapshots' (1, 20, 4)")
+    with pytest.raises(ValueError, match=message):
+        cmd_train(cfg)
+
+
+def test_the_feature_file_sets_the_universe_when_it_is_unset(tmp_path):
+    from zigzagst import net
+
+    cfg = _four_node_snapshots_and_six_node_features(tmp_path)
+    network, features = _load_data(cfg)
+    assert network.universe_size == 6 and features.shape == (20, 6, 1)
+    model_cfg, _, _, _ = net.load_checkpoint(cmd_train(cfg)["checkpoint"])
+    assert model_cfg.n_nodes == 6
+    # a snapshot row on a node the feature file does not name is refused at its line
+    with open(cfg.snapshots, "a") as fh:
+        fh.write("3,2,6,0.5\n")  # line 72: a header and 70 edge rows come first
+    message = re.escape(f"{cfg.snapshots}: line 72: node 6 outside universe of size 6")
+    with pytest.raises(ValueError, match=message):
+        cmd_train(cfg)
 
 
 def test_out_features_wider_than_the_feature_file_is_refused_before_assembly(

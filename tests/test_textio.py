@@ -209,3 +209,17 @@ def test_only_textio_opens_files_for_reading():
         if isinstance(node, ast.Call) and _opens_for_reading(node)
     )
     assert readers == [], "read text files through zigzagst.textio.lines"
+
+
+def test_only_the_run_input_step_reads_feature_files():
+    """Pairing a feature file with its snapshots stays in ``pipeline._load_data``."""
+    callers = sorted({
+        f"{path.stem}.{func.name}"
+        for path in SRC.rglob("*.py")
+        for func in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call) and "read_feature_csv" in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    })
+    assert callers == ["pipeline._load_data"]

@@ -160,7 +160,7 @@ def fundamental_cycles(tree, edges):
 
 def arrows(snaps, nu, mode=FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE):
     """(direction, sub basis, sup basis) for every arrow of the series, in order."""
-    homs = [zigzag._ComplexHom(cx) for cx in zigzag._series_complexes(snaps, nu, mode, None, True)]
+    homs = [zigzag._ComplexHom(cx) for cx in zigzag._series_complexes(snaps, nu, mode, True)]
     for q in range(1, len(homs)):
         if q % 2:
             yield "forward", homs[q - 1], homs[q]
