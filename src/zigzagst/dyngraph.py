@@ -146,13 +146,6 @@ class Snapshot:
             deg[v] += w
         return deg
 
-    def neighbors(self) -> dict[int, set[int]]:
-        adj: dict[int, set[int]] = {v: set() for v in self.nodes}
-        for u, v in self.weights:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
-
 
 def _checked_snapshot(index: int, universe_size: int, nodes: frozenset[int],
                       weights: dict[Edge, float]) -> Snapshot:
@@ -345,7 +338,9 @@ MAX_SNAPSHOT_SPAN = 100_000
 
 
 def write_snapshot_csv(net: DynamicNetwork, path) -> None:
-    rows = [f"{s.index},{u},{v},{s.weights[(u, v)]:.17g}\n" for s in net for (u, v) in s.edges()]
+    """One row per edge, and the row ``t,0,1,0`` for a snapshot without edges, so its step is kept."""
+    rows = ["".join(f"{s.index},{u},{v},{s.weights[(u, v)]:.17g}\n" for (u, v) in s.edges())
+            or f"{s.index},0,1,0\n" for s in net]
     textio.write(path, _SNAPSHOT_HEADER + "\n" + "".join(rows))
 
 
@@ -359,8 +354,9 @@ def read_snapshot_csv(path, universe_size: int | None = None) -> DynamicNetwork:
     smallest t is below 1.  A row with a node outside the universe, a
     self loop, a weight that is not finite nonnegative, or a weight other
     than an earlier row's for the same pair and t raises a ``ValueError``
-    naming its line.  Rows of weight zero are dropped.  Every row is
-    checked as it is read, so the snapshots are not checked again.
+    naming its line.  A row of weight zero adds no edge, but its t is a
+    step of the series.  Every row is checked as it is read, so the
+    snapshots are not checked again.
     """
     by_time: dict[int, dict[Edge, float]] = {}
     max_node = -1

@@ -12,7 +12,7 @@ import enum
 import heapq
 import itertools
 import math
-from typing import Callable, Iterable, Mapping
+from typing import Iterable, Mapping
 
 from . import gf2, textio
 from .dyngraph import Snapshot
@@ -162,36 +162,21 @@ def _dijkstra(source: int, adj: Mapping[int, list[tuple[int, float]]], cutoff: f
     return dist
 
 
-def _bfs_hops(source: int, neighbors: Mapping[int, set[int]], cutoff: int) -> set[int]:
-    seen = {source}
-    frontier = [source]
-    for _ in range(cutoff):
-        nxt = []
-        for u in frontier:
-            for v in neighbors[u]:
-                if v not in seen:
-                    seen.add(v)
-                    nxt.append(v)
-        frontier = nxt
-    return seen
-
-
 def build_complex(
     s: Snapshot,
     nu_star: float,
     mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
-    node_function: Callable[[int], float] | Mapping[int, float] | None = None,
 ) -> SimplicialComplex:
     """Complex of the snapshot at scale ``nu_star`` under ``mode``.
 
-    Active snapshot nodes always appear as 0-simplices (except in the
-    weighted-degree mode, where the node function filters them).  Every
-    mode clique-expands its edge set up to triangles, so the output is
-    face closed and monotone in ``nu_star``.
-
-    ``node_function`` only applies to WEIGHTED_DEGREE_SUBLEVEL and
-    defaults to the weighted degree; a mapping or callable over node ids
-    may replace it (dataset-specific scales).
+    Each mode picks an edge set and clique-expands it up to triangles, so
+    the output is face closed and monotone in ``nu_star``.  Vietoris-Rips
+    keeps the pairs of active nodes joined by a path of total weight at
+    most ``nu_star``; power mode is Vietoris-Rips with every edge of
+    length 1.  The active nodes are the 0-simplices, except in the
+    weighted-degree mode, which keeps the nodes of weighted degree at
+    most ``nu_star`` and the edges between them.  ``nu_star`` must be
+    finite, and nonnegative in the weight-rank and power modes.
     """
     if not math.isfinite(nu_star):
         raise ValueError("nu_star must be finite")
@@ -201,51 +186,30 @@ def build_complex(
         kept = [e for e, w in s.weights.items() if w <= nu_star]
         return SimplicialComplex(nodes, kept)
 
-    if mode is FiltrationMode.VIETORIS_RIPS:
+    if mode is FiltrationMode.VIETORIS_RIPS or mode is FiltrationMode.POWER:
+        if mode is FiltrationMode.POWER and nu_star < 0:
+            raise ValueError("nu_star must be nonnegative in power mode")
+        # Sums of 1.0 are exact, so a path of k unit edges is kept exactly when k <= floor(nu_star).
+        unit = mode is FiltrationMode.POWER
         adj: dict[int, list[tuple[int, float]]] = {v: [] for v in nodes}
         for (u, v), w in s.weights.items():
+            w = 1.0 if unit else w
             adj[u].append((v, w))
             adj[v].append((u, w))
-        kept = []
-        for u in nodes:
-            dist = _dijkstra(u, adj, nu_star)
-            kept.extend((u, v) for v, d in dist.items() if v > u and d <= nu_star)
-        return SimplicialComplex(nodes, kept)
-
-    if mode is FiltrationMode.WEIGHT_RANK_CLIQUE:
+        kept = [(u, v) for u in nodes for v in _dijkstra(u, adj, nu_star) if v > u]
+    elif mode is FiltrationMode.WEIGHT_RANK_CLIQUE:
         if nu_star < 0:
             raise ValueError("nu_star must be nonnegative in weight-rank mode")
-        distinct = sorted({w for w in s.weights.values()}, reverse=True)
-        m = len(distinct)
-        scale = {w: (r + 1) / m for r, w in enumerate(distinct)}
+        distinct = sorted(set(s.weights.values()), reverse=True)
+        scale = {w: (r + 1) / len(distinct) for r, w in enumerate(distinct)}
         kept = [e for e, w in s.weights.items() if scale[w] <= nu_star]
-        return SimplicialComplex(nodes, kept)
-
-    if mode is FiltrationMode.POWER:
-        if nu_star < 0:
-            raise ValueError("nu_star must be nonnegative in power mode")
-        hops = int(math.floor(nu_star))
-        neighbors = s.neighbors()
-        kept = []
-        for u in nodes:
-            reach = _bfs_hops(u, neighbors, hops)
-            kept.extend((u, v) for v in reach if v > u)
-        return SimplicialComplex(nodes, kept)
-
-    if mode is FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL:
-        if node_function is None:
-            values = s.weighted_degrees()
-            f = values.__getitem__
-        elif isinstance(node_function, Mapping):
-            f = node_function.__getitem__
-        else:
-            f = node_function
-        low = [v for v in nodes if f(v) <= nu_star]
-        low_set = set(low)
-        kept = [(u, v) for (u, v) in s.weights if u in low_set and v in low_set]
-        return SimplicialComplex(low, kept)
-
-    raise ValueError(f"unknown filtration mode {mode!r}")
+    elif mode is FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL:
+        degree = s.weighted_degrees()
+        nodes = [v for v in nodes if degree[v] <= nu_star]
+        kept = [(u, v) for (u, v) in s.weights if max(degree[u], degree[v]) <= nu_star]
+    else:
+        raise ValueError(f"unknown filtration mode {mode!r}")
+    return SimplicialComplex(nodes, kept)
 
 
 def betti_numbers(c: SimplicialComplex, p: int) -> int:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import zipfile
 from dataclasses import dataclass, asdict
 from tokenize import TokenError
@@ -65,8 +66,8 @@ class ModelConfig:
             raise ValueError("laplacian_order must be >= 1")
         if self.hidden % 2 != 0:
             raise ValueError("hidden width must be even (two half-width branches)")
-        if self.learning_rate <= 0 or not 0 < self.lr_decay <= 1:
-            raise ValueError("learning_rate must be > 0 and lr_decay in (0, 1]")
+        if not 0 < self.learning_rate < math.inf or not 0 < self.lr_decay <= 1:
+            raise ValueError("learning_rate must be finite and > 0, and lr_decay in (0, 1]")
         # the image encoder's two convolutions must fit in the image
         zpi_encoder_output_size(self.zpi_resolution, self.cnn_kernel, self.cnn_stride)
 

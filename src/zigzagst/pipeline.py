@@ -139,6 +139,8 @@ class RunConfig:
     def require_nu_star(self) -> float:
         if math.isnan(self.nu_star):
             raise ValueError("nu_star must be set (no default scale parameter)")
+        if math.isinf(self.nu_star):
+            raise ValueError(f"nu_star must be finite, got {self.nu_star}")
         return self.nu_star
 
     def require_homology_dims(self) -> tuple[int, ...]:

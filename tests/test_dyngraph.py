@@ -226,6 +226,20 @@ def test_snapshot_csv_roundtrip(tmp_path):
         assert dict(a.weights) == dict(b.weights)
 
 
+def test_snapshot_csv_keeps_steps_without_edges(tmp_path):
+    # steps 1, 3 and 5 have no edges; each is written as the zero-weight row t,0,1,0
+    net = DynamicNetwork(tuple(
+        snap([(0, 1, 0.25 * t), (1, 3, 0.5)] if t % 2 == 0 else [], index=t)
+        for t in range(1, 6)), 6)
+    path = tmp_path / "snaps.csv"
+    write_snapshot_csv(net, path)
+    assert path.read_text().splitlines()[1] == "1,0,1,0"
+    back = read_snapshot_csv(path, universe_size=6)
+    assert [s.index for s in back] == [1, 2, 3, 4, 5]
+    assert [dict(s.weights) for s in back] == [dict(s.weights) for s in net]
+    assert [s.nodes for s in back] == [s.nodes for s in net]
+
+
 def test_snapshot_csv_errors(tmp_path):
     empty = tmp_path / "empty.csv"
     empty.write_text("t,u,v,w\n")

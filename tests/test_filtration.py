@@ -18,7 +18,7 @@ from zigzagst.filtration import (
     read_complex_dump,
     write_complex_dump,
 )
-from util import independent_snapshots, union_find_components
+from util import floyd_warshall, independent_snapshots, union_find_components
 
 
 def snap(edges, n=6, index=1, nodes=None):
@@ -250,6 +250,23 @@ def test_power_mode_hop_counts():
         build_complex(s, -1.0, FiltrationMode.POWER)
 
 
+@given(st.integers(2, 8), st.data())
+def test_path_modes_keep_the_pairs_floyd_warshall_puts_within_nu_star(n, data):
+    # weights are multiples of 1/8 and nu_star of 1/16, so every path sum and comparison is exact
+    pairs = data.draw(st.lists(st.sampled_from(list(itertools.combinations(range(n), 2))),
+                               unique=True))
+    eighths = data.draw(st.lists(st.integers(1, 16), min_size=len(pairs), max_size=len(pairs)))
+    isolated = data.draw(st.sets(st.integers(0, n - 1)))
+    s = snap([(u, v, k / 8) for (u, v), k in zip(pairs, eighths)], n=n, nodes=isolated)
+    nu = data.draw(st.sampled_from([0.5, 1.5, 2.5]) | st.integers(0, 64).map(lambda k: k / 16))
+    for mode, length in [(FiltrationMode.VIETORIS_RIPS, float),
+                         (FiltrationMode.POWER, lambda w: 1.0)]:
+        dist = floyd_warshall(s, length)
+        cx = build_complex(s, nu, mode)
+        assert cx.vertices == tuple(sorted(s.nodes))
+        assert cx.edges == tuple(sorted(e for e, d in dist.items() if e[0] < e[1] and d <= nu))
+
+
 def test_weighted_degree_sublevel_filters_nodes():
     s = snap([(0, 1, 0.6), (1, 2, 0.2)])
     # weighted degrees: 0 -> 0.6, 1 -> 0.8, 2 -> 0.2
@@ -258,14 +275,6 @@ def test_weighted_degree_sublevel_filters_nodes():
     assert not cx.edges  # both kept edges touch node 1
     cx_all = build_complex(s, 1.0, FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL)
     assert len(cx_all.edges) == 2
-
-
-def test_weighted_degree_custom_node_function():
-    s = snap([(0, 1, 0.6)])
-    cx = build_complex(
-        s, 0.5, FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL, node_function={0: 0.1, 1: 0.9}
-    )
-    assert set(cx.vertices) == {0}
 
 
 @given(st.integers(0, 2**30), st.sampled_from(list(FiltrationMode)))

@@ -734,6 +734,8 @@ def test_a_resolution_above_the_image_bound_is_refused_before_any_zigzag_work(
 
 @pytest.mark.parametrize("setting, value, message", [
     ("nu_star", math.nan, "nu_star must be set"),
+    ("nu_star", math.inf, "nu_star must be finite, got inf"),
+    ("nu_star", -math.inf, "nu_star must be finite, got -inf"),
     ("filtration", "vietoris", "unknown filtration 'vietoris'"),
     ("theta", -0.5, "theta must be finite and >= 0"),
     ("weight_kind", "lineal", "unknown weighting kind 'lineal'"),
@@ -816,6 +818,41 @@ def test_the_feature_file_sets_the_universe_when_it_is_unset(tmp_path):
     message = re.escape(f"{cfg.snapshots}: line 72: node 6 outside universe of size 6")
     with pytest.raises(ValueError, match=message):
         cmd_train(cfg)
+
+
+def test_cmd_train_keeps_a_last_step_without_edges(tmp_path):
+    # 20 steps of a 4-cycle on nodes 0..3; the last step has no edges
+    snaps = [Snapshot.from_edges(t, 4, [(0, 1, 0.2), (1, 2, 0.2), (2, 3, 0.2), (0, 3, 0.2)])
+             for t in range(1, 20)] + [Snapshot.from_edges(20, 4, [])]
+    values = np.random.default_rng(0).uniform(0.5, 1.5, (20, 4, 1))
+    snaps_csv, feats_csv = tmp_path / "snapshots.csv", tmp_path / "features.csv"
+    write_snapshot_csv(DynamicNetwork(tuple(snaps), 4), snaps_csv)
+    write_feature_csv(FeatureSeries(values), feats_csv)
+    cfg = RunConfig(
+        snapshots=str(snaps_csv), features=str(feats_csv), outdir=str(tmp_path / "out"),
+        nu_star=0.5, tau=4, horizon=2, resolution=8, hidden=4, num_layers=1, embed_dim=2,
+        laplacian_order=1, epochs=1,
+    )
+    network, _ = _load_data(cfg)
+    assert len(network) == 20 and network.snapshots[-1].n_edges == 0
+    assert os.path.exists(cmd_train(cfg)["checkpoint"])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -0.01])
+def test_a_learning_rate_that_is_not_finite_and_positive_is_refused(
+    forecast_inputs, monkeypatch, value
+):
+    from zigzagst import net, pipeline
+
+    cfg, _, _ = forecast_inputs
+    cfg = replace(cfg, epochs=1, learning_rate=value)
+    monkeypatch.setattr(pipeline, "assemble_batches", _never)
+    message = r"^learning_rate must be finite and > 0"
+    for run in (_training_data, cmd_train, cmd_ablate):
+        with pytest.raises(ValueError, match=message):
+            run(cfg)
+    with pytest.raises(ValueError, match=message):
+        net.ModelConfig(n_nodes=4, in_features=1, learning_rate=value)
 
 
 def test_out_features_wider_than_the_feature_file_is_refused_before_assembly(

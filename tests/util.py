@@ -1,12 +1,14 @@
 """Independent oracles and small generators shared across tests.
 
 Everything here deliberately avoids the library's own linear algebra:
-components come from union-find, matchings from exhaustive search.
+components come from union-find, matchings from exhaustive search,
+path lengths from Floyd-Warshall.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 
 import numpy as np
 
@@ -118,3 +120,13 @@ def reverse_window(window):
         Snapshot(i + 1, s.universe_size, s.nodes, dict(s.weights))
         for i, s in enumerate(reversed(window))
     ]
+
+
+def floyd_warshall(s, length) -> dict:
+    """Shortest path lengths between all active nodes of ``s``; edge (u, v) is ``length(w)`` long."""
+    dist = {(u, v): 0.0 if u == v else math.inf for u in s.nodes for v in s.nodes}
+    for (u, v), w in s.weights.items():
+        dist[u, v] = dist[v, u] = length(w)
+    for k, i, j in itertools.product(sorted(s.nodes), repeat=3):
+        dist[i, j] = min(dist[i, j], dist[i, k] + dist[k, j])
+    return dist
