@@ -34,7 +34,6 @@ from .filtration import (
 )
 from .metrics import wasserstein1
 from .zigzag import (
-    ZPD,
     _consistency_report,
     # The one-window API stays importable here: perfbench/tracing.py wraps it by this name.
     build_zigzag,  # noqa: F401
@@ -54,11 +53,10 @@ from .zpi import (
 )
 
 __all__ = [
+    "MAX_IMAGE_DOUBLES",
     "RunConfig",
     "SyntheticData",
     "gen_synthetic",
-    "random_dynamic_network",
-    "window_image",
     "assemble_batches",
     "cmd_filtrate",
     "cmd_zigzag",
@@ -71,12 +69,39 @@ __all__ = [
     "cmd_gradcheck",
 ]
 
+# Most doubles the window images of one ``assemble_batches`` call may take,
+# windows * resolution**2: 512 MiB.  ``np.zeros`` is lazy, so a larger batch
+# would fail only once the images fill it.  Training held about 1.8 times
+# the batch at its peak (57 windows at resolution 300: a 41 MB batch and a
+# 73 MB ``tracemalloc`` peak), so a run stays near 1 GB, an eighth of an 8 GB
+# machine.  The benchmark's largest batch, ``train``, is 57 windows at
+# resolution 100: 570,000 doubles.
+MAX_IMAGE_DOUBLES = 2**26
+
 _MODE_NAMES = {m.value: m for m in FiltrationMode}
+_ABLATIONS = {
+    "none": net.Ablation(),
+    "no-zigzag": net.Ablation(no_zigzag=True),
+    "no-spatial": net.Ablation(no_spatial=True),
+    "no-temporal": net.Ablation(no_temporal=True),
+}
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Flat key-value run configuration; every key is overridable."""
+    """Flat key-value run configuration; every key is overridable.
+
+    Construction refuses every setting whose check needs neither the data
+    nor the model, so a bad value is refused the same way from a file,
+    from ``--set`` or from ``dataclasses.replace``, before any command
+    starts.  What stays for the commands: ``require_nu_star`` (``nu_star``
+    has no default, and ``zpi``, ``distance``, ``synth`` and ``gradcheck``
+    run without it), the checks against the data (``tau`` and ``horizon``
+    against the series length, the split's test windows, ``out_features``
+    against the feature width, ``universe_size`` against the files), the
+    model fields, which ``net.ModelConfig`` checks, and the ``synth_*``
+    fields, which ``gen_synthetic`` checks.
+    """
 
     snapshots: str = ""
     features: str = ""
@@ -113,9 +138,43 @@ class RunConfig:
     synth_delta: float = 1.0
     synth_noise: float = 0.1
 
+    def __post_init__(self):
+        if self.filtration not in _MODE_NAMES:
+            raise ValueError(
+                f"unknown filtration {self.filtration!r}; choose from {sorted(_MODE_NAMES)}"
+            )
+        if self.ablation not in _ABLATIONS:
+            raise ValueError(
+                f"unknown ablation {self.ablation!r}; choose from {sorted(_ABLATIONS)}"
+            )
+        for dim in self.homology_dims:
+            if dim not in (0, 1):
+                raise ValueError(f"homology_dims: dimension must be 0 or 1, got {dim}")
+        if not self.homology_dims or len(set(self.homology_dims)) < len(self.homology_dims):
+            raise ValueError(
+                f"homology_dims must list 0, 1 or both once each, got {self.homology_dims}"
+            )
+        if math.isinf(self.nu_star):
+            raise ValueError(f"nu_star must be finite, got {self.nu_star}")
+        self.grid_spec()  # tau, resolution and theta
+        self.weighting()
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not 0.0 <= self.noise_fraction <= 1.0:
+            raise ValueError(f"noise_fraction must lie in [0, 1], got {self.noise_fraction}")
+        net.chronological_split(range(0), self.split)  # the split fractions
+        for name in ("seed", "universe_size"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+
     @classmethod
     def from_file(cls, path: str | None, overrides: dict[str, str] | None = None) -> "RunConfig":
-        """Defaults, then ``path``'s ``key = value`` lines, then ``overrides``, checked as read."""
+        """Defaults, then ``path``'s ``key = value`` lines, then ``overrides``.
+
+        Each line's value is checked as read, alone against the defaults,
+        so a bad one names the file and line even when ``overrides`` set
+        its key again.
+        """
         parsed = {}
         if path:
             with textio.lines(path) as lines:
@@ -126,53 +185,31 @@ class RunConfig:
                         raise ValueError("expected key = value")
                     key, _, value = (part.strip() for part in line.partition("="))
                     parsed[key] = _coerce(key, value)
+                    cls(**{key: parsed[key]})
         parsed.update((key, _coerce(key, value)) for key, value in (overrides or {}).items())
-        return replace(cls(), **parsed)
+        return cls(**parsed)
 
     def filtration_mode(self) -> FiltrationMode:
-        if self.filtration not in _MODE_NAMES:
-            raise ValueError(
-                f"unknown filtration {self.filtration!r}; choose from {sorted(_MODE_NAMES)}"
-            )
         return _MODE_NAMES[self.filtration]
 
     def require_nu_star(self) -> float:
         if math.isnan(self.nu_star):
             raise ValueError("nu_star must be set (no default scale parameter)")
-        if math.isinf(self.nu_star):
-            raise ValueError(f"nu_star must be finite, got {self.nu_star}")
         return self.nu_star
-
-    def require_homology_dims(self) -> tuple[int, ...]:
-        """The dimensions whose images a window gets: 0, 1 or both, each once."""
-        dims = self.homology_dims
-        for dim in dims:
-            if dim not in (0, 1):
-                raise ValueError(f"homology_dims: dimension must be 0 or 1, got {dim}")
-        if not dims or len(set(dims)) < len(dims):
-            raise ValueError(f"homology_dims must list 0, 1 or both once each, got {dims}")
-        return dims
 
     def grid_spec(self) -> GridSpec:
         if not 0 <= self.theta < math.inf:
             raise ValueError(f"theta must be finite and >= 0 (0 = default), got {self.theta}")
         domain = default_domain(self.tau)
-        theta = self.theta or default_theta(domain, self.resolution)
+        # a resolution below 1 is GridSpec's to refuse, not a division by zero's
+        theta = self.theta or default_theta(domain, max(self.resolution, 1))
         return GridSpec(self.resolution, *domain, theta)
 
     def weighting(self) -> WeightingSpec:
         return WeightingSpec(self.weight_kind, self.weight_cap)
 
     def ablation_flags(self) -> net.Ablation:
-        table = {
-            "none": net.Ablation(),
-            "no-zigzag": net.Ablation(no_zigzag=True),
-            "no-spatial": net.Ablation(no_spatial=True),
-            "no-temporal": net.Ablation(no_temporal=True),
-        }
-        if self.ablation not in table:
-            raise ValueError(f"unknown ablation {self.ablation!r}; choose from {sorted(table)}")
-        return table[self.ablation]
+        return _ABLATIONS[self.ablation]
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
@@ -275,60 +312,13 @@ def gen_synthetic(
     return SyntheticData(network, FeatureSeries(values[:, :, None]), indicator)
 
 
-def random_dynamic_network(
-    seed: int,
-    n_max: int = 12,
-    t_max: int = 8,
-    edge_prob: float = 0.3,
-) -> tuple[list[Snapshot], float]:
-    """Random snapshot window plus a random scale, for oracle-style tests."""
-    rng = np.random.default_rng(seed)
-    n = int(rng.integers(2, n_max + 1))
-    t = int(rng.integers(1, t_max + 1))
-    snaps = []
-    for i in range(1, t + 1):
-        edges = [
-            (u, v, float(rng.uniform(0.05, 1.0)))
-            for u in range(n)
-            for v in range(u + 1, n)
-            if rng.random() < edge_prob
-        ]
-        active = {x for u, v, _ in edges for x in (u, v)}
-        active |= {u for u in range(n) if rng.random() < 0.2}
-        snaps.append(Snapshot.from_edges(i, n, edges, nodes=active))
-    return snaps, float(rng.uniform(0.1, 1.0))
-
-
 # ---------------------------------------------------------------------------
 # Window features
 
 
-def _diagram_image(
-    zpd: ZPD, grid: GridSpec, weighting: WeightingSpec, homology_dims: tuple[int, ...]
-) -> np.ndarray:
-    """ZPI of a diagram; multiple dimensions sum pixelwise."""
-    pixels = np.zeros((grid.resolution, grid.resolution))
-    for dim in homology_dims:
-        pixels += render_zpi(zpd.points(dim), grid, weighting).pixels
-    return pixels
-
-
-def window_image(
-    window,
-    nu_star: float,
-    mode: FiltrationMode,
-    grid: GridSpec,
-    weighting: WeightingSpec,
-    homology_dims: tuple[int, ...] = (1,),
-) -> np.ndarray:
-    """ZPD then ZPI for one window; multiple dimensions sum pixelwise."""
-    ((_, zpd),) = zigzag_series(window, len(window), nu_star, mode)
-    return _diagram_image(zpd, grid, weighting, homology_dims)
-
-
 def _forecast_windows(length: int, config: RunConfig) -> range:
     """The windows of ``tau`` snapshots that ``horizon`` more snapshots follow."""
-    window_count(length, config.tau)  # rejects tau < 1 and tau > T
+    window_count(length, config.tau)  # rejects tau > T
     if length - config.horizon < config.tau:
         raise ValueError(
             f"no window can be forecast: tau {config.tau} plus horizon {config.horizon} "
@@ -348,12 +338,6 @@ def _split_windows(length: int, config: RunConfig) -> net.Dataset:
     return split
 
 
-def _window_settings(config: RunConfig) -> tuple:
-    """``nu_star``, filtration, grid, weighting and dims, checked in that order."""
-    return (config.require_nu_star(), config.filtration_mode(), config.grid_spec(),
-            config.weighting(), config.require_homology_dims())
-
-
 def assemble_batches(
     network: DynamicNetwork,
     features: FeatureSeries,
@@ -366,10 +350,10 @@ def assemble_batches(
     after them; the features must have the network's first step, length
     and universe.  The series engine runs only on the snapshots the
     windows cover, and each image is computed once, into one
-    preallocated array.
+    preallocated array, whose size ``MAX_IMAGE_DOUBLES`` bounds.
     """
-    nu, mode, grid, weighting, dims = _window_settings(config)
-    tau, h = config.tau, config.horizon
+    nu = config.require_nu_star()
+    tau, h, p = config.tau, config.horizon, config.resolution
     got = (features.start, *features.shape[:2])
     want = (network.snapshots[0].index, len(network), network.universe_size)
     if got != want:
@@ -379,10 +363,17 @@ def assemble_batches(
     windows = every if windows is None else windows
     if every[windows.start : windows.stop] != windows:
         raise ValueError(f"{windows} is not a run of the {len(every)} forecastable windows")
-    images = np.zeros((len(windows), grid.resolution, grid.resolution))
+    if len(windows) * p * p > MAX_IMAGE_DOUBLES:
+        raise ValueError(
+            f"{len(windows)} windows of tau {tau} at resolution {p} need {len(windows) * p * p} "
+            f"image doubles, more than MAX_IMAGE_DOUBLES = {MAX_IMAGE_DOUBLES}"
+        )
+    grid, weighting = config.grid_spec(), config.weighting()
+    images = np.zeros((len(windows), p, p))
     snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
-    for k, (_, zpd) in enumerate(zigzag_series(snapshots, tau, nu, mode)):
-        images[k] = _diagram_image(zpd, grid, weighting, dims)
+    for k, (_, zpd) in enumerate(zigzag_series(snapshots, tau, nu, config.filtration_mode())):
+        for dim in config.homology_dims:  # multiple dimensions sum pixelwise
+            images[k] += render_zpi(zpd.points(dim), grid, weighting).pixels
     steps = np.arange(windows.start, windows.stop)[:, None]
     values = features.values
     return net.Batch(
@@ -401,11 +392,11 @@ def _model_config(config: RunConfig, n_nodes: int, in_features: int) -> net.Mode
 
 
 def _load_data(config: RunConfig) -> tuple[DynamicNetwork, FeatureSeries]:
-    """Check the window settings, then read the feature file, then the snapshots.
+    """Check ``nu_star`` is set, then read the feature file, then the snapshots.
 
     With ``universe_size`` 0 the feature file's nodes are the snapshots' universe.
     """
-    _window_settings(config)
+    config.require_nu_star()
     if not config.snapshots or not config.features:
         raise ValueError("snapshots and features paths are required")
     features = read_feature_csv(config.features)
@@ -418,13 +409,9 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
     With ``noise_sigma > 0``, Gaussian noise is added to the inputs of a
     ``noise_fraction`` of the training windows, drawn from a generator
     seeded ``seed + 1``: first the window order, then the noise of each
-    chosen window in that order.  Bad settings are refused before any
-    window is assembled.
+    chosen window in that order.  What the data or the model can refuse
+    is refused before any window is assembled.
     """
-    if not 0.0 <= config.noise_fraction <= 1.0:
-        raise ValueError(f"noise_fraction must lie in [0, 1], got {config.noise_fraction}")
-    if not 0.0 <= config.noise_sigma < math.inf:
-        raise ValueError(f"noise_sigma must be finite and >= 0, got {config.noise_sigma}")
     network, features = _load_data(config)
     _split_windows(len(network), config)  # rejects an empty test split before assembly
     model_cfg = _model_config(config, network.universe_size, features.shape[2])  # and a bad shape
@@ -455,8 +442,8 @@ def _ensure_outdir(config: RunConfig) -> str:
 
 def cmd_filtrate(config: RunConfig) -> dict:
     """Complexes and Betti summary for every snapshot."""
-    out = _ensure_outdir(config)
     nu = config.require_nu_star()
+    out = _ensure_outdir(config)
     mode = config.filtration_mode()
     network = read_snapshot_csv(config.snapshots, config.universe_size or None)
     betti_path = os.path.join(out, "betti.csv")
@@ -489,11 +476,11 @@ def cmd_zigzag(config: RunConfig) -> dict:
     ``check`` computes each complex's Betti numbers once and keeps them
     while a window still holds the complex.
     """
-    out = _ensure_outdir(config)
     nu = config.require_nu_star()
+    out = _ensure_outdir(config)
     mode = config.filtration_mode()
     network = read_snapshot_csv(config.snapshots, config.universe_size or None)
-    window_count(len(network), config.tau)  # rejects tau < 1 and tau > T before removing files
+    window_count(len(network), config.tau)  # rejects tau > T before removing files
     _remove_window_files(out)
     paths = []
     total_violations = 0
@@ -517,9 +504,7 @@ def cmd_zigzag(config: RunConfig) -> dict:
 def cmd_zpi(config: RunConfig) -> dict:
     """Render every ZPD CSV in outdir into image files."""
     out = _ensure_outdir(config)
-    grid = config.grid_spec()
-    weighting = config.weighting()
-    dims = config.require_homology_dims()
+    grid, weighting = config.grid_spec(), config.weighting()
     names = sorted(f for f in os.listdir(out) if f.startswith("zpd_") and f.endswith(".csv"))
     if not names:
         raise FileNotFoundError(f"no zpd_*.csv files in {out}; run the zigzag command first")
@@ -527,7 +512,7 @@ def cmd_zpi(config: RunConfig) -> dict:
     for name in names:
         zpd = read_zpd_csv(os.path.join(out, name))
         stem = name[: -len(".csv")]
-        for dim in dims:
+        for dim in config.homology_dims:
             z = render_zpi(zpd.points(dim), grid, weighting)
             base = os.path.join(out, f"{stem}_dim{dim}")
             write_zpi(z, base + ".zpi")
@@ -565,10 +550,9 @@ def cmd_synth(config: RunConfig) -> dict:
 
 def cmd_train(config: RunConfig) -> dict:
     """Assemble windows, train, and write checkpoint plus metric history."""
-    ablation = config.ablation_flags()
     out = _ensure_outdir(config)
     dataset, model_cfg = _training_data(config)
-    result = net.train(dataset, model_cfg, ablation)
+    result = net.train(dataset, model_cfg, config.ablation_flags())
     ckpt = os.path.join(out, "checkpoint.npz")
     hist = os.path.join(out, "history.csv")
     net.save_checkpoint(
@@ -586,7 +570,7 @@ def _checkpoint_settings(config: RunConfig) -> dict:
         "ablation": config.ablation,
         "filtration": config.filtration,
         "nu_star": config.nu_star,
-        "homology_dims": list(config.require_homology_dims()),
+        "homology_dims": list(config.homology_dims),
         "theta": config.theta,
         "weight_kind": config.weight_kind,
         "weight_cap": config.weight_cap,
@@ -619,7 +603,6 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     noisy windows sees its inputs scaled as in training.  Only the test
     windows are assembled, and they go to one ``predict`` call.
     """
-    ablation = config.ablation_flags()
     out = _ensure_outdir(config)
     network, features = _load_data(config)
     model_cfg, params, scalers, settings = net.load_checkpoint(checkpoint)
@@ -627,7 +610,7 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     result = net.TrainResult(params, model_cfg, [], *scalers)
     test = _split_windows(len(network), config).test
     batch = assemble_batches(network, features, config, test)
-    preds = net.predict(result, batch, ablation)
+    preds = net.predict(result, batch, config.ablation_flags())
     path = os.path.join(out, "forecast.csv")
     textio.write(path, _forecast_csv_text(preds, test.start))
     return {"forecast": path, "windows": len(test)}

@@ -26,8 +26,6 @@ from zigzagst.pipeline import (
     RunConfig,
     assemble_batches,
     gen_synthetic,
-    random_dynamic_network,
-    window_image,
 )
 from zigzagst.zigzag import (
     betti_consistency_check,
@@ -46,8 +44,10 @@ from util import (
     persistence_rows,
     perturb_diagram,
     random_diagram,
+    random_dynamic_network,
     reverse_window,
     rows,
+    window_image,
 )
 
 

@@ -12,10 +12,11 @@ from hypothesis import given, strategies as st
 import zigzagst
 from zigzagst import metrics
 from zigzagst.metrics import MatchingSizeError, linf_distance, wasserstein1
-from zigzagst.pipeline import random_dynamic_network
 from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import GridSpec, WeightingSpec, ZPIGrid, render_zpi
-from util import brute_force_w1, expand, independent_snapshots, random_diagram, rows
+from util import (
+    brute_force_w1, expand, independent_snapshots, random_diagram, random_dynamic_network, rows,
+)
 import reference_metrics
 
 

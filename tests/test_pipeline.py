@@ -1,11 +1,12 @@
 import math
 import os
 import re
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+from zigzagst import net
 from zigzagst.cli import main
 from zigzagst.dyngraph import (
     DynamicNetwork,
@@ -33,7 +34,6 @@ from zigzagst.pipeline import (
     cmd_zigzag,
     cmd_zpi,
     gen_synthetic,
-    window_image,
 )
 from zigzagst.zigzag import (
     build_zigzag,
@@ -41,7 +41,8 @@ from zigzagst.zigzag import (
     read_zpd_csv,
     write_zpd_csv,
 )
-from zigzagst.zpi import default_domain, default_theta, read_zpi
+from zigzagst.zpi import MAX_RESOLUTION, default_domain, default_theta, read_zpi
+from util import window_image
 
 
 GOLDEN_CSV = """t,u,v,w
@@ -75,6 +76,8 @@ def test_config_file_and_overrides(tmp_path):
     assert cfg.tau == 4  # override wins
     assert cfg.homology_dims == (0, 1)
     assert cfg.check is True
+    with pytest.raises(FrozenInstanceError):
+        cfg.tau = 5
 
 
 def test_config_booleans_are_strict():
@@ -113,16 +116,68 @@ def test_theta_is_zero_for_the_default_or_positive():
     default = default_theta(default_domain(6), 20)
     assert RunConfig(tau=6, resolution=20).grid_spec().theta == default
     assert RunConfig(theta=0.5).grid_spec().theta == 0.5
-    for value in ["-3", "nan", "inf", "-inf"]:
-        with pytest.raises(ValueError, match="^theta must be finite and >= 0"):
-            RunConfig.from_file(None, {"theta": value}).grid_spec()
 
 
-def test_unknown_filtration_and_ablation():
-    with pytest.raises(ValueError):
-        RunConfig(filtration="fancy").filtration_mode()
-    with pytest.raises(ValueError):
-        RunConfig(ablation="bogus").ablation_flags()
+# A bad value of each setting construction checks, and the start of the message refusing it.
+BAD_SETTINGS = [
+    ("filtration", "vietoris", "unknown filtration 'vietoris'"),
+    ("ablation", "no-zigzg", "unknown ablation 'no-zigzg'"),
+    ("homology_dims", (), r"homology_dims must list 0, 1 or both once each, got \(\)$"),
+    ("homology_dims", (1, 1), r"homology_dims must list 0, 1 or both once each, got \(1, 1\)$"),
+    ("homology_dims", (0, 2), "homology_dims: dimension must be 0 or 1, got 2$"),
+    ("nu_star", math.inf, "nu_star must be finite, got inf$"),
+    ("nu_star", -math.inf, "nu_star must be finite, got -inf$"),
+    ("tau", 0, "window length tau must be >= 1, got 0$"),
+    ("resolution", 0, "resolution must be >= 1$"),
+    ("resolution", MAX_RESOLUTION + 1,
+     f"resolution {MAX_RESOLUTION + 1} exceeds MAX_RESOLUTION = {MAX_RESOLUTION}$"),
+    *[("theta", value, "theta must be finite and >= 0")
+      for value in (-3.0, math.nan, math.inf, -math.inf)],
+    ("weight_kind", "lineal", "unknown weighting kind 'lineal'$"),
+    ("weight_cap", 0.0, "cap must be positive$"),
+    *[("noise_sigma", value, "noise_sigma must be finite and >= 0")
+      for value in (-1.0, math.nan, math.inf)],
+    *[("noise_fraction", value, r"noise_fraction must lie in \[0, 1\]")
+      for value in (-0.3, 5.0, math.nan)],
+    ("split", (0.5, 0.2, 0.2), "fractions must be 2 or 3 values summing to 1$"),
+    ("split", (1.5, -0.5), r"fractions must each lie in \[0, 1\], got \(1\.5, -0\.5\)$"),
+    ("seed", -1, "seed must be >= 0, got -1$"),
+    ("universe_size", -3, "universe_size must be >= 0, got -3$"),
+]
+# The settings construction leaves alone, by what checks them instead.
+MODEL_SETTINGS = {"horizon", "out_features", "embed_dim", "laplacian_order", "hidden",
+                  "num_layers", "learning_rate", "lr_decay", "batch_size", "epochs"}  # ModelConfig
+SYNTH_SETTINGS = {"synth_nodes", "synth_length", "synth_period", "synth_delta",
+                  "synth_noise"}  # gen_synthetic
+FREE_SETTINGS = {"snapshots", "features", "outdir", "check"}  # paths the commands open; a flag
+
+
+def _as_text(value) -> str:
+    """``value`` as a config file line or ``--set`` gives it."""
+    return ",".join(map(str, value)) if isinstance(value, tuple) else str(value)
+
+
+@pytest.mark.parametrize("setting, value, message", BAD_SETTINGS)
+def test_construction_refuses_a_bad_setting(tmp_path, setting, value, message):
+    text = _as_text(value)
+    for make in (lambda: RunConfig(**{setting: value}),
+                 lambda: replace(RunConfig(nu_star=0.5), **{setting: value}),
+                 lambda: RunConfig.from_file(None, {setting: text})):
+        with pytest.raises(ValueError, match=f"^{message}"):
+            make()
+    # a file's value is refused at its line, even when an override sets the key again
+    path = tmp_path / "run.cfg"
+    path.write_text(f"nu_star = 0.5\n{setting} = {text}\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: {message}"):
+        RunConfig.from_file(path, {setting: _as_text(getattr(RunConfig(), setting))})
+
+
+def test_every_setting_is_refused_at_construction_or_checked_elsewhere():
+    refused = {setting for setting, _, _ in BAD_SETTINGS}
+    elsewhere = MODEL_SETTINGS | SYNTH_SETTINGS | FREE_SETTINGS
+    assert not refused & elsewhere
+    assert {f.name for f in fields(RunConfig)} == refused | elsewhere
+    assert MODEL_SETTINGS <= {f.name for f in fields(net.ModelConfig)}
 
 
 # --- synthetic data --------------------------------------------------------------
@@ -313,17 +368,6 @@ def test_cmd_distance(tmp_path):
     assert out["cost"] == pytest.approx(1.0)
     with pytest.raises(ValueError, match="dimension must be 0 or 1, got 2"):
         cmd_distance(RunConfig(), str(a), str(b), dim=2)
-
-
-def test_cmd_zpi_rejects_other_dimensions(golden_paths):
-    snaps, tmp = golden_paths
-    cfg = RunConfig(
-        snapshots=str(snaps), outdir=str(tmp / "out"), nu_star=0.5, tau=3,
-        homology_dims=(2,), resolution=8,
-    )
-    cmd_zigzag(cfg)
-    with pytest.raises(ValueError, match="dimension must be 0 or 1, got 2"):
-        cmd_zpi(cfg)
 
 
 def test_cmd_synth_and_train_and_gradcheck(tmp_path):
@@ -673,93 +717,42 @@ def _no_input_files(monkeypatch):
     monkeypatch.setattr(net, "load_checkpoint", _never)
 
 
-@pytest.mark.parametrize("setting, value", [
-    ("noise_fraction", -0.3), ("noise_fraction", 5.0), ("noise_fraction", math.nan),
-    ("noise_sigma", -1.0), ("noise_sigma", math.nan), ("noise_sigma", math.inf),
-])
-def test_bad_noise_settings_are_refused_before_assembly(
-    forecast_inputs, monkeypatch, setting, value
+def test_an_unset_nu_star_is_refused_before_any_input_file_is_read(forecast_inputs, monkeypatch):
+    cfg, _, ckpt = forecast_inputs
+    cfg = replace(cfg, epochs=1, nu_star=math.nan)
+    _no_input_files(monkeypatch)
+    for run in (_load_data, cmd_train, cmd_ablate, lambda c: cmd_forecast(c, ckpt), cmd_filtrate,
+                cmd_zigzag):
+        with pytest.raises(ValueError, match="^nu_star must be set"):
+            run(cfg)
+
+
+def test_a_negative_seed_or_universe_size_is_refused_before_any_work(
+    forecast_inputs, monkeypatch
 ):
     from zigzagst import pipeline
 
     cfg, _, _ = forecast_inputs
-    cfg = replace(cfg, epochs=1, **{"noise_sigma": 2.0, setting: value})
-    monkeypatch.setattr(pipeline, "assemble_batches", _never)
+    monkeypatch.setattr(pipeline, "zigzag_series", _never)
     _no_input_files(monkeypatch)
-    for run in (_training_data, cmd_train, cmd_ablate):
-        with pytest.raises(ValueError, match=f"^{setting} must "):
-            run(cfg)
+    for setting, value in (("seed", -1), ("universe_size", -3)):
+        with pytest.raises(ValueError, match=f"^{setting} must be >= 0, got {value}$"):
+            cmd_train(replace(cfg, epochs=1, **{setting: value}))
 
 
-@pytest.mark.parametrize("dims, message", [
-    ((), r"must list 0, 1 or both once each, got \(\)"),
-    ((1, 1), r"must list 0, 1 or both once each, got \(1, 1\)"),
-    ((0, 2), "dimension must be 0 or 1, got 2"),
-])
-def test_bad_homology_dims_are_refused_before_any_zigzag_work(
-    forecast_inputs, monkeypatch, dims, message
-):
+def test_an_image_batch_above_the_budget_is_refused_before_any_zigzag_work(monkeypatch):
     from zigzagst import pipeline
 
-    cfg, _, ckpt = forecast_inputs
-    cmd_zigzag(cfg)
-    cfg = replace(cfg, epochs=1, homology_dims=dims)
-    for name in ("zigzag_series", "read_zpd_csv", "render_zpi"):
-        monkeypatch.setattr(pipeline, name, _never)
-    _no_input_files(monkeypatch)
-    for run in (cmd_zpi, _training_data, cmd_train, lambda c: cmd_forecast(c, ckpt)):
-        with pytest.raises(ValueError, match=f"^homology_dims.*{message}"):
-            run(cfg)
-    assert not any(name.endswith((".zpi", ".pgm")) for name in os.listdir(cfg.outdir))
-
-
-def test_a_resolution_above_the_image_bound_is_refused_before_any_zigzag_work(
-    forecast_inputs, monkeypatch
-):
-    from zigzagst import pipeline
-    from zigzagst.zpi import MAX_RESOLUTION
-
-    cfg, _, ckpt = forecast_inputs
-    cmd_zigzag(cfg)
-    cfg = replace(cfg, epochs=1, resolution=MAX_RESOLUTION + 1)
-    for name in ("zigzag_series", "render_zpi"):
-        monkeypatch.setattr(pipeline, name, _never)
-    _no_input_files(monkeypatch)
-    message = f"^resolution {MAX_RESOLUTION + 1} exceeds MAX_RESOLUTION = {MAX_RESOLUTION}$"
-    for run in (cmd_zpi, cmd_train, cmd_ablate, lambda c: cmd_forecast(c, ckpt)):
-        with pytest.raises(ValueError, match=message):
-            run(cfg)
-    assert not any(name.endswith((".zpi", ".pgm", ".npz")) for name in os.listdir(cfg.outdir))
-
-
-@pytest.mark.parametrize("setting, value, message", [
-    ("nu_star", math.nan, "nu_star must be set"),
-    ("nu_star", math.inf, "nu_star must be finite, got inf"),
-    ("nu_star", -math.inf, "nu_star must be finite, got -inf"),
-    ("filtration", "vietoris", "unknown filtration 'vietoris'"),
-    ("theta", -0.5, "theta must be finite and >= 0"),
-    ("weight_kind", "lineal", "unknown weighting kind 'lineal'"),
-])
-def test_bad_window_settings_are_refused_before_any_input_file_is_read(
-    forecast_inputs, monkeypatch, setting, value, message
-):
-    cfg, _, ckpt = forecast_inputs
-    cfg = replace(cfg, epochs=1, **{setting: value})
-    _no_input_files(monkeypatch)
-    for run in (_load_data, cmd_train, cmd_ablate, lambda c: cmd_forecast(c, ckpt)):
-        with pytest.raises(ValueError, match=f"^{message}"):
-            run(cfg)
-
-
-def test_an_unknown_ablation_is_refused_before_any_input_file_is_read(
-    forecast_inputs, monkeypatch
-):
-    cfg, _, ckpt = forecast_inputs
-    cfg = replace(cfg, epochs=1, ablation="no-zigzg")
-    _no_input_files(monkeypatch)
-    for run in (cmd_train, lambda c: cmd_forecast(c, ckpt)):
-        with pytest.raises(ValueError, match="^unknown ablation 'no-zigzg'"):
-            run(cfg)
+    data = gen_synthetic(n_nodes=8, length=20, seed=4)
+    cfg = RunConfig(nu_star=0.5, tau=4, horizon=2, resolution=10)  # 15 windows of 100 pixels
+    monkeypatch.setattr(pipeline, "MAX_IMAGE_DOUBLES", 1500)
+    assert len(assemble_batches(data.network, data.features, cfg)) == 15
+    monkeypatch.setattr(pipeline, "MAX_IMAGE_DOUBLES", 1499)
+    monkeypatch.setattr(pipeline, "zigzag_series", _never)
+    message = ("^15 windows of tau 4 at resolution 10 need 1500 image doubles, "
+               "more than MAX_IMAGE_DOUBLES = 1499$")
+    with pytest.raises(ValueError, match=message):
+        assemble_batches(data.network, data.features, cfg)
 
 
 def test_features_from_other_steps_are_refused_before_any_window(forecast_inputs, monkeypatch):
@@ -887,6 +880,22 @@ def test_cli_zigzag_and_distance(golden_paths, capsys):
     assert "wasserstein1 = 0" in printed
     assert "a_birth,a_death,b_birth,b_death" in printed
     assert "1.5,2.5,1.5,2.5" in printed
+
+
+@pytest.mark.parametrize("command, setting, message", [
+    ("train", "ablation=bogus", "unknown ablation 'bogus'"),
+    ("zigzag", "filtration=bogus", "unknown filtration 'bogus'"),
+    ("zigzag", "theta=-1", "theta must be finite and >= 0"),
+    ("zpi", "filtration=bogus", "unknown filtration 'bogus'"),
+    ("zpi", "theta=-1", "theta must be finite and >= 0"),
+])
+def test_cli_refuses_a_bad_setting_before_any_file_is_touched(tmp_path, command, setting, message):
+    argv = [command, "--set", f"snapshots={tmp_path / 'missing.csv'}",
+            "--set", f"features={tmp_path / 'missing_features.csv'}",
+            "--set", f"outdir={tmp_path / 'out'}", "--set", "nu_star=0.5", "--set", setting]
+    with pytest.raises(ValueError, match=f"^{message}"):
+        main(argv)
+    assert os.listdir(tmp_path) == []
 
 
 def test_cli_synth_and_gradcheck(tmp_path, capsys):

@@ -4,7 +4,6 @@ import pytest
 
 from zigzagst.dyngraph import Snapshot
 from zigzagst.filtration import FiltrationMode
-from zigzagst.pipeline import random_dynamic_network
 from zigzagst.zigzag import (
     InclusionError,
     ZPD,
@@ -14,7 +13,7 @@ from zigzagst.zigzag import (
     read_zpd_csv,
     write_zpd_csv,
 )
-from util import reverse_window, union_find_components
+from util import random_dynamic_network, reverse_window, union_find_components
 
 
 def snap(edges, n=4, index=1, nodes=None):

@@ -10,11 +10,11 @@ from hypothesis import given, strategies as st
 from zigzagst import gf2, zigzag
 from zigzagst.dyngraph import DynamicNetwork, Snapshot, write_snapshot_csv
 from zigzagst.filtration import FiltrationMode, SimplicialComplex
-from zigzagst.pipeline import RunConfig, cmd_zigzag, random_dynamic_network
+from zigzagst.pipeline import RunConfig, cmd_zigzag
 from zigzagst.zigzag import InclusionError, write_zpd_csv, zigzag_series
 from reference_gf2 import TrackedBasis
 from reference_zigzag import reference_window_zpd
-from util import independent_snapshots
+from util import independent_snapshots, random_dynamic_network
 
 # Complexes of these modes can fail to include into the union's.
 NON_MONOTONE = (FiltrationMode.WEIGHT_RANK_CLIQUE, FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL)

@@ -8,8 +8,7 @@ from hypothesis import given, strategies as st
 from scipy.special import ndtr
 
 import reference_zpi
-from util import expand, independent_snapshots, persistence_rows
-from zigzagst.pipeline import random_dynamic_network
+from util import expand, independent_snapshots, persistence_rows, random_dynamic_network
 from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import (
     MAX_RESOLUTION,

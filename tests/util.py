@@ -13,6 +13,8 @@ import math
 import numpy as np
 
 from zigzagst.dyngraph import Snapshot
+from zigzagst.zigzag import zigzag_series
+from zigzagst.zpi import render_zpi
 
 
 def union_find_components(cx) -> int:
@@ -112,6 +114,34 @@ def independent_snapshots(seed: int, n: int, length: int, density: float):
                             nodes=range(n))
         for t in range(1, length + 1)
     ]
+
+
+def random_dynamic_network(seed: int, n_max: int = 12, t_max: int = 8, edge_prob: float = 0.3):
+    """Random snapshot window plus a random scale, for oracle-style tests."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, n_max + 1))
+    t = int(rng.integers(1, t_max + 1))
+    snaps = []
+    for i in range(1, t + 1):
+        edges = [
+            (u, v, float(rng.uniform(0.05, 1.0)))
+            for u in range(n)
+            for v in range(u + 1, n)
+            if rng.random() < edge_prob
+        ]
+        active = {x for u, v, _ in edges for x in (u, v)}
+        active |= {u for u in range(n) if rng.random() < 0.2}
+        snaps.append(Snapshot.from_edges(i, n, edges, nodes=active))
+    return snaps, float(rng.uniform(0.1, 1.0))
+
+
+def window_image(window, nu_star, mode, grid, weighting, homology_dims=(1,)) -> np.ndarray:
+    """ZPD then ZPI for one window; multiple dimensions sum pixelwise."""
+    ((_, zpd),) = zigzag_series(window, len(window), nu_star, mode)
+    pixels = np.zeros((grid.resolution, grid.resolution))
+    for dim in homology_dims:
+        pixels += render_zpi(zpd.points(dim), grid, weighting).pixels
+    return pixels
 
 
 def reverse_window(window):
