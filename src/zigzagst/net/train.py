@@ -103,9 +103,9 @@ def chronological_split(windows, fractions: tuple[float, ...] = (0.6, 0.2, 0.2))
     (NaN included) would make the parts overlap, so it raises.
     """
     if len(fractions) not in (2, 3) or abs(sum(fractions) - 1.0) > 1e-9:
-        raise ValueError("fractions must be 2 or 3 values summing to 1")
+        raise ValueError(f"split fractions must be 2 or 3 values summing to 1, got {tuple(fractions)}")
     if not all(0.0 <= f <= 1.0 for f in fractions):
-        raise ValueError(f"fractions must each lie in [0, 1], got {tuple(fractions)}")
+        raise ValueError(f"split fractions must each lie in [0, 1], got {tuple(fractions)}")
     n = len(windows)
     n_train = int(round(n * fractions[0]))
     n_val = int(round(n * fractions[1])) if len(fractions) == 3 else 0

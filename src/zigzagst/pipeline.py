@@ -27,7 +27,6 @@ from .dyngraph import (
 )
 from .filtration import (
     FiltrationMode,
-    SimplicialComplex,
     betti_numbers,
     build_complex,
     write_complex_dump,
@@ -35,6 +34,7 @@ from .filtration import (
 from .metrics import wasserstein1
 from .zigzag import (
     _consistency_report,
+    _series_complexes,
     # The one-window API stays importable here: perfbench/tracing.py wraps it by this name.
     build_zigzag,  # noqa: F401
     compute_zigzag_persistence,  # noqa: F401
@@ -206,6 +206,8 @@ class RunConfig:
         return GridSpec(self.resolution, *domain, theta)
 
     def weighting(self) -> WeightingSpec:
+        if not self.weight_cap > 0.0:
+            raise ValueError(f"weight_cap must be positive, got {self.weight_cap}")
         return WeightingSpec(self.weight_kind, self.weight_cap)
 
     def ablation_flags(self) -> net.Ablation:
@@ -371,7 +373,7 @@ def assemble_batches(
     grid, weighting = config.grid_spec(), config.weighting()
     images = np.zeros((len(windows), p, p))
     snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
-    for k, (_, zpd) in enumerate(zigzag_series(snapshots, tau, nu, config.filtration_mode())):
+    for k, zpd in enumerate(zigzag_series(snapshots, tau, nu, config.filtration_mode())):
         for dim in config.homology_dims:  # multiple dimensions sum pixelwise
             images[k] += render_zpi(zpd.points(dim), grid, weighting).pixels
     steps = np.arange(windows.start, windows.stop)[:, None]
@@ -440,12 +442,18 @@ def _ensure_outdir(config: RunConfig) -> str:
     return config.outdir
 
 
+def _snapshot_input(config: RunConfig) -> tuple[float, FiltrationMode, DynamicNetwork, str]:
+    """``nu_star``, the filtration mode and the snapshots, read before ``outdir`` is made."""
+    nu = config.require_nu_star()
+    if not config.snapshots:
+        raise ValueError("snapshots path is required")
+    network = read_snapshot_csv(config.snapshots, config.universe_size or None)
+    return nu, config.filtration_mode(), network, _ensure_outdir(config)
+
+
 def cmd_filtrate(config: RunConfig) -> dict:
     """Complexes and Betti summary for every snapshot."""
-    nu = config.require_nu_star()
-    out = _ensure_outdir(config)
-    mode = config.filtration_mode()
-    network = read_snapshot_csv(config.snapshots, config.universe_size or None)
+    nu, mode, network, out = _snapshot_input(config)
     betti_path = os.path.join(out, "betti.csv")
     dumps, rows = [], ["t,b0,b1\n"]
     for s in network:
@@ -471,27 +479,22 @@ def cmd_zigzag(config: RunConfig) -> dict:
     """Persistence diagram CSV per sliding window, written as each window arrives.
 
     Window diagrams and images left in ``outdir`` by an earlier run are
-    removed first, so ``cmd_zpi`` sees only this run's windows.  The
-    engine hands overlapping windows the same complex objects, so
-    ``check`` computes each complex's Betti numbers once and keeps them
-    while a window still holds the complex.
+    removed first, so ``cmd_zpi`` sees only this run's windows.  With
+    ``check``, one more pass over the complexes gives each position's
+    Betti numbers once, and each window is compared with its own run.
     """
-    nu = config.require_nu_star()
-    out = _ensure_outdir(config)
-    mode = config.filtration_mode()
-    network = read_snapshot_csv(config.snapshots, config.universe_size or None)
-    window_count(len(network), config.tau)  # rejects tau > T before removing files
+    nu, mode, network, out = _snapshot_input(config)
+    tau = config.tau
+    window_count(len(network), tau)  # rejects tau > T before removing files
     _remove_window_files(out)
+    complexes = _series_complexes(network.snapshots, nu, mode, tau > 1) if config.check else ()
+    betti = [(betti_numbers(cx, 0), betti_numbers(cx, 1)) for cx in complexes]
     paths = []
     total_violations = 0
-    betti: dict[int, tuple[SimplicialComplex, tuple[int, int]]] = {}
-    for index, (zf, zpd) in enumerate(zigzag_series(network.snapshots, config.tau, nu, mode)):
+    for index, zpd in enumerate(zigzag_series(network.snapshots, tau, nu, mode)):
         if config.check:
-            betti = {
-                id(cx): betti.get(id(cx)) or (cx, (betti_numbers(cx, 0), betti_numbers(cx, 1)))
-                for cx in zf.complexes
-            }
-            report = _consistency_report(zpd, [betti[id(cx)][1] for cx in zf.complexes])
+            start = 2 * index if tau > 1 else index  # a window starts at a snapshot
+            report = _consistency_report(zpd, betti[start : start + 2 * tau - 1])
             total_violations += len(report.violations)
         path = os.path.join(out, f"zpd_window_{index:04d}.csv")
         write_zpd_csv(zpd, path)

@@ -13,10 +13,11 @@ homology dimension keeps a basis of the current homology whose classes
 each generate one open bar.  Restricting an interval module to a window
 only clips its intervals, so every window's diagram is the bars of the
 prefix read so far, clipped to the window.  Windows come out in order
-as soon as their last snapshot is read, and complexes and bars no later
-window can see are dropped, so memory stays proportional to tau, not to
-the series length.  A single window (``build_zigzag`` then
-``compute_zigzag_persistence``) is the one-window case of the same code.
+as soon as their last snapshot is read.  A complex is dropped once both
+its arrows are read, and a bar once no later window can see it, so only
+the open bars grow with tau, and nothing with the series length.  A
+single window (``build_zigzag`` then ``compute_zigzag_persistence``) is
+the one-window case of the same code.
 Births and deaths land on a half-integer time grid stored exactly as
 doubled integers.
 
@@ -389,26 +390,22 @@ class _Sweep:
             self.closed.popleft()
 
 
-def _window_diagrams(
-    complexes: Iterable[SimplicialComplex], tau: int
-) -> Iterator[tuple[ZigzagFiltration, ZPD]]:
-    """Every run of 2*tau - 1 positions starting at a snapshot, in order.
+def _window_diagrams(complexes: Iterable[SimplicialComplex], tau: int) -> Iterator[ZPD]:
+    """The diagram of every run of 2*tau - 1 positions starting at a snapshot, in order.
 
     Each complex gets one homology basis and each arrow one induced map
     per dimension, and one sweep per dimension carries the interval
     decomposition of the prefix read so far.  A window is emitted as soon
     as its last position is in, with the prefix's bars clipped to it;
     bars that ended before the next window's start are then dropped.
-    Only the current window's complexes are kept.  With tau = 1 there are
-    no arrows and every complex is a window of its own.
+    Only the last homology basis is kept, not its complex.  With tau = 1
+    there are no arrows and every complex is a window of its own.
     """
     width = 2 * tau - 1
     stride = 2 if width > 1 else 1  # windows start at snapshots
-    kept: deque[SimplicialComplex] = deque(maxlen=width)
     sweeps: list[_Sweep] = []
     prev: _ComplexHom | None = None
     for q, cx in enumerate(complexes):
-        kept.append(cx)
         hom = _ComplexHom(cx)
         if prev is None or width == 1:
             sweeps = [_Sweep(q, hom.betti(p)) for p in (0, 1)]
@@ -425,7 +422,7 @@ def _window_diagrams(
             for p, sweep in enumerate(sweeps):
                 sweep.clip(p, start, q, rows)
                 sweep.drop_before(start + stride)
-            yield ZigzagFiltration(tuple(kept)), ZPD(tuple((*k, m) for k, m in rows.items()))
+            yield ZPD(tuple((*k, m) for k, m in rows.items()))
 
 
 def zigzag_series(
@@ -433,8 +430,8 @@ def zigzag_series(
     tau: int,
     nu_star: float,
     mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
-) -> Iterator[tuple[ZigzagFiltration, ZPD]]:
-    """(filtration, diagram) of every window of ``tau`` consecutive snapshots.
+) -> Iterator[ZPD]:
+    """The diagram of every window of ``tau`` consecutive snapshots.
 
     Windows come in chronological order; window k (from 0) is yielded as
     soon as k + tau snapshots have been read, so ``snapshots`` may be a
@@ -456,7 +453,7 @@ def compute_zigzag_persistence(zf: ZigzagFiltration) -> ZPD:
     the diagram (a snapshot) is time k, position 2k (a union) is time
     k + 1/2; classes alive in the last complex die at time T.
     """
-    ((_, zpd),) = _window_diagrams(zf.complexes, zf.window_length)
+    (zpd,) = _window_diagrams(zf.complexes, zf.window_length)
     return zpd
 
 

@@ -49,7 +49,7 @@ class GridSpec:
 
     def __post_init__(self):
         if self.resolution < 1:
-            raise ValueError("resolution must be >= 1")
+            raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if self.resolution > MAX_RESOLUTION:
             raise ValueError(f"resolution {self.resolution} exceeds "
                              f"MAX_RESOLUTION = {MAX_RESOLUTION}")

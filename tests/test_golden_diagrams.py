@@ -66,7 +66,7 @@ def mode_digest(mode: FiltrationMode, path) -> str:
     for snaps, nu in itertools.product(SERIES, SCALES[mode]):
         for tau in sorted({1, 2, len(snaps)}):
             try:
-                for _, zpd in zigzag_series(snaps, tau, nu, mode):
+                for zpd in zigzag_series(snaps, tau, nu, mode):
                     write_zpd_csv(zpd, path)
                     digest.update(path.read_bytes())
             except InclusionError as exc:

@@ -193,8 +193,8 @@ def test_matches_expanded_references_on_random_windows():
 
 
 def test_matches_expanded_references_on_wide_windows():
-    (_, za), = zigzag_series(independent_snapshots(0, n=64, length=12, density=0.08), 12, 0.5)
-    (_, zb), = zigzag_series(independent_snapshots(1, n=64, length=12, density=0.08), 12, 0.5)
+    za, = zigzag_series(independent_snapshots(0, n=64, length=12, density=0.08), 12, 0.5)
+    zb, = zigzag_series(independent_snapshots(1, n=64, length=12, density=0.08), 12, 0.5)
     for dim in (0, 1):
         _same_as_expanded_references(za.points(dim), zb.points(dim))
 

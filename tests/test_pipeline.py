@@ -128,19 +128,20 @@ BAD_SETTINGS = [
     ("nu_star", math.inf, "nu_star must be finite, got inf$"),
     ("nu_star", -math.inf, "nu_star must be finite, got -inf$"),
     ("tau", 0, "window length tau must be >= 1, got 0$"),
-    ("resolution", 0, "resolution must be >= 1$"),
+    ("resolution", 0, "resolution must be >= 1, got 0$"),
     ("resolution", MAX_RESOLUTION + 1,
      f"resolution {MAX_RESOLUTION + 1} exceeds MAX_RESOLUTION = {MAX_RESOLUTION}$"),
     *[("theta", value, "theta must be finite and >= 0")
       for value in (-3.0, math.nan, math.inf, -math.inf)],
     ("weight_kind", "lineal", "unknown weighting kind 'lineal'$"),
-    ("weight_cap", 0.0, "cap must be positive$"),
+    ("weight_cap", 0.0, r"weight_cap must be positive, got 0\.0$"),
     *[("noise_sigma", value, "noise_sigma must be finite and >= 0")
       for value in (-1.0, math.nan, math.inf)],
     *[("noise_fraction", value, r"noise_fraction must lie in \[0, 1\]")
       for value in (-0.3, 5.0, math.nan)],
-    ("split", (0.5, 0.2, 0.2), "fractions must be 2 or 3 values summing to 1$"),
-    ("split", (1.5, -0.5), r"fractions must each lie in \[0, 1\], got \(1\.5, -0\.5\)$"),
+    ("split", (0.5, 0.2, 0.2),
+     r"split fractions must be 2 or 3 values summing to 1, got \(0\.5, 0\.2, 0\.2\)$"),
+    ("split", (1.5, -0.5), r"split fractions must each lie in \[0, 1\], got \(1\.5, -0\.5\)$"),
     ("seed", -1, "seed must be >= 0, got -1$"),
     ("universe_size", -3, "universe_size must be >= 0, got -3$"),
 ]
@@ -222,6 +223,14 @@ def test_cmd_filtrate_golden(golden_paths):
     assert os.path.exists(out["complexes"][0])
 
 
+@pytest.mark.parametrize("command", [cmd_filtrate, cmd_zigzag])
+def test_an_unset_snapshot_path_is_refused_before_outdir_is_made(tmp_path, command):
+    cfg = RunConfig(outdir=str(tmp_path / "out"), nu_star=0.5, tau=2)
+    with pytest.raises(ValueError, match="^snapshots path is required$"):
+        command(cfg)
+    assert not (tmp_path / "out").exists()
+
+
 def test_cmd_zigzag_golden_window(golden_paths):
     snaps, tmp = golden_paths
     cfg = RunConfig(snapshots=str(snaps), outdir=str(tmp / "out"), nu_star=0.5, tau=3, check=True)
@@ -293,21 +302,25 @@ def test_cmd_zigzag_check_computes_betti_once_per_complex(tmp_path, monkeypatch)
     assert len(calls) == 2 * (2 * 9 - 1)
 
 
-def test_cmd_zigzag_check_catches_a_corrupted_diagram(tmp_path, monkeypatch):
+# tau 1 windows start at every position, the others at every snapshot; 9 is one window
+@pytest.mark.parametrize("tau", [1, 2, 4, 9])
+def test_cmd_zigzag_check_catches_a_corrupted_diagram(tmp_path, monkeypatch, tau):
     import zigzagst.pipeline as pipeline
     from zigzagst.zigzag import ZPD
 
+    cfg = RunConfig(
+        snapshots=str(_nine_snapshots(tmp_path)), outdir=str(tmp_path / "out"), nu_star=0.5,
+        tau=tau, check=True,
+    )
+    out = cmd_zigzag(cfg)
+    assert out["windows"] == 10 - tau and out["violations"] == 0
     engine = pipeline.zigzag_series
 
     def corrupted(*args):
-        for zf, zpd in engine(*args):
-            yield zf, ZPD(zpd.rows[1:])
+        for zpd in engine(*args):
+            yield ZPD(zpd.rows[1:])
 
     monkeypatch.setattr(pipeline, "zigzag_series", corrupted)
-    cfg = RunConfig(
-        snapshots=str(_nine_snapshots(tmp_path)), outdir=str(tmp_path / "out"), nu_star=0.5,
-        tau=4, check=True,
-    )
     with pytest.raises(AssertionError, match="betti consistency check failed"):
         cmd_zigzag(cfg)
 

@@ -223,3 +223,49 @@ def test_only_the_run_input_step_reads_feature_files():
             getattr(node.func, "id", None), getattr(node.func, "attr", None))
     })
     assert callers == ["pipeline._load_data"]
+
+
+def _unused_imports(path: pathlib.Path) -> list[tuple[int, str]]:
+    """``(line, name)`` of each name the module at ``path`` imports and never reads.
+
+    A name listed in ``__all__`` or imported on a ``# noqa: F401`` line is
+    a re-export, not a leftover.
+    """
+    text = path.read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    kept = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    kept |= {
+        item.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+        for item in node.value.elts
+    }
+    return [
+        (alias.lineno, name)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and getattr(node, "module", None) != "__future__"
+        for alias in node.names
+        for name in [(alias.asname or alias.name).split(".")[0]]
+        if name not in kept and "# noqa: F401" not in lines[alias.lineno - 1]
+    ]
+
+
+def test_every_import_in_the_library_is_used():
+    unused = [f"{path.relative_to(SRC)}:{line}: {name}"
+              for path in sorted(SRC.rglob("*.py")) for line, name in _unused_imports(path)]
+    assert unused == []
+
+
+def test_the_unused_import_check_sees_a_leftover(tmp_path):
+    module = tmp_path / "leftover.py"
+    module.write_text(
+        "from __future__ import annotations\n"
+        "import os.path\n"
+        "from math import pi, tau  # noqa: F401\n"
+        "from .filtration import SimplicialComplex, betti_numbers\n"
+        "__all__ = ['pi']\n"
+        "print(os.path.sep, betti_numbers)\n"
+    )
+    assert _unused_imports(module) == [(4, "SimplicialComplex")]

@@ -204,7 +204,7 @@ def test_render_matches_expanded_reference_on_random_windows():
 @pytest.mark.parametrize("seed", [0, 1])
 def test_render_matches_expanded_reference_on_wide_windows(seed):
     window = independent_snapshots(seed, n=64, length=12, density=0.08)
-    ((_, zpd),) = zigzag_series(window, len(window), 0.5)
+    (zpd,) = zigzag_series(window, len(window), 0.5)
     assert len(zpd) > 5 * len(zpd.rows)  # many bars share a point
     _same_render_as_expanded_reference(zpd, len(window))
 

@@ -137,7 +137,7 @@ def random_dynamic_network(seed: int, n_max: int = 12, t_max: int = 8, edge_prob
 
 def window_image(window, nu_star, mode, grid, weighting, homology_dims=(1,)) -> np.ndarray:
     """ZPD then ZPI for one window; multiple dimensions sum pixelwise."""
-    ((_, zpd),) = zigzag_series(window, len(window), nu_star, mode)
+    (zpd,) = zigzag_series(window, len(window), nu_star, mode)
     pixels = np.zeros((grid.resolution, grid.resolution))
     for dim in homology_dims:
         pixels += render_zpi(zpd.points(dim), grid, weighting).pixels
