@@ -41,10 +41,10 @@ pred = forward(x, img, params, cfg)
 print("forecast shape:", pred.shape)
 
 # Ablations: replacing the image code with ones is bit-identical to the
-# no-zigzag switch.
+# no-zigzag ablation.
 ones = [np.ones(cfg.half_hidden)] * cfg.num_layers
 same = np.array_equal(
-    forward(x, img, params, cfg, ablation=Ablation(no_zigzag=True)),
+    forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG),
     forward(x, img, params, cfg, z_override=ones),
 )
 print("no-zigzag == ones override:", same)

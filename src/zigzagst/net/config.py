@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .layers import zpi_encoder_output_size
+from .layers import ENCODER_FILTERS, ENCODER_KERNEL, ENCODER_STRIDE, zpi_encoder_output_size
 
 __all__ = [
     "ModelConfig",
@@ -22,7 +22,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 6
+CHECKPOINT_VERSION = 7
 
 
 @dataclass(frozen=True)
@@ -30,7 +30,8 @@ class ModelConfig:
     """Shapes and hyperparameters of the forecasting network.
 
     ``hidden`` is the full layer width; the spatial and temporal branches
-    each produce half of it and are concatenated.
+    each produce half of it and are concatenated.  The image encoder's
+    shape is fixed by the ``layers.ENCODER_*`` constants.
     """
 
     n_nodes: int
@@ -43,9 +44,6 @@ class ModelConfig:
     hidden: int = 64
     num_layers: int = 2
     zpi_resolution: int = 100
-    cnn_filters: int = 8
-    cnn_kernel: int = 3
-    cnn_stride: int = 2
     learning_rate: float = 0.003
     lr_decay: float = 0.3
     plateau_patience: int = 5
@@ -56,8 +54,7 @@ class ModelConfig:
     def __post_init__(self):
         positive = (
             "n_nodes", "in_features", "out_features", "embed_dim", "window",
-            "horizon", "hidden", "num_layers", "zpi_resolution", "cnn_filters",
-            "cnn_kernel", "cnn_stride", "batch_size", "epochs",
+            "horizon", "hidden", "num_layers", "zpi_resolution", "batch_size", "epochs",
         )
         for name in positive:
             if getattr(self, name) < 1:
@@ -69,7 +66,7 @@ class ModelConfig:
         if not 0 < self.learning_rate < math.inf or not 0 < self.lr_decay <= 1:
             raise ValueError("learning_rate must be finite and > 0, and lr_decay in (0, 1]")
         # the image encoder's two convolutions must fit in the image
-        zpi_encoder_output_size(self.zpi_resolution, self.cnn_kernel, self.cnn_stride)
+        zpi_encoder_output_size(self.zpi_resolution, ENCODER_KERNEL, ENCODER_STRIDE)
 
     @property
     def half_hidden(self) -> int:
@@ -146,8 +143,7 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     c, k, half, hidden = (
         config.embed_dim, config.laplacian_order, config.half_hidden, config.hidden,
     )
-    ks = config.cnn_kernel
-    nf = config.cnn_filters
+    ks, nf = ENCODER_KERNEL, ENCODER_FILTERS
 
     def dense(*shape):
         fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]

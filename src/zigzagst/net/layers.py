@@ -154,6 +154,9 @@ def temporal_conv_backward(cache, dout):
     return dh_win, np.broadcast_to(dpower_sum, powers_shape), dembed, dweight[:, 0], dtime_mix
 
 
+# The model's image encoder: two convolutions of 8 filters of 3x3 at stride 2.
+ENCODER_FILTERS, ENCODER_KERNEL, ENCODER_STRIDE = 8, 3, 2
+
 # Bytes of per-call buffers one block of images may take in ``zpi_encoder``
 # (``_image_buffer_sizes``).  With 8 filters of 3x3 at stride 2 and two
 # layers, a 100x100 image needs about 0.85 MB of them and goes alone; a

@@ -12,7 +12,7 @@ layers in one ``zpi_encoder`` call before the layer loop.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import enum
 
 import numpy as np
 
@@ -30,13 +30,13 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Ablation:
-    """Switches: gate to ones, or zero a branch before combination."""
+class Ablation(enum.Enum):
+    """The full model, or one part removed: gates of ones, or a branch zeroed before combination."""
 
-    no_zigzag: bool = False
-    no_spatial: bool = False
-    no_temporal: bool = False
+    NONE = "none"
+    NO_ZIGZAG = "no-zigzag"
+    NO_SPATIAL = "no-spatial"
+    NO_TEMPORAL = "no-temporal"
 
 
 def _ensure_finite(name: str, arr: np.ndarray) -> None:
@@ -63,7 +63,7 @@ def forward(
     image: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
-    ablation: Ablation = Ablation(),
+    ablation: Ablation = Ablation.NONE,
     z_override: list[np.ndarray] | None = None,
     want_cache: bool = False,
 ):
@@ -74,7 +74,7 @@ def forward(
     image is a batch of one whose prediction drops the batch axis.
     ``z_override`` injects fixed gate vectors (one per layer, each (half,)
     for the whole batch or (B, half), else a ValueError) in place of the
-    encoder output; the no_zigzag ablation is exactly a ones override.
+    encoder output; ``Ablation.NO_ZIGZAG`` is exactly a ones override.
     Returns the prediction, or (prediction, cache) when ``want_cache`` is
     set.
     """
@@ -96,12 +96,12 @@ def forward(
     # kernels in one pass over the images, and builds no cache unless a
     # backward will read it
     half = config.half_hidden
-    if ablation.no_zigzag:
+    if ablation is Ablation.NO_ZIGZAG:
         gates = [(np.ones((b, half)), None)] * config.num_layers
     elif z_override is not None:
         gates = [(z, None) for z in _override_gates(z_override, b, config)]
     else:
-        gates = L.zpi_encoder(image, params.layers, config.cnn_stride, want_cache=want_cache)
+        gates = L.zpi_encoder(image, params.layers, L.ENCODER_STRIDE, want_cache=want_cache)
 
     lap, lap_cache = L.adaptive_laplacian(params.embedding)
     _ensure_finite("adaptive_laplacian", lap)
@@ -114,8 +114,8 @@ def forward(
     for li, (lp, (z, enc_cache)) in enumerate(zip(params.layers, gates)):
         s_out, s_cache = L.spatial_conv_window(seq, powers, params.embedding, lp.spatial_w)
         t_out, t_cache = L.temporal_conv(seq, powers, params.embedding, lp.temporal_w, params.time_mix)
-        s_scaled = np.zeros_like(s_out) if ablation.no_spatial else s_out * z[:, None, :]
-        t_scaled = np.zeros_like(t_out) if ablation.no_temporal else t_out * z[:, None, :]
+        s_scaled = np.zeros_like(s_out) if ablation is Ablation.NO_SPATIAL else s_out * z[:, None, :]
+        t_scaled = np.zeros_like(t_out) if ablation is Ablation.NO_TEMPORAL else t_out * z[:, None, :]
         _ensure_finite(f"layer {li} branches", s_scaled)
         gru_in = np.concatenate(
             [s_scaled, np.broadcast_to(t_scaled, s_scaled.shape)], axis=3
@@ -186,12 +186,12 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
         dt_scaled = dgru_in[..., half:].sum(axis=0)
 
         dz = np.zeros((b, half))
-        if ablation.no_spatial:
+        if ablation is Ablation.NO_SPATIAL:
             ds_out = np.zeros_like(s_out)
         else:
             ds_out = ds_scaled * z[:, None, :]
             dz += (ds_scaled * s_out).sum(axis=(0, 2))
-        if ablation.no_temporal:
+        if ablation is Ablation.NO_TEMPORAL:
             dt_out = np.zeros_like(t_out)
         else:
             dt_out = dt_scaled * z[:, None, :]

@@ -119,7 +119,7 @@ def _scale_inputs(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     return np.clip((x - lo) / span, 0.0, 1.0)
 
 
-def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation()) -> np.ndarray:
+def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation.NONE) -> np.ndarray:
     """Forecasts (B, horizon, n_nodes, out_features) for a batch of raw windows.
 
     The windows go ``batch_size`` at a time through ``forward``, and each
@@ -139,7 +139,7 @@ def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation()) 
 
 
 def evaluate(
-    result: TrainResult, batch: Batch, ablation: Ablation = Ablation()
+    result: TrainResult, batch: Batch, ablation: Ablation = Ablation.NONE
 ) -> tuple[float, float, float]:
     """Pooled MAE/RMSE/MAPE of ``predict`` over a batch of raw windows."""
     return loss_metrics(predict(result, batch, ablation), batch.targets)
@@ -160,7 +160,7 @@ def _step(result: TrainResult, chunk: Batch, ablation, adam: Adam, lr: float) ->
     return loss
 
 
-def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation()) -> TrainResult:
+def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation.NONE) -> TrainResult:
     """Adam training; input min-max scaling is fit on the training split only.
 
     The learning rate is multiplied by the configured decay whenever the

@@ -79,12 +79,7 @@ __all__ = [
 MAX_IMAGE_DOUBLES = 2**26
 
 _MODE_NAMES = {m.value: m for m in FiltrationMode}
-_ABLATIONS = {
-    "none": net.Ablation(),
-    "no-zigzag": net.Ablation(no_zigzag=True),
-    "no-spatial": net.Ablation(no_spatial=True),
-    "no-temporal": net.Ablation(no_temporal=True),
-}
+_ABLATIONS = {a.value: a for a in net.Ablation}
 
 
 @dataclass(frozen=True)
@@ -340,22 +335,15 @@ def _split_windows(length: int, config: RunConfig) -> net.Dataset:
     return split
 
 
-def assemble_batches(
-    network: DynamicNetwork,
-    features: FeatureSeries,
-    config: RunConfig,
-    windows: range | None = None,
-) -> net.Batch:
-    """The forecastable windows ``windows`` (default all) as one stacked batch.
+def _batch_windows(
+    network: DynamicNetwork, features: FeatureSeries, config: RunConfig, windows: range | None
+) -> range:
+    """The run ``windows`` (default all) of forecastable windows, checked for ``assemble_batches``.
 
-    Window k reads snapshots k .. k + tau - 1 and predicts the ``horizon``
-    after them; the features must have the network's first step, length
-    and universe.  The series engine runs only on the snapshots the
-    windows cover, and each image is computed once, into one
-    preallocated array, whose size ``MAX_IMAGE_DOUBLES`` bounds.
+    The features must have the network's first step, length and universe,
+    and the windows' images must fit ``MAX_IMAGE_DOUBLES``.
     """
-    nu = config.require_nu_star()
-    tau, h, p = config.tau, config.horizon, config.resolution
+    tau, p = config.tau, config.resolution
     got = (features.start, *features.shape[:2])
     want = (network.snapshots[0].index, len(network), network.universe_size)
     if got != want:
@@ -370,6 +358,26 @@ def assemble_batches(
             f"{len(windows)} windows of tau {tau} at resolution {p} need {len(windows) * p * p} "
             f"image doubles, more than MAX_IMAGE_DOUBLES = {MAX_IMAGE_DOUBLES}"
         )
+    return windows
+
+
+def assemble_batches(
+    network: DynamicNetwork,
+    features: FeatureSeries,
+    config: RunConfig,
+    windows: range | None = None,
+) -> net.Batch:
+    """The forecastable windows ``windows`` (default all) as one stacked batch.
+
+    Window k reads snapshots k .. k + tau - 1 and predicts the ``horizon``
+    after them; ``_batch_windows`` checks the features and the windows.
+    The series engine runs only on the snapshots the windows cover, and
+    each image is computed once, into one preallocated array, whose size
+    ``MAX_IMAGE_DOUBLES`` bounds.
+    """
+    nu = config.require_nu_star()
+    windows = _batch_windows(network, features, config, windows)
+    tau, h, p = config.tau, config.horizon, config.resolution
     grid, weighting = config.grid_spec(), config.weighting()
     images = np.zeros((len(windows), p, p))
     snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
@@ -412,7 +420,8 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
     ``noise_fraction`` of the training windows, drawn from a generator
     seeded ``seed + 1``: first the window order, then the noise of each
     chosen window in that order.  What the data or the model can refuse
-    is refused before any window is assembled.
+    is refused before ``outdir`` is made, and it is made before any
+    window is assembled.
     """
     network, features = _load_data(config)
     _split_windows(len(network), config)  # rejects an empty test split before assembly
@@ -422,6 +431,8 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
             f"out_features {config.out_features} exceeds the {features.shape[2]} feature "
             f"column(s) of {config.features}"
         )
+    _batch_windows(network, features, config, None)
+    _ensure_outdir(config)
     dataset = net.chronological_split(assemble_batches(network, features, config), config.split)
     if config.noise_sigma > 0:
         train = dataset.train
@@ -442,18 +453,19 @@ def _ensure_outdir(config: RunConfig) -> str:
     return config.outdir
 
 
-def _snapshot_input(config: RunConfig) -> tuple[float, FiltrationMode, DynamicNetwork, str]:
-    """``nu_star``, the filtration mode and the snapshots, read before ``outdir`` is made."""
+def _snapshot_input(config: RunConfig) -> tuple[float, FiltrationMode, DynamicNetwork]:
+    """``nu_star``, the filtration mode and the snapshots."""
     nu = config.require_nu_star()
     if not config.snapshots:
         raise ValueError("snapshots path is required")
     network = read_snapshot_csv(config.snapshots, config.universe_size or None)
-    return nu, config.filtration_mode(), network, _ensure_outdir(config)
+    return nu, config.filtration_mode(), network
 
 
 def cmd_filtrate(config: RunConfig) -> dict:
     """Complexes and Betti summary for every snapshot."""
-    nu, mode, network, out = _snapshot_input(config)
+    nu, mode, network = _snapshot_input(config)
+    out = _ensure_outdir(config)
     betti_path = os.path.join(out, "betti.csv")
     dumps, rows = [], ["t,b0,b1\n"]
     for s in network:
@@ -483,9 +495,10 @@ def cmd_zigzag(config: RunConfig) -> dict:
     ``check``, one more pass over the complexes gives each position's
     Betti numbers once, and each window is compared with its own run.
     """
-    nu, mode, network, out = _snapshot_input(config)
+    nu, mode, network = _snapshot_input(config)
     tau = config.tau
-    window_count(len(network), tau)  # rejects tau > T before removing files
+    window_count(len(network), tau)  # rejects tau > T
+    out = _ensure_outdir(config)
     _remove_window_files(out)
     complexes = _series_complexes(network.snapshots, nu, mode, tau > 1) if config.check else ()
     betti = [(betti_numbers(cx, 0), betti_numbers(cx, 1)) for cx in complexes]
@@ -505,15 +518,25 @@ def cmd_zigzag(config: RunConfig) -> dict:
 
 
 def cmd_zpi(config: RunConfig) -> dict:
-    """Render every ZPD CSV in outdir into image files."""
-    out = _ensure_outdir(config)
+    """Render every ZPD CSV in outdir into image files.
+
+    Every diagram is read before any image is written, and one with a
+    death past ``tau``, from a longer window, is refused.
+    """
+    out = config.outdir
     grid, weighting = config.grid_spec(), config.weighting()
-    names = sorted(f for f in os.listdir(out) if f.startswith("zpd_") and f.endswith(".csv"))
+    listed = os.listdir(out) if os.path.isdir(out) else []
+    names = sorted(f for f in listed if f.startswith("zpd_") and f.endswith(".csv"))
     if not names:
         raise FileNotFoundError(f"no zpd_*.csv files in {out}; run the zigzag command first")
+    diagrams = [read_zpd_csv(os.path.join(out, name)) for name in names]
+    for name, zpd in zip(names, diagrams):
+        twice_death = max((row[2] for row in zpd.rows), default=0)
+        if twice_death > 2 * config.tau:
+            raise ValueError(f"{os.path.join(out, name)}: death {twice_death / 2:g} lies past "
+                             f"tau = {config.tau}; the diagram is from a longer window")
     written = []
-    for name in names:
-        zpd = read_zpd_csv(os.path.join(out, name))
+    for name, zpd in zip(names, diagrams):
         stem = name[: -len(".csv")]
         for dim in config.homology_dims:
             z = render_zpi(zpd.points(dim), grid, weighting)
@@ -532,7 +555,6 @@ def cmd_distance(config: RunConfig, path_a: str, path_b: str, dim: int = 1) -> d
 
 def cmd_synth(config: RunConfig) -> dict:
     """Write a synthetic dataset: snapshots, features, and ground truth."""
-    out = _ensure_outdir(config)
     data = gen_synthetic(
         n_nodes=config.synth_nodes,
         length=config.synth_length,
@@ -541,6 +563,7 @@ def cmd_synth(config: RunConfig) -> dict:
         noise=config.synth_noise,
         seed=config.seed,
     )
+    out = _ensure_outdir(config)
     snap_path = os.path.join(out, "snapshots.csv")
     feat_path = os.path.join(out, "features.csv")
     truth_path = os.path.join(out, "cycle_truth.csv")
@@ -553,11 +576,10 @@ def cmd_synth(config: RunConfig) -> dict:
 
 def cmd_train(config: RunConfig) -> dict:
     """Assemble windows, train, and write checkpoint plus metric history."""
-    out = _ensure_outdir(config)
     dataset, model_cfg = _training_data(config)
     result = net.train(dataset, model_cfg, config.ablation_flags())
-    ckpt = os.path.join(out, "checkpoint.npz")
-    hist = os.path.join(out, "history.csv")
+    ckpt = os.path.join(config.outdir, "checkpoint.npz")
+    hist = os.path.join(config.outdir, "history.csv")
     net.save_checkpoint(
         ckpt, model_cfg, result.params, (result.input_lo, result.input_hi, result.image_scale),
         _checkpoint_settings(config),
@@ -606,12 +628,12 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     noisy windows sees its inputs scaled as in training.  Only the test
     windows are assembled, and they go to one ``predict`` call.
     """
-    out = _ensure_outdir(config)
     network, features = _load_data(config)
     model_cfg, params, scalers, settings = net.load_checkpoint(checkpoint)
     _require_checkpoint_match(model_cfg, settings, network.universe_size, features.shape[2], config)
     result = net.TrainResult(params, model_cfg, [], *scalers)
-    test = _split_windows(len(network), config).test
+    test = _batch_windows(network, features, config, _split_windows(len(network), config).test)
+    out = _ensure_outdir(config)
     batch = assemble_batches(network, features, config, test)
     preds = net.predict(result, batch, config.ablation_flags())
     path = os.path.join(out, "forecast.csv")
@@ -634,16 +656,15 @@ def _forecast_csv_text(preds: np.ndarray, start: int) -> str:
 
 def cmd_ablate(config: RunConfig) -> dict:
     """Full model plus the three architecture ablations, on shared data."""
-    out = _ensure_outdir(config)
     dataset, model_cfg = _training_data(config)
+    out = config.outdir
     rows = []
-    for name in ("none", "no-zigzag", "no-spatial", "no-temporal"):
-        run_cfg = replace(config, ablation=name)
-        result = net.train(dataset, model_cfg, run_cfg.ablation_flags())
+    for ablation in net.Ablation:
+        result = net.train(dataset, model_cfg, ablation)
         test_rows = [row for row in result.history if row[1] == "test"]
         mae, rmse, mape = test_rows[-1][2:]
-        rows.append((name, mae, rmse, mape))
-        net.write_history_csv(result.history, os.path.join(out, f"history_{name}.csv"))
+        rows.append((ablation.value, mae, rmse, mape))
+        net.write_history_csv(result.history, os.path.join(out, f"history_{ablation.value}.csv"))
     path = os.path.join(out, "ablation.csv")
     textio.write(path, "ablation,mae,rmse,mape\n" + "".join(
         f"{name},{mae:.17g},{rmse:.17g},{mape:.17g}\n" for name, mae, rmse, mape in rows))

@@ -5,10 +5,11 @@ replaced: one window per call, the GRU over (N, hidden) rows, the image
 encoder as 9-tap ``einsum`` convolutions that cache every activation,
 and the graph convolutions as three-operand ``einsum`` contractions.
 The layer functions, ``forward`` and ``backward`` are kept verbatim,
-except that the ``L.`` module prefix is dropped and the GRU reads and
+except that the ``L.`` module prefix is dropped, the GRU reads and
 writes W_z, W_r, b_z and b_r as slices of the stored ``[W_z | W_r]``
-and ``[b_z | b_r]``; a batch of B in the library must match B calls
-here.
+and ``[b_z | b_r]``, and the ablation is an ``Ablation`` member and the
+encoder's stride ``ENCODER_STRIDE``; a batch of B in the library must
+match B calls here.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from scipy.special import expit
 
 from zigzagst.net.config import ModelConfig, ModelParams
 from zigzagst.net.layers import (
+    ENCODER_STRIDE,
     adaptive_laplacian,
     adaptive_laplacian_backward,
     laplacian_powers,
@@ -192,14 +194,14 @@ def forward(
     image: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
-    ablation: Ablation = Ablation(),
+    ablation: Ablation = Ablation.NONE,
     z_override: list[np.ndarray] | None = None,
     want_cache: bool = False,
 ):
     """Predict (horizon, n_nodes, out_features) from a window and its image.
 
     ``z_override`` injects fixed gate vectors (one per layer) in place of
-    the encoder output; the no_zigzag ablation is exactly a ones
+    the encoder output; ``Ablation.NO_ZIGZAG`` is exactly a ones
     override.  Returns the prediction, or (prediction, cache) when
     ``want_cache`` is set.
     """
@@ -221,16 +223,16 @@ def forward(
     layer_caches = []
     half = config.half_hidden
     for li, lp in enumerate(params.layers):
-        if ablation.no_zigzag:
+        if ablation is Ablation.NO_ZIGZAG:
             z, enc_cache = np.ones(half), None
         elif z_override is not None:
             z, enc_cache = np.asarray(z_override[li], dtype=np.float64), None
         else:
-            z, enc_cache = zpi_encoder(image, lp, config.cnn_stride)
+            z, enc_cache = zpi_encoder(image, lp, ENCODER_STRIDE)
         s_out, s_cache = spatial_conv_window(seq, powers, params.embedding, lp.spatial_w)
         t_out, _, t_cache = temporal_conv(seq, powers, params.embedding, lp.temporal_w, params.time_mix)
-        s_scaled = np.zeros_like(s_out) if ablation.no_spatial else s_out * z
-        t_scaled = np.zeros_like(t_out) if ablation.no_temporal else t_out * z
+        s_scaled = np.zeros_like(s_out) if ablation is Ablation.NO_SPATIAL else s_out * z
+        t_scaled = np.zeros_like(t_out) if ablation is Ablation.NO_TEMPORAL else t_out * z
         _ensure_finite(f"layer {li} branches", s_scaled)
         gru_in = np.concatenate(
             [s_scaled, np.broadcast_to(t_scaled, s_scaled.shape)], axis=2
@@ -294,12 +296,12 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
         dt_scaled = dgru_in[:, :, half:].sum(axis=0)
 
         dz = np.zeros(half)
-        if ablation.no_spatial:
+        if ablation is Ablation.NO_SPATIAL:
             ds_out = np.zeros_like(s_out)
         else:
             ds_out = ds_scaled * z
             dz += np.einsum("ino,ino->o", ds_scaled, s_out)
-        if ablation.no_temporal:
+        if ablation is Ablation.NO_TEMPORAL:
             dt_out = np.zeros_like(t_out)
         else:
             dt_out = dt_scaled * z

@@ -176,7 +176,7 @@ def test_criterion_6_ablation_identity():
     params = init_params(cfg, rng)
     x = rng.uniform(0, 1, (cfg.window, cfg.n_nodes, cfg.in_features))
     img = rng.uniform(0, 1, (cfg.zpi_resolution, cfg.zpi_resolution))
-    flagged = forward(x, img, params, cfg, ablation=Ablation(no_zigzag=True))
+    flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
     override = forward(x, img, params, cfg, z_override=[np.ones(cfg.half_hidden)] * cfg.num_layers)
     ok = np.array_equal(flagged, override)
     _report(6, "no-zigzag flag is bit-identical to ones gate", ok,
@@ -214,7 +214,7 @@ def _directional_pair(seed: int, delta: float) -> tuple[float, float]:
         batch_size=16, epochs=60, seed=seed,
     )
     maes = {}
-    for name, flags in (("full", Ablation()), ("ablated", Ablation(no_zigzag=True))):
+    for name, flags in (("full", Ablation.NONE), ("ablated", Ablation.NO_ZIGZAG)):
         result = net.train(dataset, model_cfg, flags)
         maes[name] = [row for row in result.history if row[1] == "test"][-1][2]
     return maes["full"], maes["ablated"]

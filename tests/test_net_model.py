@@ -87,7 +87,7 @@ def test_no_zigzag_equals_ones_override_bitwise():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(2))
     x, img, _ = make_inputs(cfg, seed=3)
-    flagged = forward(x, img, params, cfg, ablation=Ablation(no_zigzag=True))
+    flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
     override = forward(
         x, img, params, cfg, z_override=[np.ones(cfg.half_hidden)] * cfg.num_layers
     )
@@ -130,8 +130,8 @@ def test_branch_ablations_zero_the_branches():
     params = init_params(cfg, np.random.default_rng(2))
     x, img, _ = make_inputs(cfg, seed=3)
     full = forward(x, img, params, cfg)
-    no_s = forward(x, img, params, cfg, ablation=Ablation(no_spatial=True))
-    no_t = forward(x, img, params, cfg, ablation=Ablation(no_temporal=True))
+    no_s = forward(x, img, params, cfg, ablation=Ablation.NO_SPATIAL)
+    no_t = forward(x, img, params, cfg, ablation=Ablation.NO_TEMPORAL)
     assert not np.array_equal(full, no_s)
     assert not np.array_equal(full, no_t)
 

@@ -12,6 +12,7 @@ from zigzagst.dyngraph import (
     DynamicNetwork,
     FeatureSeries,
     Snapshot,
+    read_feature_csv,
     read_snapshot_csv,
     write_feature_csv,
     write_snapshot_csv,
@@ -22,6 +23,7 @@ from zigzagst.pipeline import (
     _checkpoint_settings,
     _forecast_csv_text,
     _load_data,
+    _model_config,
     _training_data,
     assemble_batches,
     cmd_ablate,
@@ -179,6 +181,26 @@ def test_every_setting_is_refused_at_construction_or_checked_elsewhere():
     assert not refused & elsewhere
     assert {f.name for f in fields(RunConfig)} == refused | elsewhere
     assert MODEL_SETTINGS <= {f.name for f in fields(net.ModelConfig)}
+
+
+# The network settings no run setting of the same name sets: what ``_model_config``
+# takes from the data or from a renamed run setting, and one a run leaves at its default.
+MODEL_FROM_DATA = {"n_nodes", "in_features"}
+MODEL_RENAMED = {"window": "tau", "zpi_resolution": "resolution"}
+MODEL_DEFAULT_ONLY = {"plateau_patience": "acceptance criterion 8 trains with 4 as a gate"}
+
+
+def test_every_model_setting_is_a_run_setting():
+    model_keys = {f.name for f in fields(net.ModelConfig)}
+    run_keys = {f.name for f in fields(RunConfig)}
+    assert model_keys - run_keys == MODEL_FROM_DATA | set(MODEL_RENAMED) | set(MODEL_DEFAULT_ONLY)
+    cfg = RunConfig(tau=5, resolution=9, hidden=6, num_layers=3, epochs=4, batch_size=3, seed=7)
+    model = _model_config(cfg, 11, 2)
+    assert (model.n_nodes, model.in_features) == (11, 2)
+    for field, key in MODEL_RENAMED.items():
+        assert getattr(model, field) == getattr(cfg, key)
+    for key in model_keys & run_keys:
+        assert getattr(model, key) == getattr(cfg, key)
 
 
 # --- synthetic data --------------------------------------------------------------
@@ -344,6 +366,23 @@ def test_cmd_zpi_requires_diagrams(tmp_path):
     cfg = RunConfig(outdir=str(tmp_path), nu_star=0.5)
     with pytest.raises(FileNotFoundError):
         cmd_zpi(cfg)
+
+
+def test_cmd_zpi_refuses_a_diagram_from_a_longer_window(tmp_path):
+    base = RunConfig(
+        snapshots=str(_nine_snapshots(tmp_path)), outdir=str(tmp_path / "out"), nu_star=0.5,
+        homology_dims=(0, 1), resolution=8,
+    )
+    paths = cmd_zigzag(replace(base, tau=8))["zpd"]
+    deaths = [max(row[2] for row in read_zpd_csv(path).rows) / 2 for path in paths]
+    first = next(k for k, death in enumerate(deaths) if death > 3)
+    message = re.escape(f"{paths[first]}: death {deaths[first]:g} lies past tau = 3")
+    with pytest.raises(ValueError, match=f"^{message}"):
+        cmd_zpi(replace(base, tau=3))
+    assert sorted(os.listdir(base.outdir)) == [os.path.basename(path) for path in paths]
+    # diagrams of a shorter window lie on the grid
+    windows = cmd_zigzag(replace(base, tau=2))["windows"]
+    assert len(cmd_zpi(replace(base, tau=3))["zpi"]) == 2 * windows
 
 
 def test_pipeline_matches_direct_library_calls(golden_paths):
@@ -564,8 +603,8 @@ def _series_files(tmp_path, data):
 def test_noise_injection_perturbs_only_training_inputs(tmp_path):
     data = gen_synthetic(n_nodes=8, length=20, period=4, delta=1.0, noise=0.1, seed=4)
     snaps, feats = _series_files(tmp_path, data)
-    cfg = RunConfig(snapshots=snaps, features=feats, nu_star=0.5, tau=4, horizon=2,
-                    resolution=10, noise_sigma=2.0, noise_fraction=0.5, seed=0)
+    cfg = RunConfig(snapshots=snaps, features=feats, outdir=str(tmp_path / "out"), nu_star=0.5,
+                    tau=4, horizon=2, resolution=10, noise_sigma=2.0, noise_fraction=0.5, seed=0)
     clean, _ = _training_data(replace(cfg, noise_sigma=0.0))
     noisy, _ = _training_data(cfg)
     # a per-window reference loop on the same generator stream
@@ -691,7 +730,60 @@ def test_an_empty_test_split_is_refused_before_assembly(forecast_inputs, monkeyp
     for run in (cmd_train, cmd_ablate, lambda c: cmd_forecast(c, ckpt)):
         with pytest.raises(ValueError, match=message):
             run(cfg)
-    assert os.listdir(cfg.outdir) == []
+    assert not os.path.exists(cfg.outdir)
+
+
+def _features_of_other_steps(cfg):
+    """``cfg`` reading its feature rows as steps 101.. where its snapshots name steps 1.."""
+    path = cfg.features + ".shifted.csv"
+    write_feature_csv(FeatureSeries(read_feature_csv(cfg.features).values, start=101), path)
+    return replace(cfg, features=path)
+
+
+def _past_the_image_budget(run):
+    """``run`` with room for one image double."""
+    from zigzagst import pipeline
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "MAX_IMAGE_DOUBLES", 1)
+        run()
+
+
+# Each command with an input it refuses, and the start of the refusal.
+OUTDIR_REFUSALS = {
+    "zigzag past the series": (lambda c, ckpt: cmd_zigzag(replace(c, tau=20)),
+                               "window size 20 exceeds series length 16"),
+    "zpi without outdir": (lambda c, ckpt: cmd_zpi(c), r"no zpd_\*\.csv files"),
+    "synth of 3 nodes": (lambda c, ckpt: cmd_synth(replace(c, synth_nodes=3)), "need at least 6"),
+    "synth of no steps": (lambda c, ckpt: cmd_synth(replace(c, synth_length=0)),
+                          "a dynamic network needs"),
+    "train without features": (lambda c, ckpt: cmd_train(replace(c, features=c.features + "x")),
+                               r"\[Errno 2\] No such file"),
+    "ablate without features": (lambda c, ckpt: cmd_ablate(replace(c, features=c.features + "x")),
+                                r"\[Errno 2\] No such file"),
+    "train past the series": (lambda c, ckpt: cmd_train(replace(c, tau=10, horizon=10)),
+                              "no window can be forecast"),
+    "train of other steps": (lambda c, ckpt: cmd_train(_features_of_other_steps(c)),
+                             r"features \(first step"),
+    "train past the image budget": (lambda c, ckpt: _past_the_image_budget(lambda: cmd_train(c)),
+                                    r"\d+ windows of tau 4"),
+    "forecast at another tau": (lambda c, ckpt: cmd_forecast(replace(c, tau=5), ckpt),
+                                "tau is 5 here but the checkpoint"),
+    "forecast of other steps": (lambda c, ckpt: cmd_forecast(_features_of_other_steps(c), ckpt),
+                                r"features \(first step"),
+    "forecast past the image budget": (
+        lambda c, ckpt: _past_the_image_budget(lambda: cmd_forecast(c, ckpt)),
+        r"\d+ windows of tau 4"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(OUTDIR_REFUSALS))
+def test_a_command_that_refuses_its_inputs_leaves_no_outdir(forecast_inputs, case):
+    cfg, _, ckpt = forecast_inputs
+    run, message = OUTDIR_REFUSALS[case]
+    with pytest.raises((ValueError, OSError), match=f"^{message}"):
+        run(replace(cfg, epochs=1), ckpt)
+    assert not os.path.exists(cfg.outdir)
 
 
 @pytest.mark.parametrize("resolution", [5, 6])

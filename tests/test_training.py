@@ -239,6 +239,7 @@ OLD_LAYOUTS = {
     3: with_config(pool_size=5),
     4: lambda entries: entries,
     5: split_gates,
+    6: with_config(cnn_filters=8, cnn_kernel=3, cnn_stride=2),
 }
 
 

@@ -34,7 +34,8 @@ def test_zpd_table_validates_rows():
         ((0, 4, 1, 1), "half-index 2t = 1 below the grid start"),
         ((0, 4, 3, 1), "death 3/2 precedes birth 2"),
         ((2, 2, 3, 1), "dimension must be 0 or 1, got 2"),
-        ((1, 2, 3, 0), "count must be >= 1, got 0"),
+        ((1, 2, 3, 0), "count must be a positive integer, got 0"),
+        ((1, 2, 4, 1.5), r"count must be a positive integer, got 1\.5"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ZPD(((1, 3, 5, 2), row))
