@@ -5,11 +5,11 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
 
+from .zigzag import check_count
 from .zpi import ZPIGrid
 
 Point = tuple[float, float]
@@ -62,8 +62,7 @@ def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
     c1, c2 = Counter(), Counter()
     for counts, rows in ((c1, d1), (c2, d2)):
         for b, d, m in rows:
-            if not (isinstance(m, Integral) and m >= 1):
-                raise ValueError(f"count must be a positive integer, got {m!r}")
+            check_count(m)
             counts[float(b), float(d)] += m
     shared = c1 & c2
     rest1, rest2 = c1 - shared, c2 - shared

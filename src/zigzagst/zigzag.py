@@ -50,6 +50,7 @@ __all__ = [
     "ZPD",
     "ZigzagFiltration",
     "InclusionError",
+    "check_count",
     "zigzag_series",
     "build_zigzag",
     "compute_zigzag_persistence",
@@ -74,6 +75,13 @@ def _check_dim(dim: int) -> None:
 
 def _half(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
+
+
+def check_count(m) -> None:
+    """A diagram row's count: an integer of at least 1, and not a ``bool``."""
+    # an int skips the abstract-class test, which costs about 1 us a row
+    if not (type(m) is int or (isinstance(m, Integral) and not isinstance(m, bool))) or m < 1:
+        raise ValueError(f"count must be a positive integer, got {m!r}")
 
 
 def _check_point(dim: int, twice_birth: int, twice_death: int) -> None:
@@ -102,9 +110,7 @@ class ZPD:
         counts: dict[tuple[int, int, int], int] = {}
         for dim, b, d, m in self.rows:
             _check_point(dim, b, d)
-            # an int skips the abstract-class test, which costs about 1 us a row
-            if not (type(m) is int or isinstance(m, Integral)) or m < 1:
-                raise ValueError(f"count must be a positive integer, got {m!r}")
+            check_count(m)
             counts[dim, b, d] = counts.get((dim, b, d), 0) + m
         object.__setattr__(self, "rows", tuple((*k, m) for k, m in sorted(counts.items())))
 

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines; the whole module is deterministic (fixed seeds throughout).
 """
 
+import math
 import time
 
 import numpy as np
@@ -159,6 +160,89 @@ def test_criterion_4_zpi_properties():
         ok,
         f"empty zero {empty_ok}; additivity {additivity:.1e}; mass rel err {mass_err:.1e}; "
         f"stability held-out/calibrated {held_out / calibrated:.3f} <= 1.05",
+    )
+
+
+def _stability_constant(grid: GridSpec, g_max: float) -> float:
+    """L in ``||ZPI(D) - ZPI(D')||_inf <= L * W1(D, D')`` under linear weighting.
+
+    One point (b, q) with weight g = min(q, cap) puts
+    F = 2 pi theta^2 g(q) A(b) B(q) in a pixel, where A and B are the normal
+    masses of the pixel's x and y sides: A(b) = Phi(u + h_x) - Phi(u) with
+    u = (x_lo - b) / theta and h_x the pixel width over theta, and B
+    likewise.  Then:
+
+    - A <= P(h_x) = erf(h_x / 2 sqrt 2), the mass of a centred interval;
+    - |A'(b)| = |phi(u + h_x) - phi(u)| / theta <= M(h_x) / theta, where
+      M(h) = sup_u |phi(u + h) - phi(u)| <= min(h sup|phi'|, sup phi)
+      = min(h / sqrt(2 pi e), 1 / sqrt(2 pi)) (mean value theorem, and
+      0 < phi <= 1 / sqrt(2 pi));
+    - g is 1-Lipschitz, g >= 0 and g(0) = 0.
+
+    So |dF/db| <= 2 pi theta^2 g P(h_y) M(h_x) / theta and
+    |dF/dq| <= 2 pi theta^2 P(h_x) (P(h_y) + g M(h_y) / theta).  W1 (L-inf
+    ground metric) pairs points at cost c = max(|db|, |dd|), so
+    |db| <= c and |dq| = |dd - db| <= 2c; a point paired with the diagonal
+    moves to its projection at cost c = q / 2, with db = c, dq = -2c, and
+    ends at g = 0, where F = 0.  Along each straight segment g stays at most
+    g_max, the larger weight of either diagram, so a pair moves any pixel
+    by at most c * L with
+
+        L = 2 pi theta^2 [g_max P(h_y) M(h_x) / theta
+                          + 2 P(h_x) (P(h_y) + g_max M(h_y) / theta)],
+
+    and the image is a sum over points, so the pairs' moves add to at most
+    W1 * L.  Constant weighting has no such bound: g = 1 on the diagonal.
+    """
+    h_x = (grid.x_hi - grid.x_lo) / grid.resolution / grid.theta
+    h_y = (grid.y_hi - grid.y_lo) / grid.resolution / grid.theta
+
+    def mass(h):
+        return math.erf(h / (2.0 * math.sqrt(2.0)))
+
+    def slope(h):
+        return min(h / math.sqrt(2.0 * math.pi * math.e), 1.0 / math.sqrt(2.0 * math.pi))
+
+    theta = grid.theta
+    return 2.0 * math.pi * theta * theta * (
+        g_max * mass(h_y) * slope(h_x) / theta
+        + 2.0 * mass(h_x) * (mass(h_y) + g_max * slope(h_y) / theta))
+
+
+def test_criterion_4_zpi_stability_bound():
+    domain = default_domain(12)
+    grid = GridSpec(100, *domain, default_theta(domain, 100))
+    weighting = WeightingSpec("linear")
+
+    def ratio(a, b):
+        w1 = wasserstein1(a, b).cost
+        g_max = max((weighting.weight(d - birth) for birth, d, _ in a + b), default=0.0)
+        gap = linf_distance(render_zpi(a, grid, weighting), render_zpi(b, grid, weighting))
+        if w1 == 0.0:  # the same diagram: the same image
+            return 0.0 if gap == 0.0 else math.inf
+        return gap / (_stability_constant(grid, g_max) * w1)
+
+    random_ratios = []
+    for seed in range(400):
+        r = np.random.default_rng(seed)
+        a = random_diagram(r, t=12, max_points=10)
+        b = perturb_diagram(r, a, t=12) if r.random() < 0.7 else random_diagram(r, t=12, max_points=10)
+        random_ratios.append(ratio(rows(a), rows(b)))
+    # one point at a pixel's centre pulled out along both axes, (b, d) -> (b - c, d + c),
+    # moves its persistence by 2c: the bound's persistence term does most of the work
+    step = (grid.x_hi - grid.x_lo) / grid.resolution
+    pulled = [ratio([(b, b + q, 1)], [(b - 1e-4, b + q + 1e-4, 1)])
+              for b in domain[0] + step * (np.arange(30, 40) + 0.5)
+              for q in np.linspace(4.0, 5.0, 21)]
+
+    worst, tight = max(random_ratios), max(pulled)
+    ok = worst <= 1.0 and tight <= 1.0
+    _report(
+        4,
+        "persistence image stability bound (linear weighting)",
+        ok,
+        f"{len(random_ratios)} random pairs: worst |dZPI|/(L W1) {worst:.3f}; "
+        f"pulled single points {tight:.3f}; both <= 1",
     )
 
 

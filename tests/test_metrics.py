@@ -199,7 +199,7 @@ def test_matches_expanded_references_on_wide_windows():
         _same_as_expanded_references(za.points(dim), zb.points(dim))
 
 
-@pytest.mark.parametrize("count", [0, -1, 1.5])
+@pytest.mark.parametrize("count", [0, -1, 1.5, True])
 def test_rejects_a_count_that_is_not_a_positive_integer(count):
     bad = [(1.0, 2.0, 1), (1.0, 3.0, count)]
     for d1, d2 in [(bad, []), ([(1.0, 3.0, 1)], bad)]:
@@ -224,8 +224,8 @@ def test_linf_examples():
 
 
 def test_cli_import_leaves_scipy_optimize_unloaded(tmp_path):
-    # only W1 needs scipy.optimize and only rendering needs scipy.special, and each
-    # imports its module on its first call, so the CLI loads no scipy module at all
+    # only W1 needs scipy (scipy.optimize), and it imports it on its first call,
+    # so the CLI loads no scipy module at all
     src = os.path.dirname(os.path.dirname(zigzagst.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = "import sys, zigzagst.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"

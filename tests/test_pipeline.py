@@ -1,11 +1,14 @@
 import math
 import os
 import re
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
 import pytest
 
+import zigzagst
 from zigzagst import net
 from zigzagst.cli import main
 from zigzagst.dyngraph import (
@@ -446,6 +449,41 @@ def test_cmd_synth_and_train_and_gradcheck(tmp_path):
     assert all(math.isfinite(v) for v in out["test_metrics"])
     gc = cmd_gradcheck(RunConfig(seed=0))
     assert gc["passed"]
+
+
+_SCIPY_PROBE = """
+import sys
+from dataclasses import replace
+from zigzagst.pipeline import (RunConfig, cmd_distance, cmd_forecast, cmd_synth, cmd_train,
+                                cmd_zigzag, cmd_zpi)
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+
+
+cfg = RunConfig(outdir="out", nu_star=0.5, seed=1, synth_nodes=6, synth_length=12,
+                synth_period=4, tau=3, horizon=1, resolution=8, hidden=2, num_layers=1,
+                embed_dim=2, laplacian_order=1, epochs=1, batch_size=4)
+paths = cmd_synth(cfg)
+cfg = replace(cfg, snapshots=paths["snapshots"], features=paths["features"])
+zpd = cmd_zigzag(cfg)["zpd"]
+assert cmd_zpi(cfg)["zpi"]
+assert cmd_forecast(cfg, cmd_train(cfg)["checkpoint"])["windows"]
+print(scipy_modules())
+cmd_distance(cfg, zpd[0], zpd[1])
+print("scipy.optimize" in scipy_modules())
+"""
+
+
+def test_cmd_zpi_train_and_forecast_load_no_scipy_module(tmp_path):
+    # a fresh interpreter, so that no other test's import counts; only W1 needs scipy
+    src = os.path.dirname(os.path.dirname(zigzagst.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.split() == ["[]", "True"]  # and the probe sees a module that is loaded
 
 
 def test_cmd_forecast_and_ablate(tmp_path):

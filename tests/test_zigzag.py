@@ -36,6 +36,7 @@ def test_zpd_table_validates_rows():
         ((2, 2, 3, 1), "dimension must be 0 or 1, got 2"),
         ((1, 2, 3, 0), "count must be a positive integer, got 0"),
         ((1, 2, 4, 1.5), r"count must be a positive integer, got 1\.5"),
+        ((1, 2, 4, True), "count must be a positive integer, got True"),
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ZPD(((1, 3, 5, 2), row))

@@ -15,6 +15,7 @@ from zigzagst.zpi import (
     GridSpec,
     WeightingSpec,
     ZPIGrid,
+    _cdf_steps,
     default_domain,
     default_theta,
     read_zpi,
@@ -116,6 +117,11 @@ def test_two_identical_points_double():
     assert np.allclose(twice.pixels, two.pixels, rtol=1e-12)
 
 
+def _within_image_bound(got, want):
+    """``|got - want| <= 1e-12 * max(1, max |want|)`` pixel by pixel: the benchmark's image bound."""
+    return np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+
+
 def _render_per_point(points, g, w):
     """The render with one outer product per listed point, repeats included."""
     ex = np.linspace(g.x_lo, g.x_hi, g.resolution + 1)
@@ -141,8 +147,7 @@ def test_row_count_renders_as_repeated_points(seed):
     rows = [(b, b + q, m) for (b, q), m in Counter(points).items()]
     for w in WEIGHTINGS:
         want = _render_per_point(points, g, w)
-        got = render_zpi(rows, g, w).pixels
-        assert np.max(np.abs(got - want)) <= 1e-12 * max(1.0, np.max(np.abs(want)))
+        assert _within_image_bound(render_zpi(rows, g, w).pixels, want)
 
 
 def test_linear_weight_scales_by_persistence():
@@ -168,7 +173,9 @@ def test_additivity_and_monotonicity(seed):
     combined = render_zpi(d1 + d2, g, w)
     separate = render_zpi(d1, g, w).pixels + render_zpi(d2, g, w).pixels
     assert np.allclose(combined.pixels, separate, rtol=1e-12, atol=1e-300)
-    assert np.all(combined.pixels >= render_zpi(d1, g, w).pixels)
+    # monotone up to the image bound: a render's summation order is its own
+    tol = 1e-12 * max(1.0, float(combined.pixels.max()))
+    assert np.all(combined.pixels >= render_zpi(d1, g, w).pixels - tol)
 
 
 def test_render_orientation_row_zero_is_low_persistence():
@@ -179,16 +186,19 @@ def test_render_orientation_row_zero_is_low_persistence():
 
 # --- render against the expanded-point reference ---------------------------------------
 
-def _same_render_as_expanded_reference(zpd, t):
-    """Rows render exactly as the replaced path renders the expanded (birth, persistence) list."""
+def _same_render_as_expanded_reference(rows, g):
+    """Rows render as the replaced path renders the expanded (birth, persistence) list."""
+    points = [(b, d - b) for b, d in expand(rows)]
+    for w in WEIGHTINGS:
+        got = render_zpi(rows, g, w).pixels
+        assert _within_image_bound(got, reference_zpi.render_zpi(points, g, w).pixels), w
+
+
+def _same_window_renders_as_expanded_reference(zpd, t):
     domain = default_domain(t)
     g = GridSpec(100, *domain, default_theta(domain, 100))
     for dim in (0, 1):
-        rows = zpd.points(dim)
-        points = [(b, d - b) for b, d in expand(rows)]
-        for w in WEIGHTINGS:
-            got = render_zpi(rows, g, w).pixels
-            assert (got == reference_zpi.render_zpi(points, g, w).pixels).all(), (dim, w)
+        _same_render_as_expanded_reference(zpd.points(dim), g)
 
 
 def test_render_matches_expanded_reference_on_random_windows():
@@ -197,7 +207,7 @@ def test_render_matches_expanded_reference_on_random_windows():
         window, nu = random_dynamic_network(seed)
         zpd = compute_zigzag_persistence(build_zigzag(window, nu))
         repeated += any(row[3] > 1 for row in zpd.rows)
-        _same_render_as_expanded_reference(zpd, len(window))
+        _same_window_renders_as_expanded_reference(zpd, len(window))
     assert repeated >= 10
 
 
@@ -206,10 +216,48 @@ def test_render_matches_expanded_reference_on_wide_windows(seed):
     window = independent_snapshots(seed, n=64, length=12, density=0.08)
     (zpd,) = zigzag_series(window, len(window), 0.5)
     assert len(zpd) > 5 * len(zpd.rows)  # many bars share a point
-    _same_render_as_expanded_reference(zpd, len(window))
+    _same_window_renders_as_expanded_reference(zpd, len(window))
 
 
-@pytest.mark.parametrize("count", [0, -1, 1.5])
+def _awkward_rows(case, rng):
+    """Rows that exercise the render's grouping by distinct birth and persistence."""
+    off_grid = [(float(b), float(b + q), int(m)) for b, q, m in
+                zip(rng.uniform(0, 10, 9), rng.uniform(0, 6, 9), rng.integers(1, 4, 9))]
+    if case == "off-grid":
+        return off_grid
+    if case == "repeated":  # listed again, and sharing only a birth or only a persistence
+        b, d, _ = off_grid[0]
+        return off_grid[:4] + [(b, d, 2), off_grid[1], (b, d + 1.5, 1),
+                               (2.0, 4.5, 1), (5.5, 8.0, 2), (2.0, 4.5, 3)]
+    if case == "zero-persistence":  # weight 0 under linear weighting, 1 under constant
+        return [(3.0, 3.0, 2)] + off_grid[:3] + [(off_grid[0][0], off_grid[0][0], 1), (7.5, 7.5, 1)]
+    if case == "one-row":
+        return off_grid[:1]
+    return []
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", ["off-grid", "repeated", "zero-persistence", "one-row", "no-rows"])
+def test_render_matches_expanded_reference_on_awkward_rows(case, seed):
+    g = grid(res=30, theta=0.4)
+    rows = _awkward_rows(case, np.random.default_rng(seed))
+    _same_render_as_expanded_reference(rows, g)
+    if case == "no-rows":
+        assert not render_zpi(rows, g, WeightingSpec("constant")).pixels.any()
+    if case == "zero-persistence":
+        flat = [row for row in rows if row[1] != row[0]]
+        assert np.array_equal(render_zpi(rows, g).pixels, render_zpi(flat, g).pixels)
+
+
+def test_cdf_steps_are_never_negative_where_erfc_is_not_monotone():
+    # math.erfc rises again in places between 26 and 27.5, where it is about 1e-321
+    z = np.linspace(26.0, 27.5, 2_000_001)
+    assert (np.diff([math.erfc(v) for v in z.tolist()]) > 0).any()
+    steps = _cdf_steps(-math.sqrt(2.0) * z, np.zeros(1), 1.0)
+    assert steps.shape == (1, z.size - 1) and (steps >= 0.0).all()
+
+
+@pytest.mark.parametrize("count", [0, -1, 1.5, True])
 def test_render_rejects_a_count_that_is_not_a_positive_integer(count):
     with pytest.raises(ValueError, match=f"count must be a positive integer, got {count}"):
         render_zpi([(1.0, 2.0, 1), (1.0, 3.0, count)], grid(), WeightingSpec())
