@@ -9,7 +9,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .zigzag import check_count
+from .zigzag import check_point_row
 from .zpi import ZPIGrid
 
 Point = tuple[float, float]
@@ -41,7 +41,9 @@ def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
     """Wasserstein-1 distance with L-infinity ground metric.
 
     A diagram is ``(birth, death, count)`` rows, as ``ZPD.points`` gives
-    them; a count that is not a positive integer raises ``ValueError``.
+    them; a row with a time that is not finite, a death before its birth
+    or a count that is not a positive integer raises a ``ValueError``
+    naming it (``zigzag.check_point_row``).
     Points both diagrams hold (as multisets) are paired with themselves
     at cost 0.  Only the remainders are expanded into points; they are
     augmented with the other side's diagonal projections (a point may only
@@ -61,9 +63,9 @@ def wasserstein1(d1: Sequence[Row], d2: Sequence[Row]) -> MatchingResult:
     """
     c1, c2 = Counter(), Counter()
     for counts, rows in ((c1, d1), (c2, d2)):
-        for b, d, m in rows:
-            check_count(m)
-            counts[float(b), float(d)] += m
+        for row in rows:
+            b, d, m = check_point_row(row)
+            counts[b, d] += m
     shared = c1 & c2
     rest1, rest2 = c1 - shared, c2 - shared
     n1, n2 = rest1.total(), rest2.total()

@@ -4,6 +4,7 @@ from .config import (
     LayerParams,
     ModelConfig,
     ModelParams,
+    TrainResult,
     init_params,
     load_checkpoint,
     save_checkpoint,
@@ -28,7 +29,6 @@ from .train import (
     Adam,
     Batch,
     Dataset,
-    TrainResult,
     TrainingDiverged,
     chronological_split,
     evaluate,

@@ -1,4 +1,4 @@
-"""Model configuration, trainable parameter arrays, and checkpoints."""
+"""Model configuration, trainable parameter arrays, trained networks, and checkpoints."""
 
 from __future__ import annotations
 
@@ -11,12 +11,13 @@ from typing import Iterator
 
 import numpy as np
 
-from .layers import ENCODER_FILTERS, ENCODER_KERNEL, ENCODER_STRIDE, zpi_encoder_output_size
+from .layers import ENCODER_FILTERS, ENCODER_KERNEL, zpi_encoder_output_size
 
 __all__ = [
     "ModelConfig",
     "LayerParams",
     "ModelParams",
+    "TrainResult",
     "init_params",
     "save_checkpoint",
     "load_checkpoint",
@@ -66,7 +67,7 @@ class ModelConfig:
         if not 0 < self.learning_rate < math.inf or not 0 < self.lr_decay <= 1:
             raise ValueError("learning_rate must be finite and > 0, and lr_decay in (0, 1]")
         # the image encoder's two convolutions must fit in the image
-        zpi_encoder_output_size(self.zpi_resolution, ENCODER_KERNEL, ENCODER_STRIDE)
+        zpi_encoder_output_size(self.zpi_resolution, ENCODER_KERNEL)
 
     @property
     def half_hidden(self) -> int:
@@ -184,31 +185,43 @@ def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
     )
 
 
-def save_checkpoint(path, config: ModelConfig, params: ModelParams, scalers, settings) -> None:
-    """Versioned npz dump of the configuration, every parameter array, the scalers and settings.
+@dataclass
+class TrainResult:
+    """A trained network: its shape, its parameters, the metric history and the input scalers.
 
-    ``scalers`` is ``(input_lo, input_hi, image_scale)`` as fitted by
-    training, and ``settings`` a JSON-able dict of the data-side settings
-    the training windows were made with.
+    Training fits the scalers on its training split: per input feature
+    ``input_lo`` and ``input_hi``, and ``image_scale`` for the images.
     """
-    input_lo, input_hi, image_scale = scalers
-    arrays = {name.replace(".", "__"): arr for name, arr in params.named_arrays()}
+
+    params: ModelParams
+    config: ModelConfig
+    history: list[tuple[int, str, float, float, float]]  # (epoch, split, mae, rmse, mape)
+    input_lo: np.ndarray
+    input_hi: np.ndarray
+    image_scale: float
+
+
+def save_checkpoint(path, result: TrainResult, settings: dict) -> None:
+    """Versioned npz dump of a trained network and ``settings``; the history is not stored.
+
+    ``settings`` is a JSON-able dict of the data-side settings the
+    training windows were made with.
+    """
+    arrays = {name.replace(".", "__"): arr for name, arr in result.params.named_arrays()}
     np.savez(
         path,
         checkpoint_version=np.int64(CHECKPOINT_VERSION),
-        config_json=np.bytes_(json.dumps(asdict(config)).encode("ascii")),
+        config_json=np.bytes_(json.dumps(asdict(result.config)).encode("ascii")),
         settings_json=np.bytes_(json.dumps(settings).encode("ascii")),
-        input_lo=np.asarray(input_lo, dtype=np.float64),
-        input_hi=np.asarray(input_hi, dtype=np.float64),
-        image_scale=np.float64(image_scale),
+        input_lo=np.asarray(result.input_lo, dtype=np.float64),
+        input_hi=np.asarray(result.input_hi, dtype=np.float64),
+        image_scale=np.float64(result.image_scale),
         **arrays,
     )
 
 
-def load_checkpoint(
-    path,
-) -> tuple[ModelConfig, ModelParams, tuple[np.ndarray, np.ndarray, float], dict]:
-    """The configuration, parameters, scalers and settings ``save_checkpoint`` stored.
+def load_checkpoint(path) -> tuple[TrainResult, dict]:
+    """The trained network, with an empty history, and the settings ``save_checkpoint`` stored.
 
     A file that is not an npz archive (empty, cut or corrupt), a missing
     entry, a wrong shape or version, or an unreadable or unknown
@@ -226,11 +239,12 @@ def load_checkpoint(
                 if stored.shape != arr.shape:
                     raise ValueError(f"checkpoint array {name} has shape {stored.shape}, expected {arr.shape}")
                 arr[...] = stored
-            scalers = (data["input_lo"], data["input_hi"], float(data["image_scale"]))
+            result = TrainResult(params, config, [], data["input_lo"], data["input_hi"],
+                                 float(data["image_scale"]))
             settings = json.loads(bytes(data["settings_json"]).decode("ascii"))
     except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TokenError, TypeError,
             ValueError, zipfile.BadZipFile) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             raise  # the file itself could not be opened
         raise ValueError(f"checkpoint {path}: {exc}") from exc
-    return config, params, scalers, settings
+    return result, settings

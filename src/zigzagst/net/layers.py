@@ -164,14 +164,14 @@ ENCODER_FILTERS, ENCODER_KERNEL, ENCODER_STRIDE = 8, 3, 2
 ENCODER_BLOCK_BYTES = 1 << 20
 
 
-def _im2col(x, out, k, stride, side):
-    """Columns of a valid strided k x k convolution of ``x``, written into ``out``.
+def _im2col(x, out, k, side):
+    """Columns of a valid k x k convolution at the encoder's stride of ``x``, into ``out``.
 
     ``x`` is (C, B, H, W) and ``out`` a flat buffer with room for them;
     the result is a view of it, (k*k*C, B*side*side) with rows ordered
     (ky, kx, c), built by one strided copy per kernel tap.
     """
-    c, b = x.shape[:2]
+    c, b, stride = *x.shape[:2], ENCODER_STRIDE
     cols = out[: k * k * c * b * side * side].reshape(k, k, c, b, side, side)
     for ky in range(k):
         for kx in range(k):
@@ -186,21 +186,22 @@ def _relu_matmul(kernel, cols, bias, out):
     return np.maximum(pre, 0.0, out=pre)
 
 
-def _patches(x, ys, xs, k, stride):
-    """x[c, b, stride*y + ky, stride*x + kx] for the output positions (ys, xs).
+def _patches(x, ys, xs, k):
+    """x[c, b, stride*y + ky, stride*x + kx] for output positions (ys, xs) at the encoder's stride.
 
     ``x`` is (C, B, H, W) and ``ys``/``xs`` are (B, ...) index arrays;
     the result is (B, ..., k, k, C).
     """
-    offsets = np.arange(k)
+    offsets, stride = np.arange(k), ENCODER_STRIDE
     rows = (stride * ys)[..., None, None] + offsets[:, None]
     cols = (stride * xs)[..., None, None] + offsets[None, :]
     batch = np.arange(x.shape[1]).reshape((-1,) + (1,) * (rows.ndim - 1))
     return np.moveaxis(x[:, batch, rows, cols], 0, -1)
 
 
-def zpi_encoder_output_size(p: int, kernel: int, stride: int) -> int:
-    """Feature-map side length after the two strided convolutions."""
+def zpi_encoder_output_size(p: int, kernel: int) -> int:
+    """Feature-map side length after the two convolutions at the encoder's stride."""
+    stride = ENCODER_STRIDE
     s1 = (p - kernel) // stride + 1
     if s1 < kernel:
         raise ValueError(
@@ -210,23 +211,24 @@ def zpi_encoder_output_size(p: int, kernel: int, stride: int) -> int:
     return (s1 - kernel) // stride + 1
 
 
-def _image_buffer_sizes(p, k, stride, filters, n_layers):
+def _image_buffer_sizes(p, k, filters, n_layers):
     """Elements one image takes in each of ``zpi_encoder``'s per-call buffers.
 
     They are the first convolution's columns, every layer's first map,
     the second convolution's columns, and one second map.
     """
-    s2 = zpi_encoder_output_size(p, k, stride)
-    s1 = (p - k) // stride + 1
+    s2 = zpi_encoder_output_size(p, k)
+    s1 = (p - k) // ENCODER_STRIDE + 1
     return k * k * s1 * s1, n_layers * filters * s1 * s1, k * k * filters * s2 * s2, filters * s2 * s2
 
 
-def zpi_encoder(image, layers, stride: int, want_cache: bool = True):
+def zpi_encoder(image, layers, want_cache: bool = True):
     """Every layer's code of the same images: one ``(z, cache)`` per layer.
 
-    A layer's code is two ReLU convolutions, a global max per channel,
-    and a linear map.  ``image`` is (..., p, p) and each code is
-    (..., half); every leading axis is a batch axis.  Max-pooling in 5x5
+    A layer's code is two ReLU convolutions at ``ENCODER_STRIDE``, whose
+    kernel size and filter count are read from the layer's arrays, a
+    global max per channel, and a linear map.  ``image`` is (..., p, p)
+    and each code is (..., half); every leading axis is a batch axis.  Max-pooling in 5x5
     regions followed by a global max over the pooled map collapses to one
     global max per channel, which is what is computed; gradients route to
     the argmax position.  So a layer's cache keeps only what that one
@@ -246,11 +248,11 @@ def zpi_encoder(image, layers, stride: int, want_cache: bool = True):
     p = image.shape[-1]
     filters, _, k, _ = layers[0].conv1_k.shape
     n_layers = len(layers)
-    s2 = zpi_encoder_output_size(p, k, stride)
-    s1 = (p - k) // stride + 1
+    s2 = zpi_encoder_output_size(p, k)
+    s1 = (p - k) // ENCODER_STRIDE + 1
     x0 = image.reshape(1, -1, p, p)  # one input channel
     b = x0.shape[1]
-    sizes = _image_buffer_sizes(p, k, stride, filters, n_layers)
+    sizes = _image_buffer_sizes(p, k, filters, n_layers)
     block = max(1, min(b, ENCODER_BLOCK_BYTES // (8 * sum(sizes))))
     cols1, maps1, cols2, maps2 = (np.empty(block * size) for size in sizes)
     kernel1 = np.concatenate([lp.conv1_k.reshape(filters, k * k) for lp in layers])
@@ -263,21 +265,21 @@ def zpi_encoder(image, layers, stride: int, want_cache: bool = True):
     for b0 in range(0, b, block):
         rows = slice(b0, min(b0 + block, b))
         nb = rows.stop - b0
-        r1 = _relu_matmul(kernel1, _im2col(x0[:, rows], cols1, k, stride, s1), bias1, maps1)
+        r1 = _relu_matmul(kernel1, _im2col(x0[:, rows], cols1, k, s1), bias1, maps1)
         r1 = r1.reshape(n_layers, filters, nb, s1, s1)
         for li, lp in enumerate(layers):
-            cols = _im2col(r1[li], cols2, k, stride, s2)
+            cols = _im2col(r1[li], cols2, k, s2)
             flat = _relu_matmul(kernels2[li], cols, lp.conv2_b, maps2).reshape(filters, nb, -1)
             maxvals[li, rows] = flat.max(axis=2).T
             if want_cache:
                 arg = flat.argmax(axis=2)  # row-major position, (filters, nb)
                 y2[li, rows], x2[li, rows] = np.divmod(arg.T, s2)
-                patch1[li, rows] = _patches(r1[li], y2[li, rows], x2[li, rows], k, stride)
+                patch1[li, rows] = _patches(r1[li], y2[li, rows], x2[li, rows], k)
     lead = image.shape[:-2]
     return [
         (
             (maxvals[li] @ lp.zmap_w + lp.zmap_b).reshape(lead + lp.zmap_b.shape),
-            (x0, y2[li], x2[li], patch1[li], maxvals[li], lp, stride) if want_cache else None,
+            (x0, y2[li], x2[li], patch1[li], maxvals[li], lp) if want_cache else None,
         )
         for li, lp in enumerate(layers)
     ]
@@ -288,8 +290,8 @@ def zpi_encoder_backward(cache, dz):
 
     The gradients of every sample are summed.
     """
-    x0, y2, x2, patch1, maxvals, layer, stride = cache
-    k = layer.conv1_k.shape[2]
+    x0, y2, x2, patch1, maxvals, layer = cache
+    k, stride = layer.conv1_k.shape[2], ENCODER_STRIDE
     dz = dz.reshape(maxvals.shape[0], -1)
     dzmap_w = maxvals.T @ dz
     dzmap_b = dz.sum(axis=0)
@@ -303,7 +305,7 @@ def zpi_encoder_backward(cache, dz):
     offsets = np.arange(k)
     y1 = stride * y2[:, :, None, None] + offsets[:, None]
     x1 = stride * x2[:, :, None, None] + offsets[None, :]
-    patch0 = _patches(x0, y1, x1, k, stride)
+    patch0 = _patches(x0, y1, x1, k)
     cout, cin = layer.conv1_k.shape[:2]
     dconv1_k = dpre1.reshape(-1, cout).T @ patch0.reshape(-1, k * k * cin)
     dconv1_k = dconv1_k.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)

@@ -44,37 +44,20 @@ def _ensure_finite(name: str, arr: np.ndarray) -> None:
         raise FloatingPointError(f"non-finite values produced in {name}")
 
 
-def _override_gates(z_override, b: int, config: ModelConfig) -> list[np.ndarray]:
-    """Each layer's (b, half) gates from ``z_override``: one entry per layer, (half,) or (b, half)."""
-    if len(z_override) != config.num_layers:
-        raise ValueError(f"z_override has {len(z_override)} entries for {config.num_layers} layers")
-    half = config.half_hidden
-    gates = [np.asarray(z, dtype=np.float64) for z in z_override]
-    for li, z in enumerate(gates):
-        if z.shape not in ((half,), (b, half)):
-            raise ValueError(
-                f"z_override for layer {li} has shape {z.shape}, expected ({half},) or ({b}, {half})"
-            )
-    return [np.broadcast_to(z, (b, half)) for z in gates]
-
-
 def forward(
     x_win: np.ndarray,
     image: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
     ablation: Ablation = Ablation.NONE,
-    z_override: list[np.ndarray] | None = None,
     want_cache: bool = False,
 ):
     """Predict (B, horizon, n_nodes, out_features) from B windows and their images.
 
     ``x_win`` is (B, window, n_nodes, in_features) and ``image`` is
     (B, p, p).  One window (window, n_nodes, in_features) with one (p, p)
-    image is a batch of one whose prediction drops the batch axis.
-    ``z_override`` injects fixed gate vectors (one per layer, each (half,)
-    for the whole batch or (B, half), else a ValueError) in place of the
-    encoder output; ``Ablation.NO_ZIGZAG`` is exactly a ones override.
+    image is a batch of one whose prediction drops the batch axis.  The
+    gates are the encoder's codes, or ones under ``Ablation.NO_ZIGZAG``.
     Returns the prediction, or (prediction, cache) when ``want_cache`` is
     set.
     """
@@ -95,13 +78,10 @@ def forward(
     # one (z, encoder cache) per layer; the encoder reads every layer's
     # kernels in one pass over the images, and builds no cache unless a
     # backward will read it
-    half = config.half_hidden
     if ablation is Ablation.NO_ZIGZAG:
-        gates = [(np.ones((b, half)), None)] * config.num_layers
-    elif z_override is not None:
-        gates = [(z, None) for z in _override_gates(z_override, b, config)]
+        gates = [(np.ones((b, config.half_hidden)), None)] * config.num_layers
     else:
-        gates = L.zpi_encoder(image, params.layers, L.ENCODER_STRIDE, want_cache=want_cache)
+        gates = L.zpi_encoder(image, params.layers, want_cache=want_cache)
 
     lap, lap_cache = L.adaptive_laplacian(params.embedding)
     _ensure_finite("adaptive_laplacian", lap)

@@ -7,13 +7,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import textio
-from .config import ModelConfig, ModelParams, init_params
+from .config import ModelConfig, ModelParams, TrainResult, init_params
 from .model import Ablation, backward, forward, loss_metrics, mae_loss_and_grad
 
 __all__ = [
     "Batch",
     "Dataset",
-    "TrainResult",
     "TrainingDiverged",
     "Adam",
     "chronological_split",
@@ -58,16 +57,6 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, epoch: int):
         super().__init__(f"training loss became non-finite at epoch {epoch}")
         self.epoch = epoch
-
-
-@dataclass
-class TrainResult:
-    params: ModelParams
-    config: ModelConfig
-    history: list[tuple[int, str, float, float, float]]  # (epoch, split, mae, rmse, mape)
-    input_lo: np.ndarray
-    input_hi: np.ndarray
-    image_scale: float
 
 
 BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
@@ -124,7 +113,9 @@ def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation.NON
 
     The windows go ``batch_size`` at a time through ``forward``, and each
     chunk is scaled with the stored scalers when it is taken, so no
-    scaled copy of the whole batch is held.
+    scaled copy of the whole batch is held.  The encoder's matrix products
+    round by the number of images in a call, so forecasts made with
+    another ``batch_size`` can differ in the last bits.
     """
     cfg = result.config
     step = cfg.batch_size

@@ -580,10 +580,7 @@ def cmd_train(config: RunConfig) -> dict:
     result = net.train(dataset, model_cfg, config.ablation_flags())
     ckpt = os.path.join(config.outdir, "checkpoint.npz")
     hist = os.path.join(config.outdir, "history.csv")
-    net.save_checkpoint(
-        ckpt, model_cfg, result.params, (result.input_lo, result.input_hi, result.image_scale),
-        _checkpoint_settings(config),
-    )
+    net.save_checkpoint(ckpt, result, _checkpoint_settings(config))
     net.write_history_csv(result.history, hist)
     test_rows = [row for row in result.history if row[1] == "test"]
     return {"checkpoint": ckpt, "history": hist, "test_metrics": test_rows[-1][2:]}
@@ -609,6 +606,7 @@ def _require_checkpoint_match(
     pairs = {
         "universe_size": (n_nodes, model_cfg.n_nodes),
         "feature width": (in_features, model_cfg.in_features),
+        "out_features": (config.out_features, model_cfg.out_features),
         "tau": (config.tau, model_cfg.window),
         "horizon": (config.horizon, model_cfg.horizon),
         "resolution": (config.resolution, model_cfg.zpi_resolution),
@@ -629,9 +627,9 @@ def cmd_forecast(config: RunConfig, checkpoint: str) -> dict:
     windows are assembled, and they go to one ``predict`` call.
     """
     network, features = _load_data(config)
-    model_cfg, params, scalers, settings = net.load_checkpoint(checkpoint)
-    _require_checkpoint_match(model_cfg, settings, network.universe_size, features.shape[2], config)
-    result = net.TrainResult(params, model_cfg, [], *scalers)
+    result, settings = net.load_checkpoint(checkpoint)
+    _require_checkpoint_match(result.config, settings, network.universe_size, features.shape[2],
+                              config)
     test = _batch_windows(network, features, config, _split_windows(len(network), config).test)
     out = _ensure_outdir(config)
     batch = assemble_batches(network, features, config, test)

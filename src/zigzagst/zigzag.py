@@ -31,6 +31,7 @@ chosen, so neither do the diagrams.
 
 from __future__ import annotations
 
+import math
 from collections import Counter, deque
 from dataclasses import dataclass
 from numbers import Integral
@@ -51,6 +52,7 @@ __all__ = [
     "ZigzagFiltration",
     "InclusionError",
     "check_count",
+    "check_point_row",
     "zigzag_series",
     "build_zigzag",
     "compute_zigzag_persistence",
@@ -82,6 +84,25 @@ def check_count(m) -> None:
     # an int skips the abstract-class test, which costs about 1 us a row
     if not (type(m) is int or (isinstance(m, Integral) and not isinstance(m, bool))) or m < 1:
         raise ValueError(f"count must be a positive integer, got {m!r}")
+
+
+def check_point_row(row) -> tuple[float, float, int]:
+    """A ``(birth, death, count)`` row, as ``ZPD.points`` gives them, as two floats and its count.
+
+    Birth and death must be finite, with death >= birth, and the count
+    must pass ``check_count``; a ``ValueError`` names the row.
+    """
+    birth, death, count = row
+    b, d = float(birth), float(death)
+    if not math.inf > d >= b > -math.inf:
+        if math.isfinite(b) and math.isfinite(d):
+            raise ValueError(f"diagram row {row!r}: death {d:g} precedes birth {b:g}")
+        raise ValueError(f"diagram row {row!r}: birth and death must be finite")
+    try:
+        check_count(count)
+    except ValueError as exc:
+        raise ValueError(f"diagram row {row!r}: {exc}") from None
+    return b, d, count
 
 
 def _check_point(dim: int, twice_birth: int, twice_death: int) -> None:

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import textio
-from .zigzag import check_count
+from .zigzag import check_point_row
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -138,8 +138,9 @@ def render_zpi(
     them.  A row contributes count * g(persistence) * 2*pi*theta^2 times
     the product of per-axis CDF differences at (birth, death - birth), so
     the render is additive over rows and monotone under adding rows, up
-    to rounding.  A count that is not a positive integer raises
-    ``ValueError``.
+    to rounding.  A row with a time that is not finite, a death before
+    its birth or a count that is not a positive integer raises a
+    ``ValueError`` naming it (``zigzag.check_point_row``).
 
     The CDF differences are tabulated once per distinct birth (``cx``) and
     once per distinct persistence (``cy``).  The weighted ``cx`` rows are
@@ -149,12 +150,12 @@ def render_zpi(
     p = grid.resolution
     mass = 2.0 * math.pi * grid.theta * grid.theta
     births, perss, weights = [], [], []
-    for bx, death, count in points:
-        check_count(count)
-        pers = float(death) - float(bx)
+    for row in points:
+        bx, death, count = check_point_row(row)
+        pers = death - bx
         g = w.weight(pers)
         if g != 0.0:
-            births.append(float(bx))
+            births.append(bx)
             perss.append(pers)
             weights.append(count * g * mass)
     bu, ix = np.unique(births, return_inverse=True)

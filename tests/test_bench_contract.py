@@ -157,8 +157,6 @@ def test_forward_encodes_every_layer_in_one_wrapped_call(monkeypatch):
     net.forward(x, img, params, cfg, want_cache=True)
     assert len(calls) == 2
     assert all(len(args[1]) == cfg.num_layers for args in calls)
-    ones = [np.ones(cfg.half_hidden)] * cfg.num_layers
-    net.forward(x, img, params, cfg, z_override=ones, want_cache=True)
     net.forward(x, img, params, cfg, ablation=net.Ablation.NO_ZIGZAG, want_cache=True)
     assert len(calls) == 2
 

@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -204,6 +205,24 @@ def test_rejects_a_count_that_is_not_a_positive_integer(count):
     bad = [(1.0, 2.0, 1), (1.0, 3.0, count)]
     for d1, d2 in [(bad, []), ([(1.0, 3.0, 1)], bad)]:
         with pytest.raises(ValueError, match=f"count must be a positive integer, got {count}"):
+            wasserstein1(d1, d2)
+
+
+# rows whose times no diagram holds, and what the refusal says after naming the row
+BAD_TIMES = [
+    ((2.0, 1.0, 1), "death 1 precedes birth 2"),
+    ((1.0, math.inf, 1), "birth and death must be finite"),
+    ((-math.inf, 2.0, 1), "birth and death must be finite"),
+    ((math.nan, 2.0, 1), "birth and death must be finite"),
+    ((1.0, math.nan, 2), "birth and death must be finite"),
+]
+
+
+@pytest.mark.parametrize("row,message", BAD_TIMES)
+def test_rejects_a_row_with_bad_times_naming_it(row, message):
+    # before this check, a death before the birth gave a negative cost
+    for d1, d2 in [([row], []), ([(1.0, 3.0, 1)], [(1.0, 2.0, 1), row])]:
+        with pytest.raises(ValueError, match=re.escape(f"diagram row {row!r}: {message}")):
             wasserstein1(d1, d2)
 
 

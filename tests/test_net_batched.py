@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import reference_net as ref
+from util import ones_codes
 from zigzagst.net import (
     Ablation,
     ModelConfig,
@@ -95,7 +96,9 @@ def test_batch_matches_stacked_reference(name):
 
 @pytest.mark.parametrize("ablation", list(Ablation), ids=lambda a: a.value)
 @pytest.mark.parametrize("gates", ["encoder", "shared", "per-sample"])
-def test_ablations_and_overrides_match_reference_per_sample(ablation, gates):
+def test_ablations_and_overrides_match_reference_per_sample(ablation, gates, monkeypatch):
+    # "shared" and "per-sample" gates stand in for the encoder's codes, with no cache,
+    # as the reference's z_override puts them in place of its encoder
     cfg = wider_config()
     params = init_params(cfg, np.random.default_rng(8))
     b = 3
@@ -106,24 +109,26 @@ def test_ablations_and_overrides_match_reference_per_sample(ablation, gates):
     if gates == "encoder":
         batched, single = None, None
     elif gates == "shared":
-        batched = [g[0] for g in per_sample]
-        single = [batched] * b
+        batched = [np.broadcast_to(g[0], g.shape) for g in per_sample]
+        single = [[g[0] for g in per_sample]] * b
     else:
         batched = per_sample
         single = [[g[i] for g in per_sample] for i in range(b)]
     want_pred, want = reference_sum(cfg, params, x, img, dpred, ablation, single)
-    pred, cache = forward(x, img, params, cfg, ablation, batched, want_cache=True)
+    if batched is not None:
+        monkeypatch.setattr(layers, "zpi_encoder", lambda *_, **__: [(z, None) for z in batched])
+    pred, cache = forward(x, img, params, cfg, ablation, want_cache=True)
     assert np.allclose(pred, want_pred, **TOL)
     assert_grads_close(backward(cache, dpred), want)
 
 
-def test_no_zigzag_is_a_ones_override_bitwise_in_a_batch():
+def test_no_zigzag_is_a_ones_override_bitwise_in_a_batch(monkeypatch):
     cfg = wider_config()
     params = init_params(cfg, np.random.default_rng(12))
     x, img, _ = make_batch(cfg, 4, seed=13)
     flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
-    ones = [np.ones(cfg.half_hidden)] * cfg.num_layers
-    assert np.array_equal(flagged, forward(x, img, params, cfg, z_override=ones))
+    monkeypatch.setattr(layers, "zpi_encoder", ones_codes)
+    assert np.array_equal(flagged, forward(x, img, params, cfg))
 
 
 def test_batched_backward_matches_finite_differences():
@@ -159,7 +164,7 @@ def test_encoder_batch_matches_reference_per_sample():
     img = rng.uniform(0, 1, (4, cfg.zpi_resolution, cfg.zpi_resolution))
     img[1] = 0.0  # a sample whose maps are all zero after the ReLUs
     dz = rng.normal(size=(4, cfg.half_hidden))
-    [(z, cache)] = layers.zpi_encoder(img, [layer], layers.ENCODER_STRIDE)
+    [(z, cache)] = layers.zpi_encoder(img, [layer])
     got = layers.zpi_encoder_backward(cache, dz)
     want = [np.zeros_like(g) for g in got]
     for i in range(4):
@@ -207,15 +212,18 @@ ENCODER_SHAPES = [
 ]
 
 
+# The encoder reads ``layers.ENCODER_STRIDE`` at call time; the tests set it to 1 and 3 as
+# well, so that a stride-2 coincidence in the index arithmetic cannot pass.
 @pytest.mark.parametrize("n_layers", [1, 3])
 @pytest.mark.parametrize("p,kernel,stride", ENCODER_SHAPES)
 def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, n_layers, monkeypatch):
+    monkeypatch.setattr(layers, "ENCODER_STRIDE", stride)
     enc_layers = encoder_layers(kernel, n_layers, seed=p + 10 * kernel + stride)
     rng = np.random.default_rng(p * stride)
     images = rng.uniform(0, 1, (17, p, p))
     images[4] = 0.0
     dzs = rng.normal(size=(n_layers, 17, CODE))
-    per_image = 8 * sum(layers._image_buffer_sizes(p, kernel, stride, FILTERS, n_layers))
+    per_image = 8 * sum(layers._image_buffer_sizes(p, kernel, FILTERS, n_layers))
     for b in (1, 2, 17):
         img = images[:b]
         want = []  # per layer: the reference codes and summed gradients
@@ -229,16 +237,16 @@ def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, 
             want.append((np.stack(codes), grads))
         # the default budget; blocks of 5 (17 ends in a partial block); one image at a time
         for budget in (layers.ENCODER_BLOCK_BYTES, 5 * per_image, 1):
-            monkeypatch.setattr(layers, "ENCODER_BLOCK_BYTES", budget)
-            got = layers.zpi_encoder(img, enc_layers, stride)
-            assert len(got) == n_layers
-            for li, ((z, cache), (want_z, want_grads)) in enumerate(zip(got, want)):
-                assert np.allclose(z, want_z, **TOL), (b, budget, li)
-                grads = layers.zpi_encoder_backward(cache, dzs[li, :b])
-                for g, w in zip(grads, want_grads):
-                    assert g.shape == w.shape
-                    assert np.allclose(g, w, **TOL), (b, budget, li)
-            monkeypatch.undo()
+            with monkeypatch.context() as m:
+                m.setattr(layers, "ENCODER_BLOCK_BYTES", budget)
+                got = layers.zpi_encoder(img, enc_layers)
+                assert len(got) == n_layers
+                for li, ((z, cache), (want_z, want_grads)) in enumerate(zip(got, want)):
+                    assert np.allclose(z, want_z, **TOL), (b, budget, li)
+                    grads = layers.zpi_encoder_backward(cache, dzs[li, :b])
+                    for g, w in zip(grads, want_grads):
+                        assert g.shape == w.shape
+                        assert np.allclose(g, w, **TOL), (b, budget, li)
 
 
 def test_encoder_of_an_unbatched_image_drops_the_batch_axis():
@@ -246,8 +254,8 @@ def test_encoder_of_an_unbatched_image_drops_the_batch_axis():
     enc_layers = encoder_layers(3, 2, seed=0)
     img = np.random.default_rng(1).uniform(0, 1, (3, 16, 16))
     for i in range(3):
-        batched = layers.zpi_encoder(img[i : i + 1], enc_layers, 2)
-        for (z, _), (zb, _) in zip(layers.zpi_encoder(img[i], enc_layers, 2), batched):
+        batched = layers.zpi_encoder(img[i : i + 1], enc_layers)
+        for (z, _), (zb, _) in zip(layers.zpi_encoder(img[i], enc_layers), batched):
             assert z.shape == (CODE,)
             assert np.array_equal(z, zb[0])
 
@@ -257,7 +265,7 @@ def _encoder_peak_bytes(b):
     img = np.random.default_rng(2).uniform(0, 1, (b, 100, 100))
     tracemalloc.start()
     try:
-        layers.zpi_encoder(img, enc_layers, 2)
+        layers.zpi_encoder(img, enc_layers)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -310,12 +318,13 @@ def test_gru_cell_matches_the_expit_reference(name, saturate):
 
 
 @pytest.mark.parametrize("p,kernel,stride", [(16, 3, 2), (17, 5, 1), (100, 3, 2)])
-def test_encoder_without_cache_gives_the_same_codes(p, kernel, stride):
+def test_encoder_without_cache_gives_the_same_codes(p, kernel, stride, monkeypatch):
+    monkeypatch.setattr(layers, "ENCODER_STRIDE", stride)
     enc_layers = encoder_layers(kernel, 3, seed=p + kernel)
     img = np.random.default_rng(p).uniform(0, 1, (5, p, p))
     img[2] = 0.0
-    cached = layers.zpi_encoder(img, enc_layers, stride)
-    bare = layers.zpi_encoder(img, enc_layers, stride, want_cache=False)
+    cached = layers.zpi_encoder(img, enc_layers)
+    bare = layers.zpi_encoder(img, enc_layers, want_cache=False)
     assert len(bare) == len(cached) == 3
     for (z, cache), (zc, _) in zip(bare, cached):
         assert cache is None

@@ -13,7 +13,8 @@ from zigzagst.net import (
     tiny_config,
     zpi_encoder,
 )
-from zigzagst.net.layers import ENCODER_STRIDE, spatial_conv_window, zpi_encoder_output_size
+from zigzagst.net import layers
+from zigzagst.net.layers import spatial_conv_window, zpi_encoder_output_size
 
 
 # --- adaptive laplacian ------------------------------------------------------------
@@ -120,7 +121,7 @@ def test_encoder_zero_image_zero_biases_gives_zero():
     cfg = tiny_config()
     layer = _layer(cfg)
     layer.zmap_b[...] = 0.0
-    [(z, _)] = zpi_encoder(np.zeros((16, 16)), [layer], ENCODER_STRIDE)
+    [(z, _)] = zpi_encoder(np.zeros((16, 16)), [layer])
     assert np.array_equal(z, np.zeros(cfg.half_hidden))
 
 
@@ -128,8 +129,8 @@ def test_encoder_positive_scaling():
     cfg = tiny_config()
     layer = _layer(cfg, seed=5)
     img = np.abs(np.random.default_rng(6).normal(size=(16, 16)))
-    [(z1, cache1)] = zpi_encoder(img, [layer], ENCODER_STRIDE)
-    [(z2, _)] = zpi_encoder(3.0 * img, [layer], ENCODER_STRIDE)
+    [(z1, cache1)] = zpi_encoder(img, [layer])
+    [(z2, _)] = zpi_encoder(3.0 * img, [layer])
     # biases are zero at init, so pre-pool activations scale linearly
     max1 = cache1[4]  # the per-channel maxima
     assert np.allclose(z2 - layer.zmap_b, 3.0 * (z1 - layer.zmap_b), rtol=1e-10)
@@ -140,18 +141,20 @@ def test_encoder_rejects_small_images():
     cfg = tiny_config()
     layer = _layer(cfg)
     with pytest.raises(ValueError, match="resolution 5 is too small"):
-        zpi_encoder(np.zeros((5, 5)), [layer], ENCODER_STRIDE)
-    assert zpi_encoder_output_size(16, 3, 2) == 3
-    assert zpi_encoder_output_size(100, 3, 2) == 24
-    assert zpi_encoder_output_size(7, 3, 2) == 1  # the smallest side two 3x3 stride-2 convolutions fit
+        zpi_encoder(np.zeros((5, 5)), [layer])
+    assert zpi_encoder_output_size(16, 3) == 3
+    assert zpi_encoder_output_size(100, 3) == 24
+    assert zpi_encoder_output_size(7, 3) == 1  # the smallest side two 3x3 stride-2 convolutions fit
 
 
 @pytest.mark.parametrize("p", [5, 6])
-def test_model_config_rejects_a_resolution_the_encoder_cannot_read(p):
+def test_model_config_rejects_a_resolution_the_encoder_cannot_read(p, monkeypatch):
     with pytest.raises(ValueError, match=f"resolution {p} is too small .* at least 7"):
         replace(tiny_config(), zpi_resolution=p)
-    with pytest.raises(ValueError, match=f"resolution {p} is too small .* at least 9"):
-        zpi_encoder_output_size(p, 3, 3)
+    # the bound follows the encoder's stride, which the size reads at call time
+    monkeypatch.setattr(layers, "ENCODER_STRIDE", 3)
+    with pytest.raises(ValueError, match=f"resolution {p} is too small .* stride-3 .* at least 9"):
+        zpi_encoder_output_size(p, 3)
 
 
 # --- GRU cell ----------------------------------------------------------------------------

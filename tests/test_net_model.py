@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from util import ones_codes
 from zigzagst.net import (
     Ablation,
     ModelConfig,
@@ -83,46 +84,15 @@ def test_zero_params_predict_output_bias():
     assert np.allclose(pred, 0.25)
 
 
-def test_no_zigzag_equals_ones_override_bitwise():
+def test_no_zigzag_equals_ones_override_bitwise(monkeypatch):
+    from zigzagst.net import layers
+
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(2))
     x, img, _ = make_inputs(cfg, seed=3)
     flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
-    override = forward(
-        x, img, params, cfg, z_override=[np.ones(cfg.half_hidden)] * cfg.num_layers
-    )
-    assert np.array_equal(flagged, override)
-
-
-def test_z_override_is_validated_before_any_layer_runs(monkeypatch):
-    from zigzagst.net import layers
-
-    cfg = tiny_config()  # two layers, half width 2
-    params = init_params(cfg, np.random.default_rng(2))
-    rng = np.random.default_rng(3)
-    x = rng.uniform(0, 1, (3, cfg.window, cfg.n_nodes, cfg.in_features))
-    img = rng.uniform(0, 1, (3, cfg.zpi_resolution, cfg.zpi_resolution))
-
-    def never(*args, **kwargs):
-        raise AssertionError("entered")
-
-    monkeypatch.setattr(layers, "spatial_conv_window", never)
-    half = np.ones(cfg.half_hidden)
-    cases = [
-        ([half], r"z_override has 1 entries for 2 layers"),
-        ([half] * 3, r"z_override has 3 entries for 2 layers"),
-        ([half, np.ones(3)], r"z_override for layer 1 has shape \(3,\), expected \(2,\) or \(3, 2\)"),
-        ([np.ones((2, 2)), half], r"z_override for layer 0 has shape \(2, 2\)"),
-        ([half, np.ones((1, 3, 2))], r"z_override for layer 1 has shape \(1, 3, 2\)"),
-    ]
-    for gates, message in cases:
-        with pytest.raises(ValueError, match=message):
-            forward(x, img, params, cfg, z_override=gates)
-    monkeypatch.undo()
-    # one entry per layer, each for the whole batch or per sample
-    shared = forward(x, img, params, cfg, z_override=[half, 2 * half])
-    per_sample = forward(x, img, params, cfg, z_override=[np.ones((3, 2)), np.full((3, 2), 2.0)])
-    assert np.array_equal(shared, per_sample)
+    monkeypatch.setattr(layers, "zpi_encoder", ones_codes)
+    assert np.array_equal(flagged, forward(x, img, params, cfg))
 
 
 def test_branch_ablations_zero_the_branches():

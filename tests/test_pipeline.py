@@ -552,10 +552,14 @@ def forecast_inputs(tmp_path):
         embed_dim=2, laplacian_order=1, zpi_resolution=8,
     )
     ckpt = str(tmp_path / "checkpoint.npz")
-    identity = (np.zeros(1), np.ones(1), 1.0)
-    params = net.init_params(model_cfg, np.random.default_rng(0))
-    net.save_checkpoint(ckpt, model_cfg, params, identity, _checkpoint_settings(cfg))
+    net.save_checkpoint(ckpt, _untrained(model_cfg), _checkpoint_settings(cfg))
     return cfg, data, ckpt
+
+
+def _untrained(model_cfg):
+    """A ``TrainResult`` of freshly initialised parameters for one input feature, scaled as is."""
+    params = net.init_params(model_cfg, np.random.default_rng(0))
+    return net.TrainResult(params, model_cfg, [], np.zeros(1), np.ones(1), 1.0)
 
 
 def test_cmd_forecast_accepts_a_matching_checkpoint(forecast_inputs):
@@ -567,7 +571,7 @@ def test_cmd_forecast_accepts_a_matching_checkpoint(forecast_inputs):
 OTHER_SETTINGS = {
     "tau": 5, "horizon": 3, "resolution": 9, "filtration": "vietoris-rips", "nu_star": 0.6,
     "homology_dims": (0, 1), "theta": 0.5, "weight_kind": "constant", "weight_cap": 2.0,
-    "ablation": "no-zigzag",
+    "ablation": "no-zigzag", "out_features": 3,
 }
 
 
@@ -616,9 +620,10 @@ def test_cmd_forecast_scales_with_the_scalers_training_fitted(tmp_path):
     # the same run, repeated in the library, gives the TrainResult cmd_train saw
     dataset, model_cfg = _training_data(cfg)
     result = net.train(dataset, model_cfg, cfg.ablation_flags())
-    _, _, (lo, hi, scale), _ = net.load_checkpoint(trained["checkpoint"])
-    assert np.array_equal(lo, result.input_lo) and np.array_equal(hi, result.input_hi)
-    assert scale == result.image_scale
+    loaded, _ = net.load_checkpoint(trained["checkpoint"])
+    assert np.array_equal(loaded.input_lo, result.input_lo)
+    assert np.array_equal(loaded.input_hi, result.input_hi)
+    assert loaded.image_scale == result.image_scale
     want = net.predict(result, dataset.test)
     # scalers refitted on the clean windows would give other forecasts
     clean = net.chronological_split(assemble_batches(*_load_data(cfg), cfg), cfg.split).train
@@ -742,8 +747,7 @@ def test_an_overlong_horizon_names_horizon_and_tau(forecast_inputs, tmp_path):
         embed_dim=2, laplacian_order=1, zpi_resolution=8,
     )
     ckpt = str(tmp_path / "long.npz")
-    net.save_checkpoint(ckpt, model_cfg, net.init_params(model_cfg, np.random.default_rng(0)),
-                        (np.zeros(1), np.ones(1), 1.0), _checkpoint_settings(cfg))
+    net.save_checkpoint(ckpt, _untrained(model_cfg), _checkpoint_settings(cfg))
     with pytest.raises(ValueError, match=message):
         cmd_forecast(cfg, ckpt)
     assert not os.path.exists(os.path.join(cfg.outdir, "forecast.csv"))
@@ -946,8 +950,8 @@ def test_the_feature_file_sets_the_universe_when_it_is_unset(tmp_path):
     cfg = _four_node_snapshots_and_six_node_features(tmp_path)
     network, features = _load_data(cfg)
     assert network.universe_size == 6 and features.shape == (20, 6, 1)
-    model_cfg, _, _, _ = net.load_checkpoint(cmd_train(cfg)["checkpoint"])
-    assert model_cfg.n_nodes == 6
+    loaded, _ = net.load_checkpoint(cmd_train(cfg)["checkpoint"])
+    assert loaded.config.n_nodes == 6
     # a snapshot row on a node the feature file does not name is refused at its line
     with open(cfg.snapshots, "a") as fh:
         fh.write("3,2,6,0.5\n")  # line 72: a header and 70 edge rows come first

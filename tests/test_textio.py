@@ -24,7 +24,7 @@ from zigzagst.dyngraph import (
     write_snapshot_csv,
 )
 from zigzagst.filtration import SimplicialComplex, read_complex_dump, write_complex_dump
-from zigzagst.net import ModelConfig, init_params, load_checkpoint, save_checkpoint
+from zigzagst.net import ModelConfig, TrainResult, init_params, load_checkpoint, save_checkpoint
 from zigzagst.pipeline import RunConfig, gen_synthetic
 from zigzagst.zigzag import ZPD, read_zpd_csv, write_zpd_csv
 from zigzagst.zpi import GridSpec, ZPIGrid, read_zpi, write_zpi
@@ -36,8 +36,9 @@ def _write_checkpoint(path):
     cfg = ModelConfig(n_nodes=3, in_features=1, window=4, horizon=2, hidden=4, num_layers=1,
                       embed_dim=2, laplacian_order=1, zpi_resolution=8)
     with open(path, "wb") as fh:  # a path without ".npz" would get one appended
-        save_checkpoint(fh, cfg, init_params(cfg, np.random.default_rng(0)),
-                        (np.zeros(1), np.ones(1), 1.0), {"filtration": "power"})
+        result = TrainResult(init_params(cfg, np.random.default_rng(0)), cfg, [], np.zeros(1),
+                             np.ones(1), 1.0)
+        save_checkpoint(fh, result, {"filtration": "power"})
 
 
 _DATA = gen_synthetic(n_nodes=6, length=3, seed=1)

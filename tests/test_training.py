@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from zigzagst.net import (
     Batch,
     Dataset,
     ModelConfig,
+    TrainResult,
     TrainingDiverged,
     backward,
     chronological_split,
@@ -174,36 +176,51 @@ def test_adam_moves_toward_minimum():
     assert losses[-1] < 0.3 * losses[0]
 
 
+def untrained(cfg, seed=0):
+    """A ``TrainResult`` of freshly initialised parameters, identity scalers and no history."""
+    params = init_params(cfg, np.random.default_rng(seed))
+    return TrainResult(params, cfg, [], np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0)
+
+
 def test_checkpoint_roundtrip(tmp_path):
     cfg = small_cfg()
-    params = init_params(cfg, np.random.default_rng(5))
+    result = replace(untrained(cfg, seed=5), history=[(0, "train", 1.0, 2.0, 3.0)])
     path = tmp_path / "model.npz"
     settings = {"filtration": "power", "nu_star": 0.1, "weight_cap": float("inf")}
-    save_checkpoint(path, cfg, params, (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0),
-                    settings)
-    cfg2, params2, _, settings2 = load_checkpoint(path)
-    assert cfg2 == cfg
+    save_checkpoint(path, result, settings)
+    loaded, settings2 = load_checkpoint(path)
+    assert loaded.config == cfg
+    assert loaded.history == []  # the history is not stored
     assert settings2 == settings
-    for (na, a), (nb, b) in zip(params.named_arrays(), params2.named_arrays()):
+    for (na, a), (nb, b) in zip(result.params.named_arrays(), loaded.params.named_arrays()):
         assert na == nb
         assert np.array_equal(a, b)
 
 
 def test_checkpoint_stores_scalers(tmp_path):
     cfg = small_cfg()
-    params = init_params(cfg, np.random.default_rng(0))
     path = tmp_path / "ckpt.npz"
-    save_checkpoint(path, cfg, params, (np.array([-1.0, 2.0]), np.array([3.0, 5.0]), 0.25), {})
-    _, _, (lo, hi, scale), _ = load_checkpoint(path)
-    assert lo.tolist() == [-1.0, 2.0] and hi.tolist() == [3.0, 5.0] and scale == 0.25
+    scalers = dict(input_lo=np.array([-1.0, 2.0]), input_hi=np.array([3.0, 5.0]), image_scale=0.25)
+    save_checkpoint(path, replace(untrained(cfg), **scalers), {})
+    loaded, _ = load_checkpoint(path)
+    assert loaded.input_lo.tolist() == [-1.0, 2.0] and loaded.input_hi.tolist() == [3.0, 5.0]
+    assert loaded.image_scale == 0.25
+
+
+def test_a_loaded_checkpoint_predicts_as_the_trained_network(tmp_path):
+    cfg = small_cfg()
+    data = chronological_split(make_batches(cfg, 12, seed=3))
+    trained = train(data, cfg)
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, trained, {})
+    loaded, _ = load_checkpoint(path)
+    assert np.array_equal(predict(loaded, data.test), predict(trained, data.test))
 
 
 def saved_checkpoint(path):
     """The entries of a fresh checkpoint of ``small_cfg`` written to ``path``, as a dict."""
-    cfg = small_cfg()
     settings = {"filtration": "weight-sublevel-clique", "nu_star": 0.5}
-    save_checkpoint(path, cfg, init_params(cfg, np.random.default_rng(0)),
-                    (np.zeros(cfg.in_features), np.ones(cfg.in_features), 1.0), settings)
+    save_checkpoint(path, untrained(small_cfg()), settings)
     with np.load(path) as data:
         return {k: data[k] for k in data.files}
 

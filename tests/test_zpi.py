@@ -264,6 +264,19 @@ def test_render_rejects_a_count_that_is_not_a_positive_integer(count):
     render_zpi([(1.0, 3.0, np.int64(2))], grid(), WeightingSpec())  # numpy integers count
 
 
+@pytest.mark.parametrize("kind", ["linear", "constant"])
+@pytest.mark.parametrize("row,message", [
+    ((2.0, 1.0, 1), "death 1 precedes birth 2"),
+    ((1.0, math.inf, 1), "birth and death must be finite"),
+    ((-math.inf, 2.0, 1), "birth and death must be finite"),
+    ((math.nan, 2.0, 1), "birth and death must be finite"),
+])
+def test_render_rejects_a_row_with_bad_times_naming_it(row, message, kind):
+    # under constant weighting these rows used to render without complaint
+    with pytest.raises(ValueError, match=re.escape(f"diagram row {row!r}: {message}")):
+        render_zpi([(1.0, 2.0, 1), row], grid(), WeightingSpec(kind))
+
+
 # --- files -------------------------------------------------------------------------------
 
 def test_zpi_file_roundtrip(tmp_path):

@@ -160,3 +160,13 @@ def floyd_warshall(s, length) -> dict:
     for k, i, j in itertools.product(sorted(s.nodes), repeat=3):
         dist[i, j] = min(dist[i, j], dist[i, k] + dist[k, j])
     return dist
+
+
+def ones_codes(image, enc_layers, want_cache=True):
+    """A stand-in for ``layers.zpi_encoder`` that gives every layer a code of ones and no cache.
+
+    Patched in, it makes a forward whose every gate is one reach the
+    layer loop by the encoder's route rather than by the ablation's.
+    """
+    width = enc_layers[0].zmap_b.shape
+    return [(np.ones(image.shape[:-2] + width), None) for _ in enc_layers]
