@@ -1,13 +1,18 @@
 """Replaced Wasserstein-1 paths, kept as differential references.
 
+Both solve the textbook augmented problem: each side gets the other
+side's diagonal copies, and one ``(n1 + n2)``-square assignment is
+solved.  The library now solves a ``max(n1, n2)``-square one with the
+diagonal folded into the ground cost, and must reproduce their costs
+exactly on half-grid diagrams.
+
 ``wasserstein1`` is the dense path: every point of both diagrams enters
-one ``(n1 + n2)²`` assignment problem, filled entry by entry.  On
-half-grid diagrams the library must reproduce its costs exactly.  Where
-several matchings are optimal it may return another one, so pairings are
-compared with ``wasserstein1_counted``: the path over expanded point
-lists that counts them back with ``Counter`` and cancels the shared
-points, which the library must follow pairing for pairing.  Both are
-kept verbatim.
+the problem, filled entry by entry.  ``wasserstein1_counted`` works on
+expanded point lists, counts them back with ``Counter`` and cancels the
+shared points first.  Where several matchings are optimal the library
+may return another one than either; where the optimum is unique it must
+return the same pairing as ``wasserstein1_counted``.  Both are kept
+verbatim.
 """
 
 from __future__ import annotations

@@ -1,13 +1,16 @@
-"""The benchmark's stored diagram digests, reproduced by ``cmd_zigzag``.
+"""The benchmark's stored diagram digests and W1 costs, reproduced by the library.
 
 ``perfbench/reference.json`` holds, per workload and seed, the SHA-256
-of every diagram CSV the benchmark's chain writes.  The benchmark checks
-it only when it runs; this test rebuilds each stored seed's inputs with
-``perfbench.workloads.prepare`` and runs ``cmd_zigzag`` with the config
-``perfbench/run.zigzag_config`` builds, so a change of any diagram fails
-the tier-1 suite too.
+of every diagram CSV the benchmark's chain writes and the W1 cost of
+each pair of diagrams it compares.  The benchmark checks them only when
+it runs; these tests rebuild each stored seed's inputs with
+``perfbench.workloads.prepare``, run ``cmd_zigzag`` with the config
+``perfbench/run.zigzag_config`` builds and ``cmd_distance`` on the
+chain's pairs, so a change of any diagram or cost fails the tier-1 suite
+too.
 """
 
+import itertools
 import json
 import os
 import sys
@@ -47,14 +50,32 @@ def stored_seeds():
             for seed in sorted(by_seed, key=int)]
 
 
-@pytest.mark.parametrize("workload, seed", stored_seeds())
-def test_cmd_zigzag_reproduces_the_stored_diagram_digest(bench, tmp_path, workload, seed):
-    run, workloads, checks = bench
+def run_zigzag(bench, tmp_path, workload, seed):
+    """The chain's spec, its zigzag config and every diagram CSV it writes, in order."""
+    run, workloads, _ = bench
     spec = workloads.prepare(workload, int(seed), str(tmp_path / "inputs"), pipeline)
     zcfg = run.zigzag_config(pipeline, spec)
     paths = []
     for k, snapshots in enumerate(spec.zigzag):
         cfg = replace(zcfg, snapshots=snapshots, outdir=str(tmp_path / f"zigzag{k}"))
         paths += pipeline.cmd_zigzag(cfg)["zpd"]
+    return spec, zcfg, paths
+
+
+@pytest.mark.parametrize("workload, seed", stored_seeds())
+def test_cmd_zigzag_reproduces_the_stored_diagram_digest(bench, tmp_path, workload, seed):
+    _, _, checks = bench
+    _, _, paths = run_zigzag(bench, tmp_path, workload, seed)
     stored = checks.load_reference()["seeds"][workload][seed]["diagrams_sha256"]
     assert checks.digest(paths) == stored
+
+
+@pytest.mark.parametrize("workload, seed", stored_seeds())
+def test_cmd_distance_reproduces_the_stored_w1_costs(bench, tmp_path, workload, seed):
+    # the chain's pairs as perfbench/run.run_pass takes them: all of them or
+    # consecutive ones, each at dims 0 then 1
+    _, _, checks = bench
+    spec, zcfg, paths = run_zigzag(bench, tmp_path, workload, seed)
+    pairs = itertools.combinations(paths, 2) if spec.all_pairs else zip(paths, paths[1:])
+    costs = [pipeline.cmd_distance(zcfg, a, b, dim)["cost"] for a, b in pairs for dim in (0, 1)]
+    assert costs == checks.load_reference()["seeds"][workload][seed]["w1"]

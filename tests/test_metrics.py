@@ -12,7 +12,7 @@ from hypothesis import given, strategies as st
 
 import zigzagst
 from zigzagst import metrics
-from zigzagst.metrics import MatchingSizeError, linf_distance, wasserstein1
+from zigzagst.metrics import MatchingResult, MatchingSizeError, linf_distance, wasserstein1
 from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import GridSpec, WeightingSpec, ZPIGrid, render_zpi
 from util import (
@@ -174,13 +174,32 @@ def test_shared_points_pair_with_themselves():
     assert wasserstein1([(1.0, 3.0, 1)] * 3 + [(2.0, 6.0, 1)], d2) == result
 
 
+def _check_optimal_pairing(result, a, b):
+    """What every optimal matching of rows ``a`` and ``b`` shows, whichever one comes back.
+
+    Each side's points appear exactly once, shared points pair with
+    themselves, and the pair costs ``fsum`` to the cost.
+    """
+    ea, eb = expand(a), expand(b)
+    assert Counter(x for x, _ in result.pairing if x is not None) == Counter(ea)
+    assert Counter(y for _, y in result.pairing if y is not None) == Counter(eb)
+    shared = Counter(ea) & Counter(eb)
+    assert Counter(x for x, y in result.pairing if x == y) == shared
+    assert _pairing_cost(result.pairing) == result.cost
+
+
 def _same_as_expanded_references(a, b):
-    """Rows match as the replaced paths match the expanded lists: cost and pairing."""
+    """Rows cost exactly what the replaced paths give the expanded lists, by a valid matching.
+
+    Where several matchings are optimal, another assignment problem may
+    return another one, so the pairing is checked for what every optimal
+    matching shows, not compared with the references' pairing.
+    """
     result = wasserstein1(a, b)
     ea, eb = expand(a), expand(b)
     assert result.cost == reference_metrics.wasserstein1(ea, eb).cost
-    counted = reference_metrics.wasserstein1_counted(ea, eb)
-    assert Counter(result.pairing) == Counter(counted.pairing)
+    assert result.cost == reference_metrics.wasserstein1_counted(ea, eb).cost
+    _check_optimal_pairing(result, a, b)
 
 
 def test_matches_expanded_references_on_random_windows():
@@ -267,13 +286,122 @@ def test_w1_size_guard_fires_before_any_matrix_is_built(monkeypatch):
 
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", unreachable)
     # the default bound: 2049**2 > 2**22
-    with pytest.raises(MatchingSizeError, match="over 0 and 2049 unshared points"):
-        wasserstein1([], [(1.0, 3.0, 2049)])
-    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 24)
+    with pytest.raises(MatchingSizeError, match="over 1 and 2049 unshared points needs a 2049-square"):
+        wasserstein1([(0.0, 1.0, 1)], [(1.0, 3.0, 2049)])
+    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 8)
     shared = (0.0, 9.0, 100)  # cancelled before sizing, so it counts for nothing
-    with pytest.raises(MatchingSizeError, match="over 3 and 2 unshared points") as info:
+    with pytest.raises(MatchingSizeError, match="over 3 and 2 unshared points needs a 3-square") as info:
         wasserstein1([(1.0, 2.0, 3), shared], [(1.0, 3.0, 2), shared])
     assert isinstance(info.value, ValueError)
     monkeypatch.undo()
-    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 25)  # (3 + 2)**2 is at the bound
+    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 9)  # 3**2 is at the bound
     assert wasserstein1([(1.0, 2.0, 3)], [(1.0, 3.0, 2)]).cost == pytest.approx(2.5)
+
+
+def test_w1_with_an_empty_side_builds_nothing_and_refuses_nothing(monkeypatch):
+    def unreachable(*args, **kwargs):
+        raise AssertionError("the assignment was entered")
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", unreachable)
+    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 1)
+    big = wasserstein1([], [(1.0, 3.0, 2049)])
+    assert big.cost == 2049.0
+    assert big.pairing == ((None, (1.0, 3.0)),) * 2049
+    shared = (0.0, 9.0, 2)  # cancelled, so the other side is empty after it
+    result = wasserstein1([(1.0, 2.0, 3), (0.5, 4.0, 1), shared], [shared])
+    assert result.cost == 0.5 * 3 + 1.75
+    assert Counter(result.pairing) == Counter({((0.0, 9.0), (0.0, 9.0)): 2,
+                                               ((1.0, 2.0), None): 3, ((0.5, 4.0), None): 1})
+
+
+def test_a_pair_that_ties_with_the_diagonal_route_is_reported_as_a_pair():
+    # |x - y|_inf = 2 = d(x) + d(y): both routes cost the same, and the pair is shown
+    x, y = (0.0, 2.0), (2.0, 4.0)
+    assert wasserstein1([(*x, 1)], [(*y, 1)]) == MatchingResult(2.0, ((x, y),))
+    assert wasserstein1([(*y, 1)], [(*x, 1)]) == MatchingResult(2.0, ((y, x),))
+
+
+def _small_half_grid_side(rng):
+    """A multiset of at most 5 half-grid points, each held once or twice."""
+    points = []
+    while len(points) < int(rng.integers(0, 6)):
+        b = int(rng.integers(0, 9))
+        p = (b / 2.0, (b + int(rng.integers(0, 7))) / 2.0)
+        points += [p] * min(int(rng.integers(1, 3)), 5 - len(points))
+    return points
+
+
+def _is_tie(x, y):
+    return max(abs(x[0] - y[0]), abs(x[1] - y[1])) == (x[1] - x[0]) / 2.0 + (y[1] - y[0]) / 2.0
+
+
+def test_square_reduction_matches_every_oracle_on_small_half_grid_multisets():
+    rng = np.random.default_rng(26)
+    shapes, ties = Counter(), 0
+    for _ in range(400):
+        d1, d2 = _small_half_grid_side(rng), _small_half_grid_side(rng)
+        a, b = rows(d1), rows(d2)
+        result = wasserstein1(a, b)
+        assert result.cost == brute_force_w1(d1, d2)
+        assert result.cost == reference_metrics.wasserstein1(d1, d2).cost
+        assert result.cost == reference_metrics.wasserstein1_counted(d1, d2).cost
+        assert result.cost == wasserstein1(b, a).cost
+        _check_optimal_pairing(result, a, b)
+        shared = Counter(d1) & Counter(d2)
+        n1, n2 = len(d1) - shared.total(), len(d2) - shared.total()
+        shapes[(n1 > n2) - (n1 < n2)] += n1 > 0 and n2 > 0
+        ties += any(_is_tie(x, y) for x in set(d1) - set(shared) for y in set(d2) - set(shared))
+    assert min(shapes[-1], shapes[0], shapes[1]) >= 20
+    assert ties >= 50
+
+
+def _clustered_pair(rng):
+    """Two diagrams whose optimal matching is unique, with a side that has more points.
+
+    Long bars come in pairs, one a side, around centres 10 apart, so each
+    pairs with its partner at a ground cost below 1, against at least 9
+    elsewhere or 5 through the diagonal.  Bars of persistence below 0.2,
+    far from all others, go to the diagonal.
+    """
+    d1, d2 = [], []
+    for k in range(int(rng.integers(0, 4))):
+        for side in (d1, d2):
+            b = 10.0 * k + rng.uniform(0.0, 0.4)
+            side.append((b, b + 5.0 + rng.uniform(0.0, 0.4)))
+    for side in (d1, d2):
+        for k in range(int(rng.integers(0, 4))):
+            b = 100.0 + 10.0 * k + (50.0 if side is d2 else 0.0) + rng.uniform(0.0, 1.0)
+            side.append((b, b + rng.uniform(0.0, 0.2)))
+    return d1, d2
+
+
+def test_pairing_follows_the_reference_where_the_optimum_is_unique():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        d1, d2 = _clustered_pair(rng)
+        for a, b in [(d1, d2), (d2, d1)]:
+            got = wasserstein1(rows(a), rows(b))
+            want = reference_metrics.wasserstein1_counted(a, b)
+            assert Counter(got.pairing) == Counter(want.pairing)
+            assert got.cost == pytest.approx(want.cost, abs=1e-9)
+
+
+def test_assignment_is_max_n1_n2_square_on_wide_windows(monkeypatch):
+    solve = scipy.optimize.linear_sum_assignment
+    shapes = []
+
+    def recording(cost):
+        shapes.append(cost.shape)
+        return solve(cost)
+
+    monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", recording)
+    za, = zigzag_series(independent_snapshots(0, n=64, length=12, density=0.08), 12, 0.5)
+    zb, = zigzag_series(independent_snapshots(1, n=64, length=12, density=0.08), 12, 0.5)
+    want = []
+    for a, b in [(za.points(1), zb.points(1)), (zb.points(1), za.points(1))]:
+        c1, c2 = Counter(expand(a)), Counter(expand(b))
+        n1, n2 = (c1 - c2).total(), (c2 - c1).total()
+        assert n1 != n2 and min(n1, n2) > 0
+        want.append((max(n1, n2), max(n1, n2)))
+        wasserstein1(a, b)
+    assert shapes == want

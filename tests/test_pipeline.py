@@ -3,6 +3,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError, fields, replace
 
 import numpy as np
@@ -47,7 +48,7 @@ from zigzagst.zigzag import (
     write_zpd_csv,
 )
 from zigzagst.zpi import MAX_RESOLUTION, default_domain, default_theta, read_zpi
-from util import window_image
+from util import expand, independent_snapshots, window_image
 
 
 GOLDEN_CSV = """t,u,v,w
@@ -1027,6 +1028,33 @@ def test_cli_zigzag_and_distance(golden_paths, capsys):
     assert "wasserstein1 = 0" in printed
     assert "a_birth,a_death,b_birth,b_death" in printed
     assert "1.5,2.5,1.5,2.5" in printed
+
+
+def test_cli_distance_pairs_every_point_of_two_different_diagrams(tmp_path, capsys):
+    snapshots = tmp_path / "snapshots.csv"
+    write_snapshot_csv(DynamicNetwork(tuple(independent_snapshots(0, n=16, length=8, density=0.2)),
+                                      16), snapshots)
+    assert main(["zigzag", "--set", f"snapshots={snapshots}", "--set", f"outdir={tmp_path}",
+                 "--set", "nu_star=0.5", "--set", "tau=4"]) == 0
+    paths = [str(tmp_path / f"zpd_window_000{k}.csv") for k in (0, 4)]
+    capsys.readouterr()
+    assert main(["distance", *paths, "--dim", "1", "--pairing"]) == 0
+    head, header, *lines = capsys.readouterr().out.splitlines()
+    assert header == "a_birth,a_death,b_birth,b_death"
+    cost = float(head.removeprefix("wasserstein1 = "))
+    pairs = []
+    for line in lines:
+        ab, ad, bb, bd = line.split(",")
+        pairs.append(((float(ab), float(ad)) if ab else None, (float(bb), float(bd)) if bb else None))
+    for side, path in enumerate(paths):
+        printed = Counter(pair[side] for pair in pairs if pair[side] is not None)
+        assert printed == Counter(expand(read_zpd_csv(path).points(1)))
+    terms = [max(abs(a[0] - b[0]), abs(a[1] - b[1])) if a and b else (p[1] - p[0]) / 2.0
+             for a, b in pairs for p in [a or b]]
+    assert math.fsum(terms) == cost > 0
+    # the assignment ran: some points pair with another point, some go to the diagonal
+    assert any(a and b and a != b for a, b in pairs)
+    assert any(a is None for a, _ in pairs) and any(b is None for _, b in pairs)
 
 
 @pytest.mark.parametrize("command, setting, message", [
