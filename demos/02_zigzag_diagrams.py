@@ -30,8 +30,7 @@ path = [(0, 1), (1, 2), (2, 3)]
 square = path + [(0, 3)]
 window = [snap(1, path), snap(2, square), snap(3, path)]
 
-zf = build_zigzag(window, nu_star=0.5)
-zpd = compute_zigzag_persistence(zf)
+zpd = compute_zigzag_persistence(window, nu_star=0.5)
 print("components:", zpd.points(0))   # one component alive the whole window
 print("cycles:    ", zpd.points(1))   # the loop exists from 1.5 to 2.5
 
@@ -41,17 +40,18 @@ print("cycles:    ", zpd.points(1))   # the loop exists from 1.5 to 2.5
 # Two components merging: the younger class dies immediately (1, 1),
 # the survivor lives on.
 merge = [snap(1, [(0, 1), (2, 3)]), snap(2, [(0, 1), (1, 2), (2, 3)])]
-zpd2 = compute_zigzag_persistence(build_zigzag(merge, nu_star=0.5))
+zpd2 = compute_zigzag_persistence(merge, nu_star=0.5)
 print("\nmerge example components:", zpd2.points(0))
 
 # A cycle can exist only in a union: two half-squares overlapping.
 halves = [snap(1, [(0, 1), (1, 2)]), snap(2, [(2, 3), (0, 3)])]
-zpd3 = compute_zigzag_persistence(build_zigzag(halves, nu_star=0.5))
+zpd3 = compute_zigzag_persistence(halves, nu_star=0.5)
 print("union-born cycle:", zpd3.points(1))
 
 # Every diagram is validated against an independent Betti-number oracle:
 # at each grid position the number of live bars must equal the rank of
-# the corresponding homology group.
-report = betti_consistency_check(zf, zpd)
+# the homology group of the window's complex there, which ``build_zigzag``
+# lists in order.
+report = betti_consistency_check(build_zigzag(window, nu_star=0.5), zpd)
 print("\nbetti consistency over", report.positions_checked, "positions:",
       "ok" if report.ok else report.violations)

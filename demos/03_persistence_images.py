@@ -14,7 +14,6 @@ from zigzagst import (
     GridSpec,
     Snapshot,
     WeightingSpec,
-    build_zigzag,
     compute_zigzag_persistence,
     default_domain,
     default_theta,
@@ -31,7 +30,7 @@ path = [(0, 1), (1, 2), (2, 3)]
 square = path + [(0, 3)]
 window = [snap(1, path), snap(2, square), snap(3, path), snap(4, square), snap(5, square)]
 
-zpd = compute_zigzag_persistence(build_zigzag(window, nu_star=0.5))
+zpd = compute_zigzag_persistence(window, nu_star=0.5)
 print("cycle bars:", zpd.points(1))
 
 # The default domain covers every reachable (birth, persistence) pair of

@@ -25,7 +25,6 @@ from .filtration import (
 from .metrics import MatchingResult, linf_distance, wasserstein1
 from .zigzag import (
     ZPD,
-    ZigzagFiltration,
     betti_consistency_check,
     build_zigzag,
     compute_zigzag_persistence,
@@ -53,7 +52,6 @@ __all__ = [
     "WeightingSpec",
     "ZPD",
     "ZPIGrid",
-    "ZigzagFiltration",
     "betti_consistency_check",
     "betti_numbers",
     "build_complex",

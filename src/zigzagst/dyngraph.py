@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -221,26 +222,33 @@ def rbf_censored_weights(
 
     Each candidate pair (u, v) gets w = exp(-||x_u - x_v||^2 / gamma);
     weights above ``nu_star`` are censored to zero.  When ``edges`` is
-    None every pair of the universe is a candidate.  All universe nodes
-    are active (sensor semantics: a node exists even when isolated).
+    None every pair of the universe is a candidate; given candidates must
+    have both endpoints in [0, n).  ``gamma`` must be finite and positive
+    and ``nu_star`` finite.  All universe nodes are active (sensor
+    semantics: a node exists even when isolated).
     """
     x = np.asarray(features_at_t, dtype=np.float64)
     if x.ndim == 1:
         x = x[:, None]
     if not np.all(np.isfinite(x)):
         raise ValueError("features must be finite")
-    if gamma <= 0.0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
+    if not (math.isfinite(gamma) and gamma > 0.0):
+        raise ValueError(f"gamma must be finite and positive, got {gamma}")
+    if not math.isfinite(nu_star):
+        raise ValueError("nu_star must be finite")
     n = x.shape[0]
     if edges is None:
         candidates: Iterable[tuple[int, int]] = ((u, v) for u in range(n) for v in range(u + 1, n))
     else:
-        candidates = edges
+        candidates = [(int(u), int(v)) for u, v in edges]
+        for u, v in candidates:
+            if not (0 <= u < n and 0 <= v < n):
+                raise ValueError(f"candidate edge {(u, v)} has an endpoint outside [0, {n})")
     weights: dict[Edge, float] = {}
     for u, v in candidates:
         if u == v:
             continue
-        key = _canonical(int(u), int(v))
+        key = _canonical(u, v)
         d2 = float(np.sum((x[key[0]] - x[key[1]]) ** 2))
         w = math.exp(-d2 / gamma)
         if w <= nu_star:
@@ -253,14 +261,18 @@ def normalize_transaction_weights(
     universe_size: int,
     index: int = 1,
 ) -> Snapshot:
-    """Scale symmetric transaction counts into [0, 1] by the maximum count."""
+    """Scale symmetric transaction counts into [0, 1] by the maximum count.
+
+    A count must be an integer of at least 0 (a Python or numpy integer,
+    not a ``bool``); anything else is refused, never rounded.
+    """
     merged: dict[Edge, int] = {}
     for (u, v), c in counts.items():
         if u == v:
             raise ValueError(f"self loop on node {u}")
+        if isinstance(c, bool) or not isinstance(c, Integral) or c < 0:
+            raise ValueError(f"count on edge {(u, v)} must be an integer >= 0, got {c!r}")
         c = int(c)
-        if c < 0:
-            raise ValueError(f"negative count {c} on edge {(u, v)}")
         key = _canonical(u, v)
         if key in merged and merged[key] != c:
             raise ValueError(f"asymmetric counts for edge {key}")

@@ -15,9 +15,9 @@ only clips its intervals, so every window's diagram is the bars of the
 prefix read so far, clipped to the window.  Windows come out in order
 as soon as their last snapshot is read.  A complex is dropped once both
 its arrows are read, and a bar once no later window can see it, so only
-the open bars grow with tau, and nothing with the series length.  A
-single window (``build_zigzag`` then ``compute_zigzag_persistence``) is
-the one-window case of the same code.
+the open bars grow with tau, and nothing with the series length.
+``compute_zigzag_persistence`` is the one-window case of the same code;
+``build_zigzag`` lists a window's complexes for ``betti_consistency_check``.
 Births and deaths land on a half-integer time grid stored exactly as
 doubled integers.
 
@@ -49,7 +49,6 @@ from .filtration import (
 
 __all__ = [
     "ZPD",
-    "ZigzagFiltration",
     "InclusionError",
     "check_count",
     "check_point_row",
@@ -148,21 +147,6 @@ class ZPD:
         return sum(row[3] for row in self.rows)
 
 
-@dataclass(frozen=True)
-class ZigzagFiltration:
-    """The 2T-1 complexes of a window: snapshots at even, unions at odd positions."""
-
-    complexes: tuple[SimplicialComplex, ...]
-
-    def __post_init__(self):
-        if len(self.complexes) % 2 == 0 or not self.complexes:
-            raise ValueError("a zigzag filtration has odd length 2T-1")
-
-    @property
-    def window_length(self) -> int:
-        return (len(self.complexes) + 1) // 2
-
-
 def _check_inclusion(sub: SimplicialComplex, sup: SimplicialComplex, name: str) -> None:
     if not sub.is_subcomplex_of(sup):
         missing = sorted(sub.difference(sup), key=lambda s: (len(s), s))[:5]
@@ -202,14 +186,14 @@ def build_zigzag(
     window: Sequence[Snapshot],
     nu_star: float,
     mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
-) -> ZigzagFiltration:
-    """Complexes of the alternating diagram for one window.
+) -> tuple[SimplicialComplex, ...]:
+    """The 2T-1 complexes of one window: snapshots at even, unions at odd positions.
 
     Inclusions are verified on every arrow; see ``_series_complexes``.
     """
     if not window:
         raise ValueError("window must contain at least one snapshot")
-    return ZigzagFiltration(tuple(_series_complexes(window, nu_star, mode, True)))
+    return tuple(_series_complexes(window, nu_star, mode, True))
 
 
 class _ComplexHom:
@@ -465,9 +449,9 @@ def zigzag_series(
     Windows come in chronological order; window k (from 0) is yielded as
     soon as k + tau snapshots have been read, so ``snapshots`` may be a
     lazy iterable.  A series shorter than ``tau`` yields nothing.  The
-    diagrams equal ``compute_zigzag_persistence(build_zigzag(window, ...))``
-    window by window, and a failing inclusion raises InclusionError when
-    its arrow is reached.
+    diagrams equal ``compute_zigzag_persistence(window, ...)`` window by
+    window, and a failing inclusion raises InclusionError when its arrow
+    is reached.
     """
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
@@ -475,14 +459,21 @@ def zigzag_series(
     return _window_diagrams(complexes, tau)
 
 
-def compute_zigzag_persistence(zf: ZigzagFiltration) -> ZPD:
-    """Interval decomposition of the zigzag module over GF(2), dimensions 0 and 1.
+def compute_zigzag_persistence(
+    window: Sequence[Snapshot],
+    nu_star: float,
+    mode: FiltrationMode = FiltrationMode.WEIGHT_SUBLEVEL_CLIQUE,
+) -> ZPD:
+    """Interval decomposition of one window's zigzag module over GF(2), dimensions 0 and 1.
 
     Births and deaths follow the half-grid convention: position 2k-1 of
     the diagram (a snapshot) is time k, position 2k (a union) is time
-    k + 1/2; classes alive in the last complex die at time T.
+    k + 1/2; classes alive in the last complex die at time T.  This is
+    ``zigzag_series`` with tau = T, so at most three complexes are held.
     """
-    (zpd,) = _window_diagrams(zf.complexes, zf.window_length)
+    if not window:
+        raise ValueError("window must contain at least one snapshot")
+    (zpd,) = zigzag_series(window, len(window), nu_star, mode)
     return zpd
 
 
@@ -498,9 +489,9 @@ class ConsistencyReport:
         return not self.violations
 
 
-def betti_consistency_check(zf: ZigzagFiltration, zpd: ZPD) -> ConsistencyReport:
-    """At every grid position the number of live bars must equal the Betti number."""
-    betti = [(betti_numbers(cx, 0), betti_numbers(cx, 1)) for cx in zf.complexes]
+def betti_consistency_check(complexes: Sequence[SimplicialComplex], zpd: ZPD) -> ConsistencyReport:
+    """At every position of ``build_zigzag``'s complexes, live bars must equal the Betti number."""
+    betti = [(betti_numbers(cx, 0), betti_numbers(cx, 1)) for cx in complexes]
     return _consistency_report(zpd, betti)
 
 

@@ -63,21 +63,18 @@ def test_criterion_1_zigzag_betti_oracle_and_goldens():
     violations = 0
     for seed in range(200):
         window, nu = random_dynamic_network(seed, n_max=12, t_max=8, edge_prob=0.3)
-        zf = build_zigzag(window, nu)
-        zpd = compute_zigzag_persistence(zf)
-        violations += len(betti_consistency_check(zf, zpd).violations)
+        zpd = compute_zigzag_persistence(window, nu)
+        violations += len(betti_consistency_check(build_zigzag(window, nu), zpd).violations)
 
     def snap(index, edges):
         return Snapshot.from_edges(index, 4, [(u, v, 0.2) for u, v in edges])
 
     path = [(0, 1), (1, 2), (2, 3)]
     square = path + [(0, 3)]
-    golden = compute_zigzag_persistence(
-        build_zigzag([snap(1, path), snap(2, square), snap(3, path)], 0.5)
-    )
+    golden = compute_zigzag_persistence([snap(1, path), snap(2, square), snap(3, path)], 0.5)
     goldens_ok = golden.points(0) == [(1.0, 3.0, 1)] and golden.points(1) == [(1.5, 2.5, 1)]
     merge = compute_zigzag_persistence(
-        build_zigzag([snap(1, [(0, 1), (2, 3)]), snap(2, [(0, 1), (1, 2), (2, 3)])], 0.5)
+        [snap(1, [(0, 1), (2, 3)]), snap(2, [(0, 1), (1, 2), (2, 3)])], 0.5
     )
     goldens_ok &= merge.points(0) == [(1.0, 1.0, 1), (1.0, 2.0, 1)]
     elapsed = time.time() - start
@@ -95,8 +92,8 @@ def test_criterion_2_time_reversal():
     for seed in range(1000, 1100):
         window, nu = random_dynamic_network(seed)
         t = len(window)
-        fwd = compute_zigzag_persistence(build_zigzag(window, nu))
-        rev = compute_zigzag_persistence(build_zigzag(reverse_window(window), nu))
+        fwd = compute_zigzag_persistence(window, nu)
+        rev = compute_zigzag_persistence(reverse_window(window), nu)
         for dim in (0, 1):
             mapped = sorted((t + 1 - d, t + 1 - b, m) for b, d, m in rev.points(dim))
             if fwd.points(dim) != mapped:

@@ -79,3 +79,27 @@ def test_cmd_distance_reproduces_the_stored_w1_costs(bench, tmp_path, workload, 
     pairs = itertools.combinations(paths, 2) if spec.all_pairs else zip(paths, paths[1:])
     costs = [pipeline.cmd_distance(zcfg, a, b, dim)["cost"] for a, b in pairs for dim in (0, 1)]
     assert costs == checks.load_reference()["seeds"][workload][seed]["w1"]
+
+
+def test_checks_betti_passes_the_chain_and_flags_a_missing_bar(bench, tmp_path):
+    # checks._betti rebuilds a window with build_zigzag and runs betti_consistency_check on
+    # the diagram the chain wrote; check_run picks the first, middle and last windows
+    _, _, checks = bench
+    spec, zcfg, paths = run_zigzag(bench, tmp_path, "series", "0")
+    assert len(spec.zigzag) == 1
+    snapshots = spec.zigzag[0]
+
+    def betti(window):
+        return checks._betti(snapshots, zcfg.tau, zcfg.nu_star, paths[window], window,
+                             zcfg.universe_size)
+
+    windows = sorted({0, len(paths) // 2, len(paths) - 1})
+    assert len(windows) == 3
+    assert [betti(window) for window in windows] == [None] * 3
+    # a missing bar leaves a position with fewer live bars than its Betti number;
+    # a later death would not, where the bar already ends at the window's end
+    with open(paths[0], encoding="ascii") as fh:
+        header, _, *bars = fh.readlines()
+    with open(paths[0], "w", encoding="ascii") as fh:
+        fh.writelines([header, *bars])
+    assert betti(0).startswith("violations ((")

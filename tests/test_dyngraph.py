@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import tempfile
 
 import numpy as np
@@ -104,6 +105,30 @@ def test_rbf_rejects_bad_inputs():
         rbf_censored_weights(np.zeros((2, 1)), None, 0.0, 0.5)
 
 
+@pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf, -1.0])
+def test_rbf_refuses_a_gamma_that_is_not_finite_and_positive(gamma):
+    # a NaN gamma would censor every weight away, and an infinite one make every weight 1
+    with pytest.raises(ValueError, match=f"^gamma must be finite and positive, got {gamma}$"):
+        rbf_censored_weights(np.zeros((3, 1)), None, gamma, 0.5)
+
+
+@pytest.mark.parametrize("nu_star", [math.nan, math.inf, -math.inf])
+def test_rbf_refuses_a_non_finite_nu_star(nu_star):
+    # a NaN nu_star would censor every weight away without a word
+    with pytest.raises(ValueError, match="^nu_star must be finite$"):
+        rbf_censored_weights(np.array([[0.0], [1.0]]), None, 1.0, nu_star)
+
+
+@pytest.mark.parametrize("features", [np.zeros((3, 1)), np.array([[0.0], [1.0], [5.0]])])
+@pytest.mark.parametrize("bad", [(2, 7), (0, -1), (-1, 0), (3, 1)])
+def test_rbf_refuses_a_candidate_endpoint_outside_the_nodes(features, bad):
+    # identical features censor every weight, so a negative id would be dropped unseen;
+    # spread ones keep it, where it would read node n - 1
+    message = rf"^candidate edge \({bad[0]}, {bad[1]}\) has an endpoint outside \[0, 3\)$"
+    with pytest.raises(ValueError, match=message):
+        rbf_censored_weights(features, [(0, 1), (1, 2), bad], gamma=1.0, nu_star=0.5)
+
+
 @given(st.floats(0.05, 1.0), st.floats(0.1, 4.0))
 def test_rbf_outputs_zero_or_in_interval(nu_star, gamma):
     rng = np.random.default_rng(0)
@@ -127,6 +152,20 @@ def test_normalize_counts_examples():
 def test_normalize_counts_rejects_negative():
     with pytest.raises(ValueError):
         normalize_transaction_weights({(0, 1): -2}, universe_size=4)
+
+
+@pytest.mark.parametrize("count", [2.7, -0.5, 3.0, True, "3", math.nan, math.inf, np.float64(2.0)])
+def test_normalize_counts_refuse_what_is_not_a_nonnegative_integer(count):
+    # int() would truncate 2.7 to 2 and -0.5 to 0, and count True as 1 and "3" as 3
+    message = rf"^count on edge \(1, 2\) must be an integer >= 0, got {re.escape(repr(count))}$"
+    with pytest.raises(ValueError, match=message):
+        normalize_transaction_weights({(0, 1): 3, (1, 2): count}, universe_size=4)
+
+
+def test_normalize_counts_take_numpy_integers():
+    s = normalize_transaction_weights({(0, 1): np.int64(4), (2, 1): np.uint8(2)}, universe_size=4)
+    assert s.weights == {(0, 1): 1.0, (1, 2): 0.5}
+    assert all(type(w) is float for w in s.weights.values())
 
 
 # --- reduce_top_edges ---------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import given, strategies as st
 import zigzagst
 from zigzagst import metrics
 from zigzagst.metrics import MatchingResult, MatchingSizeError, linf_distance, wasserstein1
-from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
+from zigzagst.zigzag import compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import GridSpec, WeightingSpec, ZPIGrid, render_zpi
 from util import (
     brute_force_w1, expand, independent_snapshots, random_diagram, random_dynamic_network, rows,
@@ -206,7 +206,7 @@ def test_matches_expanded_references_on_random_windows():
     diagrams = []
     for seed in range(30):
         window, nu = random_dynamic_network(seed)
-        diagrams.append(compute_zigzag_persistence(build_zigzag(window, nu)))
+        diagrams.append(compute_zigzag_persistence(window, nu))
     for za, zb in zip(diagrams, diagrams[1:]):
         for dim in (0, 1):
             _same_as_expanded_references(za.points(dim), zb.points(dim))

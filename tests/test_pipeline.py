@@ -42,7 +42,6 @@ from zigzagst.pipeline import (
     gen_synthetic,
 )
 from zigzagst.zigzag import (
-    build_zigzag,
     compute_zigzag_persistence,
     read_zpd_csv,
     write_zpd_csv,
@@ -280,7 +279,7 @@ def test_cmd_zigzag_matches_the_one_window_api(tmp_path):
     for k, path in enumerate(out["zpd"]):
         assert os.path.basename(path) == f"zpd_window_{k:04d}.csv"
         window = network.snapshots[k : k + 3]
-        write_zpd_csv(compute_zigzag_persistence(build_zigzag(window, 0.5)), want)
+        write_zpd_csv(compute_zigzag_persistence(window, 0.5), want)
         assert open(path, "rb").read() == want.read_bytes()
     with pytest.raises(ValueError, match="unknown config key 'jobs'"):
         RunConfig.from_file(None, {"jobs": "2"})
@@ -396,7 +395,7 @@ def test_pipeline_matches_direct_library_calls(golden_paths):
     cmd_zigzag(cfg)
     cmd_zpi(cfg)
     network = read_snapshot_csv(str(snaps))
-    zpd = compute_zigzag_persistence(build_zigzag(network.snapshots, 0.5))
+    zpd = compute_zigzag_persistence(network.snapshots, 0.5)
     from zigzagst.zpi import render_zpi
 
     direct = render_zpi(zpd.points(1), cfg.grid_spec(), cfg.weighting())

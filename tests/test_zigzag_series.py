@@ -9,12 +9,12 @@ from hypothesis import given, strategies as st
 
 from zigzagst import gf2, zigzag
 from zigzagst.dyngraph import DynamicNetwork, Snapshot, write_snapshot_csv
-from zigzagst.filtration import FiltrationMode, SimplicialComplex
+from zigzagst.filtration import FiltrationMode
 from zigzagst.pipeline import RunConfig, cmd_zigzag
 from zigzagst.zigzag import InclusionError, write_zpd_csv, zigzag_series
 from reference_gf2 import TrackedBasis
 from reference_zigzag import reference_window_zpd
-from util import independent_snapshots, random_dynamic_network
+from util import TrackedComplex, independent_snapshots, random_dynamic_network
 
 # Complexes of these modes can fail to include into the union's.
 NON_MONOTONE = (FiltrationMode.WEIGHT_RANK_CLIQUE, FiltrationMode.WEIGHTED_DEGREE_SUBLEVEL)
@@ -275,10 +275,6 @@ def test_inclusion_violation_names_snapshot_times_mid_series(tmp_path):
         cmd_zigzag(cfg)
 
 
-class _TrackedComplex(SimplicialComplex):
-    __slots__ = ("__weakref__",)
-
-
 @pytest.mark.parametrize("tau", [4, 12])
 def test_series_memory_is_bounded(monkeypatch, tau):
     length = 200
@@ -287,7 +283,7 @@ def test_series_memory_is_bounded(monkeypatch, tau):
 
     def tracked(*args, **kwargs):
         cx = build(*args, **kwargs)
-        tracked_cx = _TrackedComplex(cx.vertices, cx.edges)
+        tracked_cx = TrackedComplex(cx.vertices, cx.edges)
         live.add(tracked_cx)
         return tracked_cx
 

@@ -9,7 +9,7 @@ from scipy.special import ndtr
 
 import reference_zpi
 from util import expand, independent_snapshots, persistence_rows, random_dynamic_network
-from zigzagst.zigzag import build_zigzag, compute_zigzag_persistence, zigzag_series
+from zigzagst.zigzag import compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import (
     MAX_RESOLUTION,
     GridSpec,
@@ -205,7 +205,7 @@ def test_render_matches_expanded_reference_on_random_windows():
     repeated = 0
     for seed in range(40):
         window, nu = random_dynamic_network(seed)
-        zpd = compute_zigzag_persistence(build_zigzag(window, nu))
+        zpd = compute_zigzag_persistence(window, nu)
         repeated += any(row[3] > 1 for row in zpd.rows)
         _same_window_renders_as_expanded_reference(zpd, len(window))
     assert repeated >= 10

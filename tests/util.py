@@ -13,8 +13,15 @@ import math
 import numpy as np
 
 from zigzagst.dyngraph import Snapshot
+from zigzagst.filtration import SimplicialComplex
 from zigzagst.zigzag import zigzag_series
 from zigzagst.zpi import render_zpi
+
+
+class TrackedComplex(SimplicialComplex):
+    """A complex a ``weakref.WeakSet`` can hold, to count the complexes still alive."""
+
+    __slots__ = ("__weakref__",)
 
 
 def union_find_components(cx) -> int:
