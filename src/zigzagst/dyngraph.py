@@ -53,6 +53,25 @@ def _canonical(u: int, v: int) -> Edge:
     return (u, v) if u < v else (v, u)
 
 
+def _node_id(x, edge: tuple | None = None) -> int:
+    """A node id as an int: a Python or numpy integer, not a ``bool``.
+
+    Anything else (a float such as 1.9, a ``bool``, a string) is refused,
+    never truncated, with a ``ValueError`` naming ``edge`` if given.
+    """
+    if type(x) is not int:
+        if isinstance(x, bool) or not isinstance(x, Integral):
+            where = "node" if edge is None else f"edge {edge!r}: node id"
+            raise ValueError(f"{where} {x!r} is not an integer")
+        x = int(x)
+    return x
+
+
+def _node_ids(u, v) -> Edge:
+    """Both endpoints of edge ``(u, v)`` through ``_node_id``."""
+    return _node_id(u, (u, v)), _node_id(v, (u, v))
+
+
 def _check_edge(u: int, v: int, w: float) -> None:
     if u == v:
         raise ValueError(f"self loop on node {u}")
@@ -111,19 +130,20 @@ class Snapshot:
         """Build a snapshot from (u, v, w) triples in either orientation.
 
         If the same pair appears twice the weights must agree exactly.
-        Active nodes default to the endpoints of positive-weight edges;
-        pass ``nodes`` to include isolated active nodes.
+        Node ids must be integers (``_node_id``).  Active nodes default
+        to the endpoints of positive-weight edges; pass ``nodes`` to
+        include isolated active nodes.
         """
         weights: dict[Edge, float] = {}
         for u, v, w in edges:
-            key = _canonical(int(u), int(v))
+            key = _canonical(*_node_ids(u, v))
             w = float(w)
             if key in weights and weights[key] != w:
                 raise ValueError(f"conflicting weights for edge {key}: {weights[key]} vs {w}")
             weights[key] = w
         active = {n for (u, v), w in weights.items() if w > 0.0 for n in (u, v)}
         if nodes is not None:
-            active.update(int(n) for n in nodes)
+            active.update(map(_node_id, nodes))
         return cls(index, universe_size, frozenset(active), weights)
 
     def weight(self, u: int, v: int) -> float:
@@ -223,9 +243,9 @@ def rbf_censored_weights(
     Each candidate pair (u, v) gets w = exp(-||x_u - x_v||^2 / gamma);
     weights above ``nu_star`` are censored to zero.  When ``edges`` is
     None every pair of the universe is a candidate; given candidates must
-    have both endpoints in [0, n).  ``gamma`` must be finite and positive
-    and ``nu_star`` finite.  All universe nodes are active (sensor
-    semantics: a node exists even when isolated).
+    have integer endpoints (``_node_id``) in [0, n).  ``gamma`` must be
+    finite and positive and ``nu_star`` finite.  All universe nodes are
+    active (sensor semantics: a node exists even when isolated).
     """
     x = np.asarray(features_at_t, dtype=np.float64)
     if x.ndim == 1:
@@ -240,7 +260,7 @@ def rbf_censored_weights(
     if edges is None:
         candidates: Iterable[tuple[int, int]] = ((u, v) for u in range(n) for v in range(u + 1, n))
     else:
-        candidates = [(int(u), int(v)) for u, v in edges]
+        candidates = [_node_ids(u, v) for u, v in edges]
         for u, v in candidates:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"candidate edge {(u, v)} has an endpoint outside [0, {n})")
@@ -264,10 +284,12 @@ def normalize_transaction_weights(
     """Scale symmetric transaction counts into [0, 1] by the maximum count.
 
     A count must be an integer of at least 0 (a Python or numpy integer,
-    not a ``bool``); anything else is refused, never rounded.
+    not a ``bool``), and so must a node id; anything else is refused,
+    never rounded.
     """
     merged: dict[Edge, int] = {}
     for (u, v), c in counts.items():
+        u, v = _node_ids(u, v)
         if u == v:
             raise ValueError(f"self loop on node {u}")
         if isinstance(c, bool) or not isinstance(c, Integral) or c < 0:

@@ -78,10 +78,15 @@ def _half(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
+def _is_int(x) -> bool:
+    """A Python or numpy integer, and not a ``bool``."""
+    # an int skips the abstract-class test, which costs about 1 us a row
+    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
+
+
 def check_count(m) -> None:
     """A diagram row's count: an integer of at least 1, and not a ``bool``."""
-    # an int skips the abstract-class test, which costs about 1 us a row
-    if not (type(m) is int or (isinstance(m, Integral) and not isinstance(m, bool))) or m < 1:
+    if not _is_int(m) or m < 1:
         raise ValueError(f"count must be a positive integer, got {m!r}")
 
 
@@ -105,10 +110,18 @@ def check_point_row(row) -> tuple[float, float, int]:
 
 
 def _check_point(dim: int, twice_birth: int, twice_death: int) -> None:
-    """One interval of the decomposition: a homology dimension and a grid span."""
+    """One interval of the decomposition: a homology dimension and a grid span.
+
+    All three are integers (``_is_int``), so the line ``write_zpd_csv``
+    gives them reads back as the same point.
+    """
     for twice in (twice_birth, twice_death):
+        if not _is_int(twice):
+            raise ValueError(f"half-index 2t must be an integer, got {twice!r}")
         if twice < 2:
             raise ValueError(f"half-index 2t = {twice} below the grid start")
+    if not _is_int(dim):
+        raise ValueError(f"dimension must be the integer 0 or 1, got {dim!r}")
     _check_dim(dim)
     if twice_death < twice_birth:
         raise ValueError(f"death {_half(twice_death)} precedes birth {_half(twice_birth)}")
@@ -132,7 +145,7 @@ class ZPD:
             _check_point(dim, b, d)
             check_count(m)
             counts[dim, b, d] = counts.get((dim, b, d), 0) + m
-        object.__setattr__(self, "rows", tuple((*k, m) for k, m in sorted(counts.items())))
+        object.__setattr__(self, "rows", _sorted_rows(counts))
 
     def points(self, dim: int) -> list[tuple[float, float, int]]:
         """``(birth, death, count)`` rows of one homology dimension, in row order."""
@@ -145,6 +158,17 @@ class ZPD:
 
     def __len__(self) -> int:
         return sum(row[3] for row in self.rows)
+
+
+def _sorted_rows(counts: dict[tuple[int, int, int], int]) -> tuple[Row, ...]:
+    return tuple((*k, m) for k, m in sorted(counts.items()))
+
+
+def _checked_zpd(counts: dict[tuple[int, int, int], int]) -> ZPD:
+    """A diagram from points that pass ``_check_point`` and their counts (>= 1), unchecked."""
+    zpd = object.__new__(ZPD)
+    vars(zpd)["rows"] = _sorted_rows(counts)
+    return zpd
 
 
 def _check_inclusion(sub: SimplicialComplex, sup: SimplicialComplex, name: str) -> None:
@@ -519,20 +543,23 @@ def write_zpd_csv(zpd: ZPD, path) -> None:
 def read_zpd_csv(path) -> ZPD:
     """Diagram from a CSV written by ``write_zpd_csv``.
 
-    A diagram repeats few distinct rows many times, so a stripped line is parsed
-    when first seen and only counted after; blank and header lines are skipped.
+    A diagram repeats few distinct lines many times, so the file's
+    stripped lines are counted in one pass (``textio.distinct_lines``),
+    and each distinct line is parsed and checked once; lines that name
+    the same point (``01,3,7`` and ``1,3,7``) merge.  Blank and header
+    lines are skipped.  A bad line raises a ``ValueError`` naming its
+    first occurrence, and a non-ASCII byte is reported before any bad line.
     """
-    counts = {"": [None, 0], _ZPD_HEADER: [None, 0]}  # stripped line -> [point, count]
-    with textio.lines(path) as lines:
-        for _, line in lines:
-            entry = counts.get(line)
-            if entry is not None:
-                entry[1] += 1
+    counts: dict[tuple[int, int, int], int] = {}
+    with textio.distinct_lines(path) as lines:
+        for line, m in lines:
+            if not line or line == _ZPD_HEADER:
                 continue
             parts = line.split(",")
             if len(parts) != 3:
                 raise ValueError("expected 3 fields")
-            point = tuple(map(int, parts))
-            _check_point(*point)
-            counts[line] = [point, 1]
-    return ZPD(tuple((*point, m) for point, m in counts.values() if point is not None))
+            point = p, b, d = int(parts[0]), int(parts[1]), int(parts[2])
+            if not (p in (0, 1) and 2 <= b <= d):  # a bad point: say why
+                _check_point(*point)
+            counts[point] = counts.get(point, 0) + m
+    return _checked_zpd(counts)

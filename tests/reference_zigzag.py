@@ -9,16 +9,22 @@ maps (``_induced_map``) it reads; nothing here shares the engine's
 bases, maps or sweep.  Its tracked eliminations run on the lowest-bit
 ``reference_gf2.TrackedBasis``, not on the library's highest-bit one.
 The engine must reproduce its diagrams exactly.
+
+``read_zpd_csv_by_line`` is the diagram reader ``zigzag.read_zpd_csv``
+replaced, kept verbatim: it walks the file line by line, parses each
+distinct stripped line when first seen and only counts it after, and
+builds the ``ZPD`` through its checking constructor.  The library must
+return equal diagrams and raise the same messages.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
-from zigzagst import gf2
+from zigzagst import gf2, textio
 from zigzagst.dyngraph import Snapshot, union_graph
 from zigzagst.filtration import FiltrationMode, SimplicialComplex, build_complex
-from zigzagst.zigzag import ZPD, InclusionError
+from zigzagst.zigzag import _ZPD_HEADER, ZPD, InclusionError, _check_point
 from reference_gf2 import TrackedBasis
 
 
@@ -245,3 +251,25 @@ def reference_window_zpd(
         for dim in (0, 1)
         for (birth_pos, death_pos), count in _interval_multiplicities(homs, dim).items()
     ))
+
+
+def read_zpd_csv_by_line(path) -> ZPD:
+    """Diagram from a CSV written by ``write_zpd_csv``.
+
+    A diagram repeats few distinct rows many times, so a stripped line is parsed
+    when first seen and only counted after; blank and header lines are skipped.
+    """
+    counts = {"": [None, 0], _ZPD_HEADER: [None, 0]}  # stripped line -> [point, count]
+    with textio.lines(path) as lines:
+        for _, line in lines:
+            entry = counts.get(line)
+            if entry is not None:
+                entry[1] += 1
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ValueError("expected 3 fields")
+            point = tuple(map(int, parts))
+            _check_point(*point)
+            counts[line] = [point, 1]
+    return ZPD(tuple((*point, m) for point, m in counts.values() if point is not None))

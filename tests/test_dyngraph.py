@@ -59,6 +59,35 @@ def test_conflicting_duplicate_edge_rejected():
         snap([(0, 1, 0.2), (1, 0, 0.3)])
 
 
+# node ids that are not integers: int() truncated 2.7 to 2 and read True as node 1
+NOT_IDS = [2.7, 1.9, 2.0, True, False, "1", np.float64(1.0), np.bool_(True)]
+
+
+def _id_message(edge, bad):
+    return f"^edge {re.escape(repr(edge))}: node id {re.escape(repr(bad))} is not an integer$"
+
+
+@pytest.mark.parametrize("bad", NOT_IDS)
+def test_from_edges_refuses_a_node_id_that_is_not_an_integer(bad):
+    with pytest.raises(ValueError, match=_id_message((0, bad), bad)):
+        Snapshot.from_edges(1, 4, [(1, 3, 0.5), (0, bad, 0.5)])
+    with pytest.raises(ValueError, match=f"^node {re.escape(repr(bad))} is not an integer$"):
+        Snapshot.from_edges(1, 4, [(1, 3, 0.5)], nodes=[0, bad])
+
+
+def test_from_edges_refuses_the_truncated_edge_of_the_report():
+    # this built edge (0, 2)
+    with pytest.raises(ValueError, match=_id_message((0, 2.7), 2.7)):
+        Snapshot.from_edges(1, 4, [(0, 2.7, 0.5)])
+
+
+def test_from_edges_takes_numpy_integer_ids_as_ints():
+    got = Snapshot.from_edges(1, 4, [(np.int64(2), np.uint8(0), 0.5)], nodes=np.arange(4))
+    assert got == Snapshot.from_edges(1, 4, [(2, 0, 0.5)], nodes=range(4))
+    assert all(type(x) is int for e in got.weights for x in e)
+    assert all(type(x) is int for x in got.nodes)
+
+
 def test_dynamic_network_index_ordering():
     s1, s2 = snap([], index=1), snap([], index=2)
     DynamicNetwork((s1, s2), 6)
@@ -129,6 +158,22 @@ def test_rbf_refuses_a_candidate_endpoint_outside_the_nodes(features, bad):
         rbf_censored_weights(features, [(0, 1), (1, 2), bad], gamma=1.0, nu_star=0.5)
 
 
+@pytest.mark.parametrize("edge, bad", [((0, 1.9), 1.9), ((True, 2.5), True)]
+                         + [((0, bad), bad) for bad in NOT_IDS])
+def test_rbf_refuses_a_candidate_id_that_is_not_an_integer(edge, bad):
+    # (0, 1.9) gave edge (0, 1) and (True, 2.5) edge (1, 2)
+    with pytest.raises(ValueError, match=_id_message(edge, bad)):
+        rbf_censored_weights(np.array([[0.0], [1.0], [5.0]]), [(1, 2), edge], 1.0, 0.5)
+
+
+def test_rbf_takes_numpy_integer_candidates():
+    x = np.array([[0.0], [1.0], [5.0]])
+    got = rbf_censored_weights(x, [(np.int64(1), np.uint8(0)), (2, 1)], 1.0, 0.5)
+    assert got == rbf_censored_weights(x, [(0, 1), (1, 2)], 1.0, 0.5)
+    assert got.edges() == [(0, 1), (1, 2)]
+    assert all(type(x) is int for e in got.weights for x in e)
+
+
 @given(st.floats(0.05, 1.0), st.floats(0.1, 4.0))
 def test_rbf_outputs_zero_or_in_interval(nu_star, gamma):
     rng = np.random.default_rng(0)
@@ -160,6 +205,14 @@ def test_normalize_counts_refuse_what_is_not_a_nonnegative_integer(count):
     message = rf"^count on edge \(1, 2\) must be an integer >= 0, got {re.escape(repr(count))}$"
     with pytest.raises(ValueError, match=message):
         normalize_transaction_weights({(0, 1): 3, (1, 2): count}, universe_size=4)
+
+
+@pytest.mark.parametrize("count", [3, 0])
+@pytest.mark.parametrize("bad", [1.5] + NOT_IDS)
+def test_normalize_counts_refuse_a_node_id_that_is_not_an_integer(bad, count):
+    # {(0, 1.5): 3} gave edge (0, 1); a count of 0 adds no edge but is no excuse
+    with pytest.raises(ValueError, match=_id_message((0, bad), bad)):
+        normalize_transaction_weights({(1, 2): 3, (0, bad): count}, universe_size=4)
 
 
 def test_normalize_counts_take_numpy_integers():

@@ -159,8 +159,9 @@ def test_matches_dense_reference_off_the_grid():
         common = random_diagram(rng, max_points=5)
         d1 = common + random_diagram(rng, max_points=8)
         d2 = common * 2 + random_diagram(rng, max_points=8)
-        got = wasserstein1(rows(d1), rows(d2)).cost
-        assert got == pytest.approx(reference_metrics.wasserstein1(d1, d2).cost, abs=1e-9)
+        want = reference_metrics.wasserstein1(d1, d2).cost
+        for a, b in [(d1, d2), (d2, d1)]:  # the larger side's d(y) is taken off its columns
+            assert wasserstein1(rows(a), rows(b)).cost == pytest.approx(want, abs=1e-9)
 
 
 def test_shared_points_pair_with_themselves():
@@ -285,17 +286,32 @@ def test_w1_size_guard_fires_before_any_matrix_is_built(monkeypatch):
         raise AssertionError("the assignment was entered")
 
     monkeypatch.setattr(scipy.optimize, "linear_sum_assignment", unreachable)
-    # the default bound: 2049**2 > 2**22
-    with pytest.raises(MatchingSizeError, match="over 1 and 2049 unshared points needs a 2049-square"):
-        wasserstein1([(0.0, 1.0, 1)], [(1.0, 3.0, 2049)])
-    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 8)
+    # the default bound: 2048 * 2049 > 2**22
+    with pytest.raises(MatchingSizeError,
+                       match="over 2048 and 2049 unshared points needs a 2048 x 2049 cost matrix"):
+        wasserstein1([(0.0, 1.0, 2048)], [(1.0, 3.0, 2049)])
+    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 5)
     shared = (0.0, 9.0, 100)  # cancelled before sizing, so it counts for nothing
-    with pytest.raises(MatchingSizeError, match="over 3 and 2 unshared points needs a 3-square") as info:
+    with pytest.raises(MatchingSizeError,
+                       match="over 3 and 2 unshared points needs a 2 x 3 cost matrix") as info:
         wasserstein1([(1.0, 2.0, 3), shared], [(1.0, 3.0, 2), shared])
     assert isinstance(info.value, ValueError)
     monkeypatch.undo()
-    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 9)  # 3**2 is at the bound
+    monkeypatch.setattr(metrics, "MAX_MATCHING_DOUBLES", 6)  # 3 * 2 is at the bound
     assert wasserstein1([(1.0, 2.0, 3)], [(1.0, 3.0, 2)]).cost == pytest.approx(2.5)
+
+
+def test_w1_of_one_point_against_4096_is_solved_as_one_row():
+    # the square problem it replaced needed 4096**2 > 2**22 entries and was refused
+    rng = np.random.default_rng(4096)
+    many = [(int(b) / 2.0, int(b + p) / 2.0) for b, p in zip(rng.integers(0, 40, 4096),
+                                                             rng.integers(0, 20, 4096))]
+    one = [(100.0, 107.0)]
+    want = reference_metrics.wasserstein1_counted(one, many).cost  # a 4097-square matrix
+    for a, b in [(one, many), (many, one)]:
+        result = wasserstein1(rows(a), rows(b))
+        assert result.cost == want
+        _check_optimal_pairing(result, rows(a), rows(b))
 
 
 def test_w1_with_an_empty_side_builds_nothing_and_refuses_nothing(monkeypatch):
@@ -386,7 +402,7 @@ def test_pairing_follows_the_reference_where_the_optimum_is_unique():
             assert got.cost == pytest.approx(want.cost, abs=1e-9)
 
 
-def test_assignment_is_max_n1_n2_square_on_wide_windows(monkeypatch):
+def test_assignment_is_min_by_max_n1_n2_rectangle_on_wide_windows(monkeypatch):
     solve = scipy.optimize.linear_sum_assignment
     shapes = []
 
@@ -402,6 +418,6 @@ def test_assignment_is_max_n1_n2_square_on_wide_windows(monkeypatch):
         c1, c2 = Counter(expand(a)), Counter(expand(b))
         n1, n2 = (c1 - c2).total(), (c2 - c1).total()
         assert n1 != n2 and min(n1, n2) > 0
-        want.append((max(n1, n2), max(n1, n2)))
+        want.append((min(n1, n2), max(n1, n2)))
         wasserstein1(a, b)
     assert shapes == want

@@ -166,6 +166,30 @@ def test_lines_names_the_line_in_hand_and_leaves_other_errors_alone(tmp_path):
             pass
 
 
+def test_distinct_lines_counts_first_seen_and_names_the_first_line_in_hand(tmp_path):
+    path = tmp_path / "rows.txt"
+    path.write_bytes(b"b\r\n  a  \n\nb\ra\n")
+    with textio.distinct_lines(path) as pairs:
+        assert list(pairs) == [("b", 2), ("a", 2), ("", 1)]
+    with pytest.raises(ValueError, match=_at(path, "line 2: no a$")) as info:
+        with textio.distinct_lines(path) as pairs:
+            for line, _ in pairs:
+                if line == "a":
+                    raise ValueError("no a")
+    assert str(info.value.__cause__) == "no a"
+    with pytest.raises(ValueError, match=_at(path, "line 6: after the walk$")):
+        with textio.distinct_lines(path) as pairs:
+            list(pairs)
+            raise ValueError("after the walk")
+    path.write_bytes(b"a\na\nb\xe9\nb\xe9\n")
+    with pytest.raises(ValueError, match=_at(path, "line 3: byte 0xe9 is not ASCII$")):
+        with textio.distinct_lines(path):
+            raise AssertionError("the block ran")
+    with pytest.raises(FileNotFoundError):
+        with textio.distinct_lines(tmp_path / "missing.txt"):
+            pass
+
+
 def test_config_file_errors_name_the_file_and_line(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text("# run\ntau = 3\nbogus = 1\n")

@@ -1,14 +1,17 @@
 import pickle
 import re
 import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from zigzagst import zigzag
 from zigzagst.dyngraph import Snapshot
 from zigzagst.filtration import FiltrationMode
 from zigzagst.zigzag import (
+    _ZPD_HEADER,
     InclusionError,
     ZPD,
     betti_consistency_check,
@@ -17,7 +20,7 @@ from zigzagst.zigzag import (
     read_zpd_csv,
     write_zpd_csv,
 )
-from reference_zigzag import reference_window_zpd
+from reference_zigzag import read_zpd_csv_by_line, reference_window_zpd
 from util import (
     TrackedComplex,
     independent_snapshots,
@@ -51,6 +54,48 @@ def test_zpd_table_validates_rows():
     ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ZPD(((1, 3, 5, 2), row))
+
+
+@pytest.mark.parametrize("row, message", [
+    ((True, 2, 4, 1), "dimension must be the integer 0 or 1, got True"),
+    ((np.bool_(False), 2, 4, 1), "dimension must be the integer 0 or 1, got np.False_"),
+    ((1.0, 2, 4, 1), r"dimension must be the integer 0 or 1, got 1\.0"),
+    (("0", 2, 4, 1), "dimension must be the integer 0 or 1, got '0'"),
+    ((0, 2.0, 4, 1), r"half-index 2t must be an integer, got 2\.0"),
+    ((0, 2, 4.0, 1), r"half-index 2t must be an integer, got 4\.0"),
+    ((0, True, 4, 1), "half-index 2t must be an integer, got True"),
+    ((0, 2, "4", 1), "half-index 2t must be an integer, got '4'"),
+])
+def test_zpd_table_refuses_rows_its_csv_cannot_hold(row, message):
+    # ZPD took the first and the fifth; write_zpd_csv wrote "True,2,4" and "0,2.0,4",
+    # which read_zpd_csv refused
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        ZPD(((1, 3, 5, 2), row))
+
+
+# what a ZPD row may be handed: only the integers that are not bools survive the table
+_DIMS = st.sampled_from([0, 1, True, False, 1.0, np.int64(1), np.uint8(0), np.bool_(True), "1"])
+_TWICE = (st.integers(2, 9) | st.integers(2, 9).map(np.int64) | st.integers(2, 9).map(float)
+          | st.sampled_from([True, "3"]))
+_COUNTS = st.integers(1, 3) | st.sampled_from([np.int64(2), True, 1.0])
+
+
+@given(rows=st.lists(st.tuples(_DIMS, _TWICE, _TWICE, _COUNTS), max_size=4))
+def test_every_table_zpd_accepts_survives_a_write_and_a_read(tmp_path_factory, rows):
+    try:
+        zpd = ZPD(tuple(rows))
+    except ValueError:
+        return
+    path = tmp_path_factory.getbasetemp() / "roundtrip.csv"
+    write_zpd_csv(zpd, path)
+    assert read_zpd_csv(path) == zpd
+
+
+def test_zpd_table_keeps_numpy_integer_rows_that_round_trip(tmp_path):
+    zpd = ZPD(((np.int64(1), np.uint8(3), np.int32(7), np.int64(2)), (0, 2, 4, 1)))
+    path = tmp_path / "zpd.csv"
+    write_zpd_csv(zpd, path)
+    assert read_zpd_csv(path) == zpd == ZPD(((1, 3, 7, 2), (0, 2, 4, 1)))
 
 
 def test_zpd_table_sorts_and_merges_rows():
@@ -296,3 +341,73 @@ def test_zpd_csv_reader_validates_points(tmp_path):
         path.write_text(f"p,twice_birth,twice_death\n1,3,7\n\n{bad}\n1,3,7\n{bad}\n")
         with pytest.raises(ValueError, match=f"zpd.csv: line 4: {message}$"):
             read_zpd_csv(path)
+
+
+def test_zpd_csv_reader_names_the_first_line_of_a_repeated_non_ascii_byte(tmp_path):
+    path = tmp_path / "zpd.csv"
+    path.write_bytes(b"p,twice_birth,twice_death\n1,3,7\n1,3\xe9,7\n1,3,7\n1,3\xe9,7\n")
+    with pytest.raises(ValueError, match=r"zpd\.csv: line 3: byte 0xe9 is not ASCII$"):
+        read_zpd_csv(path)
+
+
+# lines no diagram file holds, one kind a list: a wrong field count, a non-integer,
+# a bad point, a non-ASCII byte
+_BAD_LINES = [
+    ["1,3", "1,3,7,9", "137", ",,", "1,3,7,"],
+    ["1,x,7", "1,3.0,7", "1,,7", "0x1,3,7", "1,3,7e0"],
+    ["2,3,7", "1,7,3", "0,1,4", "-1,3,7", "1,3,-7"],
+    ["1,3\xe9,7", "\xe9", "0,2,4 \xff"],
+]
+
+
+def _random_zpd_file(rng, bad: list[str]) -> bytes:
+    """Diagram lines with repeats, blanks, headers, padding, leading zeros and mixed line ends.
+
+    Each line of ``bad`` goes in at one to three places.
+    """
+    pool = [(int(rng.integers(0, 2)), b, b + int(rng.integers(0, 4)))
+            for b in rng.integers(2, 7, size=int(rng.integers(1, 6))).tolist()]
+    lines = []
+    for _ in range(int(rng.integers(0, 40))):
+        kind = rng.random()
+        if kind < 0.1:
+            line = ""
+        elif kind < 0.2:
+            line = _ZPD_HEADER
+        else:
+            point = pool[int(rng.integers(len(pool)))]
+            line = ",".join(("0" if rng.random() < 0.3 else "") + str(x) for x in point)
+        pads = ["", "", " ", "  ", "\t"]
+        lines.append(pads[int(rng.integers(5))] + line + pads[int(rng.integers(5))])
+    for line in bad:
+        for _ in range(int(rng.integers(1, 4))):
+            lines.insert(int(rng.integers(0, len(lines) + 1)), line)
+    ends = [["\n", "\r\n", "\r"][int(rng.integers(3))] for _ in lines]
+    if lines and rng.random() < 0.5:
+        ends[-1] = ""
+    return "".join(line + end for line, end in zip(lines, ends)).encode("latin-1")
+
+
+def _read_or_refuse(reader, path):
+    try:
+        return reader(path)
+    except ValueError as exc:
+        return f"refused: {exc}"
+
+
+def test_zpd_csv_reader_matches_the_line_by_line_reader_it_replaced(tmp_path):
+    rng = np.random.default_rng(28)
+    path = tmp_path / "zpd.csv"
+    outcomes = Counter()
+    for _ in range(600):
+        kinds = rng.permutation(len(_BAD_LINES))[:int(rng.integers(0, 3))].tolist()
+        bad = [_BAD_LINES[k][int(rng.integers(len(_BAD_LINES[k])))] for k in kinds]
+        path.write_bytes(_random_zpd_file(rng, bad))
+        got = _read_or_refuse(read_zpd_csv, path)
+        assert got == _read_or_refuse(read_zpd_csv_by_line, path)
+        assert isinstance(got, str) == bool(bad)
+        outcomes[type(got).__name__, len(bad)] += 1
+        if isinstance(got, ZPD):
+            distinct = {line.strip() for line in path.read_text().splitlines()}
+            outcomes["merged"] += len(got.rows) < len(distinct - {"", _ZPD_HEADER})
+    assert min(outcomes.values()) >= 50, outcomes
