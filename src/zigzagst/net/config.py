@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 import zipfile
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 from tokenize import TokenError
 from typing import Iterator
 
@@ -23,7 +23,7 @@ __all__ = [
     "load_checkpoint",
 ]
 
-CHECKPOINT_VERSION = 7
+CHECKPOINT_VERSION = 8
 
 
 @dataclass(frozen=True)
@@ -97,13 +97,36 @@ class LayerParams:
 
 @dataclass
 class ModelParams:
-    """All trainable arrays; shapes are fixed by a ModelConfig."""
+    """All trainable arrays, as views of one float64 vector; shapes are fixed by a ModelConfig.
 
+    ``flat`` holds every parameter, array after array in ``named_arrays()``
+    order, and each field is a reshaped view of its slice.  An in-place
+    update of a field (``params.out_b += ...``) updates ``flat``, and an
+    update of ``flat`` updates every field; binding a field to another
+    array would break that link.
+    """
+
+    flat: np.ndarray        # (n_params,)
     embedding: np.ndarray   # (n_nodes, embed)
     time_mix: np.ndarray    # (window,)
     layers: list[LayerParams]
     out_w: np.ndarray       # (hidden, horizon*out_features)
     out_b: np.ndarray       # (horizon*out_features,)
+
+    @classmethod
+    def over(cls, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> "ModelParams":
+        """Parameters viewing consecutive slices of ``flat``, one per shape in ``named_arrays()`` order."""
+        views, at = [], 0
+        for shape in shapes:
+            size = math.prod(shape)
+            views.append(flat[at : at + size].reshape(shape))
+            at += size
+        if flat.shape != (at,):
+            raise ValueError(f"parameter vector has shape {flat.shape}, expected ({at},)")
+        embedding, time_mix, *stacked, out_w, out_b = views
+        per_layer = len(fields(LayerParams))
+        layers = [LayerParams(*stacked[i : i + per_layer]) for i in range(0, len(stacked), per_layer)]
+        return cls(flat, embedding, time_mix, layers, out_w, out_b)
 
     def named_arrays(self) -> Iterator[tuple[str, np.ndarray]]:
         yield "embedding", self.embedding
@@ -121,68 +144,70 @@ class ModelParams:
         return obj
 
     def zeros_like(self) -> "ModelParams":
-        return self._map(np.zeros_like)
+        return ModelParams.over(np.zeros_like(self.flat), self._shapes())
 
     def copy(self) -> "ModelParams":
-        return self._map(np.copy)
+        return ModelParams.over(self.flat.copy(), self._shapes())
 
-    def _map(self, fn) -> "ModelParams":
-        layers = [
-            LayerParams(**{k: fn(v) for k, v in vars(lp).items()}) for lp in self.layers
-        ]
-        return ModelParams(
-            embedding=fn(self.embedding),
-            time_mix=fn(self.time_mix),
-            layers=layers,
-            out_w=fn(self.out_w),
-            out_b=fn(self.out_b),
-        )
+    def _shapes(self) -> list[tuple[int, ...]]:
+        return [arr.shape for _, arr in self.named_arrays()]
 
 
-def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
-    """Random initialization scaled by fan-in; biases start at zero."""
+def _param_shapes(config: ModelConfig) -> list[tuple[int, ...]]:
+    """The shape of each parameter array of ``config``, in ``named_arrays()`` order."""
     c, k, half, hidden = (
         config.embed_dim, config.laplacian_order, config.half_hidden, config.hidden,
     )
     ks, nf = ENCODER_KERNEL, ENCODER_FILTERS
-
-    def dense(*shape):
-        fan_in = int(np.prod(shape[:-1])) if len(shape) > 1 else shape[0]
-        return rng.normal(0.0, 1.0 / np.sqrt(max(fan_in, 1)), shape)
-
-    def conv(out_ch, in_ch):
-        return rng.normal(0.0, 1.0 / np.sqrt(in_ch * ks * ks), (out_ch, in_ch, ks, ks))
-
-    layers = []
+    shapes = [(config.n_nodes, c), (config.window,)]
     for layer in range(config.num_layers):
         width = config.layer_input_width(layer)
-        layers.append(
-            LayerParams(
-                spatial_w=dense(c, k + 1, width, half),
-                temporal_w=dense(c, width, half),
-                conv1_k=conv(nf, 1),
-                conv1_b=np.zeros(nf),
-                conv2_k=conv(nf, nf),
-                conv2_b=np.zeros(nf),
-                zmap_w=dense(nf, half),
-                # gates start neutral: the image code multiplies both
-                # branches, so its bias begins at one, not zero
-                zmap_b=np.ones(half),
-                # W_z, then W_r, as two draws: one (2h, 2h) draw would spread
-                # the same numbers row by row over both gates
-                gru_wzr=np.concatenate([dense(2 * hidden, hidden), dense(2 * hidden, hidden)], axis=1),
-                gru_wo=dense(2 * hidden, hidden),
-                gru_bzr=np.zeros(2 * hidden),
-                gru_bo=np.zeros(hidden),
-            )
-        )
-    return ModelParams(
-        embedding=rng.normal(0.0, 0.5, (config.n_nodes, c)),
-        time_mix=np.full(config.window, 1.0 / config.window),
-        layers=layers,
-        out_w=dense(hidden, config.horizon * config.out_features),
-        out_b=np.zeros(config.horizon * config.out_features),
-    )
+        shapes += [
+            (c, k + 1, width, half), (c, width, half),          # spatial_w, temporal_w
+            (nf, 1, ks, ks), (nf,), (nf, nf, ks, ks), (nf,),    # conv1_k, conv1_b, conv2_k, conv2_b
+            (nf, half), (half,),                                # zmap_w, zmap_b
+            (2 * hidden, 2 * hidden), (2 * hidden, hidden),     # gru_wzr, gru_wo
+            (2 * hidden,), (hidden,),                           # gru_bzr, gru_bo
+        ]
+    out = config.horizon * config.out_features
+    return shapes + [(hidden, out), (out,)]
+
+
+def init_params(config: ModelConfig, rng: np.random.Generator) -> ModelParams:
+    """Random initialization scaled by fan-in; biases start at zero.
+
+    The arrays are drawn in a fixed order, each layer's weights and then
+    the embedding and the output weights, into one zeroed parameter
+    vector laid out as ``ModelParams`` describes.
+    """
+    shapes = _param_shapes(config)
+    params = ModelParams.over(np.zeros(sum(map(math.prod, shapes))), shapes)
+
+    def dense(arr):  # fan-in: every axis but the last
+        arr[...] = rng.normal(0.0, 1.0 / np.sqrt(max(math.prod(arr.shape[:-1]), 1)), arr.shape)
+
+    def conv(arr):  # fan-in: every axis but the output channel
+        arr[...] = rng.normal(0.0, 1.0 / np.sqrt(math.prod(arr.shape[1:])), arr.shape)
+
+    hidden = config.hidden
+    for lp in params.layers:
+        dense(lp.spatial_w)
+        dense(lp.temporal_w)
+        conv(lp.conv1_k)
+        conv(lp.conv2_k)
+        dense(lp.zmap_w)
+        # gates start neutral: the image code multiplies both branches,
+        # so its bias begins at one, not zero
+        lp.zmap_b[...] = 1.0
+        # W_z, then W_r, as two draws: one (2h, 2h) draw would spread the
+        # same numbers row by row over both gates
+        dense(lp.gru_wzr[:, :hidden])
+        dense(lp.gru_wzr[:, hidden:])
+        dense(lp.gru_wo)
+    params.embedding[...] = rng.normal(0.0, 0.5, params.embedding.shape)
+    params.time_mix[...] = 1.0 / config.window
+    dense(params.out_w)
+    return params
 
 
 @dataclass
@@ -202,49 +227,70 @@ class TrainResult:
 
 
 def save_checkpoint(path, result: TrainResult, settings: dict) -> None:
-    """Versioned npz dump of a trained network and ``settings``; the history is not stored.
+    """Versioned npz of a trained network and ``settings``; the history is not stored.
 
     ``settings`` is a JSON-able dict of the data-side settings the
-    training windows were made with.
+    training windows were made with.  Version 8 has three members:
+    ``checkpoint_version``; ``header_json``, the JSON of ``{"config": ...,
+    "settings": ...}``; and ``arrays``, one float64 vector of
+    ``params.flat`` followed by ``input_lo``, ``input_hi`` and
+    ``image_scale``.
     """
-    arrays = {name.replace(".", "__"): arr for name, arr in result.params.named_arrays()}
+    header = {"config": asdict(result.config), "settings": settings}
     np.savez(
         path,
         checkpoint_version=np.int64(CHECKPOINT_VERSION),
-        config_json=np.bytes_(json.dumps(asdict(result.config)).encode("ascii")),
-        settings_json=np.bytes_(json.dumps(settings).encode("ascii")),
-        input_lo=np.asarray(result.input_lo, dtype=np.float64),
-        input_hi=np.asarray(result.input_hi, dtype=np.float64),
-        image_scale=np.float64(result.image_scale),
-        **arrays,
+        header_json=np.bytes_(json.dumps(header).encode("ascii")),
+        arrays=np.concatenate(
+            [result.params.flat, result.input_lo, result.input_hi, [result.image_scale]],
+            dtype=np.float64),
     )
 
 
 def load_checkpoint(path) -> tuple[TrainResult, dict]:
     """The trained network, with an empty history, and the settings ``save_checkpoint`` stored.
 
-    A file that is not an npz archive (empty, cut or corrupt), a missing
-    entry, a wrong shape or version, or an unreadable or unknown
-    configuration raises a ``ValueError`` naming ``path``.
+    The layout of ``arrays`` follows from the stored config alone; the
+    parameters and scalers returned are views of the vector read.  A
+    file that is not an npz archive (empty, cut or corrupt), a missing
+    member, a wrong version, an unreadable or unknown configuration, an
+    ``arrays`` of the wrong length, a non-finite value, an
+    ``image_scale`` that is not positive or an ``input_hi`` below
+    ``input_lo`` raises a ``ValueError`` naming ``path``.
     """
     try:
         with np.load(path) as data:
             version = int(data["checkpoint_version"])
             if version != CHECKPOINT_VERSION:
                 raise ValueError(f"unsupported checkpoint version {version}; retrain it")
-            config = ModelConfig(**json.loads(bytes(data["config_json"]).decode("ascii")))
-            params = init_params(config, np.random.default_rng(0))
-            for name, arr in params.named_arrays():
-                stored = data[name.replace(".", "__")]
-                if stored.shape != arr.shape:
-                    raise ValueError(f"checkpoint array {name} has shape {stored.shape}, expected {arr.shape}")
-                arr[...] = stored
-            result = TrainResult(params, config, [], data["input_lo"], data["input_hi"],
-                                 float(data["image_scale"]))
-            settings = json.loads(bytes(data["settings_json"]).decode("ascii"))
+            header = json.loads(bytes(data["header_json"]).decode("ascii"))
+            arrays = data["arrays"]
+        result = _unpack(ModelConfig(**header["config"]), arrays)
+        settings = header["settings"]
     except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TokenError, TypeError,
             ValueError, zipfile.BadZipFile) as exc:
         if isinstance(exc, OSError) and exc.filename is not None:
             raise  # the file itself could not be opened
         raise ValueError(f"checkpoint {path}: {exc}") from exc
     return result, settings
+
+
+def _unpack(config: ModelConfig, arrays: np.ndarray) -> TrainResult:
+    """The network a checkpoint's ``arrays`` vector holds, as views of it, once its values check."""
+    shapes = _param_shapes(config)
+    n, f = sum(map(math.prod, shapes)), config.in_features
+    if arrays.dtype != np.float64 or arrays.shape != (n + 2 * f + 1,):
+        raise ValueError(f"arrays is {arrays.dtype} of shape {arrays.shape}, expected float64 "
+                         f"of shape ({n + 2 * f + 1},) for this config")
+    lo, hi = arrays[n : n + f], arrays[n + f : n + 2 * f]
+    result = TrainResult(ModelParams.over(arrays[:n], shapes), config, [], lo, hi, float(arrays[-1]))
+    if not np.isfinite(arrays).all():
+        named = [*result.params.named_arrays(), ("input_lo", lo), ("input_hi", hi),
+                 ("image_scale", arrays[-1:])]
+        raise ValueError(f"{next(name for name, arr in named if not np.isfinite(arr).all())} "
+                         "holds a non-finite value")
+    if result.image_scale <= 0.0:
+        raise ValueError(f"image_scale is {result.image_scale!r}, not positive")
+    if (hi < lo).any():
+        raise ValueError(f"input_hi is below input_lo for feature {int(np.argmax(hi < lo))}")
+    return result

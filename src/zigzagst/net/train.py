@@ -63,25 +63,28 @@ BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
 
 class Adam:
-    """Standard Adam over the named parameter arrays."""
+    """Adam (Kingma & Ba, ICLR 2015) over the whole parameter vector at once.
+
+    The moments ``m`` and ``v`` are vectors shaped as ``params.flat``, and
+    each step is one elementwise update of ``params.flat`` from
+    ``grads.flat``, so it gives the bits an update array by array would.
+    """
 
     def __init__(self):
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.m: np.ndarray | None = None
+        self.v: np.ndarray | None = None
         self.t = 0
 
     def step(self, params: ModelParams, grads: ModelParams, lr: float) -> None:
+        if self.m is None:
+            self.m, self.v = np.zeros_like(params.flat), np.zeros_like(params.flat)
         self.t += 1
         corr1 = 1.0 - BETA1 ** self.t
         corr2 = 1.0 - BETA2 ** self.t
-        grad_map = dict(grads.named_arrays())
-        for name, arr in params.named_arrays():
-            g = grad_map[name]
-            m = self.m.setdefault(name, np.zeros_like(arr))
-            v = self.v.setdefault(name, np.zeros_like(arr))
-            m += (1.0 - BETA1) * (g - m)
-            v += (1.0 - BETA2) * (g * g - v)
-            arr -= lr * (m / corr1) / (np.sqrt(v / corr2) + EPS)
+        g, m, v = grads.flat, self.m, self.v
+        m += (1.0 - BETA1) * (g - m)
+        v += (1.0 - BETA2) * (g * g - v)
+        params.flat -= lr * (m / corr1) / (np.sqrt(v / corr2) + EPS)
 
 
 def chronological_split(windows, fractions: tuple[float, ...] = (0.6, 0.2, 0.2)) -> Dataset:

@@ -459,7 +459,7 @@ def _window_diagrams(complexes: Iterable[SimplicialComplex], tau: int) -> Iterat
             for p, sweep in enumerate(sweeps):
                 sweep.clip(p, start, q, rows)
                 sweep.drop_before(start + stride)
-            yield ZPD(tuple((*k, m) for k, m in rows.items()))
+            yield _checked_zpd(rows)  # the sweeps' points are valid by construction
 
 
 def zigzag_series(

@@ -9,7 +9,8 @@ except that the ``L.`` module prefix is dropped, the GRU reads and
 writes W_z, W_r, b_z and b_r as slices of the stored ``[W_z | W_r]``
 and ``[b_z | b_r]``, and the ablation is an ``Ablation`` member and the
 encoder's stride ``ENCODER_STRIDE``; a batch of B in the library must
-match B calls here.
+match B calls here.  ``ArrayAdam`` is the Adam step as it ran before
+the parameters were one vector: array by array, with moments by name.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from zigzagst.net.layers import (
     laplacian_powers_backward,
 )
 from zigzagst.net.model import Ablation, _ensure_finite
+from zigzagst.net.train import BETA1, BETA2, EPS
 
 
 def spatial_conv_window(h_win, powers, embedding, weight):
@@ -330,3 +332,25 @@ def backward(cache, dpred: np.ndarray) -> ModelParams:
     dembed += adaptive_laplacian_backward(lap_cache, dlap)
     grads.embedding += dembed
     return grads
+
+
+class ArrayAdam:
+    """Standard Adam over the named parameter arrays."""
+
+    def __init__(self):
+        self.m: dict[str, np.ndarray] = {}
+        self.v: dict[str, np.ndarray] = {}
+        self.t = 0
+
+    def step(self, params: ModelParams, grads: ModelParams, lr: float) -> None:
+        self.t += 1
+        corr1 = 1.0 - BETA1 ** self.t
+        corr2 = 1.0 - BETA2 ** self.t
+        grad_map = dict(grads.named_arrays())
+        for name, arr in params.named_arrays():
+            g = grad_map[name]
+            m = self.m.setdefault(name, np.zeros_like(arr))
+            v = self.v.setdefault(name, np.zeros_like(arr))
+            m += (1.0 - BETA1) * (g - m)
+            v += (1.0 - BETA2) * (g * g - v)
+            arr -= lr * (m / corr1) / (np.sqrt(v / corr2) + EPS)

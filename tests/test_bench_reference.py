@@ -1,13 +1,13 @@
-"""The benchmark's stored diagram digests and W1 costs, reproduced by the library.
+"""The benchmark's stored diagram digests, W1 costs and test MAE, reproduced by the library.
 
 ``perfbench/reference.json`` holds, per workload and seed, the SHA-256
-of every diagram CSV the benchmark's chain writes and the W1 cost of
-each pair of diagrams it compares.  The benchmark checks them only when
-it runs; these tests rebuild each stored seed's inputs with
-``perfbench.workloads.prepare``, run ``cmd_zigzag`` with the config
-``perfbench/run.zigzag_config`` builds and ``cmd_distance`` on the
-chain's pairs, so a change of any diagram or cost fails the tier-1 suite
-too.
+of every diagram CSV the benchmark's chain writes, the W1 cost of each
+pair of diagrams it compares and the test MAE of its training call.
+The benchmark checks them only when it runs; these tests rebuild each
+stored seed's inputs with ``perfbench.workloads.prepare``, run
+``cmd_zigzag`` with the config ``perfbench/run.zigzag_config`` builds,
+``cmd_distance`` on the chain's pairs and, at two seeds, ``cmd_train``,
+so a change of any diagram, cost or test MAE fails the tier-1 suite too.
 """
 
 import itertools
@@ -79,6 +79,22 @@ def test_cmd_distance_reproduces_the_stored_w1_costs(bench, tmp_path, workload, 
     pairs = itertools.combinations(paths, 2) if spec.all_pairs else zip(paths, paths[1:])
     costs = [pipeline.cmd_distance(zcfg, a, b, dim)["cost"] for a, b in pairs for dim in (0, 1)]
     assert costs == checks.load_reference()["seeds"][workload][seed]["w1"]
+
+
+# the seed the benchmark is tuned on and the held-out one
+TRAIN_SEEDS = ("0", "4242")
+
+
+@pytest.mark.parametrize("workload, seed", [(w, s) for w, s in stored_seeds() if s in TRAIN_SEEDS])
+def test_cmd_train_reproduces_the_stored_test_mae(bench, tmp_path, workload, seed):
+    # the chain's training call as perfbench/run.run_pass makes it
+    _, workloads, checks = bench
+    spec = workloads.prepare(workload, int(seed), str(tmp_path / "inputs"), pipeline)
+    tcfg = replace(pipeline.RunConfig(nu_star=workloads.NU_STAR), snapshots=spec.train_snapshots,
+                   features=spec.train_features, outdir=str(tmp_path / "train"), **spec.train_cfg)
+    mae = pipeline.cmd_train(tcfg)["test_metrics"][0]
+    stored = checks.load_reference()["seeds"][workload][seed]["test_mae"]
+    assert checks._close("test MAE", mae, stored, checks.MAE_RTOL) is None
 
 
 def test_checks_betti_passes_the_chain_and_flags_a_missing_bar(bench, tmp_path):

@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -24,6 +24,7 @@ from zigzagst.net import (
     train,
     write_history_csv,
 )
+from reference_net import ArrayAdam
 
 
 def make_batches(cfg, count, seed=0):
@@ -113,6 +114,22 @@ def test_full_batch_permutation_has_no_effect():
         assert np.allclose(a, b, atol=1e-12)
 
 
+def test_parameters_are_views_of_one_vector_in_named_order_after_training():
+    cfg = small_cfg(num_layers=2)
+    params = train(chronological_split(make_batches(cfg, 8), (0.8, 0.2)), cfg).params
+    named = list(params.named_arrays())
+    assert len(named) == 4 + 12 * cfg.num_layers
+    at = 0
+    for name, arr in named:
+        assert np.shares_memory(arr, params.flat), name
+        assert np.array_equal(arr.ravel(), params.flat[at : at + arr.size]), name
+        at += arr.size
+    assert at == params.flat.size
+    for fresh in (params.copy(), params.zeros_like()):
+        assert not np.shares_memory(fresh.flat, params.flat)
+        assert all(np.shares_memory(arr, fresh.flat) for _, arr in fresh.named_arrays())
+
+
 def test_history_has_train_val_test_rows(tmp_path):
     cfg = small_cfg()
     ds = chronological_split(make_batches(cfg, 10), (0.6, 0.2, 0.2))
@@ -176,6 +193,26 @@ def test_adam_moves_toward_minimum():
     assert losses[-1] < 0.3 * losses[0]
 
 
+def test_adam_on_the_vector_steps_as_adam_array_by_array():
+    cfg = small_cfg(num_layers=2)
+    rng = np.random.default_rng(11)
+    params = init_params(cfg, rng)
+    ref_params = params.copy()
+    adam, ref = Adam(), ArrayAdam()
+    for step in range(20):
+        grads = params.zeros_like()
+        # gradients over six decades, a few exactly zero, and a decaying rate
+        grads.flat[:] = rng.normal(size=grads.flat.size) * 10.0 ** rng.integers(-4, 2, grads.flat.size)
+        grads.flat[rng.random(grads.flat.size) < 0.05] = 0.0
+        lr = 0.01 * 0.9 ** step
+        adam.step(params, grads, lr)
+        ref.step(ref_params, grads, lr)
+    assert np.array_equal(params.flat, ref_params.flat)
+    names = [name for name, _ in params.named_arrays()]
+    assert np.array_equal(adam.m, np.concatenate([ref.m[name].ravel() for name in names]))
+    assert np.array_equal(adam.v, np.concatenate([ref.v[name].ravel() for name in names]))
+
+
 def untrained(cfg, seed=0):
     """A ``TrainResult`` of freshly initialised parameters, identity scalers and no history."""
     params = init_params(cfg, np.random.default_rng(seed))
@@ -195,6 +232,7 @@ def test_checkpoint_roundtrip(tmp_path):
     for (na, a), (nb, b) in zip(result.params.named_arrays(), loaded.params.named_arrays()):
         assert na == nb
         assert np.array_equal(a, b)
+        assert np.shares_memory(b, loaded.params.flat)
 
 
 def test_checkpoint_stores_scalers(tmp_path):
@@ -217,29 +255,53 @@ def test_a_loaded_checkpoint_predicts_as_the_trained_network(tmp_path):
     assert np.array_equal(predict(loaded, data.test), predict(trained, data.test))
 
 
+SETTINGS = {"filtration": "weight-sublevel-clique", "nu_star": 0.5}
+
+
+def ascii_json(obj):
+    return np.bytes_(json.dumps(obj).encode("ascii"))
+
+
 def saved_checkpoint(path):
-    """The entries of a fresh checkpoint of ``small_cfg`` written to ``path``, as a dict."""
-    settings = {"filtration": "weight-sublevel-clique", "nu_star": 0.5}
-    save_checkpoint(path, untrained(small_cfg()), settings)
+    """The members of a fresh checkpoint of ``small_cfg`` written to ``path``, as a dict."""
+    save_checkpoint(path, untrained(small_cfg()), SETTINGS)
     with np.load(path) as data:
         return {k: data[k] for k in data.files}
 
 
+def version_7_members():
+    """What version 7 stored of a fresh ``small_cfg`` network, but its version.
+
+    One member per parameter array, the config and the settings as two
+    JSON members, and each scaler apart.
+    """
+    result = untrained(small_cfg())
+    return {
+        **{name.replace(".", "__"): arr for name, arr in result.params.named_arrays()},
+        "config_json": ascii_json(asdict(result.config)),
+        "settings_json": ascii_json(SETTINGS),
+        "input_lo": result.input_lo,
+        "input_hi": result.input_hi,
+        "image_scale": np.float64(result.image_scale),
+    }
+
+
 def without(*keys):
-    return lambda entries: {k: v for k, v in entries.items() if k not in keys}
+    return lambda members: {k: v for k, v in members.items() if k not in keys}
 
 
 def with_config(**extra):
-    def edit(entries):
-        stored = json.loads(bytes(entries["config_json"]).decode("ascii"))
-        return {**entries, "config_json": np.bytes_(json.dumps({**stored, **extra}).encode("ascii"))}
+    """Adds ``extra`` to the config of version-7 members."""
+    def edit(members):
+        stored = json.loads(bytes(members["config_json"]).decode("ascii"))
+        return {**members, "config_json": ascii_json({**stored, **extra})}
     return edit
 
 
-def split_gates(entries):
-    """The entries with each [W_z | W_r] and [b_z | b_r] split, as version 5 stored them."""
+def split_gates(members):
+    """The members with each [W_z | W_r] and [b_z | b_r] split, as version 5 stored them."""
     split = {}
-    for key, arr in entries.items():
+    for key, arr in members.items():
         if key.endswith(("__gru_wzr", "__gru_bzr")):
             half = arr.shape[-1] // 2
             split[key[:-1]], split[key[:-2] + "r"] = arr[..., :half], arr[..., half:]
@@ -248,30 +310,42 @@ def split_gates(entries):
     return split
 
 
-# what each retired layout lacked or held; the saved settings have no
-# "ablation", which version 4 also lacked
+# what each retired layout lacked or held against version 7; the saved
+# settings have no "ablation", which version 4 also lacked
 OLD_LAYOUTS = {
     1: without("input_lo", "input_hi", "image_scale"),
     2: without("settings_json"),
     3: with_config(pool_size=5),
-    4: lambda entries: entries,
+    4: lambda members: members,
     5: split_gates,
     6: with_config(cnn_filters=8, cnn_kernel=3, cnn_stride=2),
+    7: lambda members: members,
 }
 
 
 @pytest.mark.parametrize("version", sorted(OLD_LAYOUTS))
 def test_retired_checkpoint_versions_are_rejected(tmp_path, version):
     path = tmp_path / "ckpt.npz"
-    old = OLD_LAYOUTS[version](saved_checkpoint(path))
-    old["checkpoint_version"] = np.int64(version)
-    np.savez(path, **old)
+    np.savez(path, checkpoint_version=np.int64(version), **OLD_LAYOUTS[version](version_7_members()))
     with pytest.raises(ValueError, match=f"unsupported checkpoint version {version}; retrain it"):
         load_checkpoint(path)
 
 
+def with_header_config(**extra):
+    """Adds ``extra`` to the config in the header of version-8 members."""
+    def edit(members):
+        header = json.loads(bytes(members["header_json"]).decode("ascii"))
+        return {**members, "header_json": ascii_json({**header, "config": {**header["config"], **extra}})}
+    return edit
+
+
+def with_arrays(edit):
+    """Passes the ``arrays`` member through ``edit``."""
+    return lambda members: {**members, "arrays": edit(members["arrays"])}
+
+
 def saved_with(edit):
-    """Writes a fresh checkpoint's entries, passed through ``edit``, to a path."""
+    """Writes a fresh checkpoint's members, passed through ``edit``, to a path."""
     return lambda path: np.savez(path, **edit(saved_checkpoint(path)))
 
 
@@ -297,13 +371,19 @@ def zip_patched(signature, offset, value):
     return write
 
 
-# how each bad file is written, and a word its error holds besides the path
+# how each bad file is written, and a word its error holds besides the path;
+# small_cfg's arrays member holds its parameters, then 2 + 2 + 1 scalers
+WRONG_SHAPE = "expected float64 of shape"
 MALFORMED = {
-    "missing parameter": (saved_with(without("out_b")), "out_b"),
-    "missing scaler": (saved_with(without("image_scale")), "image_scale"),
-    "unknown config key": (saved_with(with_config(pool_size=5)), "pool_size"),
+    "missing header": (saved_with(without("header_json")), "header_json"),
+    "missing arrays": (saved_with(without("arrays")), "arrays"),
+    "missing parameter": (saved_with(with_arrays(lambda a: a[1:])), WRONG_SHAPE),
+    "missing scaler": (saved_with(with_arrays(lambda a: a[:-1])), WRONG_SHAPE),
+    "extra value": (saved_with(with_arrays(lambda a: np.append(a, 1.0))), WRONG_SHAPE),
+    "float32 arrays": (saved_with(with_arrays(lambda a: a.astype(np.float32))), WRONG_SHAPE),
+    "unknown config key": (saved_with(with_header_config(pool_size=5)), "pool_size"),
     "bad config json": (
-        saved_with(lambda entries: {**entries, "config_json": np.bytes_(b"{not json")}), "Expecting"),
+        saved_with(lambda members: {**members, "header_json": np.bytes_(b"{not json")}), "Expecting"),
     "truncated archive": (truncated, "zip"),
     "text file": (lambda path: path.write_bytes(b"not a checkpoint\n"), "pickled"),
     "empty file": (lambda path: path.write_bytes(b""), "No data left"),
@@ -320,6 +400,47 @@ def test_malformed_checkpoint_raises_a_value_error_naming_the_path(tmp_path, cas
     write, detail = MALFORMED[case]
     path = tmp_path / "ckpt.npz"
     write(path)
+    with pytest.raises(ValueError, match=re.escape(str(path))) as info:
+        load_checkpoint(path)
+    assert detail in str(info.value)
+
+
+def untrained_with(nan_in=None, **scalers):
+    """A fresh ``small_cfg`` network with ``scalers`` replaced and a NaN in array ``nan_in``."""
+    result = replace(untrained(small_cfg()), **scalers)
+    if nan_in is not None:
+        result.params.get(nan_in).flat[-1] = np.nan
+    return result
+
+
+# a network whose values save but must not load, and its error's detail
+BAD_VALUES = {
+    "non-finite parameter": (lambda: untrained_with("layers.0.gru_bo"),
+                             "layers.0.gru_bo holds a non-finite value"),
+    "non-finite output bias": (lambda: untrained_with("out_b"), "out_b holds a non-finite value"),
+    "non-finite input_lo": (lambda: untrained_with(input_lo=np.array([np.nan, 0.0])),
+                            "input_lo holds a non-finite value"),
+    "infinite input_hi": (lambda: untrained_with(input_hi=np.array([1.0, np.inf])),
+                          "input_hi holds a non-finite value"),
+    "non-finite image_scale": (lambda: untrained_with(image_scale=np.nan),
+                               "image_scale holds a non-finite value"),
+    "zero image_scale": (lambda: untrained_with(image_scale=0.0), "image_scale is 0.0, not positive"),
+    "negative image_scale": (lambda: untrained_with(image_scale=-1.0),
+                             "image_scale is -1.0, not positive"),
+    "input_hi below input_lo": (
+        lambda: untrained_with(input_lo=np.array([0.0, 3.0]), input_hi=np.array([1.0, 2.0])),
+        "input_hi is below input_lo for feature 1"),
+    # one scaler for two input features would broadcast over both
+    "one scaler per side": (lambda: untrained_with(input_lo=np.zeros(1), input_hi=np.ones(1)),
+                            WRONG_SHAPE),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_VALUES))
+def test_a_checkpoint_of_bad_values_raises_a_value_error_naming_the_path(tmp_path, case):
+    make, detail = BAD_VALUES[case]
+    path = tmp_path / "ckpt.npz"
+    save_checkpoint(path, make(), SETTINGS)
     with pytest.raises(ValueError, match=re.escape(str(path))) as info:
         load_checkpoint(path)
     assert detail in str(info.value)

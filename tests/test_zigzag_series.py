@@ -11,7 +11,7 @@ from zigzagst import gf2, zigzag
 from zigzagst.dyngraph import DynamicNetwork, Snapshot, write_snapshot_csv
 from zigzagst.filtration import FiltrationMode
 from zigzagst.pipeline import RunConfig, cmd_zigzag
-from zigzagst.zigzag import InclusionError, write_zpd_csv, zigzag_series
+from zigzagst.zigzag import ZPD, InclusionError, write_zpd_csv, zigzag_series
 from reference_gf2 import TrackedBasis
 from reference_zigzag import reference_window_zpd
 from util import TrackedComplex, independent_snapshots, random_dynamic_network
@@ -44,9 +44,11 @@ def csv_bytes(zpd, path):
 
 
 def assert_matches_reference(snaps, tau, nu, mode, tmp_path):
-    """Every window's CSV bytes agree, or both paths raise InclusionError at one window.
+    """Every window's diagram agrees with the reference, or both raise InclusionError at one window.
 
-    Returns whether the series raised InclusionError.
+    A diagram agrees when it passes the ``ZPD`` checks, which the engine
+    skips, and writes the reference's CSV bytes.  Returns whether the
+    series raised InclusionError.
     """
     windows = [snaps[i : i + tau] for i in range(len(snaps) - tau + 1)]
     engine = zigzag_series(iter(snaps), tau, nu, mode)
@@ -57,6 +59,7 @@ def assert_matches_reference(snaps, tau, nu, mode, tmp_path):
             with pytest.raises(InclusionError):
                 reference_window_zpd(window, nu, mode)
             return True
+        assert ZPD(got.rows) == got, f"window {k} of {len(windows)}"
         want = reference_window_zpd(window, nu, mode)
         assert csv_bytes(got, tmp_path / "got.csv") == csv_bytes(want, tmp_path / "want.csv"), (
             f"window {k} of {len(windows)}, tau {tau}, mode {mode.value}")
