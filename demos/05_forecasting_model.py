@@ -33,9 +33,10 @@ lap, _ = adaptive_laplacian(params.embedding)
 print("laplacian row sums:", np.round(lap.sum(axis=1), 12))
 print("power stack shape:", laplacian_powers(lap, cfg.laplacian_order).shape)
 
-x = rng.uniform(0, 1, (cfg.window, cfg.n_nodes, cfg.in_features))
-img = rng.uniform(0, 1, (cfg.zpi_resolution, cfg.zpi_resolution))
-y = rng.uniform(0, 1, (cfg.horizon, cfg.n_nodes, cfg.out_features))
+# one window, its image and its target, as a batch of one
+x = rng.uniform(0, 1, (1, cfg.window, cfg.n_nodes, cfg.in_features))
+img = rng.uniform(0, 1, (1, cfg.zpi_resolution, cfg.zpi_resolution))
+y = rng.uniform(0, 1, (1, cfg.horizon, cfg.n_nodes, cfg.out_features))
 
 pred = forward(x, img, params, cfg)
 print("forecast shape:", pred.shape)
@@ -43,8 +44,8 @@ print("forecast shape:", pred.shape)
 # The no-zigzag ablation gates both branches by ones in place of the
 # image code, so the image no longer reaches the forecast.
 no_zigzag = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
-print("node 0 forecast, full model:", np.round(pred[:, 0, 0], 4))
-print("node 0 forecast, no zigzag: ", np.round(no_zigzag[:, 0, 0], 4))
+print("node 0 forecast, full model:", np.round(pred[0, :, 0, 0], 4))
+print("node 0 forecast, no zigzag: ", np.round(no_zigzag[0, :, 0, 0], 4))
 
 # Finite differences agree with the analytic gradients on every array.
 print("gradient check worst relative error:", f"{grad_check(seed=0):.2e}")

@@ -11,6 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
+from ..dyngraph import is_int
 from .layers import ENCODER_FILTERS, ENCODER_KERNEL, zpi_encoder_output_size
 
 __all__ = [
@@ -32,7 +33,8 @@ class ModelConfig:
 
     ``hidden`` is the full layer width; the spatial and temporal branches
     each produce half of it and are concatenated.  The image encoder's
-    shape is fixed by the ``layers.ENCODER_*`` constants.
+    shape is fixed by the ``layers.ENCODER_*`` constants.  Every ``int``
+    field must be an integer (``dyngraph.is_int``), so 4.0 is refused.
     """
 
     n_nodes: int
@@ -53,6 +55,9 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):  # annotations are strings under the __future__ import
+            if f.type == "int" and not is_int(getattr(self, f.name)):
+                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
         positive = (
             "n_nodes", "in_features", "out_features", "embed_dim", "window",
             "horizon", "hidden", "num_layers", "zpi_resolution", "batch_size", "epochs",
@@ -253,7 +258,8 @@ def load_checkpoint(path) -> tuple[TrainResult, dict]:
     The layout of ``arrays`` follows from the stored config alone; the
     parameters and scalers returned are views of the vector read.  A
     file that is not an npz archive (empty, cut or corrupt), a missing
-    member, a wrong version, an unreadable or unknown configuration, an
+    member, a wrong version, a header, configuration or settings that is
+    not a JSON object, an unreadable or unknown configuration, an
     ``arrays`` of the wrong length, a non-finite value, an
     ``image_scale`` that is not positive or an ``input_hi`` below
     ``input_lo`` raises a ``ValueError`` naming ``path``.
@@ -265,6 +271,11 @@ def load_checkpoint(path) -> tuple[TrainResult, dict]:
                 raise ValueError(f"unsupported checkpoint version {version}; retrain it")
             header = json.loads(bytes(data["header_json"]).decode("ascii"))
             arrays = data["arrays"]
+        if not isinstance(header, dict):
+            raise ValueError(f"header_json holds {type(header).__name__}, not a JSON object")
+        for key in ("config", "settings"):
+            if not isinstance(header[key], dict):
+                raise ValueError(f"{key} is {type(header[key]).__name__}, not a JSON object")
         result = _unpack(ModelConfig(**header["config"]), arrays)
         settings = header["settings"]
     except (EOFError, KeyError, NotImplementedError, OSError, RuntimeError, TokenError, TypeError,

@@ -55,21 +55,17 @@ def forward(
     """Predict (B, horizon, n_nodes, out_features) from B windows and their images.
 
     ``x_win`` is (B, window, n_nodes, in_features) and ``image`` is
-    (B, p, p).  One window (window, n_nodes, in_features) with one (p, p)
-    image is a batch of one whose prediction drops the batch axis.  The
-    gates are the encoder's codes, or ones under ``Ablation.NO_ZIGZAG``.
+    (B, p, p); one window is a batch of one.  The gates are the encoder's
+    codes, or ones under ``Ablation.NO_ZIGZAG``.
     Returns the prediction, or (prediction, cache) when ``want_cache`` is
     set.
     """
     x_win = np.asarray(x_win, dtype=np.float64)
     image = np.asarray(image, dtype=np.float64)
-    single = x_win.ndim == 3
-    if single:
-        x_win, image = x_win[None], image[None]
     expected = (config.window, config.n_nodes, config.in_features)
     if x_win.ndim != 4 or x_win.shape[1:] != expected:
         raise ValueError(f"input window has shape {x_win.shape}, expected "
-                         f"([batch,] {', '.join(map(str, expected))})")
+                         f"(batch, {', '.join(map(str, expected))})")
     b = x_win.shape[0]
     if image.shape != (b, config.zpi_resolution, config.zpi_resolution):
         raise ValueError(f"image has shape {image.shape}, expected "
@@ -118,25 +114,27 @@ def forward(
     flat = final @ params.out_w + params.out_b
     pred = np.moveaxis(flat.reshape(b, n, config.horizon, config.out_features), 1, 2)
     _ensure_finite("output projection", pred)
-    if single:
-        pred = pred[0]
     if not want_cache:
         return pred
-    cache = (single, params, config, ablation, lap, lap_cache, powers, layer_caches, final)
+    cache = (params, config, ablation, lap, lap_cache, powers, layer_caches, final)
     return pred, cache
 
 
 def backward(cache, dpred: np.ndarray) -> ModelParams:
-    """Gradients of a scalar loss w.r.t. every parameter array, summed over the batch."""
-    single, params, config, ablation, lap, lap_cache, powers, layer_caches, final = cache
+    """Gradients of a scalar loss w.r.t. every parameter array, summed over the batch.
+
+    ``dpred`` has the shape of the prediction ``forward`` returned with ``cache``.
+    """
+    params, config, ablation, lap, lap_cache, powers, layer_caches, final = cache
     tau, n = config.window, config.n_nodes
     half = config.half_hidden
     grads = params.zeros_like()
 
     dpred = np.asarray(dpred, dtype=np.float64)
-    if single:
-        dpred = dpred[None]
-    b = dpred.shape[0]
+    b = final.shape[0] // n
+    if dpred.shape != (b, config.horizon, n, config.out_features):
+        raise ValueError(f"dpred has shape {dpred.shape}, expected "
+                         f"({b}, {config.horizon}, {n}, {config.out_features})")
     dflat = np.moveaxis(dpred, 2, 1).reshape(b * n, -1)
     grads.out_w += final.T @ dflat
     grads.out_b += dflat.sum(axis=0)
@@ -244,9 +242,9 @@ def grad_check(seed: int = 0) -> float:
     config, epsilon = tiny_config(seed), 1e-5
     rng = np.random.default_rng(seed)
     params = init_params(config, rng)
-    x_win = rng.uniform(0.0, 1.0, (config.window, config.n_nodes, config.in_features))
-    image = rng.uniform(0.0, 1.0, (config.zpi_resolution, config.zpi_resolution))
-    target = rng.uniform(0.0, 1.0, (config.horizon, config.n_nodes, config.out_features))
+    x_win = rng.uniform(0.0, 1.0, (1, config.window, config.n_nodes, config.in_features))
+    image = rng.uniform(0.0, 1.0, (1, config.zpi_resolution, config.zpi_resolution))
+    target = rng.uniform(0.0, 1.0, (1, config.horizon, config.n_nodes, config.out_features))
 
     pred, cache = forward(x_win, image, params, config, want_cache=True)
     _, dpred = mae_loss_and_grad(pred, target)

@@ -19,6 +19,7 @@ from .dyngraph import (
     DynamicNetwork,
     FeatureSeries,
     Snapshot,
+    is_int,
     read_feature_csv,
     read_snapshot_csv,
     window_count,
@@ -87,15 +88,17 @@ class RunConfig:
     """Flat key-value run configuration; every key is overridable.
 
     Construction refuses every setting whose check needs neither the data
-    nor the model, so a bad value is refused the same way from a file,
-    from ``--set`` or from ``dataclasses.replace``, before any command
-    starts.  What stays for the commands: ``require_nu_star`` (``nu_star``
-    has no default, and ``zpi``, ``distance``, ``synth`` and ``gradcheck``
-    run without it), the checks against the data (``tau`` and ``horizon``
-    against the series length, the split's test windows, ``out_features``
-    against the feature width, ``universe_size`` against the files), the
-    model fields, which ``net.ModelConfig`` checks, and the ``synth_*``
-    fields, which ``gen_synthetic`` checks.
+    nor the model, and every integer setting (an ``int`` default, and each
+    of ``homology_dims``) that is not an integer (``dyngraph.is_int``), so
+    a bad value is refused the same way from a file, from ``--set`` or from
+    ``dataclasses.replace``, before any command starts.  What stays for
+    the commands: ``require_nu_star`` (``nu_star`` has no default, and
+    ``zpi``, ``distance``, ``synth`` and ``gradcheck`` run without it), the
+    checks against the data (``tau`` and ``horizon`` against the series
+    length, the split's test windows, ``out_features`` against the feature
+    width, ``universe_size`` against the files), the model fields' values,
+    which ``net.ModelConfig`` checks, and the ``synth_*`` fields' values,
+    which ``gen_synthetic`` checks.
     """
 
     snapshots: str = ""
@@ -134,6 +137,9 @@ class RunConfig:
     synth_noise: float = 0.1
 
     def __post_init__(self):
+        for name in _INT_KEYS:
+            if not is_int(getattr(self, name)):
+                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
         if self.filtration not in _MODE_NAMES:
             raise ValueError(
                 f"unknown filtration {self.filtration!r}; choose from {sorted(_MODE_NAMES)}"
@@ -143,8 +149,8 @@ class RunConfig:
                 f"unknown ablation {self.ablation!r}; choose from {sorted(_ABLATIONS)}"
             )
         for dim in self.homology_dims:
-            if dim not in (0, 1):
-                raise ValueError(f"homology_dims: dimension must be 0 or 1, got {dim}")
+            if not is_int(dim) or dim not in (0, 1):
+                raise ValueError(f"homology_dims: dimension must be 0 or 1, got {dim!r}")
         if not self.homology_dims or len(set(self.homology_dims)) < len(self.homology_dims):
             raise ValueError(
                 f"homology_dims must list 0, 1 or both once each, got {self.homology_dims}"
@@ -210,6 +216,7 @@ class RunConfig:
 
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
+_INT_KEYS = tuple(key for key, value in _DEFAULTS.items() if type(value) is int)
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 

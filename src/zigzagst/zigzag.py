@@ -34,12 +34,11 @@ from __future__ import annotations
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gf2, textio
 from .gf2 import echelon_insert
-from .dyngraph import Snapshot, union_graph
+from .dyngraph import Snapshot, is_int, union_graph
 from .filtration import (
     FiltrationMode,
     SimplicialComplex,
@@ -78,15 +77,9 @@ def _half(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-def _is_int(x) -> bool:
-    """A Python or numpy integer, and not a ``bool``."""
-    # an int skips the abstract-class test, which costs about 1 us a row
-    return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
-
-
 def check_count(m) -> None:
     """A diagram row's count: an integer of at least 1, and not a ``bool``."""
-    if not _is_int(m) or m < 1:
+    if not is_int(m) or m < 1:
         raise ValueError(f"count must be a positive integer, got {m!r}")
 
 
@@ -112,15 +105,15 @@ def check_point_row(row) -> tuple[float, float, int]:
 def _check_point(dim: int, twice_birth: int, twice_death: int) -> None:
     """One interval of the decomposition: a homology dimension and a grid span.
 
-    All three are integers (``_is_int``), so the line ``write_zpd_csv``
+    All three are integers (``is_int``), so the line ``write_zpd_csv``
     gives them reads back as the same point.
     """
     for twice in (twice_birth, twice_death):
-        if not _is_int(twice):
+        if not is_int(twice):
             raise ValueError(f"half-index 2t must be an integer, got {twice!r}")
         if twice < 2:
             raise ValueError(f"half-index 2t = {twice} below the grid start")
-    if not _is_int(dim):
+    if not is_int(dim):
         raise ValueError(f"dimension must be the integer 0 or 1, got {dim!r}")
     _check_dim(dim)
     if twice_death < twice_birth:

@@ -256,8 +256,8 @@ def test_criterion_6_ablation_identity(monkeypatch):
     cfg = tiny_config()
     rng = np.random.default_rng(3)
     params = init_params(cfg, rng)
-    x = rng.uniform(0, 1, (cfg.window, cfg.n_nodes, cfg.in_features))
-    img = rng.uniform(0, 1, (cfg.zpi_resolution, cfg.zpi_resolution))
+    x = rng.uniform(0, 1, (1, cfg.window, cfg.n_nodes, cfg.in_features))
+    img = rng.uniform(0, 1, (1, cfg.zpi_resolution, cfg.zpi_resolution))
     flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
     # the full model with the encoder giving every layer a code of ones
     monkeypatch.setattr(net.layers, "zpi_encoder", ones_codes)
@@ -269,9 +269,9 @@ def test_criterion_6_ablation_identity(monkeypatch):
 def test_criterion_7_one_batch_overfit():
     cfg = tiny_config()
     rng = np.random.default_rng(7)
-    x = rng.uniform(0, 1, (cfg.window, cfg.n_nodes, cfg.in_features))
-    img = rng.uniform(0, 1, (cfg.zpi_resolution, cfg.zpi_resolution))
-    y = rng.uniform(0, 1, (cfg.horizon, cfg.n_nodes, cfg.out_features))
+    x = rng.uniform(0, 1, (1, cfg.window, cfg.n_nodes, cfg.in_features))
+    img = rng.uniform(0, 1, (1, cfg.zpi_resolution, cfg.zpi_resolution))
+    y = rng.uniform(0, 1, (1, cfg.horizon, cfg.n_nodes, cfg.out_features))
     params = init_params(cfg, np.random.default_rng(cfg.seed))
     adam = Adam()
     for _ in range(500):

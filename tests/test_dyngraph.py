@@ -75,6 +75,31 @@ def test_from_edges_refuses_a_node_id_that_is_not_an_integer(bad):
         Snapshot.from_edges(1, 4, [(1, 3, 0.5)], nodes=[0, bad])
 
 
+# a Snapshot or FeatureSeries field that must be an integer, and a value built from a bad one
+INT_FIELDS = {
+    "snapshot index": lambda bad: Snapshot(bad, 4, {0, 1}, {(0, 1): 0.2}),
+    "snapshot universe_size": lambda bad: Snapshot(1, bad, {0, 1}, {(0, 1): 0.2}),
+    "feature start": lambda bad: FeatureSeries(np.zeros((2, 3, 1)), start=bad),
+}
+
+
+@pytest.mark.parametrize("bad", [1.5, *NOT_IDS])
+@pytest.mark.parametrize("field", sorted(INT_FIELDS))
+def test_snapshot_and_feature_steps_must_be_integers(field, bad):
+    # Snapshot(1.5, ...) was built, and its CSV line "1.5,0,1,..." did not read back
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+        INT_FIELDS[field](bad)
+
+
+def test_snapshot_and_feature_steps_take_numpy_integers(tmp_path):
+    s = Snapshot(np.int64(2), np.uint8(4), {0, 1}, {(0, 1): 0.2})
+    write_snapshot_csv(DynamicNetwork((s,), 4), tmp_path / "s.csv")
+    assert list(read_snapshot_csv(tmp_path / "s.csv", universe_size=4)) == [s]
+    fs = FeatureSeries(np.zeros((2, 3, 1)), start=np.int32(5))
+    write_feature_csv(fs, tmp_path / "f.csv")
+    assert read_feature_csv(tmp_path / "f.csv").start == 5
+
+
 def test_from_edges_refuses_the_truncated_edge_of_the_report():
     # this built edge (0, 2)
     with pytest.raises(ValueError, match=_id_message((0, 2.7), 2.7)):

@@ -1,3 +1,6 @@
+import re
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -16,10 +19,11 @@ from zigzagst.net import (
 
 
 def make_inputs(cfg, seed=0):
+    """One window, its image and its target, as a batch of one."""
     rng = np.random.default_rng(seed)
-    x = rng.uniform(0, 1, (cfg.window, cfg.n_nodes, cfg.in_features))
-    img = rng.uniform(0, 1, (cfg.zpi_resolution, cfg.zpi_resolution))
-    y = rng.uniform(0, 1, (cfg.horizon, cfg.n_nodes, cfg.out_features))
+    x = rng.uniform(0, 1, (1, cfg.window, cfg.n_nodes, cfg.in_features))
+    img = rng.uniform(0, 1, (1, cfg.zpi_resolution, cfg.zpi_resolution))
+    y = rng.uniform(0, 1, (1, cfg.horizon, cfg.n_nodes, cfg.out_features))
     return x, img, y
 
 
@@ -30,6 +34,17 @@ def test_config_validation():
         ModelConfig(n_nodes=4, in_features=1, laplacian_order=0)
     with pytest.raises(ValueError):
         ModelConfig(n_nodes=0, in_features=1)
+
+
+INT_FIELDS = [f.name for f in fields(ModelConfig) if type(getattr(tiny_config(), f.name)) is int]
+
+
+@pytest.mark.parametrize("bad", [4.0, 2.5, True, np.float64(3.0)], ids=repr)
+@pytest.mark.parametrize("field", INT_FIELDS)
+def test_config_refuses_an_integer_field_that_is_not_an_integer(field, bad):
+    # hidden=4.0 was accepted
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {re.escape(repr(bad))}$"):
+        ModelConfig(**{"n_nodes": 4, "in_features": 1, field: bad})
 
 
 class DrawLog:
@@ -62,7 +77,7 @@ def test_forward_output_shape():
     params = init_params(cfg, np.random.default_rng(1))
     x, img, _ = make_inputs(cfg)
     pred = forward(x, img, params, cfg)
-    assert pred.shape == (cfg.horizon, cfg.n_nodes, cfg.out_features)
+    assert pred.shape == (1, cfg.horizon, cfg.n_nodes, cfg.out_features)
 
 
 def test_forward_shape_validation():
@@ -70,9 +85,25 @@ def test_forward_shape_validation():
     params = init_params(cfg, np.random.default_rng(1))
     x, img, _ = make_inputs(cfg)
     with pytest.raises(ValueError):
-        forward(x[:-1], img, params, cfg)
+        forward(x[:, :-1], img, params, cfg)
     with pytest.raises(ValueError):
-        forward(x, img[:-1], params, cfg)
+        forward(x, img[:, :-1], params, cfg)
+
+
+def test_forward_and_backward_take_only_a_batch():
+    cfg = tiny_config()
+    params = init_params(cfg, np.random.default_rng(1))
+    x, img, y = make_inputs(cfg)
+    window = f"(batch, {cfg.window}, {cfg.n_nodes}, {cfg.in_features})"
+    with pytest.raises(ValueError, match=re.escape(f"shape {x[0].shape}, expected {window}")):
+        forward(x[0], img[0], params, cfg)
+    p = cfg.zpi_resolution
+    with pytest.raises(ValueError, match=re.escape(f"shape {img[0].shape}, expected (1, {p}, {p})")):
+        forward(x, img[0], params, cfg)
+    pred, cache = forward(x, img, params, cfg, want_cache=True)
+    _, dpred = mae_loss_and_grad(pred, y)
+    with pytest.raises(ValueError, match=re.escape(f"shape {dpred[0].shape}, expected {pred.shape}")):
+        backward(cache, dpred[0])
 
 
 def test_zero_params_predict_output_bias():
@@ -115,8 +146,8 @@ def test_node_permutation_equivariance():
     permuted = params.copy()
     permuted.embedding[...] = params.embedding[perm]
     base = forward(x, img, params, cfg)
-    moved = forward(x[:, perm], img, permuted, cfg)
-    assert np.allclose(base[:, perm], moved, rtol=1e-10, atol=1e-12)
+    moved = forward(x[:, :, perm], img, permuted, cfg)
+    assert np.allclose(base[:, :, perm], moved, rtol=1e-10, atol=1e-12)
 
 
 def test_nan_input_raises_with_stage_name():

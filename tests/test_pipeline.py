@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -176,6 +177,23 @@ def test_construction_refuses_a_bad_setting(tmp_path, setting, value, message):
     path.write_text(f"nu_star = 0.5\n{setting} = {text}\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: line 2: {message}"):
         RunConfig.from_file(path, {setting: _as_text(getattr(RunConfig(), setting))})
+
+
+@pytest.mark.parametrize("bad", [1.5, 4.0, True, "3", np.float64(2.0)], ids=repr)
+@pytest.mark.parametrize("setting", [f.name for f in fields(RunConfig) if type(f.default) is int])
+def test_an_integer_setting_is_refused_at_construction_unless_an_integer(tmp_path, setting, bad):
+    # epochs=1.5 constructed, and cmd_train made outdir before range() refused it
+    cfg = RunConfig(nu_star=0.5, outdir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match=f"^{setting} must be an integer, got {re.escape(repr(bad))}$"):
+        cmd_train(replace(cfg, **{setting: bad}))
+    assert not os.path.exists(cfg.outdir)
+
+
+@pytest.mark.parametrize("dim", [1.0, True, np.float64(0.0)], ids=repr)
+def test_homology_dims_holds_integers(dim):
+    message = f"^homology_dims: dimension must be 0 or 1, got {re.escape(repr(dim))}$"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(homology_dims=(dim,))
 
 
 def test_every_setting_is_refused_at_construction_or_checked_elsewhere():
@@ -782,6 +800,17 @@ def _features_of_other_steps(cfg):
     return replace(cfg, features=path)
 
 
+def _with_settings(ckpt, settings):
+    """A copy of checkpoint ``ckpt`` whose header holds ``settings``."""
+    with np.load(ckpt) as data:
+        members = dict(data)
+    header = json.loads(bytes(members["header_json"]).decode("ascii"))
+    members["header_json"] = np.bytes_(json.dumps({**header, "settings": settings}).encode("ascii"))
+    path = ckpt + ".settings.npz"
+    np.savez(path, **members)
+    return path
+
+
 def _past_the_image_budget(run):
     """``run`` with room for one image double."""
     from zigzagst import pipeline
@@ -813,6 +842,9 @@ OUTDIR_REFUSALS = {
                                 "tau is 5 here but the checkpoint"),
     "forecast of other steps": (lambda c, ckpt: cmd_forecast(_features_of_other_steps(c), ckpt),
                                 r"features \(first step"),
+    "forecast of a checkpoint whose settings are a list": (
+        lambda c, ckpt: cmd_forecast(c, _with_settings(ckpt, [1, 2])),
+        "checkpoint .*: settings is list, not a JSON object$"),
     "forecast past the image budget": (
         lambda c, ckpt: _past_the_image_budget(lambda: cmd_forecast(c, ckpt)),
         r"\d+ windows of tau 4"),

@@ -236,6 +236,26 @@ def test_only_textio_opens_files_for_reading():
     assert readers == [], "read text files through zigzagst.textio.lines"
 
 
+def _lines_naming_integral(tree: ast.AST) -> list[int]:
+    """The line of each reference to ``Integral`` in ``tree``, imports aside."""
+    return [node.lineno for node in ast.walk(tree)
+            if getattr(node, "id", None) == "Integral" or getattr(node, "attr", None) == "Integral"]
+
+
+def test_only_the_integer_rule_names_integral():
+    """The rule "a Python or numpy integer, not a ``bool``" is written once, as ``dyngraph.is_int``."""
+    uses, rule = [], []
+    for path in SRC.rglob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        name = path.relative_to(SRC)
+        uses += [f"{name}:{line}" for line in _lines_naming_integral(tree)]
+        if path.name == "dyngraph.py":
+            rule += [f"{name}:{line}" for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "is_int"
+                     for line in _lines_naming_integral(node)]
+    assert rule and sorted(uses) == sorted(rule), "test integers with zigzagst.dyngraph.is_int"
+
+
 def test_only_the_run_input_step_reads_feature_files():
     """Pairing a feature file with its snapshots stays in ``pipeline._load_data``."""
     callers = sorted({

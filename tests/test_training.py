@@ -331,12 +331,12 @@ def test_retired_checkpoint_versions_are_rejected(tmp_path, version):
         load_checkpoint(path)
 
 
-def with_header_config(**extra):
-    """Adds ``extra`` to the config in the header of version-8 members."""
-    def edit(members):
+def with_header(edit):
+    """Replaces the header of version-8 members by ``edit(header)``."""
+    def rewrite(members):
         header = json.loads(bytes(members["header_json"]).decode("ascii"))
-        return {**members, "header_json": ascii_json({**header, "config": {**header["config"], **extra}})}
-    return edit
+        return {**members, "header_json": ascii_json(edit(header))}
+    return rewrite
 
 
 def with_arrays(edit):
@@ -381,7 +381,8 @@ MALFORMED = {
     "missing scaler": (saved_with(with_arrays(lambda a: a[:-1])), WRONG_SHAPE),
     "extra value": (saved_with(with_arrays(lambda a: np.append(a, 1.0))), WRONG_SHAPE),
     "float32 arrays": (saved_with(with_arrays(lambda a: a.astype(np.float32))), WRONG_SHAPE),
-    "unknown config key": (saved_with(with_header_config(pool_size=5)), "pool_size"),
+    "unknown config key": (
+        saved_with(with_header(lambda h: {**h, "config": {**h["config"], "pool_size": 5}})), "pool_size"),
     "bad config json": (
         saved_with(lambda members: {**members, "header_json": np.bytes_(b"{not json")}), "Expecting"),
     "truncated archive": (truncated, "zip"),
@@ -393,6 +394,17 @@ MALFORMED = {
     "zip encrypted": (zip_patched(b"PK\x01\x02", 8, b"\x01"), "encrypted"),
     "zip directory offset": (zip_patched(b"PK\x05\x06", 16, b"\xff" * 4), "Invalid argument"),
 }
+# a header, config or settings that is not a JSON object: settings of [1, 2] loaded,
+# and cmd_forecast then failed on list.get
+NOT_OBJECTS = ([1, 2], "x", None)
+MALFORMED.update(
+    (f"header of {value!r}", (saved_with(with_header(lambda h, value=value: value)),
+                              f"header_json holds {type(value).__name__}, not a JSON object"))
+    for value in NOT_OBJECTS)
+MALFORMED.update(
+    (f"{key} of {value!r}", (saved_with(with_header(lambda h, key=key, value=value: {**h, key: value})),
+                             f"{key} is {type(value).__name__}, not a JSON object"))
+    for key in ("config", "settings") for value in NOT_OBJECTS)
 
 
 @pytest.mark.parametrize("case", sorted(MALFORMED))
