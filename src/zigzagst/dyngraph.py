@@ -92,6 +92,8 @@ class Snapshot:
     ``weights`` holds only strictly positive entries under canonical
     (u < v) keys, which makes symmetry exact by construction.  ``nodes``
     is the set of active nodes and must cover every weighted endpoint.
+    Node ids, in ``nodes`` and in the weight keys, must be integers
+    (``_node_id``), so every snapshot writes a CSV that reads back.
     ``Snapshot(...)`` checks all of this and drops zero weights; the
     library builds snapshots from parts that are already checked (a
     union of two snapshots, rows the reader has checked) through
@@ -111,12 +113,13 @@ class Snapshot:
             raise ValueError(f"snapshot index must be >= 1, got {self.index}")
         if self.universe_size < 1:
             raise ValueError("universe_size must be >= 1")
-        object.__setattr__(self, "nodes", frozenset(self.nodes))
+        object.__setattr__(self, "nodes", frozenset(map(_node_id, self.nodes)))
         for v in self.nodes:
             if not 0 <= v < self.universe_size:
                 raise ValueError(f"node {v} outside universe of size {self.universe_size}")
         clean: dict[Edge, float] = {}
         for (u, v), w in self.weights.items():
+            u, v = _node_ids(u, v)
             if u > v:
                 raise ValueError(f"weight key {(u, v)} is not canonical (u < v)")
             w = float(w)

@@ -160,43 +160,49 @@ ENCODER_FILTERS, ENCODER_KERNEL, ENCODER_STRIDE = 8, 3, 2
 # Bytes of per-call buffers one block of images may take in ``zpi_encoder``
 # (``_image_buffer_sizes``).  With 8 filters of 3x3 at stride 2 and two
 # layers, a 100x100 image needs about 0.85 MB of them and goes alone; a
-# 16x16 image needs about 16 kB, so a batch of up to 67 goes as one block.
+# 16x16 image needs about 16 kB, so up to 67 distinct images go as one block.
 ENCODER_BLOCK_BYTES = 1 << 20
 
 
 def _im2col(x, out, k, side):
     """Columns of a valid k x k convolution at the encoder's stride of ``x``, into ``out``.
 
-    ``x`` is (C, B, H, W) and ``out`` a flat buffer with room for them;
-    the result is a view of it, (k*k*C, B*side*side) with rows ordered
+    ``x`` is (B, C, H, W) and ``out`` a flat buffer with room for them;
+    the result is a view of it, (B, k*k*C, side*side) with rows ordered
     (ky, kx, c), built by one strided copy per kernel tap.
     """
-    c, b, stride = *x.shape[:2], ENCODER_STRIDE
-    cols = out[: k * k * c * b * side * side].reshape(k, k, c, b, side, side)
+    b, c, span = *x.shape[:2], ENCODER_STRIDE * side
+    cols = out[: b * k * k * c * side * side].reshape(b, k, k, c, side, side)
     for ky in range(k):
         for kx in range(k):
-            cols[ky, kx] = x[:, :, ky : ky + stride * side : stride, kx : kx + stride * side : stride]
-    return cols.reshape(k * k * c, -1)
+            cols[:, ky, kx] = x[:, :, ky : ky + span : ENCODER_STRIDE, kx : kx + span : ENCODER_STRIDE]
+    return cols.reshape(b, k * k * c, side * side)
 
 
 def _relu_matmul(kernel, cols, bias, out):
-    """ReLU(kernel @ cols + bias) into the front of the flat buffer ``out``."""
-    pre = np.matmul(kernel, cols, out=out[: len(kernel) * cols.shape[1]].reshape(len(kernel), -1))
+    """ReLU(kernel @ cols + bias) per image into the front of the flat buffer ``out``.
+
+    ``cols`` is (B, K, S), and the result (B, len(kernel), S).  The stacked
+    product runs one matrix product per image, all of the same shape, so
+    an image's values do not depend on the other images of the block.
+    """
+    b, _, size = cols.shape
+    pre = np.matmul(kernel, cols, out=out[: b * len(kernel) * size].reshape(b, len(kernel), size))
     pre += bias[:, None]
     return np.maximum(pre, 0.0, out=pre)
 
 
-def _patches(x, ys, xs, k):
-    """x[c, b, stride*y + ky, stride*x + kx] for output positions (ys, xs) at the encoder's stride.
+def _patches(x, batch, ys, xs, k):
+    """x[batch, c, stride*y + ky, stride*x + kx] for output positions (ys, xs) at the encoder's stride.
 
-    ``x`` is (C, B, H, W) and ``ys``/``xs`` are (B, ...) index arrays;
-    the result is (B, ..., k, k, C).
+    ``x`` is (U, C, H, W), ``batch`` a (B,) index into its first axis and
+    ``ys``/``xs`` are (B, ...) index arrays; the result is (B, ..., k, k, C).
     """
     offsets, stride = np.arange(k), ENCODER_STRIDE
     rows = (stride * ys)[..., None, None] + offsets[:, None]
     cols = (stride * xs)[..., None, None] + offsets[None, :]
-    batch = np.arange(x.shape[1]).reshape((-1,) + (1,) * (rows.ndim - 1))
-    return np.moveaxis(x[:, batch, rows, cols], 0, -1)
+    batch = batch.reshape((-1,) + (1,) * (rows.ndim - 1))
+    return x[batch, :, rows, cols]
 
 
 def zpi_encoder_output_size(p: int, kernel: int) -> int:
@@ -222,64 +228,73 @@ def _image_buffer_sizes(p, k, filters, n_layers):
     return k * k * s1 * s1, n_layers * filters * s1 * s1, k * k * filters * s2 * s2, filters * s2 * s2
 
 
-def zpi_encoder(image, layers, want_cache: bool = True):
-    """Every layer's code of the same images: one ``(z, cache)`` per layer.
+def zpi_encoder(images, index, layers, want_cache: bool = True):
+    """Every layer's code of the windows' images: one ``(z, cache)`` per layer.
 
+    ``images`` is (U, p, p), the distinct images of a call, and ``index``
+    is (B,): window b reads ``images[index[b]]``.  Each code is (B, half).
     A layer's code is two ReLU convolutions at ``ENCODER_STRIDE``, whose
     kernel size and filter count are read from the layer's arrays, a
-    global max per channel, and a linear map.  ``image`` is (..., p, p)
-    and each code is (..., half); every leading axis is a batch axis.  Max-pooling in 5x5
+    global max per channel, and a linear map.  Max-pooling in 5x5
     regions followed by a global max over the pooled map collapses to one
     global max per channel, which is what is computed; gradients route to
     the argmax position.  So a layer's cache keeps only what that one
-    position per sample and channel needs: where it sits, and its k x k
+    position per window and channel needs: where it sits, and its k x k
     patch of the first feature map (whose sign is the first ReLU's mask).
     Without ``want_cache`` every cache is None and only the maxima are
     taken: no argmax, no positions and no patches.
 
-    Every layer's first convolution is one matmul of the stacked
-    (layers*filters, k*k) kernels against one set of im2col columns.
+    The convolutions run once per distinct image, each as matrix
+    products of its own whose shapes do not depend on the call, so an
+    image's maxima, argmax positions and patches do not depend on the
+    other images of the call.  They are gathered per window through
+    ``index``; the linear map and the backward then run on window rows,
+    as if every window had brought its own copy of its image.
+
+    Every layer's first convolution is one product of the stacked
+    (layers*filters, k*k) kernels against an image's im2col columns.
     The images go in blocks sized so that the column and feature-map
     buffers fit ``ENCODER_BLOCK_BYTES``; those buffers are allocated
     once per call and reused from block to block, and each block's
     maxima (and argmax and first-map patches) are gathered before the
     next.
     """
-    p = image.shape[-1]
+    u, p = images.shape[0], images.shape[-1]
     filters, _, k, _ = layers[0].conv1_k.shape
     n_layers = len(layers)
     s2 = zpi_encoder_output_size(p, k)
     s1 = (p - k) // ENCODER_STRIDE + 1
-    x0 = image.reshape(1, -1, p, p)  # one input channel
-    b = x0.shape[1]
+    x0 = images.reshape(u, 1, p, p)  # one input channel
     sizes = _image_buffer_sizes(p, k, filters, n_layers)
-    block = max(1, min(b, ENCODER_BLOCK_BYTES // (8 * sum(sizes))))
+    block = max(1, min(u, ENCODER_BLOCK_BYTES // (8 * sum(sizes))))
     cols1, maps1, cols2, maps2 = (np.empty(block * size) for size in sizes)
     kernel1 = np.concatenate([lp.conv1_k.reshape(filters, k * k) for lp in layers])
     bias1 = np.concatenate([lp.conv1_b for lp in layers])
     kernels2 = [lp.conv2_k.transpose(0, 2, 3, 1).reshape(filters, -1) for lp in layers]
-    maxvals = np.empty((n_layers, b, filters))
+    maxvals = np.empty((n_layers, u, filters))
     if want_cache:
-        y2, x2 = np.empty((2, n_layers, b, filters), dtype=np.intp)
-        patch1 = np.empty((n_layers, b, filters, k, k, filters))
-    for b0 in range(0, b, block):
-        rows = slice(b0, min(b0 + block, b))
-        nb = rows.stop - b0
-        r1 = _relu_matmul(kernel1, _im2col(x0[:, rows], cols1, k, s1), bias1, maps1)
-        r1 = r1.reshape(n_layers, filters, nb, s1, s1)
+        y2, x2 = np.empty((2, n_layers, u, filters), dtype=np.intp)
+        patch1 = np.empty((n_layers, u, filters, k, k, filters))
+    for u0 in range(0, u, block):
+        rows = slice(u0, min(u0 + block, u))
+        nb = rows.stop - u0
+        r1 = _relu_matmul(kernel1, _im2col(x0[rows], cols1, k, s1), bias1, maps1)
+        r1 = r1.reshape(nb, n_layers, filters, s1, s1)
         for li, lp in enumerate(layers):
-            cols = _im2col(r1[li], cols2, k, s2)
-            flat = _relu_matmul(kernels2[li], cols, lp.conv2_b, maps2).reshape(filters, nb, -1)
-            maxvals[li, rows] = flat.max(axis=2).T
+            cols = _im2col(r1[:, li], cols2, k, s2)
+            flat = _relu_matmul(kernels2[li], cols, lp.conv2_b, maps2)  # (nb, filters, s2*s2)
+            maxvals[li, rows] = flat.max(axis=2)
             if want_cache:
-                arg = flat.argmax(axis=2)  # row-major position, (filters, nb)
-                y2[li, rows], x2[li, rows] = np.divmod(arg.T, s2)
-                patch1[li, rows] = _patches(r1[li], y2[li, rows], x2[li, rows], k)
-    lead = image.shape[:-2]
+                arg = flat.argmax(axis=2)  # row-major position, (nb, filters)
+                y2[li, rows], x2[li, rows] = np.divmod(arg, s2)
+                patch1[li, rows] = _patches(r1[:, li], np.arange(nb), y2[li, rows], x2[li, rows], k)
+    maxvals = maxvals[:, index]
+    if want_cache:
+        y2, x2, patch1 = y2[:, index], x2[:, index], patch1[:, index]
     return [
         (
-            (maxvals[li] @ lp.zmap_w + lp.zmap_b).reshape(lead + lp.zmap_b.shape),
-            (x0, y2[li], x2[li], patch1[li], maxvals[li], lp) if want_cache else None,
+            maxvals[li] @ lp.zmap_w + lp.zmap_b,
+            (x0, index, y2[li], x2[li], patch1[li], maxvals[li], lp) if want_cache else None,
         )
         for li, lp in enumerate(layers)
     ]
@@ -288,11 +303,11 @@ def zpi_encoder(image, layers, want_cache: bool = True):
 def zpi_encoder_backward(cache, dz):
     """Returns gradients for (conv1_k, conv1_b, conv2_k, conv2_b, zmap_w, zmap_b).
 
-    The gradients of every sample are summed.
+    The gradients of every window are summed; a window reads its
+    first-convolution patches from its image through the index.
     """
-    x0, y2, x2, patch1, maxvals, layer = cache
+    x0, index, y2, x2, patch1, maxvals, layer = cache
     k, stride = layer.conv1_k.shape[2], ENCODER_STRIDE
-    dz = dz.reshape(maxvals.shape[0], -1)
     dzmap_w = maxvals.T @ dz
     dzmap_b = dz.sum(axis=0)
     dpre2 = (dz @ layer.zmap_w.T) * (maxvals > 0.0)  # (B, channels), at the argmax only
@@ -305,7 +320,7 @@ def zpi_encoder_backward(cache, dz):
     offsets = np.arange(k)
     y1 = stride * y2[:, :, None, None] + offsets[:, None]
     x1 = stride * x2[:, :, None, None] + offsets[None, :]
-    patch0 = _patches(x0, y1, x1, k)
+    patch0 = _patches(x0, index, y1, x1, k)
     cout, cin = layer.conv1_k.shape[:2]
     dconv1_k = dpre1.reshape(-1, cout).T @ patch0.reshape(-1, k * k * cin)
     dconv1_k = dconv1_k.reshape(cout, k, k, cin).transpose(0, 3, 1, 2)

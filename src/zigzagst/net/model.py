@@ -7,7 +7,8 @@ channelwise by the image code of that layer's encoder, and a GRU runs
 over the gated sequence; its state sequence is the next layer's input.
 The final state is projected linearly to the forecast horizon.  Every
 layer's encoder reads the same image, so ``forward`` encodes it for all
-layers in one ``zpi_encoder`` call before the layer loop.
+layers in one ``zpi_encoder`` call before the layer loop; windows that
+share an image share its convolutions.
 """
 
 from __future__ import annotations
@@ -46,7 +47,8 @@ def _ensure_finite(name: str, arr: np.ndarray) -> None:
 
 def forward(
     x_win: np.ndarray,
-    image: np.ndarray,
+    images: np.ndarray,
+    index: np.ndarray,
     params: ModelParams,
     config: ModelConfig,
     ablation: Ablation = Ablation.NONE,
@@ -54,22 +56,30 @@ def forward(
 ):
     """Predict (B, horizon, n_nodes, out_features) from B windows and their images.
 
-    ``x_win`` is (B, window, n_nodes, in_features) and ``image`` is
-    (B, p, p); one window is a batch of one.  The gates are the encoder's
-    codes, or ones under ``Ablation.NO_ZIGZAG``.
+    ``x_win`` is (B, window, n_nodes, in_features), ``images`` is (U, p, p)
+    and ``index`` is (B,) integers: window b's image is
+    ``images[index[b]]``, so windows with equal images share one.  One
+    window is a batch of one.  The gates are the encoder's codes, or ones
+    under ``Ablation.NO_ZIGZAG``.
     Returns the prediction, or (prediction, cache) when ``want_cache`` is
     set.
     """
     x_win = np.asarray(x_win, dtype=np.float64)
-    image = np.asarray(image, dtype=np.float64)
+    images = np.asarray(images, dtype=np.float64)
+    index = np.asarray(index)
     expected = (config.window, config.n_nodes, config.in_features)
     if x_win.ndim != 4 or x_win.shape[1:] != expected:
         raise ValueError(f"input window has shape {x_win.shape}, expected "
                          f"(batch, {', '.join(map(str, expected))})")
-    b = x_win.shape[0]
-    if image.shape != (b, config.zpi_resolution, config.zpi_resolution):
-        raise ValueError(f"image has shape {image.shape}, expected "
-                         f"({b}, {config.zpi_resolution}, {config.zpi_resolution})")
+    b, p = x_win.shape[0], config.zpi_resolution
+    if images.ndim != 3 or images.shape[1:] != (p, p):
+        raise ValueError(f"images have shape {images.shape}, expected (images, {p}, {p})")
+    if index.shape != (b,) or index.dtype.kind not in "iu":
+        raise ValueError(f"index has shape {index.shape} and dtype {index.dtype}, "
+                         f"expected ({b},) integers")
+    if b and not 0 <= index.min() <= index.max() < len(images):
+        raise ValueError(f"index holds {index.min()} to {index.max()}, "
+                         f"not all within the {len(images)} images")
     tau, n = config.window, config.n_nodes
     # one (z, encoder cache) per layer; the encoder reads every layer's
     # kernels in one pass over the images, and builds no cache unless a
@@ -77,7 +87,7 @@ def forward(
     if ablation is Ablation.NO_ZIGZAG:
         gates = [(np.ones((b, config.half_hidden)), None)] * config.num_layers
     else:
-        gates = L.zpi_encoder(image, params.layers, want_cache=want_cache)
+        gates = L.zpi_encoder(images, index, params.layers, want_cache=want_cache)
 
     lap, lap_cache = L.adaptive_laplacian(params.embedding)
     _ensure_finite("adaptive_laplacian", lap)
@@ -246,7 +256,8 @@ def grad_check(seed: int = 0) -> float:
     image = rng.uniform(0.0, 1.0, (1, config.zpi_resolution, config.zpi_resolution))
     target = rng.uniform(0.0, 1.0, (1, config.horizon, config.n_nodes, config.out_features))
 
-    pred, cache = forward(x_win, image, params, config, want_cache=True)
+    index = np.zeros(1, dtype=np.intp)
+    pred, cache = forward(x_win, image, index, params, config, want_cache=True)
     _, dpred = mae_loss_and_grad(pred, target)
     grads = backward(cache, dpred)
 
@@ -258,9 +269,9 @@ def grad_check(seed: int = 0) -> float:
         for idx in range(flat.size):
             keep = flat[idx]
             flat[idx] = keep + epsilon
-            up, _ = mae_loss_and_grad(forward(x_win, image, params, config), target)
+            up, _ = mae_loss_and_grad(forward(x_win, image, index, params, config), target)
             flat[idx] = keep - epsilon
-            dn, _ = mae_loss_and_grad(forward(x_win, image, params, config), target)
+            dn, _ = mae_loss_and_grad(forward(x_win, image, index, params, config), target)
             flat[idx] = keep
             numeric = (up - dn) / (2.0 * epsilon)
             err = abs(aflat[idx] - numeric) / max(abs(aflat[idx]), abs(numeric), 1e-3)

@@ -25,23 +25,30 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Batch:
-    """Input windows, their images and their targets, stacked along a leading axis.
+    """Input windows and their targets, stacked along a leading axis, and their images.
 
-    ``len`` counts the windows.  An index array or a slice selects
-    windows as a ``Batch``; an integer selects a batch of one.
+    Windows with equal images share one: ``images`` holds the distinct
+    images and window b's image is ``images[index[b]]``.  ``len`` counts
+    the windows.  An index array or a slice selects windows as a
+    ``Batch`` that keeps only the images they read; an integer selects a
+    batch of one.
     """
 
     inputs: np.ndarray   # (B, window, n_nodes, in_features)
-    image: np.ndarray    # (B, p, p)
+    images: np.ndarray   # (U, p, p)
+    index: np.ndarray    # (B,) into images
     targets: np.ndarray  # (B, horizon, n_nodes, out_features)
 
     def __len__(self) -> int:
         return len(self.inputs)
 
-    def __getitem__(self, index) -> "Batch":
-        if isinstance(index, (int, np.integer)):
-            index = [index]
-        return Batch(self.inputs[index], self.image[index], self.targets[index])
+    def __getitem__(self, key) -> "Batch":
+        if isinstance(key, (int, np.integer)):
+            key = [key]
+        kept, index = np.unique(self.index[key], return_inverse=True)
+        run = len(kept) and kept[-1] - kept[0] == len(kept) - 1
+        images = self.images[kept[0] : kept[-1] + 1] if run else self.images[kept]  # a run: a view
+        return Batch(self.inputs[key], images, index, self.targets[key])
 
 
 @dataclass(frozen=True)
@@ -116,8 +123,9 @@ def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation.NON
 
     The windows go ``batch_size`` at a time through ``forward``, and each
     chunk is scaled with the stored scalers when it is taken, so no
-    scaled copy of the whole batch is held.  The encoder's matrix products
-    round by the number of images in a call, so forecasts made with
+    scaled copy of the whole batch is held, and each distinct image of a
+    chunk is scaled and convolved once.  The matrix products on window
+    rows round by the number of windows in a call, so forecasts made with
     another ``batch_size`` can differ in the last bits.
     """
     cfg = result.config
@@ -127,7 +135,7 @@ def predict(result: TrainResult, batch: Batch, ablation: Ablation = Ablation.NON
         chunk = batch[start : start + step]
         x = _scale_inputs(chunk.inputs, result.input_lo, result.input_hi)
         preds[start : start + step] = forward(
-            x, chunk.image / result.image_scale, result.params, cfg, ablation
+            x, chunk.images / result.image_scale, chunk.index, result.params, cfg, ablation
         )
     return preds
 
@@ -146,8 +154,8 @@ def _step(result: TrainResult, chunk: Batch, ablation, adam: Adam, lr: float) ->
     the next forward call.
     """
     x = _scale_inputs(chunk.inputs, result.input_lo, result.input_hi)
-    pred, cache = forward(x, chunk.image / result.image_scale, result.params, result.config,
-                          ablation, want_cache=True)
+    pred, cache = forward(x, chunk.images / result.image_scale, chunk.index, result.params,
+                          result.config, ablation, want_cache=True)
     loss, dpred = mae_loss_and_grad(pred, chunk.targets)
     if np.isfinite(loss):
         adam.step(result.params, backward(cache, dpred), lr)
@@ -167,7 +175,7 @@ def train(dataset: Dataset, config: ModelConfig, ablation: Ablation = Ablation.N
         raise ValueError("training split is empty")
     inputs = dataset.train.inputs
     lo, hi = inputs.min(axis=(0, 1, 2)), inputs.max(axis=(0, 1, 2))
-    image_scale = max(float(dataset.train.image.max()), 1e-12)
+    image_scale = max(float(dataset.train.images.max()), 1e-12)
 
     rng = np.random.default_rng(config.seed)
     history: list[tuple[int, str, float, float, float]] = []

@@ -11,6 +11,7 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields, replace
+from numbers import Real
 
 import numpy as np
 
@@ -48,6 +49,8 @@ from .zpi import (
     WeightingSpec,
     default_domain,
     default_theta,
+    format_pgm,
+    format_zpi,
     render_zpi,
     write_pgm,
     write_zpi,
@@ -71,12 +74,14 @@ __all__ = [
 ]
 
 # Most doubles the window images of one ``assemble_batches`` call may take,
-# windows * resolution**2: 512 MiB.  ``np.zeros`` is lazy, so a larger batch
-# would fail only once the images fill it.  Training held about 1.8 times
-# the batch at its peak (57 windows at resolution 300: a 41 MB batch and a
-# 73 MB ``tracemalloc`` peak), so a run stays near 1 GB, an eighth of an 8 GB
-# machine.  The benchmark's largest batch, ``train``, is 57 windows at
-# resolution 100: 570,000 doubles.
+# windows * resolution**2: 512 MiB.  It counts windows, so it bounds the
+# distinct images a batch holds (windows with equal diagrams share one) from
+# above, and it is checked before any image is rendered.  ``np.zeros`` is
+# lazy, so a larger batch would fail only once the images fill it.  Training
+# held about 1.8 times the batch at its peak (57 windows at resolution 300: a
+# 41 MB batch and a 73 MB ``tracemalloc`` peak), so a run stays near 1 GB, an
+# eighth of an 8 GB machine.  The benchmark's largest batch, ``train``, is 57
+# windows at resolution 100: 570,000 doubles.
 MAX_IMAGE_DOUBLES = 2**26
 
 _MODE_NAMES = {m.value: m for m in FiltrationMode}
@@ -88,8 +93,10 @@ class RunConfig:
     """Flat key-value run configuration; every key is overridable.
 
     Construction refuses every setting whose check needs neither the data
-    nor the model, and every integer setting (an ``int`` default, and each
-    of ``homology_dims``) that is not an integer (``dyngraph.is_int``), so
+    nor the model, every integer setting (an ``int`` default, and each
+    of ``homology_dims``) that is not an integer (``dyngraph.is_int``), and
+    every float setting (a ``float`` default, and each of ``split``) that
+    is not a real number or is a ``bool`` (``_is_real``), so
     a bad value is refused the same way from a file, from ``--set`` or from
     ``dataclasses.replace``, before any command starts.  What stays for
     the commands: ``require_nu_star`` (``nu_star`` has no default, and
@@ -140,6 +147,12 @@ class RunConfig:
         for name in _INT_KEYS:
             if not is_int(getattr(self, name)):
                 raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
+        for name in _FLOAT_KEYS:
+            if not _is_real(getattr(self, name)):
+                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        for fraction in self.split:
+            if not _is_real(fraction):
+                raise ValueError(f"split: fraction must be a real number, got {fraction!r}")
         if self.filtration not in _MODE_NAMES:
             raise ValueError(
                 f"unknown filtration {self.filtration!r}; choose from {sorted(_MODE_NAMES)}"
@@ -217,6 +230,13 @@ class RunConfig:
 
 _DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
 _INT_KEYS = tuple(key for key, value in _DEFAULTS.items() if type(value) is int)
+_FLOAT_KEYS = tuple(key for key, value in _DEFAULTS.items() if type(value) is float)
+
+
+def _is_real(x) -> bool:
+    """A real number, and not a ``bool``: the float settings' rule."""
+    return isinstance(x, Real) and not isinstance(x, bool)
+
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
@@ -378,24 +398,35 @@ def assemble_batches(
 
     Window k reads snapshots k .. k + tau - 1 and predicts the ``horizon``
     after them; ``_batch_windows`` checks the features and the windows.
-    The series engine runs only on the snapshots the windows cover, and
-    each image is computed once, into one preallocated array, whose size
-    ``MAX_IMAGE_DOUBLES`` bounds.
+    The series engine runs only on the snapshots the windows cover.  A
+    window's image depends only on its diagram's rows in
+    ``homology_dims``, so each distinct set of rows is rendered once, in
+    the order windows first show it, and the batch indexes it from every
+    window that has it.  ``MAX_IMAGE_DOUBLES`` bounds the images as if
+    every window's were distinct.
     """
     nu = config.require_nu_star()
     windows = _batch_windows(network, features, config, windows)
     tau, h, p = config.tau, config.horizon, config.resolution
     grid, weighting = config.grid_spec(), config.weighting()
-    images = np.zeros((len(windows), p, p))
+    images, index = np.zeros((len(windows), p, p)), np.empty(len(windows), np.intp)
+    distinct: dict[tuple, int] = {}  # a diagram's rows in homology_dims -> its image
     snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
     for k, zpd in enumerate(zigzag_series(snapshots, tau, nu, config.filtration_mode())):
-        for dim in config.homology_dims:  # multiple dimensions sum pixelwise
-            images[k] += render_zpi(zpd.points(dim), grid, weighting).pixels
+        key = tuple(row for row in zpd.rows if row[0] in config.homology_dims)
+        if key not in distinct:
+            distinct[key] = len(distinct)
+            for dim in config.homology_dims:  # multiple dimensions sum pixelwise
+                images[distinct[key]] += render_zpi(zpd.points(dim), grid, weighting).pixels
+        index[k] = distinct[key]
+    # shrunk in place to the distinct images, with no copy; no view of ``images`` exists
+    images.resize((len(distinct), p, p), refcheck=False)
     steps = np.arange(windows.start, windows.stop)[:, None]
     values = features.values
     return net.Batch(
         values[steps + np.arange(tau)],
         images,
+        index,
         values[steps + tau + np.arange(h), :, : config.out_features],
     )
 
@@ -447,7 +478,7 @@ def _training_data(config: RunConfig) -> tuple[net.Dataset, net.ModelConfig]:
         chosen = rng.permutation(len(train))[: int(round(config.noise_fraction * len(train)))]
         inputs = train.inputs.copy()
         inputs[chosen] += rng.normal(0.0, config.noise_sigma, inputs[chosen].shape)
-        dataset = replace(dataset, train=net.Batch(inputs, train.image, train.targets))
+        dataset = replace(dataset, train=replace(train, inputs=inputs))
     return dataset, model_cfg
 
 
@@ -528,7 +559,10 @@ def cmd_zpi(config: RunConfig) -> dict:
     """Render every ZPD CSV in outdir into image files.
 
     Every diagram is read before any image is written, and one with a
-    death past ``tau``, from a longer window, is refused.
+    death past ``tau``, from a longer window, is refused.  An image
+    depends only on its dimension's diagram rows, so each distinct image
+    is rendered and formatted once; its text is written for every window
+    that has it, in window order, and dropped after the last of them.
     """
     out = config.outdir
     grid, weighting = config.grid_spec(), config.weighting()
@@ -542,14 +576,21 @@ def cmd_zpi(config: RunConfig) -> dict:
         if twice_death > 2 * config.tau:
             raise ValueError(f"{os.path.join(out, name)}: death {twice_death / 2:g} lies past "
                              f"tau = {config.tau}; the diagram is from a longer window")
+    keys = [[(dim, tuple(row for row in zpd.rows if row[0] == dim)) for dim in config.homology_dims]
+            for zpd in diagrams]
+    last = {key: k for k, window in enumerate(keys) for key in window}
+    texts: dict[tuple, tuple[str, str]] = {}  # (dim, rows) -> .zpi and .pgm text
     written = []
-    for name, zpd in zip(names, diagrams):
+    for k, (name, zpd) in enumerate(zip(names, diagrams)):
         stem = name[: -len(".csv")]
-        for dim in config.homology_dims:
-            z = render_zpi(zpd.points(dim), grid, weighting)
+        for dim, key in zip(config.homology_dims, keys[k]):
+            if key not in texts:
+                z = render_zpi(zpd.points(dim), grid, weighting)
+                texts[key] = format_zpi(z), format_pgm(z)
+            zpi_text, pgm_text = texts[key] if last[key] > k else texts.pop(key)
             base = os.path.join(out, f"{stem}_dim{dim}")
-            write_zpi(z, base + ".zpi")
-            write_pgm(z, base + ".pgm")
+            write_zpi(zpi_text, base + ".zpi")
+            write_pgm(pgm_text, base + ".pgm")
             written.append(base + ".zpi")
     return {"zpi": written}
 

@@ -26,8 +26,10 @@ __all__ = [
     "default_domain",
     "default_theta",
     "render_zpi",
+    "format_zpi",
     "write_zpi",
     "read_zpi",
+    "format_pgm",
     "write_pgm",
 ]
 
@@ -181,17 +183,22 @@ def _cdf_steps(edges: np.ndarray, centres: np.ndarray, theta: float) -> np.ndarr
     return 0.5 * np.maximum(steps, 0.0, out=steps)
 
 
-def write_zpi(z: ZPIGrid, path) -> None:
+def format_zpi(z: ZPIGrid) -> str:
     """Text format: header `p x_lo x_hi y_lo y_hi theta`, then p rows of p values.
 
     Every value is written with ``%.17g``, which round-trips a float64
-    exactly.  The whole image is formatted by one ``%`` and written once.
+    exactly.  The whole image is formatted by one ``%``.
     """
     s = z.spec
     p = s.resolution
     header = f"{p} {s.x_lo:.17g} {s.x_hi:.17g} {s.y_lo:.17g} {s.y_hi:.17g} {s.theta:.17g}\n"
     rows = (" ".join(["%.17g"] * p) + "\n") * p
-    textio.write(path, header + rows % tuple(z.pixels.ravel().tolist()))
+    return header + rows % tuple(z.pixels.ravel().tolist())
+
+
+def write_zpi(z: ZPIGrid | str, path) -> None:
+    """Write an image, or its ``format_zpi`` text, as a ``.zpi`` file in one write."""
+    textio.write(path, z if isinstance(z, str) else format_zpi(z))
 
 
 def read_zpi(path) -> ZPIGrid:
@@ -225,7 +232,7 @@ def read_zpi(path) -> ZPIGrid:
 _GRAY = [str(level) for level in range(256)]
 
 
-def write_pgm(z: ZPIGrid, path) -> None:
+def format_pgm(z: ZPIGrid) -> str:
     """8-bit grayscale portable graymap; top row shows the highest persistence."""
     top = float(z.pixels.max())
     if top > 0.0:
@@ -234,4 +241,9 @@ def write_pgm(z: ZPIGrid, path) -> None:
         img = np.zeros_like(z.pixels, dtype=np.int64)
     p = z.spec.resolution
     body = "\n".join(" ".join([_GRAY[v] for v in row]) for row in img[::-1].tolist())
-    textio.write(path, f"P2\n{p} {p}\n255\n{body}\n")
+    return f"P2\n{p} {p}\n255\n{body}\n"
+
+
+def write_pgm(z: ZPIGrid | str, path) -> None:
+    """Write an image, or its ``format_pgm`` text, as a ``.pgm`` file in one write."""
+    textio.write(path, z if isinstance(z, str) else format_pgm(z))

@@ -258,10 +258,11 @@ def test_criterion_6_ablation_identity(monkeypatch):
     params = init_params(cfg, rng)
     x = rng.uniform(0, 1, (1, cfg.window, cfg.n_nodes, cfg.in_features))
     img = rng.uniform(0, 1, (1, cfg.zpi_resolution, cfg.zpi_resolution))
-    flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
+    idx = np.zeros(1, dtype=np.intp)
+    flagged = forward(x, img, idx, params, cfg, ablation=Ablation.NO_ZIGZAG)
     # the full model with the encoder giving every layer a code of ones
     monkeypatch.setattr(net.layers, "zpi_encoder", ones_codes)
-    ok = np.array_equal(flagged, forward(x, img, params, cfg))
+    ok = np.array_equal(flagged, forward(x, img, idx, params, cfg))
     _report(6, "no-zigzag flag is bit-identical to ones gate", ok,
             "arrays equal bitwise" if ok else "arrays differ")
 
@@ -271,14 +272,15 @@ def test_criterion_7_one_batch_overfit():
     rng = np.random.default_rng(7)
     x = rng.uniform(0, 1, (1, cfg.window, cfg.n_nodes, cfg.in_features))
     img = rng.uniform(0, 1, (1, cfg.zpi_resolution, cfg.zpi_resolution))
+    idx = np.zeros(1, dtype=np.intp)
     y = rng.uniform(0, 1, (1, cfg.horizon, cfg.n_nodes, cfg.out_features))
     params = init_params(cfg, np.random.default_rng(cfg.seed))
     adam = Adam()
     for _ in range(500):
-        pred, cache = forward(x, img, params, cfg, want_cache=True)
+        pred, cache = forward(x, img, idx, params, cfg, want_cache=True)
         _, dpred = mae_loss_and_grad(pred, y)
         adam.step(params, backward(cache, dpred), lr=0.01)
-    mae, _ = mae_loss_and_grad(forward(x, img, params, cfg), y)
+    mae, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
     _report(7, "one-batch overfit", mae < 1e-2, f"training MAE {mae:.2e} after 500 steps")
 
 

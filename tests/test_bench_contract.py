@@ -88,9 +88,16 @@ def test_split_and_assembly_sizes_the_benchmark_reads(tracing):
     assert counter.assembled == [8, 3]
 
 
+def _distinct_images(zpd_paths, dims) -> int:
+    """The distinct (dim, rows) images of the diagrams at ``zpd_paths``."""
+    return len({(dim, tuple(row for row in zigzag.read_zpd_csv(path).rows if row[0] == dim))
+                for path in zpd_paths for dim in dims})
+
+
 def test_cmd_zpi_reaches_the_wrapped_image_functions(tmp_path, monkeypatch):
     # the zpi.render and zpi.write spans and the zpi.bytes_written counter wrap these
-    # names on the pipeline module, count len(args[0]) points and size the file args[1]
+    # names on the pipeline module, count len(args[0]) points and size the file args[1];
+    # each distinct image is rendered once, and every window's files are still written
     calls = {"render_zpi": [], "write_zpi": [], "write_pgm": []}
     for name, log in calls.items():
         original = getattr(pipeline, name)
@@ -105,11 +112,14 @@ def test_cmd_zpi_reaches_the_wrapped_image_functions(tmp_path, monkeypatch):
     dyngraph.write_snapshot_csv(data.network, snaps)
     cfg = pipeline.RunConfig(snapshots=str(snaps), outdir=str(tmp_path / "out"), nu_star=0.5,
                              tau=3, homology_dims=(0, 1), resolution=6)
-    windows = pipeline.cmd_zigzag(cfg)["windows"]
+    zigzagged = pipeline.cmd_zigzag(cfg)
+    windows = zigzagged["windows"]
     assert windows == 6
     written = pipeline.cmd_zpi(cfg)["zpi"]
     assert len(written) == 2 * windows
-    assert len(calls["render_zpi"]) == 2 * windows
+    distinct = _distinct_images(zigzagged["zpd"], (0, 1))
+    assert distinct < 2 * windows  # the series repeats an image
+    assert len(calls["render_zpi"]) == distinct
     assert all(isinstance(args[0], list) for args in calls["render_zpi"])
     for name, suffix in [("write_zpi", ".zpi"), ("write_pgm", ".pgm")]:
         paths = [args[1] for args in calls[name]]
@@ -131,7 +141,9 @@ def test_cmd_zpi_and_cmd_distance_run_under_the_count_pass(tracing, tmp_path):
         costs = [pipeline.cmd_distance(cfg, paths[0], paths[1], dim)["cost"] for dim in (0, 1)]
     assert len(written) == 2 * len(paths)
     assert all(cost >= 0.0 for cost in costs)
-    assert counter.n["zpi.render_calls"] == len(written)
+    assert counter.n["zpi.render_calls"] == _distinct_images(paths, (0, 1)) < len(written)
+    files = [path[: -len(".zpi")] + suffix for path in written for suffix in (".zpi", ".pgm")]
+    assert counter.n["zpi.bytes_written"] == sum(map(os.path.getsize, files))
     assert counter.n["metrics.wasserstein1_calls"] == 2
 
 
@@ -152,12 +164,13 @@ def test_forward_encodes_every_layer_in_one_wrapped_call(monkeypatch):
     params = net.init_params(cfg, np.random.default_rng(0))
     rng = np.random.default_rng(1)
     x = rng.uniform(0, 1, (3, cfg.window, cfg.n_nodes, cfg.in_features))
-    img = rng.uniform(0, 1, (3, cfg.zpi_resolution, cfg.zpi_resolution))
-    net.forward(x, img, params, cfg)
-    net.forward(x, img, params, cfg, want_cache=True)
+    img = rng.uniform(0, 1, (2, cfg.zpi_resolution, cfg.zpi_resolution))
+    idx = np.array([1, 0, 1])
+    net.forward(x, img, idx, params, cfg)
+    net.forward(x, img, idx, params, cfg, want_cache=True)
     assert len(calls) == 2
-    assert all(len(args[1]) == cfg.num_layers for args in calls)
-    net.forward(x, img, params, cfg, ablation=net.Ablation.NO_ZIGZAG, want_cache=True)
+    assert all(len(args[2]) == cfg.num_layers for args in calls)
+    net.forward(x, img, idx, params, cfg, ablation=net.Ablation.NO_ZIGZAG, want_cache=True)
     assert len(calls) == 2
 
 

@@ -100,6 +100,24 @@ def test_snapshot_and_feature_steps_take_numpy_integers(tmp_path):
     assert read_feature_csv(tmp_path / "f.csv").start == 5
 
 
+@pytest.mark.parametrize("bad", NOT_IDS)
+def test_a_snapshot_refuses_a_node_id_that_is_not_an_integer(bad):
+    # Snapshot(1, 4, {0, 1.5}, {(0, 1.5): 0.2}) was built, and its CSV line did not read back
+    with pytest.raises(ValueError, match=f"^node {re.escape(repr(bad))} is not an integer$"):
+        Snapshot(1, 4, [3, bad], {})
+    with pytest.raises(ValueError, match=_id_message((0, bad), bad)):
+        Snapshot(1, 4, {0, 1, 2, 3}, {(0, 3): 0.2, (0, bad): 0.2})
+
+
+def test_the_reported_snapshot_is_refused_and_a_valid_one_reads_back(tmp_path):
+    with pytest.raises(ValueError, match="is not an integer"):
+        Snapshot(1, 4, {0, 1.5}, {(0, 1.5): 0.2})
+    s = Snapshot(1, 4, {np.int64(0), 1, 3}, {(np.int32(0), 1): 0.2, (1, np.uint8(3)): 1 / 3})
+    assert all(type(x) is int for x in s.nodes) and all(type(x) is int for e in s.weights for x in e)
+    write_snapshot_csv(DynamicNetwork((s,), 4), tmp_path / "s.csv")
+    assert list(read_snapshot_csv(tmp_path / "s.csv", universe_size=4)) == [s]
+
+
 def test_from_edges_refuses_the_truncated_edge_of_the_report():
     # this built edge (0, 2)
     with pytest.raises(ValueError, match=_id_message((0, 2.7), 2.7)):

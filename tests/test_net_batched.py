@@ -5,6 +5,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import reference_net as ref
 from util import ones_codes
@@ -39,7 +41,7 @@ def make_batch(cfg, b, seed):
     x = rng.uniform(0, 1, (b, cfg.window, cfg.n_nodes, cfg.in_features))
     img = rng.uniform(0, 1, (b, cfg.zpi_resolution, cfg.zpi_resolution))
     y = rng.uniform(0, 1, (b, cfg.horizon, cfg.n_nodes, cfg.out_features))
-    return x, img, y
+    return x, img, np.arange(b), y
 
 
 def reference_sum(cfg, params, x, img, dpred, ablation=Ablation.NONE, gates=None):
@@ -67,11 +69,11 @@ def assert_grads_close(got, want):
 def test_batch_of_one_matches_reference(name):
     cfg = CONFIGS[name]()
     params = init_params(cfg, np.random.default_rng(3))
-    x, img, y = make_batch(cfg, 1, seed=4)
+    x, img, idx, y = make_batch(cfg, 1, seed=4)
     want_pred, want_cache = ref.forward(x[0], img[0], params, cfg, want_cache=True)
     _, dpred = mae_loss_and_grad(want_pred, y[0])
     want = ref.backward(want_cache, dpred)
-    pred, cache = forward(x, img, params, cfg, want_cache=True)
+    pred, cache = forward(x, img, idx, params, cfg, want_cache=True)
     assert pred.shape == (1,) + want_pred.shape
     assert np.allclose(pred[0], want_pred, **TOL)
     assert_grads_close(backward(cache, dpred[None]), want)
@@ -81,10 +83,10 @@ def test_batch_of_one_matches_reference(name):
 def test_batch_matches_stacked_reference(name):
     cfg = CONFIGS[name]()
     params = init_params(cfg, np.random.default_rng(5))
-    x, img, y = make_batch(cfg, 5, seed=6)
+    x, img, idx, y = make_batch(cfg, 5, seed=6)
     dpred = np.random.default_rng(7).normal(size=y.shape)
     want_pred, want = reference_sum(cfg, params, x, img, dpred)
-    pred, cache = forward(x, img, params, cfg, want_cache=True)
+    pred, cache = forward(x, img, idx, params, cfg, want_cache=True)
     assert np.allclose(pred, want_pred, **TOL)
     assert_grads_close(backward(cache, dpred), want)
 
@@ -97,7 +99,7 @@ def test_ablations_and_overrides_match_reference_per_sample(ablation, gates, mon
     cfg = wider_config()
     params = init_params(cfg, np.random.default_rng(8))
     b = 3
-    x, img, y = make_batch(cfg, b, seed=9)
+    x, img, idx, y = make_batch(cfg, b, seed=9)
     dpred = np.random.default_rng(10).normal(size=y.shape)
     rng = np.random.default_rng(11)
     per_sample = [rng.uniform(0.5, 1.5, (b, cfg.half_hidden)) for _ in range(cfg.num_layers)]
@@ -112,7 +114,7 @@ def test_ablations_and_overrides_match_reference_per_sample(ablation, gates, mon
     want_pred, want = reference_sum(cfg, params, x, img, dpred, ablation, single)
     if batched is not None:
         monkeypatch.setattr(layers, "zpi_encoder", lambda *_, **__: [(z, None) for z in batched])
-    pred, cache = forward(x, img, params, cfg, ablation, want_cache=True)
+    pred, cache = forward(x, img, idx, params, cfg, ablation, want_cache=True)
     assert np.allclose(pred, want_pred, **TOL)
     assert_grads_close(backward(cache, dpred), want)
 
@@ -120,17 +122,19 @@ def test_ablations_and_overrides_match_reference_per_sample(ablation, gates, mon
 def test_no_zigzag_is_a_ones_override_bitwise_in_a_batch(monkeypatch):
     cfg = wider_config()
     params = init_params(cfg, np.random.default_rng(12))
-    x, img, _ = make_batch(cfg, 4, seed=13)
-    flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
+    x, img, idx, _ = make_batch(cfg, 4, seed=13)
+    flagged = forward(x, img, idx, params, cfg, ablation=Ablation.NO_ZIGZAG)
     monkeypatch.setattr(layers, "zpi_encoder", ones_codes)
-    assert np.array_equal(flagged, forward(x, img, params, cfg))
+    assert np.array_equal(flagged, forward(x, img, idx, params, cfg))
 
 
-def test_batched_backward_matches_finite_differences():
+def _worst_finite_difference_error(shared):
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(14))
-    x, img, y = make_batch(cfg, 3, seed=15)
-    pred, cache = forward(x, img, params, cfg, want_cache=True)
+    x, img, idx, y = make_batch(cfg, 3, seed=15)
+    if shared:  # windows 0 and 2 read one image
+        img, idx = img[:2], np.array([1, 0, 1])
+    pred, cache = forward(x, img, idx, params, cfg, want_cache=True)
     _, dpred = mae_loss_and_grad(pred, y)
     grads = backward(cache, dpred)
     eps = 1e-5
@@ -138,16 +142,24 @@ def test_batched_backward_matches_finite_differences():
     for name, arr in params.named_arrays():
         flat = arr.reshape(-1)
         analytic = grads.get(name).reshape(-1)
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + eps
-            up, _ = mae_loss_and_grad(forward(x, img, params, cfg), y)
-            flat[idx] = keep - eps
-            dn, _ = mae_loss_and_grad(forward(x, img, params, cfg), y)
-            flat[idx] = keep
+        for pos in range(flat.size):
+            keep = flat[pos]
+            flat[pos] = keep + eps
+            up, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
+            flat[pos] = keep - eps
+            dn, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
+            flat[pos] = keep
             numeric = (up - dn) / (2 * eps)
-            worst = max(worst, abs(analytic[idx] - numeric) / max(abs(analytic[idx]), abs(numeric), 1e-3))
-    assert worst <= 1e-4  # the grad_check tolerance
+            worst = max(worst, abs(analytic[pos] - numeric) / max(abs(analytic[pos]), abs(numeric), 1e-3))
+    return worst
+
+
+def test_batched_backward_matches_finite_differences():
+    assert _worst_finite_difference_error(shared=False) <= 1e-4  # the grad_check tolerance
+
+
+def test_batched_backward_matches_finite_differences_where_windows_share_an_image():
+    assert _worst_finite_difference_error(shared=True) <= 1e-4
 
 
 def test_encoder_batch_matches_reference_per_sample():
@@ -159,7 +171,7 @@ def test_encoder_batch_matches_reference_per_sample():
     img = rng.uniform(0, 1, (4, cfg.zpi_resolution, cfg.zpi_resolution))
     img[1] = 0.0  # a sample whose maps are all zero after the ReLUs
     dz = rng.normal(size=(4, cfg.half_hidden))
-    [(z, cache)] = layers.zpi_encoder(img, [layer])
+    [(z, cache)] = layers.zpi_encoder(img, np.arange(4), [layer])
     got = layers.zpi_encoder_backward(cache, dz)
     want = [np.zeros_like(g) for g in got]
     for i in range(4):
@@ -219,13 +231,14 @@ def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, 
     images[4] = 0.0
     dzs = rng.normal(size=(n_layers, 17, CODE))
     per_image = 8 * sum(layers._image_buffer_sizes(p, kernel, FILTERS, n_layers))
-    for b in (1, 2, 17):
-        img = images[:b]
+    for b, u in ((1, 1), (2, 2), (17, 17), (17, 6)):
+        # 17 windows of 6 images: window i reads image index[i], some more than once
+        index = np.arange(b) % u
         want = []  # per layer: the reference codes and summed gradients
         for li, lp in enumerate(enc_layers):
             codes, grads = [], None
             for i in range(b):
-                z_i, cache_i = ref.zpi_encoder(img[i], lp, stride)
+                z_i, cache_i = ref.zpi_encoder(images[index[i]], lp, stride)
                 codes.append(z_i)
                 g_i = ref.zpi_encoder_backward(cache_i, dzs[li, i])
                 grads = g_i if grads is None else [acc + g for acc, g in zip(grads, g_i)]
@@ -234,7 +247,7 @@ def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, 
         for budget in (layers.ENCODER_BLOCK_BYTES, 5 * per_image, 1):
             with monkeypatch.context() as m:
                 m.setattr(layers, "ENCODER_BLOCK_BYTES", budget)
-                got = layers.zpi_encoder(img, enc_layers)
+                got = layers.zpi_encoder(images[:u], index, enc_layers)
                 assert len(got) == n_layers
                 for li, ((z, cache), (want_z, want_grads)) in enumerate(zip(got, want)):
                     assert np.allclose(z, want_z, **TOL), (b, budget, li)
@@ -244,15 +257,30 @@ def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, 
                         assert np.allclose(g, w, **TOL), (b, budget, li)
 
 
-def test_encoder_of_an_unbatched_image_drops_the_batch_axis():
-    # a batch of one, not of three: a matrix product may round in the last bit by its row count
-    enc_layers = encoder_layers(3, 2, seed=0)
-    img = np.random.default_rng(1).uniform(0, 1, (3, 16, 16))
-    for i in range(3):
-        batched = layers.zpi_encoder(img[i : i + 1], enc_layers)
-        for (z, _), (zb, _) in zip(layers.zpi_encoder(img[i], enc_layers), batched):
-            assert z.shape == (CODE,)
-            assert np.array_equal(z, zb[0])
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("p", [16, 32, 100])  # many images to an encoder block, and one
+def test_an_images_encoder_maxima_do_not_depend_on_the_other_images_of_the_call(p, data):
+    # the encoder convolves each distinct image once and hands its maxima, argmax positions
+    # and first-map patches to every window that reads it, so they must be the bits the
+    # image gets in a call of its own
+    b = data.draw(st.integers(1, 70), label="windows")
+    u = data.draw(st.integers(1, b), label="images")
+    index = np.array(data.draw(st.lists(st.integers(0, u - 1), min_size=b, max_size=b)))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    images = rng.uniform(0, 1, (u, p, p))
+    images[rng.random(u) < 0.2] = 0.0  # images whose maps are all zero after the ReLUs
+    enc_layers = encoder_layers(3, 2, seed=p)
+    got = layers.zpi_encoder(images, index, enc_layers)
+    alone = {j: layers.zpi_encoder(images[j : j + 1], np.zeros(1, np.intp), enc_layers)
+             for j in np.unique(index)}
+    for li, (_, cache) in enumerate(got):
+        _, _, y2, x2, patch1, maxvals, _ = cache
+        for w, j in enumerate(index):
+            _, _, y2_j, x2_j, patch1_j, maxvals_j, _ = alone[j][li][1]
+            assert np.array_equal(maxvals[w], maxvals_j[0]), (li, w)
+            assert np.array_equal(y2[w], y2_j[0]) and np.array_equal(x2[w], x2_j[0]), (li, w)
+            assert np.array_equal(patch1[w], patch1_j[0]), (li, w)
 
 
 def _encoder_peak_bytes(b):
@@ -260,7 +288,7 @@ def _encoder_peak_bytes(b):
     img = np.random.default_rng(2).uniform(0, 1, (b, 100, 100))
     tracemalloc.start()
     try:
-        layers.zpi_encoder(img, enc_layers)
+        layers.zpi_encoder(img, np.arange(b), enc_layers)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -318,8 +346,9 @@ def test_encoder_without_cache_gives_the_same_codes(p, kernel, stride, monkeypat
     enc_layers = encoder_layers(kernel, 3, seed=p + kernel)
     img = np.random.default_rng(p).uniform(0, 1, (5, p, p))
     img[2] = 0.0
-    cached = layers.zpi_encoder(img, enc_layers)
-    bare = layers.zpi_encoder(img, enc_layers, want_cache=False)
+    index = np.array([4, 0, 1, 2, 3, 2])  # six windows of five images
+    cached = layers.zpi_encoder(img, index, enc_layers)
+    bare = layers.zpi_encoder(img, index, enc_layers, want_cache=False)
     assert len(bare) == len(cached) == 3
     for (z, cache), (zc, _) in zip(bare, cached):
         assert cache is None
@@ -329,13 +358,13 @@ def test_encoder_without_cache_gives_the_same_codes(p, kernel, stride, monkeypat
 def test_forward_without_cache_gathers_no_patches(monkeypatch):
     cfg = wider_config()
     params = init_params(cfg, np.random.default_rng(21))
-    x, img, _ = make_batch(cfg, 3, seed=22)
-    want, _ = forward(x, img, params, cfg, want_cache=True)
+    x, img, idx, _ = make_batch(cfg, 3, seed=22)
+    want, _ = forward(x, img, idx, params, cfg, want_cache=True)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a forward without a cache gathered encoder patches")
 
     monkeypatch.setattr(layers, "_patches", refuse)
-    assert np.all(forward(x, img, params, cfg) == want)
+    assert np.all(forward(x, img, idx, params, cfg) == want)
     with pytest.raises(AssertionError, match="gathered encoder patches"):
-        forward(x, img, params, cfg, want_cache=True)
+        forward(x, img, idx, params, cfg, want_cache=True)

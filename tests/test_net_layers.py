@@ -121,18 +121,18 @@ def test_encoder_zero_image_zero_biases_gives_zero():
     cfg = tiny_config()
     layer = _layer(cfg)
     layer.zmap_b[...] = 0.0
-    [(z, _)] = zpi_encoder(np.zeros((16, 16)), [layer])
-    assert np.array_equal(z, np.zeros(cfg.half_hidden))
+    [(z, _)] = zpi_encoder(np.zeros((1, 16, 16)), np.zeros(1, np.intp), [layer])
+    assert np.array_equal(z, np.zeros((1, cfg.half_hidden)))
 
 
 def test_encoder_positive_scaling():
     cfg = tiny_config()
     layer = _layer(cfg, seed=5)
-    img = np.abs(np.random.default_rng(6).normal(size=(16, 16)))
-    [(z1, cache1)] = zpi_encoder(img, [layer])
-    [(z2, _)] = zpi_encoder(3.0 * img, [layer])
+    img = np.abs(np.random.default_rng(6).normal(size=(1, 16, 16)))
+    [(z1, cache1)] = zpi_encoder(img, np.zeros(1, np.intp), [layer])
+    [(z2, _)] = zpi_encoder(3.0 * img, np.zeros(1, np.intp), [layer])
     # biases are zero at init, so pre-pool activations scale linearly
-    max1 = cache1[4]  # the per-channel maxima
+    max1 = cache1[5]  # the per-channel maxima
     assert np.allclose(z2 - layer.zmap_b, 3.0 * (z1 - layer.zmap_b), rtol=1e-10)
     assert np.all(max1 >= 0.0)
 
@@ -141,7 +141,7 @@ def test_encoder_rejects_small_images():
     cfg = tiny_config()
     layer = _layer(cfg)
     with pytest.raises(ValueError, match="resolution 5 is too small"):
-        zpi_encoder(np.zeros((5, 5)), [layer])
+        zpi_encoder(np.zeros((1, 5, 5)), np.zeros(1, np.intp), [layer])
     assert zpi_encoder_output_size(16, 3) == 3
     assert zpi_encoder_output_size(100, 3) == 24
     assert zpi_encoder_output_size(7, 3) == 1  # the smallest side two 3x3 stride-2 convolutions fit

@@ -19,12 +19,12 @@ from zigzagst.net import (
 
 
 def make_inputs(cfg, seed=0):
-    """One window, its image and its target, as a batch of one."""
+    """One window, its image, the index to it and its target, as a batch of one."""
     rng = np.random.default_rng(seed)
     x = rng.uniform(0, 1, (1, cfg.window, cfg.n_nodes, cfg.in_features))
     img = rng.uniform(0, 1, (1, cfg.zpi_resolution, cfg.zpi_resolution))
     y = rng.uniform(0, 1, (1, cfg.horizon, cfg.n_nodes, cfg.out_features))
-    return x, img, y
+    return x, img, np.zeros(1, dtype=np.intp), y
 
 
 def test_config_validation():
@@ -75,43 +75,76 @@ def test_init_draws_the_update_then_the_reset_gate_as_two_blocks():
 def test_forward_output_shape():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(1))
-    x, img, _ = make_inputs(cfg)
-    pred = forward(x, img, params, cfg)
+    x, img, idx, _ = make_inputs(cfg)
+    pred = forward(x, img, idx, params, cfg)
     assert pred.shape == (1, cfg.horizon, cfg.n_nodes, cfg.out_features)
 
 
 def test_forward_shape_validation():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(1))
-    x, img, _ = make_inputs(cfg)
+    x, img, idx, _ = make_inputs(cfg)
     with pytest.raises(ValueError):
-        forward(x[:, :-1], img, params, cfg)
+        forward(x[:, :-1], img, idx, params, cfg)
     with pytest.raises(ValueError):
-        forward(x, img[:, :-1], params, cfg)
+        forward(x, img[:, :-1], idx, params, cfg)
 
 
 def test_forward_and_backward_take_only_a_batch():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(1))
-    x, img, y = make_inputs(cfg)
+    x, img, idx, y = make_inputs(cfg)
     window = f"(batch, {cfg.window}, {cfg.n_nodes}, {cfg.in_features})"
     with pytest.raises(ValueError, match=re.escape(f"shape {x[0].shape}, expected {window}")):
-        forward(x[0], img[0], params, cfg)
+        forward(x[0], img, idx, params, cfg)
     p = cfg.zpi_resolution
-    with pytest.raises(ValueError, match=re.escape(f"shape {img[0].shape}, expected (1, {p}, {p})")):
-        forward(x, img[0], params, cfg)
-    pred, cache = forward(x, img, params, cfg, want_cache=True)
+    with pytest.raises(ValueError, match=re.escape(f"shape {img[0].shape}, expected (images, {p}, {p})")):
+        forward(x, img[0], idx, params, cfg)
+    pred, cache = forward(x, img, idx, params, cfg, want_cache=True)
     _, dpred = mae_loss_and_grad(pred, y)
     with pytest.raises(ValueError, match=re.escape(f"shape {dpred[0].shape}, expected {pred.shape}")):
         backward(cache, dpred[0])
+
+
+@pytest.mark.parametrize("index,message", [
+    (np.intp(0), "index has shape () and dtype int64, expected (1,) integers"),
+    (np.zeros(2, np.intp), "index has shape (2,) and dtype int64, expected (1,) integers"),
+    (np.zeros(1), "index has shape (1,) and dtype float64, expected (1,) integers"),
+    (np.array([True]), "index has shape (1,) and dtype bool, expected (1,) integers"),
+    (np.array([1]), "index holds 1 to 1, not all within the 1 images"),
+    (np.array([-1]), "index holds -1 to -1, not all within the 1 images"),
+], ids=["scalar", "two", "float", "bool", "past-the-end", "negative"])
+def test_forward_refuses_an_index_that_does_not_name_one_image_per_window(index, message):
+    # a negative index would silently read an image from the end
+    cfg = tiny_config()
+    params = init_params(cfg, np.random.default_rng(1))
+    x, img, _, _ = make_inputs(cfg)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        forward(x, img, index, params, cfg)
+
+
+def test_windows_that_share_an_image_predict_as_with_copies_of_it():
+    # the encoder convolves a shared image once; every window's rows keep their bits
+    cfg = tiny_config()
+    params = init_params(cfg, np.random.default_rng(2))
+    rng = np.random.default_rng(3)
+    x = rng.uniform(0, 1, (5, cfg.window, cfg.n_nodes, cfg.in_features))
+    img = rng.uniform(0, 1, (2, cfg.zpi_resolution, cfg.zpi_resolution))
+    idx = np.array([1, 0, 1, 1, 0])
+    y = rng.uniform(0, 1, (5, cfg.horizon, cfg.n_nodes, cfg.out_features))
+    pred, cache = forward(x, img, idx, params, cfg, want_cache=True)
+    want_pred, want_cache = forward(x, img[idx], np.arange(5), params, cfg, want_cache=True)
+    assert np.array_equal(pred, want_pred)
+    _, dpred = mae_loss_and_grad(pred, y)
+    assert np.array_equal(backward(cache, dpred).flat, backward(want_cache, dpred).flat)
 
 
 def test_zero_params_predict_output_bias():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(1)).zeros_like()
     params.out_b += 0.25
-    x, img, _ = make_inputs(cfg)
-    pred = forward(x, img, params, cfg)
+    x, img, idx, _ = make_inputs(cfg)
+    pred = forward(x, img, idx, params, cfg)
     assert np.allclose(pred, 0.25)
 
 
@@ -120,19 +153,19 @@ def test_no_zigzag_equals_ones_override_bitwise(monkeypatch):
 
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(2))
-    x, img, _ = make_inputs(cfg, seed=3)
-    flagged = forward(x, img, params, cfg, ablation=Ablation.NO_ZIGZAG)
+    x, img, idx, _ = make_inputs(cfg, seed=3)
+    flagged = forward(x, img, idx, params, cfg, ablation=Ablation.NO_ZIGZAG)
     monkeypatch.setattr(layers, "zpi_encoder", ones_codes)
-    assert np.array_equal(flagged, forward(x, img, params, cfg))
+    assert np.array_equal(flagged, forward(x, img, idx, params, cfg))
 
 
 def test_branch_ablations_zero_the_branches():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(2))
-    x, img, _ = make_inputs(cfg, seed=3)
-    full = forward(x, img, params, cfg)
-    no_s = forward(x, img, params, cfg, ablation=Ablation.NO_SPATIAL)
-    no_t = forward(x, img, params, cfg, ablation=Ablation.NO_TEMPORAL)
+    x, img, idx, _ = make_inputs(cfg, seed=3)
+    full = forward(x, img, idx, params, cfg)
+    no_s = forward(x, img, idx, params, cfg, ablation=Ablation.NO_SPATIAL)
+    no_t = forward(x, img, idx, params, cfg, ablation=Ablation.NO_TEMPORAL)
     assert not np.array_equal(full, no_s)
     assert not np.array_equal(full, no_t)
 
@@ -141,12 +174,12 @@ def test_node_permutation_equivariance():
     cfg = tiny_config()
     rng = np.random.default_rng(4)
     params = init_params(cfg, rng)
-    x, img, _ = make_inputs(cfg, seed=5)
+    x, img, idx, _ = make_inputs(cfg, seed=5)
     perm = rng.permutation(cfg.n_nodes)
     permuted = params.copy()
     permuted.embedding[...] = params.embedding[perm]
-    base = forward(x, img, params, cfg)
-    moved = forward(x[:, :, perm], img, permuted, cfg)
+    base = forward(x, img, idx, params, cfg)
+    moved = forward(x[:, :, perm], img, idx, permuted, cfg)
     assert np.allclose(base[:, :, perm], moved, rtol=1e-10, atol=1e-12)
 
 
@@ -154,9 +187,9 @@ def test_nan_input_raises_with_stage_name():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(1))
     params.embedding[0, 0] = np.nan
-    x, img, _ = make_inputs(cfg)
+    x, img, idx, _ = make_inputs(cfg)
     with pytest.raises(FloatingPointError, match="adaptive_laplacian"):
-        forward(x, img, params, cfg)
+        forward(x, img, idx, params, cfg)
 
 
 def test_loss_metrics_examples():
@@ -190,8 +223,8 @@ def test_mae_loss_rejects_unequal_shapes():
 def test_backward_matches_finite_difference_spot_check():
     cfg = tiny_config()
     params = init_params(cfg, np.random.default_rng(7))
-    x, img, y = make_inputs(cfg, seed=8)
-    pred, cache = forward(x, img, params, cfg, want_cache=True)
+    x, img, idx, y = make_inputs(cfg, seed=8)
+    pred, cache = forward(x, img, idx, params, cfg, want_cache=True)
     _, dpred = mae_loss_and_grad(pred, y)
     grads = backward(cache, dpred)
     eps = 1e-5
@@ -199,15 +232,15 @@ def test_backward_matches_finite_difference_spot_check():
     for name in ("embedding", "time_mix", "layers.1.zmap_w", "layers.0.gru_wo", "out_w"):
         arr = params.get(name)
         flat = arr.reshape(-1)
-        idx = int(rng.integers(flat.size))
-        keep = flat[idx]
-        flat[idx] = keep + eps
-        up, _ = mae_loss_and_grad(forward(x, img, params, cfg), y)
-        flat[idx] = keep - eps
-        dn, _ = mae_loss_and_grad(forward(x, img, params, cfg), y)
-        flat[idx] = keep
+        pos = int(rng.integers(flat.size))
+        keep = flat[pos]
+        flat[pos] = keep + eps
+        up, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
+        flat[pos] = keep - eps
+        dn, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
+        flat[pos] = keep
         numeric = (up - dn) / (2 * eps)
-        analytic = grads.get(name).reshape(-1)[idx]
+        analytic = grads.get(name).reshape(-1)[pos]
         assert analytic == pytest.approx(numeric, abs=1e-7), name
 
 

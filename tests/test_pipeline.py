@@ -189,6 +189,26 @@ def test_an_integer_setting_is_refused_at_construction_unless_an_integer(tmp_pat
     assert not os.path.exists(cfg.outdir)
 
 
+@pytest.mark.parametrize("bad", [True, False, np.bool_(True), "0.5", None], ids=repr)
+@pytest.mark.parametrize("setting", [f.name for f in fields(RunConfig) if type(f.default) is float])
+def test_a_float_setting_is_refused_at_construction_unless_a_real_number(tmp_path, setting, bad):
+    # RunConfig(nu_star=True) constructed, and a checkpoint would store "nu_star": true
+    cfg = RunConfig(nu_star=0.5, outdir=str(tmp_path / "out"))
+    with pytest.raises(ValueError, match=f"^{setting} must be a real number, got {re.escape(repr(bad))}$"):
+        cmd_train(replace(cfg, **{setting: bad}))
+    assert not os.path.exists(cfg.outdir)
+    # an int or a numpy float is a real number
+    assert getattr(replace(cfg, **{setting: 1}), setting) == 1
+    assert getattr(replace(cfg, **{setting: np.float64(0.5)}), setting) == 0.5
+
+
+@pytest.mark.parametrize("split,bad", [((True, False, False), True), ((0.8, 0.2, "0"), "0")])
+def test_split_holds_real_numbers(split, bad):
+    message = f"^split: fraction must be a real number, got {re.escape(repr(bad))}$"
+    with pytest.raises(ValueError, match=message):
+        RunConfig(split=split)
+
+
 @pytest.mark.parametrize("dim", [1.0, True, np.float64(0.0)], ids=repr)
 def test_homology_dims_holds_integers(dim):
     message = f"^homology_dims: dimension must be 0 or 1, got {re.escape(repr(dim))}$"
@@ -381,6 +401,40 @@ def test_cmd_zpi_renders_all_diagrams(golden_paths):
     z = read_zpi(out["zpi"][1])
     assert z.pixels.max() > 0.0
     assert os.path.exists(out["zpi"][0].replace(".zpi", ".pgm"))
+
+
+@pytest.mark.parametrize("repeats", [True, False])
+def test_cmd_zpi_writes_what_each_window_renders_and_writes_alone(tmp_path, repeats):
+    # each distinct image is rendered and formatted once; every file keeps its bytes
+    from zigzagst import zpi
+
+    if repeats:
+        network = gen_synthetic(n_nodes=8, length=14, period=4, seed=4).network
+    else:
+        network = _random_series(seed=5, length=12)[0]
+    write_snapshot_csv(network, tmp_path / "snaps.csv")
+    cfg = RunConfig(snapshots=str(tmp_path / "snaps.csv"), outdir=str(tmp_path / "out"),
+                    nu_star=0.6, tau=4, homology_dims=(1, 0), resolution=12)
+    diagrams = cmd_zigzag(cfg)["zpd"]
+    written = cmd_zpi(cfg)["zpi"]
+    grid, weighting = cfg.grid_spec(), cfg.weighting()
+    want = []
+    for k, path in enumerate(diagrams):
+        zpd = read_zpd_csv(path)
+        for dim in cfg.homology_dims:
+            base = str(tmp_path / f"alone_{k}_{dim}")
+            z = zpi.render_zpi(zpd.points(dim), grid, weighting)
+            zpi.write_zpi(z, base + ".zpi")
+            zpi.write_pgm(z, base + ".pgm")
+            want.append((path[: -len(".csv")] + f"_dim{dim}", base))
+    assert written == [got + ".zpi" for got, _ in want]
+    for got, alone in want:
+        for suffix in (".zpi", ".pgm"):
+            with open(got + suffix, "rb") as a, open(alone + suffix, "rb") as b:
+                assert a.read() == b.read(), got + suffix
+    keys = {(dim, tuple(r for r in read_zpd_csv(p).rows if r[0] == dim))
+            for p in diagrams for dim in cfg.homology_dims}
+    assert (len(keys) < len(written)) is repeats
 
 
 def test_cmd_zpi_requires_diagrams(tmp_path):
@@ -678,10 +732,10 @@ def test_noise_injection_perturbs_only_training_inputs(tmp_path):
     changed = [k for k in range(n_train)
                if not np.array_equal(noisy.train.inputs[k], clean.train.inputs[k])]
     assert len(changed) == round(0.5 * n_train)
-    assert np.array_equal(noisy.train.image, clean.train.image)
-    assert np.array_equal(noisy.train.targets, clean.train.targets)
+    for field in ("images", "index", "targets"):
+        assert np.array_equal(getattr(noisy.train, field), getattr(clean.train, field))
     for got, unchanged in [(noisy.val, clean.val), (noisy.test, clean.test)]:
-        for field in ("inputs", "image", "targets"):
+        for field in ("inputs", "images", "index", "targets"):
             assert np.array_equal(getattr(got, field), getattr(unchanged, field))
     # deterministic under the same seed
     again, _ = _training_data(cfg)
@@ -694,11 +748,67 @@ def test_assemble_batches_counts_and_shapes():
     batches = assemble_batches(data.network, data.features, cfg)
     assert len(batches) == 20 - 4 - 2 + 1
     assert batches.inputs.shape == (15, 4, 8, 1)
-    assert batches.image.shape == (15, 10, 10)
+    assert batches.index.shape == (15,) and batches.images[batches.index].shape == (15, 10, 10)
     assert batches.targets.shape == (15, 2, 8, 1)
     values = data.features.values
     assert np.array_equal(batches.inputs[3], values[3:7])
     assert np.array_equal(batches.targets[3], values[7:9])
+
+
+def _own_images(network, cfg, windows):
+    """Each window's image as ``window_image`` renders it alone, stacked."""
+    grid, weighting, mode = cfg.grid_spec(), cfg.weighting(), cfg.filtration_mode()
+    snaps = network.snapshots
+    return np.stack([window_image(snaps[k : k + cfg.tau], cfg.nu_star, mode, grid, weighting,
+                                  cfg.homology_dims) for k in windows])
+
+
+@pytest.mark.parametrize("repeats", [True, False])
+def test_every_window_reads_its_own_image_from_the_distinct_ones(repeats):
+    # repeats: a periodic planted cycle, whose windows share diagrams; else random graphs
+    if repeats:
+        data = gen_synthetic(n_nodes=8, length=24, period=4, seed=4)
+        network, features = data.network, data.features
+    else:
+        network, features = _random_series(seed=5, length=12)
+    cfg = RunConfig(nu_star=0.6, tau=4, horizon=2, resolution=12, homology_dims=(1, 0))
+    batch = assemble_batches(network, features, cfg)
+    windows = range(len(batch))
+    assert (len(batch.images) < len(batch)) is repeats
+    assert batch.index.dtype == np.intp and sorted(set(batch.index)) == list(range(len(batch.images)))
+    want = _own_images(network, cfg, windows)
+    assert batch.images[batch.index].tobytes() == want.tobytes()
+    # in the order windows first show them
+    first = [list(batch.index).index(u) for u in range(len(batch.images))]
+    assert first == sorted(first)
+
+
+def test_a_sliced_batch_holds_only_the_images_it_indexes():
+    data = gen_synthetic(n_nodes=8, length=24, period=4, seed=4)
+    cfg = RunConfig(nu_star=0.6, tau=4, horizon=2, resolution=12, homology_dims=(0, 1))
+    batch = assemble_batches(data.network, data.features, cfg)
+    assert len(batch.images) < len(batch)
+    rng = np.random.default_rng(0)
+    for key in [slice(0, 5), slice(7, None), slice(3, 4), 6, np.array([9, 2, 9]),
+                rng.permutation(len(batch))[:7], np.array([], dtype=np.intp)]:
+        part = batch[key]
+        rows = np.atleast_1d(np.arange(len(batch))[key])
+        assert np.array_equal(part.inputs, batch.inputs[rows])
+        assert np.array_equal(part.images[part.index], batch.images[batch.index[rows]])
+        assert sorted(set(part.index)) == list(range(len(part.images)))
+    # the training part keeps exactly the images of its windows, so their maximum is exact
+    train = net.chronological_split(batch, cfg.split).train
+    assert len(train.images) == len(set(batch.index[: len(train)]))
+    assert train.images.max() == batch.images[batch.index[: len(train)]].max()
+
+
+def test_an_empty_run_of_windows_has_no_image():
+    data = gen_synthetic(n_nodes=8, length=20, period=4, seed=4)
+    cfg = RunConfig(nu_star=0.5, tau=4, horizon=2, resolution=10)
+    empty = assemble_batches(data.network, data.features, cfg, range(3, 3))
+    assert len(empty) == 0
+    assert empty.images.shape == (0, 10, 10) and empty.index.shape == (0,)
+    assert empty[:].images.shape == (0, 10, 10)
 
 
 def _random_series(seed, n=7, length=9, edge_prob=0.4):
@@ -718,12 +828,13 @@ def test_assemble_batches_of_a_run_equals_the_full_assembly_indexed(tau):
                     weight_kind="constant")  # tau = 1 gives only zero-persistence points
     full = assemble_batches(network, features, cfg)
     n = len(network) - 2 - tau + 1
-    assert len(full) == n and full.image.any()
+    assert len(full) == n and full.images.any()
     for start in range(n + 1):
         for stop in range(start, n + 1):
             part = assemble_batches(network, features, cfg, range(start, stop))
-            for field in ("inputs", "image", "targets"):
-                got, want = getattr(part, field), getattr(full, field)[start:stop]
+            for got, want in [(part.inputs, full.inputs[start:stop]),
+                              (part.images[part.index], full.images[full.index[start:stop]]),
+                              (part.targets, full.targets[start:stop])]:
                 assert got.shape == want.shape and got.tobytes() == want.tobytes()
     for bad in (range(0, n + 1), range(-1, 2), range(0, n, 2)):
         with pytest.raises(ValueError, match="is not a run of the"):
@@ -925,7 +1036,10 @@ def test_an_image_batch_above_the_budget_is_refused_before_any_zigzag_work(monke
     data = gen_synthetic(n_nodes=8, length=20, seed=4)
     cfg = RunConfig(nu_star=0.5, tau=4, horizon=2, resolution=10)  # 15 windows of 100 pixels
     monkeypatch.setattr(pipeline, "MAX_IMAGE_DOUBLES", 1500)
-    assert len(assemble_batches(data.network, data.features, cfg)) == 15
+    batch = assemble_batches(data.network, data.features, cfg)
+    assert len(batch) == 15
+    # the bound counts windows, not the fewer distinct images the batch holds
+    assert len(batch.images) < 15
     monkeypatch.setattr(pipeline, "MAX_IMAGE_DOUBLES", 1499)
     monkeypatch.setattr(pipeline, "zigzag_series", _never)
     message = ("^15 windows of tau 4 at resolution 10 need 1500 image doubles, "

@@ -28,7 +28,10 @@ from reference_net import ArrayAdam
 
 
 def make_batches(cfg, count, seed=0):
-    """``count`` random windows, drawn one after another, as one stacked Batch."""
+    """``count`` random windows, drawn one after another, as one stacked Batch.
+
+    Every window has an image of its own, so its index runs 0, 1, ...
+    """
     rng = np.random.default_rng(seed)
     samples = [
         (
@@ -38,7 +41,8 @@ def make_batches(cfg, count, seed=0):
         )
         for _ in range(count)
     ]
-    return Batch(*(np.stack(parts) for parts in zip(*samples)))
+    inputs, images, targets = (np.stack(parts) for parts in zip(*samples))
+    return Batch(inputs, images, np.arange(count), targets)
 
 
 def small_cfg(**kw):
@@ -61,7 +65,8 @@ def test_chronological_split_counts():
     # time order preserved: each part is a slice of the stack
     for part, (lo, hi) in zip((ds.train, ds.val, ds.test), [(0, 6), (6, 8), (8, 10)]):
         assert np.array_equal(part.inputs, batches.inputs[lo:hi])
-        assert np.array_equal(part.image, batches.image[lo:hi])
+        assert np.array_equal(part.images, batches.images[lo:hi])
+        assert np.array_equal(part.index, np.arange(hi - lo))
         assert np.array_equal(part.targets, batches.targets[lo:hi])
     # the same boundaries for any sequence that slices
     assert chronological_split(range(10), (0.6, 0.2, 0.2)) == Dataset(
@@ -89,7 +94,7 @@ def test_batch_indexing_keeps_the_batch_axis():
     assert len(batches) == 5 and len(batches[:0]) == 0
     one = batches[-1]
     assert len(one) == 1 and one.inputs.shape == (1, cfg.window, cfg.n_nodes, cfg.in_features)
-    assert np.array_equal(one.image, batches.image[4:])
+    assert np.array_equal(one.images, batches.images[4:]) and one.index.tolist() == [0]
     picked = batches[np.array([3, 0])]
     assert np.array_equal(picked.targets, batches.targets[[3, 0]])
 
@@ -165,7 +170,7 @@ def test_normalization_fits_on_train_only():
     # blow up the test split; the input scaler must ignore it
     inputs = batches.inputs.copy()
     inputs[-1] *= 100.0
-    ds = chronological_split(Batch(inputs, batches.image, batches.targets), (0.8, 0.2))
+    ds = chronological_split(replace(batches, inputs=inputs), (0.8, 0.2))
     result = train(ds, cfg)
     assert float(result.input_hi.max()) <= 1.0  # raw inputs were in [0, 1]
 
@@ -186,7 +191,7 @@ def test_adam_moves_toward_minimum():
     adam = Adam()
     losses = []
     for _ in range(60):
-        pred, cache = forward(batch.inputs, batch.image, params, cfg, want_cache=True)
+        pred, cache = forward(batch.inputs, batch.images, batch.index, params, cfg, want_cache=True)
         loss, dpred = mae_loss_and_grad(pred, batch.targets)
         losses.append(loss)
         adam.step(params, backward(cache, dpred), lr=0.01)
