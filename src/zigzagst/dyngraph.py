@@ -9,8 +9,8 @@ operations are pure, so snapshots can be shared freely across threads.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from numbers import Integral
+from dataclasses import dataclass, fields
+from numbers import Integral, Real
 from types import MappingProxyType
 from typing import Iterable, Iterator, Mapping, Sequence
 
@@ -59,6 +59,36 @@ def is_int(x) -> bool:
     return type(x) is int or (isinstance(x, Integral) and not isinstance(x, bool))
 
 
+def is_real(x) -> bool:
+    """A Python or numpy real number, and not a ``bool``: the one float rule of the library."""
+    # a float skips the abstract-class test, as in is_int
+    return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
+
+
+# annotation -> (its rule, what the rule asks for)
+_FIELD_RULES = {
+    "int": (is_int, "an integer"),
+    "float": (is_real, "a real number"),
+    "bool": (lambda x: isinstance(x, (bool, np.bool_)), "a boolean"),
+    "str": (lambda x: isinstance(x, str), "a string"),
+}
+
+
+def check_fields(obj, prefix: str = "") -> None:
+    """Refuse a field of dataclass ``obj`` whose value breaks its annotation's rule.
+
+    Annotations are strings under ``from __future__ import annotations``.
+    An ``int`` field must pass ``is_int``, a ``float`` field ``is_real``, a
+    ``bool`` field must be a Python or numpy bool and a ``str`` field a
+    string; any other annotation is the type's own to check.  The
+    ``ValueError`` reads ``{prefix}{name} must be ..., got {value!r}``.
+    """
+    for f in fields(obj):
+        rule, wanted = _FIELD_RULES.get(f.type, (None, None))
+        if rule is not None and not rule(value := getattr(obj, f.name)):
+            raise ValueError(f"{prefix}{f.name} must be {wanted}, got {value!r}")
+
+
 def _node_id(x, edge: tuple | None = None) -> int:
     """A node id as an int; it must pass ``is_int``.
 
@@ -78,6 +108,13 @@ def _node_ids(u, v) -> Edge:
     return _node_id(u, (u, v)), _node_id(v, (u, v))
 
 
+def _weight(w, edge: Edge) -> float:
+    """A weight as a float; it must pass ``is_real``, or a ``ValueError`` names ``edge``."""
+    if not is_real(w):
+        raise ValueError(f"weight {edge!r} = {w!r} is not a real number")
+    return float(w)
+
+
 def _check_edge(u: int, v: int, w: float) -> None:
     if u == v:
         raise ValueError(f"self loop on node {u}")
@@ -93,7 +130,9 @@ class Snapshot:
     (u < v) keys, which makes symmetry exact by construction.  ``nodes``
     is the set of active nodes and must cover every weighted endpoint.
     Node ids, in ``nodes`` and in the weight keys, must be integers
-    (``_node_id``), so every snapshot writes a CSV that reads back.
+    (``_node_id``), and weights real numbers that are not ``bool``s
+    (``_weight``), so every snapshot writes a CSV that reads back;
+    ``index`` and ``universe_size`` must be integers (``check_fields``).
     ``Snapshot(...)`` checks all of this and drops zero weights; the
     library builds snapshots from parts that are already checked (a
     union of two snapshots, rows the reader has checked) through
@@ -106,9 +145,7 @@ class Snapshot:
     weights: Mapping[Edge, float]
 
     def __post_init__(self):
-        for name in ("index", "universe_size"):
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"snapshot {name} must be an integer, got {getattr(self, name)!r}")
+        check_fields(self, "snapshot ")
         if self.index < 1:
             raise ValueError(f"snapshot index must be >= 1, got {self.index}")
         if self.universe_size < 1:
@@ -122,7 +159,7 @@ class Snapshot:
             u, v = _node_ids(u, v)
             if u > v:
                 raise ValueError(f"weight key {(u, v)} is not canonical (u < v)")
-            w = float(w)
+            w = _weight(w, (u, v))
             _check_edge(u, v, w)
             if w == 0.0:
                 continue
@@ -142,14 +179,15 @@ class Snapshot:
         """Build a snapshot from (u, v, w) triples in either orientation.
 
         If the same pair appears twice the weights must agree exactly.
-        Node ids must be integers (``_node_id``).  Active nodes default
+        Node ids must be integers (``_node_id``) and weights real numbers
+        (``_weight``), checked before any is converted.  Active nodes default
         to the endpoints of positive-weight edges; pass ``nodes`` to
         include isolated active nodes.
         """
         weights: dict[Edge, float] = {}
         for u, v, w in edges:
             key = _canonical(*_node_ids(u, v))
-            w = float(w)
+            w = _weight(w, key)
             if key in weights and weights[key] != w:
                 raise ValueError(f"conflicting weights for edge {key}: {weights[key]} vs {w}")
             weights[key] = w
@@ -223,20 +261,27 @@ class DynamicNetwork:
 
 @dataclass(frozen=True)
 class FeatureSeries:
-    """T x N x F array of node features; row 0 is time step ``start``."""
+    """T x N x F array of node features; row 0 is time step ``start``.
+
+    ``start`` must be an integer (``check_fields``), and ``values`` finite
+    numbers of an integer or float dtype: an array of ``bool``s, strings
+    or objects is refused, not converted.  The values are stored as a
+    read-only float64 copy.
+    """
 
     values: np.ndarray
     start: int = 1
 
     def __post_init__(self):
-        if not is_int(self.start):
-            raise ValueError(f"feature start must be an integer, got {self.start!r}")
-        arr = np.asarray(self.values, dtype=np.float64)
+        check_fields(self, "feature ")
+        arr = np.asarray(self.values)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"feature values must be real numbers, got {arr.dtype} values")
+        arr = arr.astype(np.float64)  # a copy
         if arr.ndim != 3 or arr.shape[2] < 1:
             raise ValueError(f"features must have shape (T, N, F), got {arr.shape}")
         if not np.all(np.isfinite(arr)):
             raise ValueError("feature values must be finite")
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "values", arr)
 

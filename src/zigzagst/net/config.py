@@ -11,7 +11,7 @@ from typing import Iterator
 
 import numpy as np
 
-from ..dyngraph import is_int
+from ..dyngraph import check_fields
 from .layers import ENCODER_FILTERS, ENCODER_KERNEL, zpi_encoder_output_size
 
 __all__ = [
@@ -33,8 +33,10 @@ class ModelConfig:
 
     ``hidden`` is the full layer width; the spatial and temporal branches
     each produce half of it and are concatenated.  The image encoder's
-    shape is fixed by the ``layers.ENCODER_*`` constants.  Every ``int``
-    field must be an integer (``dyngraph.is_int``), so 4.0 is refused.
+    shape is fixed by the ``layers.ENCODER_*`` constants.  Every field
+    must hold its annotation's kind (``dyngraph.check_fields``): an ``int``
+    field an integer, so 4.0 is refused, and a ``float`` field a real
+    number that is not a ``bool``, so ``learning_rate=True`` is refused.
     """
 
     n_nodes: int
@@ -55,9 +57,7 @@ class ModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):  # annotations are strings under the __future__ import
-            if f.type == "int" and not is_int(getattr(self, f.name)):
-                raise ValueError(f"{f.name} must be an integer, got {getattr(self, f.name)!r}")
+        check_fields(self)
         positive = (
             "n_nodes", "in_features", "out_features", "embed_dim", "window",
             "horizon", "hidden", "num_layers", "zpi_resolution", "batch_size", "epochs",

@@ -11,7 +11,6 @@ import math
 import os
 import re
 from dataclasses import dataclass, fields, replace
-from numbers import Real
 
 import numpy as np
 
@@ -20,7 +19,9 @@ from .dyngraph import (
     DynamicNetwork,
     FeatureSeries,
     Snapshot,
+    check_fields,
     is_int,
+    is_real,
     read_feature_csv,
     read_snapshot_csv,
     window_count,
@@ -51,6 +52,7 @@ from .zpi import (
     default_theta,
     format_pgm,
     format_zpi,
+    image_rows,
     render_zpi,
     write_pgm,
     write_zpi,
@@ -93,12 +95,15 @@ class RunConfig:
     """Flat key-value run configuration; every key is overridable.
 
     Construction refuses every setting whose check needs neither the data
-    nor the model, every integer setting (an ``int`` default, and each
-    of ``homology_dims``) that is not an integer (``dyngraph.is_int``), and
-    every float setting (a ``float`` default, and each of ``split``) that
-    is not a real number or is a ``bool`` (``_is_real``), so
-    a bad value is refused the same way from a file, from ``--set`` or from
-    ``dataclasses.replace``, before any command starts.  What stays for
+    nor the model, and every setting that does not hold its annotation's
+    kind (``dyngraph.check_fields``): an ``int`` setting, and each of
+    ``homology_dims``, must be an integer (``dyngraph.is_int``); a
+    ``float`` setting, and each of ``split``, a real number that is not a
+    ``bool`` (``dyngraph.is_real``); ``check`` a boolean; and a ``str``
+    setting a string.  So a bad value is refused the same way from a
+    file, from ``--set`` or from ``dataclasses.replace``, before any
+    command starts.  A file's or ``--set``'s text is parsed by the same
+    annotations (``_coerce``).  What stays for
     the commands: ``require_nu_star`` (``nu_star`` has no default, and
     ``zpi``, ``distance``, ``synth`` and ``gradcheck`` run without it), the
     checks against the data (``tau`` and ``horizon`` against the series
@@ -144,14 +149,9 @@ class RunConfig:
     synth_noise: float = 0.1
 
     def __post_init__(self):
-        for name in _INT_KEYS:
-            if not is_int(getattr(self, name)):
-                raise ValueError(f"{name} must be an integer, got {getattr(self, name)!r}")
-        for name in _FLOAT_KEYS:
-            if not _is_real(getattr(self, name)):
-                raise ValueError(f"{name} must be a real number, got {getattr(self, name)!r}")
+        check_fields(self)
         for fraction in self.split:
-            if not _is_real(fraction):
+            if not is_real(fraction):
                 raise ValueError(f"split: fraction must be a real number, got {fraction!r}")
         if self.filtration not in _MODE_NAMES:
             raise ValueError(
@@ -228,39 +228,29 @@ class RunConfig:
         return _ABLATIONS[self.ablation]
 
 
-_DEFAULTS = {f.name: f.default for f in fields(RunConfig)}
-_INT_KEYS = tuple(key for key, value in _DEFAULTS.items() if type(value) is int)
-_FLOAT_KEYS = tuple(key for key, value in _DEFAULTS.items() if type(value) is float)
-
-
-def _is_real(x) -> bool:
-    """A real number, and not a ``bool``: the float settings' rule."""
-    return isinstance(x, Real) and not isinstance(x, bool)
-
+_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # each setting's annotation
+_NUMBERS = {"int": int, "float": float, "tuple[int, ...]": int, "tuple[float, ...]": float}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(key: str, value: str):
-    if key not in _DEFAULTS:
+    """The text ``value`` of setting ``key`` parsed as its annotation declares."""
+    if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {key!r}")
-    current = _DEFAULTS[key]
-    if isinstance(current, bool):
+    annotation = _FIELD_TYPES[key]
+    if annotation == "bool":
         if value.lower() not in _BOOLEANS:
             raise ValueError(f"{key} must be one of {sorted(_BOOLEANS)}, got {value!r}")
         return _BOOLEANS[value.lower()]
-    if isinstance(current, tuple):
-        kind = float if current and isinstance(current[0], float) else int
-        parts = value.replace(",", " ").split()
-    elif isinstance(current, (int, float)):
-        kind, parts = type(current), [value]
-    else:
+    if annotation not in _NUMBERS:
         return value
+    kind, many = _NUMBERS[annotation], annotation.startswith("tuple")
     try:
-        numbers = tuple(kind(p) for p in parts)
+        numbers = tuple(map(kind, value.replace(",", " ").split() if many else [value]))
     except ValueError:
         raise ValueError(f"{key} expects {kind.__name__} values, got {value!r}") from None
-    return numbers if isinstance(current, tuple) else numbers[0]
+    return numbers if many else numbers[0]
 
 
 # ---------------------------------------------------------------------------
@@ -399,21 +389,21 @@ def assemble_batches(
     Window k reads snapshots k .. k + tau - 1 and predicts the ``horizon``
     after them; ``_batch_windows`` checks the features and the windows.
     The series engine runs only on the snapshots the windows cover.  A
-    window's image depends only on its diagram's rows in
-    ``homology_dims``, so each distinct set of rows is rendered once, in
-    the order windows first show it, and the batch indexes it from every
-    window that has it.  ``MAX_IMAGE_DOUBLES`` bounds the images as if
-    every window's were distinct.
+    window's image depends only on its diagram's rows that weigh in the
+    image (``zpi.image_rows`` in ``homology_dims``), so each distinct set
+    of them is rendered once, in the order windows first show it, and the
+    batch indexes it from every window that has it.  ``MAX_IMAGE_DOUBLES``
+    bounds the images as if every window's were distinct.
     """
     nu = config.require_nu_star()
     windows = _batch_windows(network, features, config, windows)
     tau, h, p = config.tau, config.horizon, config.resolution
     grid, weighting = config.grid_spec(), config.weighting()
     images, index = np.zeros((len(windows), p, p)), np.empty(len(windows), np.intp)
-    distinct: dict[tuple, int] = {}  # a diagram's rows in homology_dims -> its image
+    distinct: dict[tuple, int] = {}  # a diagram's image rows in homology_dims -> its image
     snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
     for k, zpd in enumerate(zigzag_series(snapshots, tau, nu, config.filtration_mode())):
-        key = tuple(row for row in zpd.rows if row[0] in config.homology_dims)
+        key = image_rows(zpd, config.homology_dims, weighting)
         if key not in distinct:
             distinct[key] = len(distinct)
             for dim in config.homology_dims:  # multiple dimensions sum pixelwise
@@ -434,7 +424,7 @@ def assemble_batches(
 def _model_config(config: RunConfig, n_nodes: int, in_features: int) -> net.ModelConfig:
     """The network of ``config``: every model field a run setting of the same name sets."""
     shared = {f.name: getattr(config, f.name) for f in fields(net.ModelConfig)
-              if f.name in _DEFAULTS}
+              if f.name in _FIELD_TYPES}
     return net.ModelConfig(n_nodes=n_nodes, in_features=in_features, window=config.tau,
                            zpi_resolution=config.resolution, **shared)
 
@@ -560,9 +550,10 @@ def cmd_zpi(config: RunConfig) -> dict:
 
     Every diagram is read before any image is written, and one with a
     death past ``tau``, from a longer window, is refused.  An image
-    depends only on its dimension's diagram rows, so each distinct image
-    is rendered and formatted once; its text is written for every window
-    that has it, in window order, and dropped after the last of them.
+    depends only on its dimension's rows that weigh in it
+    (``zpi.image_rows``), so each distinct image is rendered and
+    formatted once; its text is written for every window that has it, in
+    window order, and dropped after the last of them.
     """
     out = config.outdir
     grid, weighting = config.grid_spec(), config.weighting()
@@ -576,10 +567,10 @@ def cmd_zpi(config: RunConfig) -> dict:
         if twice_death > 2 * config.tau:
             raise ValueError(f"{os.path.join(out, name)}: death {twice_death / 2:g} lies past "
                              f"tau = {config.tau}; the diagram is from a longer window")
-    keys = [[(dim, tuple(row for row in zpd.rows if row[0] == dim)) for dim in config.homology_dims]
+    keys = [[(dim, image_rows(zpd, (dim,), weighting)) for dim in config.homology_dims]
             for zpd in diagrams]
     last = {key: k for k, window in enumerate(keys) for key in window}
-    texts: dict[tuple, tuple[str, str]] = {}  # (dim, rows) -> .zpi and .pgm text
+    texts: dict[tuple, tuple[str, str]] = {}  # (dim, image rows) -> .zpi and .pgm text
     written = []
     for k, (name, zpd) in enumerate(zip(names, diagrams)):
         stem = name[: -len(".csv")]

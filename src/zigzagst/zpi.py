@@ -16,7 +16,8 @@ from typing import Sequence
 import numpy as np
 
 from . import textio
-from .zigzag import check_point_row
+from .dyngraph import check_fields
+from .zigzag import ZPD, check_point_row
 
 __all__ = [
     "MAX_RESOLUTION",
@@ -25,6 +26,7 @@ __all__ = [
     "ZPIGrid",
     "default_domain",
     "default_theta",
+    "image_rows",
     "render_zpi",
     "format_zpi",
     "write_zpi",
@@ -40,7 +42,11 @@ MAX_RESOLUTION = 1000
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Raster geometry: p x p boxes over a birth-persistence rectangle."""
+    """Raster geometry: p x p boxes over a birth-persistence rectangle.
+
+    ``resolution`` must be an integer and the rest real numbers, none a
+    ``bool`` (``dyngraph.check_fields``).
+    """
 
     resolution: int
     x_lo: float
@@ -50,6 +56,7 @@ class GridSpec:
     theta: float
 
     def __post_init__(self):
+        check_fields(self)
         if self.resolution < 1:
             raise ValueError(f"resolution must be >= 1, got {self.resolution}")
         if self.resolution > MAX_RESOLUTION:
@@ -64,12 +71,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class WeightingSpec:
-    """Point weight g: linear in persistence (capped) or constant one."""
+    """Point weight g: linear in persistence (capped) or constant one.
+
+    ``kind`` must be a string and ``cap`` a real number that is not a
+    ``bool`` (``dyngraph.check_fields``).
+    """
 
     kind: str = "linear"
     cap: float = math.inf
 
     def __post_init__(self):
+        check_fields(self)
         if self.kind not in ("linear", "constant"):
             raise ValueError(f"unknown weighting kind {self.kind!r}")
         if not self.cap > 0.0:
@@ -127,6 +139,17 @@ def default_theta(domain: tuple[float, float, float, float], resolution: int) ->
     """Pixel-scale smoothing: two grid steps of the birth axis."""
     x_lo, x_hi = domain[0], domain[1]
     return 2.0 * (x_hi - x_lo) / resolution
+
+
+def image_rows(zpd: ZPD, dims: Sequence[int], w: WeightingSpec) -> tuple:
+    """The rows of ``zpd`` in ``dims`` that weigh in its image: those of nonzero weight.
+
+    ``render_zpi`` skips a row of weight 0, a zero-persistence row under
+    ``linear`` weighting, so diagrams with the same image rows in a
+    dimension have the same image there, bit for bit.
+    """
+    return tuple(row for row in zpd.rows
+                 if row[0] in dims and w.weight((row[2] - row[1]) / 2.0) != 0.0)
 
 
 def render_zpi(

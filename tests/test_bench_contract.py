@@ -12,7 +12,7 @@ import sys
 import numpy as np
 import pytest
 
-from zigzagst import dyngraph, gf2, net, pipeline, zigzag
+from zigzagst import dyngraph, gf2, net, pipeline, zigzag, zpi
 from util import independent_snapshots
 
 PERFBENCH = os.path.join(os.path.dirname(__file__), os.pardir, "perfbench")
@@ -88,10 +88,11 @@ def test_split_and_assembly_sizes_the_benchmark_reads(tracing):
     assert counter.assembled == [8, 3]
 
 
-def _distinct_images(zpd_paths, dims) -> int:
-    """The distinct (dim, rows) images of the diagrams at ``zpd_paths``."""
-    return len({(dim, tuple(row for row in zigzag.read_zpd_csv(path).rows if row[0] == dim))
-                for path in zpd_paths for dim in dims})
+def _distinct_images(zpd_paths, dims, cfg) -> int:
+    """The distinct (dim, image) pairs of the diagrams at ``zpd_paths``, each rendered alone."""
+    grid, weighting = cfg.grid_spec(), cfg.weighting()
+    return len({(dim, zpi.render_zpi(zigzag.read_zpd_csv(path).points(dim), grid, weighting)
+                 .pixels.tobytes()) for path in zpd_paths for dim in dims})
 
 
 def test_cmd_zpi_reaches_the_wrapped_image_functions(tmp_path, monkeypatch):
@@ -117,7 +118,7 @@ def test_cmd_zpi_reaches_the_wrapped_image_functions(tmp_path, monkeypatch):
     assert windows == 6
     written = pipeline.cmd_zpi(cfg)["zpi"]
     assert len(written) == 2 * windows
-    distinct = _distinct_images(zigzagged["zpd"], (0, 1))
+    distinct = _distinct_images(zigzagged["zpd"], (0, 1), cfg)
     assert distinct < 2 * windows  # the series repeats an image
     assert len(calls["render_zpi"]) == distinct
     assert all(isinstance(args[0], list) for args in calls["render_zpi"])
@@ -141,7 +142,7 @@ def test_cmd_zpi_and_cmd_distance_run_under_the_count_pass(tracing, tmp_path):
         costs = [pipeline.cmd_distance(cfg, paths[0], paths[1], dim)["cost"] for dim in (0, 1)]
     assert len(written) == 2 * len(paths)
     assert all(cost >= 0.0 for cost in costs)
-    assert counter.n["zpi.render_calls"] == _distinct_images(paths, (0, 1)) < len(written)
+    assert counter.n["zpi.render_calls"] == _distinct_images(paths, (0, 1), cfg) < len(written)
     files = [path[: -len(".zpi")] + suffix for path in written for suffix in (".zpi", ".pgm")]
     assert counter.n["zpi.bytes_written"] == sum(map(os.path.getsize, files))
     assert counter.n["metrics.wasserstein1_calls"] == 2

@@ -236,24 +236,36 @@ def test_only_textio_opens_files_for_reading():
     assert readers == [], "read text files through zigzagst.textio.lines"
 
 
-def _lines_naming_integral(tree: ast.AST) -> list[int]:
-    """The line of each reference to ``Integral`` in ``tree``, imports aside."""
+def _lines_naming(tree: ast.AST, abstract: str) -> list[int]:
+    """The line of each reference to ``abstract`` (a ``numbers`` class) in ``tree``, imports aside."""
     return [node.lineno for node in ast.walk(tree)
-            if getattr(node, "id", None) == "Integral" or getattr(node, "attr", None) == "Integral"]
+            if getattr(node, "id", None) == abstract or getattr(node, "attr", None) == abstract]
 
 
-def test_only_the_integer_rule_names_integral():
-    """The rule "a Python or numpy integer, not a ``bool``" is written once, as ``dyngraph.is_int``."""
+def _uses_and_rule(abstract: str, rule_name: str) -> tuple[list[str], list[str]]:
+    """Where ``src/`` names ``abstract``, and where ``dyngraph.<rule_name>`` does."""
     uses, rule = [], []
     for path in SRC.rglob("*.py"):
         tree = ast.parse(path.read_text(encoding="utf-8"))
         name = path.relative_to(SRC)
-        uses += [f"{name}:{line}" for line in _lines_naming_integral(tree)]
+        uses += [f"{name}:{line}" for line in _lines_naming(tree, abstract)]
         if path.name == "dyngraph.py":
             rule += [f"{name}:{line}" for node in tree.body
-                     if isinstance(node, ast.FunctionDef) and node.name == "is_int"
-                     for line in _lines_naming_integral(node)]
-    assert rule and sorted(uses) == sorted(rule), "test integers with zigzagst.dyngraph.is_int"
+                     if isinstance(node, ast.FunctionDef) and node.name == rule_name
+                     for line in _lines_naming(node, abstract)]
+    return sorted(uses), sorted(rule)
+
+
+def test_only_the_integer_rule_names_integral():
+    """The rule "a Python or numpy integer, not a ``bool``" is written once, as ``dyngraph.is_int``."""
+    uses, rule = _uses_and_rule("Integral", "is_int")
+    assert rule and uses == rule, "test integers with zigzagst.dyngraph.is_int"
+
+
+def test_only_the_float_rule_names_real():
+    """The rule "a real number, not a ``bool``" is written once, as ``dyngraph.is_real``."""
+    uses, rule = _uses_and_rule("Real", "is_real")
+    assert rule and uses == rule, "test real numbers with zigzagst.dyngraph.is_real"
 
 
 def test_only_the_run_input_step_reads_feature_files():

@@ -9,7 +9,7 @@ from scipy.special import ndtr
 
 import reference_zpi
 from util import expand, independent_snapshots, persistence_rows, random_dynamic_network
-from zigzagst.zigzag import compute_zigzag_persistence, zigzag_series
+from zigzagst.zigzag import ZPD, compute_zigzag_persistence, zigzag_series
 from zigzagst.zpi import (
     MAX_RESOLUTION,
     GridSpec,
@@ -18,6 +18,7 @@ from zigzagst.zpi import (
     _cdf_steps,
     default_domain,
     default_theta,
+    image_rows,
     read_zpi,
     render_zpi,
     write_pgm,
@@ -70,6 +71,21 @@ def test_weighting_spec():
         WeightingSpec("quadratic")
     with pytest.raises(ValueError):
         WeightingSpec("linear", cap=0.0)
+
+
+def test_image_rows_are_the_rows_of_nonzero_weight():
+    # two diagrams apart only in zero-persistence rows: (dim, 2 birth, 2 death, count)
+    a = ZPD(((1, 2, 2, 1), (1, 3, 6, 2), (0, 4, 4, 3), (0, 2, 7, 1)))
+    b = ZPD(((1, 3, 6, 2), (1, 5, 5, 1), (0, 2, 7, 1)))
+    linear, constant, g = WeightingSpec("linear"), WeightingSpec("constant"), grid(res=8)
+    assert image_rows(a, (1,), linear) == ((1, 3, 6, 2),)
+    assert image_rows(a, (0, 1), linear) == image_rows(b, (1, 0), linear) == ((0, 2, 7, 1), (1, 3, 6, 2))
+    assert image_rows(a, (0, 1), constant) == a.rows
+    for dim in (0, 1):
+        assert (render_zpi(a.points(dim), g, linear).pixels.tobytes()
+                == render_zpi(b.points(dim), g, linear).pixels.tobytes())
+    assert not np.array_equal(render_zpi(a.points(1), g, constant).pixels,
+                              render_zpi(b.points(1), g, constant).pixels)
 
 
 def test_zpigrid_validation():
