@@ -15,7 +15,7 @@ import math
 from typing import Iterable, Mapping
 
 from . import gf2, textio
-from .dyngraph import Snapshot
+from .dyngraph import Snapshot, _node_id
 
 Simplex = tuple[int, ...]
 
@@ -58,23 +58,24 @@ class SimplicialComplex:
     triangle is built when there are more than ``MAX_TRIANGLES``: a graph
     with m edges holds at most (2m)^1.5 / 6 triangles (Rivin, 2002), and
     only a graph whose bound exceeds the budget has them counted exactly.
+    A vertex is a node id (``dyngraph._node_id``): a float such as 1.5, a
+    ``bool`` or a string is refused, never truncated.
     """
 
     __slots__ = ("vertices", "edges", "triangles", "_vset", "_eset")
 
     def __init__(self, vertices: Iterable[int], edges: Iterable[tuple[int, int]]):
-        vs = frozenset(int(v) for v in vertices)
+        vs = frozenset(v if type(v) is int else _node_id(v) for v in vertices)
         verts = tuple(sorted(vs))
         bit = {v: 1 << i for i, v in enumerate(verts)}
         up = dict.fromkeys(verts, 0)  # up[a] has bit[b] for every edge (a, b) with a < b
         for u, v in edges:
-            a, b = (u, v) if u < v else (v, u)
-            if a == b:
-                continue
             try:
-                up[a] |= bit[b]
-            except KeyError:
-                raise ValueError(f"edge {(a, b)} endpoint outside vertex set") from None
+                a, b = (u, v) if u < v else (v, u)
+                if a != b:
+                    up[a] |= bit[b]
+            except (KeyError, TypeError):  # a TypeError: an endpoint that does not compare
+                raise ValueError(f"edge {(u, v)} endpoint outside vertex set") from None
         m = sum(x.bit_count() for x in up.values())
         if 8 * m**3 > 36 * MAX_TRIANGLES**2:  # the bound (2m)^1.5 / 6 exceeds the budget
             ranked = list(up.values())  # in vertex order: bit i stands for ranked[i]'s vertex

@@ -121,13 +121,14 @@ class ModelParams:
     @classmethod
     def over(cls, flat: np.ndarray, shapes: list[tuple[int, ...]]) -> "ModelParams":
         """Parameters viewing consecutive slices of ``flat``, one per shape in ``named_arrays()`` order."""
+        n = sum(map(math.prod, shapes))
+        if flat.shape != (n,):
+            raise ValueError(f"parameter vector has shape {flat.shape}, expected ({n},)")
         views, at = [], 0
         for shape in shapes:
             size = math.prod(shape)
             views.append(flat[at : at + size].reshape(shape))
             at += size
-        if flat.shape != (at,):
-            raise ValueError(f"parameter vector has shape {flat.shape}, expected ({at},)")
         embedding, time_mix, *stacked, out_w, out_b = views
         per_layer = len(fields(LayerParams))
         layers = [LayerParams(*stacked[i : i + per_layer]) for i in range(0, len(stacked), per_layer)]
@@ -141,12 +142,6 @@ class ModelParams:
                 yield f"layers.{i}.{fname}", arr
         yield "out_w", self.out_w
         yield "out_b", self.out_b
-
-    def get(self, name: str) -> np.ndarray:
-        obj = self
-        for part in name.split("."):
-            obj = obj[int(part)] if isinstance(obj, list) else getattr(obj, part)
-        return obj
 
     def zeros_like(self) -> "ModelParams":
         return ModelParams.over(np.zeros_like(self.flat), self._shapes())
@@ -235,7 +230,9 @@ def save_checkpoint(path, result: TrainResult, settings: dict) -> None:
     """Versioned npz of a trained network and ``settings``; the history is not stored.
 
     ``settings`` is a JSON-able dict of the data-side settings the
-    training windows were made with.  Version 8 has three members:
+    training windows were made with.  A numpy scalar, in ``settings`` or
+    in the config, is stored as its Python value (``.item()``), which
+    compares equal to it.  Version 8 has three members:
     ``checkpoint_version``; ``header_json``, the JSON of ``{"config": ...,
     "settings": ...}``; and ``arrays``, one float64 vector of
     ``params.flat`` followed by ``input_lo``, ``input_hi`` and
@@ -245,11 +242,18 @@ def save_checkpoint(path, result: TrainResult, settings: dict) -> None:
     np.savez(
         path,
         checkpoint_version=np.int64(CHECKPOINT_VERSION),
-        header_json=np.bytes_(json.dumps(header).encode("ascii")),
+        header_json=np.bytes_(json.dumps(header, default=_plain).encode("ascii")),
         arrays=np.concatenate(
             [result.params.flat, result.input_lo, result.input_hi, [result.image_scale]],
             dtype=np.float64),
     )
+
+
+def _plain(value):
+    """A numpy scalar as its Python value, for ``json.dumps``; anything else is refused."""
+    if isinstance(value, np.generic):
+        return value.item()
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_checkpoint(path) -> tuple[TrainResult, dict]:

@@ -262,18 +262,14 @@ def grad_check(seed: int = 0) -> float:
     grads = backward(cache, dpred)
 
     worst = 0.0
-    for name, arr in params.named_arrays():
-        analytic = grads.get(name)
-        flat = arr.reshape(-1)
-        aflat = analytic.reshape(-1)
-        for idx in range(flat.size):
-            keep = flat[idx]
-            flat[idx] = keep + epsilon
-            up, _ = mae_loss_and_grad(forward(x_win, image, index, params, config), target)
-            flat[idx] = keep - epsilon
-            dn, _ = mae_loss_and_grad(forward(x_win, image, index, params, config), target)
-            flat[idx] = keep
-            numeric = (up - dn) / (2.0 * epsilon)
-            err = abs(aflat[idx] - numeric) / max(abs(aflat[idx]), abs(numeric), 1e-3)
-            worst = max(worst, err)
+    for idx, analytic in enumerate(grads.flat):
+        keep = params.flat[idx]
+        params.flat[idx] = keep + epsilon
+        up, _ = mae_loss_and_grad(forward(x_win, image, index, params, config), target)
+        params.flat[idx] = keep - epsilon
+        dn, _ = mae_loss_and_grad(forward(x_win, image, index, params, config), target)
+        params.flat[idx] = keep
+        numeric = (up - dn) / (2.0 * epsilon)
+        err = abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3)
+        worst = max(worst, err)
     return worst

@@ -95,18 +95,25 @@ class WeightingSpec:
 
 @dataclass(frozen=True)
 class ZPIGrid:
-    """Rendered image; ``pixels[iy, ix]`` with row 0 at the lowest persistence."""
+    """Rendered image; ``pixels[iy, ix]`` with row 0 at the lowest persistence.
+
+    ``pixels`` must be finite nonnegative numbers of an integer or float
+    dtype: an array of ``bool``s, strings or objects is refused, not
+    converted.  They are stored as a read-only float64 copy.
+    """
 
     spec: GridSpec
     pixels: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.pixels, dtype=np.float64)
+        arr = np.asarray(self.pixels)
+        if arr.dtype.kind not in "iuf":
+            raise ValueError(f"pixels must be real numbers, got {arr.dtype} values")
+        arr = arr.astype(np.float64)  # a copy
         p = self.spec.resolution
         if arr.shape != (p, p):
             raise ValueError(f"pixels must be {p}x{p}, got {arr.shape}")
         _check_pixels(arr)
-        arr = arr.copy()
         arr.setflags(write=False)
         object.__setattr__(self, "pixels", arr)
 

@@ -14,6 +14,7 @@ import os
 import re
 import string
 import tempfile
+from collections import Counter
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -33,8 +34,10 @@ from zigzagst.dyngraph import (
     write_feature_csv,
     write_snapshot_csv,
 )
-from zigzagst.pipeline import RunConfig
-from zigzagst.zpi import GridSpec, WeightingSpec
+from zigzagst.filtration import SimplicialComplex, read_complex_dump, write_complex_dump
+from zigzagst.pipeline import RunConfig, _checkpoint_settings, _model_config
+from zigzagst.zigzag import ZPD, read_zpd_csv, write_zpd_csv
+from zigzagst.zpi import GridSpec, WeightingSpec, ZPIGrid, read_zpi, write_zpi
 
 # A valid value of each type that checks its fields, and the prefix its messages carry.
 BASELINES = {
@@ -96,6 +99,28 @@ def test_the_rules_take_numpy_scalars_and_integers_as_real_numbers():
     s = Snapshot.from_edges(1, 4, [(0, 1, np.float32(0.25)), (1, 2, 1)])
     assert s.weights == {(0, 1): 0.25, (1, 2): 1.0} and all(type(w) is float for w in s.weights.values())
     assert FeatureSeries(np.ones((1, 2, 1), np.uint8)).values.dtype == np.float64
+
+
+@pytest.mark.parametrize("make, message", [
+    # each was built: the vertex through int(), the pixels converted to float64
+    (lambda: SimplicialComplex([0, 1.5], []), r"node 1\.5 is not an integer"),
+    (lambda: SimplicialComplex([0, True], [(0, True)]), "node True is not an integer"),
+    (lambda: SimplicialComplex([0, "1"], []), "node '1' is not an integer"),
+    (lambda: SimplicialComplex([np.float64(2.0)], []), r"node (np\.float64\()?2\.0\)? is not"),
+    (lambda: ZPIGrid(GridSpec(2, 1, 3, 0, 2, 0.5), np.ones((2, 2), bool)),
+     "pixels must be real numbers, got bool values"),
+    (lambda: ZPIGrid(GridSpec(2, 1, 3, 0, 2, 0.5), [["1.5", "0"], ["0", "2"]]),
+     "pixels must be real numbers, got <U3 values"),
+], ids=lambda x: "" if callable(x) else x)
+def test_a_vertex_or_pixel_of_another_kind_is_refused_not_converted(make, message):
+    with pytest.raises(ValueError, match=f"^{message}"):
+        make()
+
+
+def test_a_numpy_integer_vertex_is_stored_as_an_int():
+    cx = SimplicialComplex([np.int64(2), np.uint8(0), 1], [(np.int64(2), 0)])
+    assert cx.vertices == (0, 1, 2) and all(type(v) is int for v in cx.vertices)
+    assert cx.edges == ((0, 2),)
 
 
 @dataclass
@@ -223,3 +248,115 @@ def test_a_feature_series_is_refused_by_field_or_reads_back_from_its_csv(values,
         write_feature_csv(made, path)
         read = read_feature_csv(path)
     assert read.start == start and read.values.tobytes() == made.values.tobytes()
+
+
+@st.composite
+def _nudged(draw, valid):
+    """A valid tuple of integers from ``valid``, now and then with one entry made close to valid."""
+    value = list(draw(valid))
+    k = draw(st.integers(0, len(value)))  # len(value): leave every entry as drawn
+    if k < len(value):
+        value[k] = draw(st.one_of(st.just(np.int64(value[k])), _close_to_valid_scalars()))
+    return tuple(value)
+
+
+_ROWS = st.tuples(st.integers(0, 1), st.integers(2, 9), st.integers(2, 9), st.integers(1, 3)).map(
+    lambda row: (row[0], min(row[1:3]), max(row[1:3]), row[3]))  # (dim, 2b, 2d, count), b <= d
+
+
+@given(rows=st.lists(_nudged(_ROWS), max_size=3))
+def test_a_diagram_is_refused_by_field_or_reads_back_from_its_csv(rows):
+    try:
+        made = ZPD(tuple(rows))
+    except ValueError as exc:
+        assert str(exc).startswith(("dimension ", "half-index ", "death ", "count ")), str(exc)
+        return
+    points = Counter()
+    for dim, b, d, m in rows:
+        points[dim, b, d] += m
+    assert Counter({row[:3]: row[3] for row in made.rows}) == points
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "zpd.csv")
+        write_zpd_csv(made, path)
+        read = read_zpd_csv(path)
+    assert read == made and all(type(x) is int for row in read.rows for x in row)
+
+
+@st.composite
+def _pixel_arrays(draw):
+    """Arrays near a 2 x 2 image: of each dtype in ``_ARRAY_DTYPES``, now and then misshapen."""
+    dtype = draw(st.sampled_from(_ARRAY_DTYPES))
+    shape = draw(st.sampled_from([(2, 2)] * 4 + [(1, 2), (4,)]))
+    if dtype is object:
+        size = math.prod(shape)
+        scalars = draw(st.lists(_close_to_valid_scalars(), min_size=size, max_size=size))
+        return np.array(scalars, dtype=object).reshape(shape)
+    elements = {"U3": st.text(string.digits + ".", max_size=3)}.get(dtype)
+    if dtype in (np.float64, np.float32) and draw(st.booleans()):  # every pixel valid
+        elements = st.floats(0.0, 1e6, width=8 * np.dtype(dtype).itemsize)
+    return draw(hnp.arrays(dtype, shape, elements=elements))
+
+
+@given(pixels=_pixel_arrays())
+def test_an_image_is_refused_by_its_pixels_or_reads_back_from_its_file(pixels):
+    spec = GridSpec(2, 1.0, 3.0, 0.0, 2.0, 0.5)
+    try:
+        made = ZPIGrid(spec, pixels)
+    except ValueError as exc:
+        assert str(exc).startswith(("pixels ", "value ")), str(exc)
+        return
+    assert pixels.dtype.kind in "iuf" and np.array_equal(made.pixels, pixels)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "image.zpi")
+        write_zpi(made, path)
+        read = read_zpi(path)
+    assert read.spec == spec and read.pixels.tobytes() == made.pixels.tobytes()
+
+
+@given(vertices=_nudged(st.lists(st.integers(-1, 5), max_size=5)),
+       picks=st.lists(st.tuples(st.integers(0, 5), st.integers(0, 5)), max_size=6))
+def test_a_complex_is_refused_by_vertex_or_edge_or_reads_back_from_its_dump(vertices, picks):
+    pool = [*vertices, 9]  # an edge joins two drawn vertices, or one and 9, a vertex of none
+    edges = [(pool[i % len(pool)], pool[j % len(pool)]) for i, j in picks]
+    try:
+        made = SimplicialComplex(vertices, edges)
+    except ValueError as exc:
+        named = ([f"node {v!r} is not an integer" for v in vertices]
+                 + [f"edge {e!r} endpoint outside vertex set" for e in edges])
+        assert str(exc) in named, str(exc)
+        return
+    assert set(made.vertices) == set(vertices) and all(type(v) is int for v in made.vertices)
+    assert set(made.edges) == {(min(e), max(e)) for e in edges if e[0] != e[1]}
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "complex.txt")
+        write_complex_dump(made, path)
+        assert read_complex_dump(path) == made
+
+
+# the run settings a checkpoint stores, in its settings or in its model config
+STORED = sorted({*_checkpoint_settings(RunConfig()), "tau", "resolution",
+                 *(f.name for f in fields(net.ModelConfig) if f.name in SETTINGS)})
+SMALL_RUN = dict(nu_star=0.5, tau=3, resolution=8, hidden=4, num_layers=1, laplacian_order=1)
+
+
+@pytest.mark.parametrize("key", STORED)
+@given(data=st.data())
+def test_a_setting_is_refused_by_name_or_reads_back_from_the_checkpoint(key, data):
+    value = data.draw(_close_to_valid(SETTINGS[key]), label=key)
+    try:
+        config = RunConfig(**{**SMALL_RUN, key: value})
+        config.require_nu_star()
+        model_cfg = _model_config(config, n_nodes=4, in_features=1)
+    except ValueError as exc:
+        assert key in str(exc) or ALSO_NAMED.get(key, key) in str(exc), str(exc)
+        return
+    params = net.init_params(model_cfg, np.random.default_rng(0))
+    result = net.TrainResult(params, model_cfg, [], np.zeros(1), np.ones(1), 0.5)
+    settings = _checkpoint_settings(config)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "checkpoint.npz")
+        net.save_checkpoint(path, result, settings)
+        read, read_settings = net.load_checkpoint(path)
+    assert read.config == model_cfg and read_settings == settings
+    assert read.params.flat.tobytes() == params.flat.tobytes()
+    assert (read.input_lo, read.input_hi, read.image_scale) == (0.0, 1.0, 0.5)

@@ -139,18 +139,15 @@ def _worst_finite_difference_error(shared):
     grads = backward(cache, dpred)
     eps = 1e-5
     worst = 0.0
-    for name, arr in params.named_arrays():
-        flat = arr.reshape(-1)
-        analytic = grads.get(name).reshape(-1)
-        for pos in range(flat.size):
-            keep = flat[pos]
-            flat[pos] = keep + eps
-            up, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
-            flat[pos] = keep - eps
-            dn, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
-            flat[pos] = keep
-            numeric = (up - dn) / (2 * eps)
-            worst = max(worst, abs(analytic[pos] - numeric) / max(abs(analytic[pos]), abs(numeric), 1e-3))
+    for pos, analytic in enumerate(grads.flat):
+        keep = params.flat[pos]
+        params.flat[pos] = keep + eps
+        up, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
+        params.flat[pos] = keep - eps
+        dn, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
+        params.flat[pos] = keep
+        numeric = (up - dn) / (2 * eps)
+        worst = max(worst, abs(analytic - numeric) / max(abs(analytic), abs(numeric), 1e-3))
     return worst
 
 

@@ -229,9 +229,9 @@ def test_backward_matches_finite_difference_spot_check():
     grads = backward(cache, dpred)
     eps = 1e-5
     rng = np.random.default_rng(9)
+    named, named_grads = dict(params.named_arrays()), dict(grads.named_arrays())
     for name in ("embedding", "time_mix", "layers.1.zmap_w", "layers.0.gru_wo", "out_w"):
-        arr = params.get(name)
-        flat = arr.reshape(-1)
+        flat = named[name].reshape(-1)
         pos = int(rng.integers(flat.size))
         keep = flat[pos]
         flat[pos] = keep + eps
@@ -240,7 +240,7 @@ def test_backward_matches_finite_difference_spot_check():
         dn, _ = mae_loss_and_grad(forward(x, img, idx, params, cfg), y)
         flat[pos] = keep
         numeric = (up - dn) / (2 * eps)
-        analytic = grads.get(name).reshape(-1)[pos]
+        analytic = named_grads[name].reshape(-1)[pos]
         assert analytic == pytest.approx(numeric, abs=1e-7), name
 
 

@@ -29,6 +29,7 @@ from zigzagst.pipeline import (
     _forecast_csv_text,
     _load_data,
     _model_config,
+    _split_windows,
     _training_data,
     assemble_batches,
     cmd_ablate,
@@ -708,6 +709,31 @@ def test_cmd_forecast_scales_with_the_scalers_training_fitted(tmp_path):
     assert np.array_equal(rows[:, 4].reshape(want.shape), want)
 
 
+# Settings a RunConfig takes as numpy scalars; each trained, then failed to write its
+# checkpoint, as json.dumps refuses numpy scalars.
+NUMPY_SETTINGS = {"homology_dims": (np.int64(1),), "nu_star": np.float32(0.5),
+                  "theta": np.float32(0.25), "hidden": np.int64(4)}
+
+
+@pytest.mark.parametrize("name", sorted(NUMPY_SETTINGS))
+def test_a_numpy_scalar_setting_is_stored_as_its_python_value(tmp_path, name):
+    base = dict(nu_star=0.5, seed=1, synth_nodes=6, synth_length=16, synth_period=4, tau=3,
+                horizon=1, resolution=8, theta=0.25, hidden=4, num_layers=1, embed_dim=2,
+                laplacian_order=1, epochs=1, batch_size=4)
+    paths = cmd_synth(RunConfig(**base, outdir=str(tmp_path)))
+    plain = RunConfig(**base, snapshots=paths["snapshots"], features=paths["features"],
+                      outdir=str(tmp_path / "plain"))
+    cfg = replace(plain, outdir=str(tmp_path / "numpy"), **{name: NUMPY_SETTINGS[name]})
+    ckpt = cmd_train(cfg)["checkpoint"]
+    assert os.path.exists(tmp_path / "numpy" / "history.csv")
+    assert cmd_forecast(cfg, ckpt)["windows"] >= 1  # the stored value matches the setting
+    headers = []
+    for path in (ckpt, cmd_train(plain)["checkpoint"]):
+        with np.load(path) as data:
+            headers.append(bytes(data["header_json"]))
+    assert headers[0] == headers[1]
+
+
 def _series_files(tmp_path, data):
     snaps, feats = tmp_path / "snapshots.csv", tmp_path / "features.csv"
     write_snapshot_csv(data.network, snaps)
@@ -1230,3 +1256,39 @@ def test_cli_synth_and_gradcheck(tmp_path, capsys):
     rc = main(["gradcheck", "--set", "seed=0"])
     assert rc == 0
     assert "PASS" in capsys.readouterr().out
+
+
+def test_cli_runs_every_stage_and_training_command(tmp_path, capsys):
+    sets = ["--set", f"outdir={tmp_path}", "--set", "nu_star=0.5", "--set", "seed=1",
+            "--set", "synth_nodes=6", "--set", "synth_length=16", "--set", "tau=3",
+            "--set", "horizon=1", "--set", "resolution=8", "--set", "hidden=4",
+            "--set", "num_layers=1", "--set", "laplacian_order=1", "--set", "epochs=1",
+            "--set", "batch_size=4"]
+    assert main(["synth", *sets]) == 0
+    sets += ["--set", f"snapshots={tmp_path / 'snapshots.csv'}",
+             "--set", f"features={tmp_path / 'features.csv'}"]
+    capsys.readouterr()
+    assert main(["filtrate", *sets]) == 0
+    assert capsys.readouterr().out == f"wrote 16 complex dumps and {tmp_path / 'betti.csv'}\n"
+    assert main(["zigzag", *sets]) == 0
+    capsys.readouterr()
+    assert main(["zpi", *sets]) == 0
+    assert capsys.readouterr().out == f"wrote 14 images to {tmp_path}\n"
+    assert main(["train", *sets]) == 0
+    checkpoint, metrics = capsys.readouterr().out.splitlines()
+    assert checkpoint == f"checkpoint: {tmp_path / 'checkpoint.npz'}"
+    assert re.fullmatch(r"test mae=\S+ rmse=\S+ mape=\S+%", metrics)
+    assert main(["forecast", *sets, "--checkpoint", str(tmp_path / "checkpoint.npz")]) == 0
+    windows = len(_split_windows(16, RunConfig(tau=3, horizon=1)).test)
+    assert capsys.readouterr().out == (
+        f"wrote predictions for {windows} windows to {tmp_path / 'forecast.csv'}\n")
+    assert main(["ablate", *sets]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header == "ablation,mae,rmse,mape"
+    assert [row.split(",")[0] for row in rows] == [a.value for a in net.Ablation]
+
+
+def test_cli_refuses_a_set_without_an_equals_sign(tmp_path):
+    with pytest.raises(SystemExit, match="^--set expects KEY=VALUE, got 'nu_star'$"):
+        main(["zigzag", "--set", "nu_star", "--set", f"outdir={tmp_path / 'out'}"])
+    assert os.listdir(tmp_path) == []

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import re
@@ -25,6 +26,8 @@ from zigzagst.net import (
     write_history_csv,
 )
 from reference_net import ArrayAdam
+
+train_module = importlib.import_module("zigzagst.net.train")  # ``net.train`` is the function
 
 
 def make_batches(cfg, count, seed=0):
@@ -146,6 +149,35 @@ def test_history_has_train_val_test_rows(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "epoch,split,mae,rmse,mape"
     assert len(lines) == len(result.history) + 1
+
+
+# (the split, the monitored MAE of each epoch, the rate each epoch steps with), for
+# patience 2 and decay 0.5: a stalled MAE halves the rate every second epoch
+PLATEAUS = {
+    "stalled val": ((0.6, 0.2, 0.2), [1.0] * 7, [0.01] * 3 + [0.005] * 2 + [0.0025] * 2),
+    "improving val": ((0.6, 0.2, 0.2), [1.0 - 0.1 * e for e in range(7)], [0.01] * 7),
+    "stalled then improving val": ((0.6, 0.2, 0.2), [1.0, 1.0, 1.0, 0.5, 0.4, 0.4, 0.4],
+                                   [0.01] * 3 + [0.005] * 4),
+    "stalled train, no val": ((0.8, 0.2), [1.0] * 7, [0.01] * 3 + [0.005] * 2 + [0.0025] * 2),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PLATEAUS))
+def test_the_learning_rate_decays_when_the_monitored_mae_stalls(monkeypatch, case):
+    fractions, maes, want = PLATEAUS[case]
+    cfg = small_cfg(epochs=len(maes), batch_size=8, plateau_patience=2, lr_decay=0.5)
+    ds = chronological_split(make_batches(cfg, 10), fractions)
+    monitored = ds.val or ds.train
+    scores = iter(maes)
+    # the monitored split scores the given MAE; the others a constant
+    monkeypatch.setattr(train_module, "evaluate", lambda result, split, ablation: (
+        (next(scores),) * 3 if split is monitored else (5.0, 5.0, 5.0)))
+    rates = []
+    step = Adam.step
+    monkeypatch.setattr(Adam, "step", lambda self, params, grads, lr: (
+        rates.append(lr), step(self, params, grads, lr)))
+    train(ds, cfg)
+    assert rates == want  # one step per epoch: the training split fits in one batch
 
 
 def test_training_diverges_raises_with_epoch():
@@ -426,7 +458,7 @@ def untrained_with(nan_in=None, **scalers):
     """A fresh ``small_cfg`` network with ``scalers`` replaced and a NaN in array ``nan_in``."""
     result = replace(untrained(small_cfg()), **scalers)
     if nan_in is not None:
-        result.params.get(nan_in).flat[-1] = np.nan
+        dict(result.params.named_arrays())[nan_in].flat[-1] = np.nan
     return result
 
 
