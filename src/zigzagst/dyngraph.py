@@ -65,13 +65,27 @@ def is_real(x) -> bool:
     return type(x) is float or (isinstance(x, Real) and not isinstance(x, bool))
 
 
-# annotation -> (its rule, what the rule asks for)
+# annotation -> (its rule, what the rule asks for, the plain Python type a value is parsed as)
 _FIELD_RULES = {
-    "int": (is_int, "an integer"),
-    "float": (is_real, "a real number"),
-    "bool": (lambda x: isinstance(x, (bool, np.bool_)), "a boolean"),
-    "str": (lambda x: isinstance(x, str), "a string"),
+    "int": (is_int, "an integer", int),
+    "float": (is_real, "a real number", float),
+    "bool": (lambda x: isinstance(x, (bool, np.bool_)), "a boolean", bool),
+    "str": (lambda x: isinstance(x, str), "a string", str),
 }
+
+
+def checked(name: str, value, kind: str = "int"):
+    """``value`` as a plain Python value, once it passes the rule of annotation ``kind``.
+
+    A value that breaks the rule raises a ``ValueError`` reading ``{name}
+    must be ..., got {value!r}``.  A numpy scalar that passes is returned
+    as its ``.item()``, which compares equal to it, so a numpy-typed value
+    computes what the same plain value computes.
+    """
+    rule, wanted, _ = _FIELD_RULES[kind]
+    if not rule(value):
+        raise ValueError(f"{name} must be {wanted}, got {value!r}")
+    return value.item() if isinstance(value, np.generic) else value
 
 
 def check_fields(obj, prefix: str = "") -> None:
@@ -81,12 +95,13 @@ def check_fields(obj, prefix: str = "") -> None:
     An ``int`` field must pass ``is_int``, a ``float`` field ``is_real``, a
     ``bool`` field must be a Python or numpy bool and a ``str`` field a
     string; any other annotation is the type's own to check.  The
-    ``ValueError`` reads ``{prefix}{name} must be ..., got {value!r}``.
+    ``ValueError`` reads ``{prefix}{name} must be ..., got {value!r}``,
+    and a numpy scalar that passes is stored as its Python value
+    (``checked``).
     """
     for f in fields(obj):
-        rule, wanted = _FIELD_RULES.get(f.type, (None, None))
-        if rule is not None and not rule(value := getattr(obj, f.name)):
-            raise ValueError(f"{prefix}{f.name} must be {wanted}, got {value!r}")
+        if f.type in _FIELD_RULES:
+            object.__setattr__(obj, f.name, checked(prefix + f.name, getattr(obj, f.name), f.type))
 
 
 def _node_id(x, edge: tuple | None = None) -> int:
@@ -371,6 +386,7 @@ def reduce_top_edges(s: Snapshot, m: int) -> Snapshot:
     deterministic.  A snapshot with at most ``m`` edges is returned
     unchanged (same object).
     """
+    checked("m", m)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     if s.n_edges <= m:
@@ -404,6 +420,8 @@ def union_graph(g1: Snapshot, g2: Snapshot) -> Snapshot:
 
 def window_count(length: int, tau: int) -> int:
     """Number of runs of ``tau`` consecutive snapshots in a series of ``length``."""
+    checked("length", length)
+    checked("tau", tau)
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     if tau > length:

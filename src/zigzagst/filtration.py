@@ -15,7 +15,7 @@ import math
 from typing import Iterable, Mapping
 
 from . import gf2, textio
-from .dyngraph import Snapshot, _node_id
+from .dyngraph import Snapshot, _node_id, checked
 
 Simplex = tuple[int, ...]
 
@@ -116,10 +116,12 @@ class SimplicialComplex:
         return itertools.chain(((v,) for v in self.vertices), self.edges, self.triangles)
 
     def __contains__(self, simplex: Simplex) -> bool:
+        """Whether the simplex on ``simplex``'s vertices, in any order, is in the complex."""
         s = tuple(simplex)
         if len(s) == 1:
             return s[0] in self._vset
-        return 2 <= len(s) <= 3 and all(e in self._eset for e in itertools.combinations(s, 2))
+        return 2 <= len(s) <= 3 and all((u, v) in self._eset or (v, u) in self._eset
+                                        for u, v in itertools.combinations(s, 2))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, SimplicialComplex)
@@ -215,6 +217,7 @@ def build_complex(
 
 def betti_numbers(c: SimplicialComplex, p: int) -> int:
     """Rank of p-th GF(2) homology: dim ker boundary_p - rank boundary_{p+1}."""
+    checked("p", p)
     if p not in (0, 1):
         raise ValueError(f"p must be 0 or 1, got {p}")
     vpos = {v: i for i, v in enumerate(c.vertices)}

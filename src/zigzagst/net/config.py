@@ -37,6 +37,7 @@ class ModelConfig:
     must hold its annotation's kind (``dyngraph.check_fields``): an ``int``
     field an integer, so 4.0 is refused, and a ``float`` field a real
     number that is not a ``bool``, so ``learning_rate=True`` is refused.
+    A numpy scalar is stored as its Python value.
     """
 
     n_nodes: int
@@ -230,9 +231,8 @@ def save_checkpoint(path, result: TrainResult, settings: dict) -> None:
     """Versioned npz of a trained network and ``settings``; the history is not stored.
 
     ``settings`` is a JSON-able dict of the data-side settings the
-    training windows were made with.  A numpy scalar, in ``settings`` or
-    in the config, is stored as its Python value (``.item()``), which
-    compares equal to it.  Version 8 has three members:
+    training windows were made with; the config holds Python values
+    (``dyngraph.check_fields``).  Version 8 has three members:
     ``checkpoint_version``; ``header_json``, the JSON of ``{"config": ...,
     "settings": ...}``; and ``arrays``, one float64 vector of
     ``params.flat`` followed by ``input_lo``, ``input_hi`` and
@@ -242,18 +242,11 @@ def save_checkpoint(path, result: TrainResult, settings: dict) -> None:
     np.savez(
         path,
         checkpoint_version=np.int64(CHECKPOINT_VERSION),
-        header_json=np.bytes_(json.dumps(header, default=_plain).encode("ascii")),
+        header_json=np.bytes_(json.dumps(header).encode("ascii")),
         arrays=np.concatenate(
             [result.params.flat, result.input_lo, result.input_hi, [result.image_scale]],
             dtype=np.float64),
     )
-
-
-def _plain(value):
-    """A numpy scalar as its Python value, for ``json.dumps``; anything else is refused."""
-    if isinstance(value, np.generic):
-        return value.item()
-    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def load_checkpoint(path) -> tuple[TrainResult, dict]:

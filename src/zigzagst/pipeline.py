@@ -19,9 +19,10 @@ from .dyngraph import (
     DynamicNetwork,
     FeatureSeries,
     Snapshot,
+    _FIELD_RULES,
     check_fields,
+    checked,
     is_int,
-    is_real,
     read_feature_csv,
     read_snapshot_csv,
     window_count,
@@ -102,15 +103,17 @@ class RunConfig:
     ``bool`` (``dyngraph.is_real``); ``check`` a boolean; and a ``str``
     setting a string.  So a bad value is refused the same way from a
     file, from ``--set`` or from ``dataclasses.replace``, before any
-    command starts.  A file's or ``--set``'s text is parsed by the same
-    annotations (``_coerce``).  What stays for
-    the commands: ``require_nu_star`` (``nu_star`` has no default, and
-    ``zpi``, ``distance``, ``synth`` and ``gradcheck`` run without it), the
-    checks against the data (``tau`` and ``horizon`` against the series
-    length, the split's test windows, ``out_features`` against the feature
-    width, ``universe_size`` against the files), the model fields' values,
-    which ``net.ModelConfig`` checks, and the ``synth_*`` fields' values,
-    which ``gen_synthetic`` checks.
+    command starts.  A numpy scalar is stored as its Python value, and
+    ``homology_dims`` and ``split`` as tuples of Python values, so a run
+    given numpy values is the run given the same plain values.  A file's
+    or ``--set``'s text is parsed by the same annotations (``_coerce``).
+    What stays for the commands: ``require_nu_star`` (``nu_star`` has no
+    default, and ``zpi``, ``distance``, ``synth`` and ``gradcheck`` run
+    without it), the checks against the data (``tau`` and ``horizon``
+    against the series length, the split's test windows, ``out_features``
+    against the feature width, ``universe_size`` against the files), the
+    model fields' values, which ``net.ModelConfig`` checks, and the
+    ``synth_*`` fields' values, which ``gen_synthetic`` checks.
     """
 
     snapshots: str = ""
@@ -150,9 +153,8 @@ class RunConfig:
 
     def __post_init__(self):
         check_fields(self)
-        for fraction in self.split:
-            if not is_real(fraction):
-                raise ValueError(f"split: fraction must be a real number, got {fraction!r}")
+        object.__setattr__(self, "split", tuple(
+            checked("split: fraction", fraction, "float") for fraction in self.split))
         if self.filtration not in _MODE_NAMES:
             raise ValueError(
                 f"unknown filtration {self.filtration!r}; choose from {sorted(_MODE_NAMES)}"
@@ -164,6 +166,7 @@ class RunConfig:
         for dim in self.homology_dims:
             if not is_int(dim) or dim not in (0, 1):
                 raise ValueError(f"homology_dims: dimension must be 0 or 1, got {dim!r}")
+        object.__setattr__(self, "homology_dims", tuple(map(int, self.homology_dims)))
         if not self.homology_dims or len(set(self.homology_dims)) < len(self.homology_dims):
             raise ValueError(
                 f"homology_dims must list 0, 1 or both once each, got {self.homology_dims}"
@@ -229,13 +232,17 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}  # each setting's annotation
-_NUMBERS = {"int": int, "float": float, "tuple[int, ...]": int, "tuple[float, ...]": float}
 _BOOLEANS = {"1": True, "true": True, "yes": True, "on": True,
              "0": False, "false": False, "no": False, "off": False}
 
 
 def _coerce(key: str, value: str):
-    """The text ``value`` of setting ``key`` parsed as its annotation declares."""
+    """The text ``value`` of setting ``key`` parsed as its annotation declares.
+
+    A ``tuple[kind, ...]`` setting is its comma- or space-separated
+    elements, each parsed as the plain type that ``dyngraph`` gives
+    ``kind``; the text of a ``str`` setting is its value.
+    """
     if key not in _FIELD_TYPES:
         raise ValueError(f"unknown config key {key!r}")
     annotation = _FIELD_TYPES[key]
@@ -243,14 +250,13 @@ def _coerce(key: str, value: str):
         if value.lower() not in _BOOLEANS:
             raise ValueError(f"{key} must be one of {sorted(_BOOLEANS)}, got {value!r}")
         return _BOOLEANS[value.lower()]
-    if annotation not in _NUMBERS:
-        return value
-    kind, many = _NUMBERS[annotation], annotation.startswith("tuple")
+    element = annotation.removeprefix("tuple[").removesuffix(", ...]")
+    kind, many = _FIELD_RULES[element][2], element != annotation
     try:
-        numbers = tuple(map(kind, value.replace(",", " ").split() if many else [value]))
+        parsed = tuple(map(kind, value.replace(",", " ").split() if many else [value]))
     except ValueError:
         raise ValueError(f"{key} expects {kind.__name__} values, got {value!r}") from None
-    return numbers if many else numbers[0]
+    return parsed if many else parsed[0]
 
 
 # ---------------------------------------------------------------------------
@@ -285,8 +291,12 @@ def gen_synthetic(
     ``phase_jitter`` is the per-step probability that the cycle phase
     stalls, turning the strictly periodic indicator into a quasi-periodic
     one whose timing cannot be extrapolated without reading the recent
-    window.
+    window.  ``n_nodes``, ``length`` and ``period`` must be integers
+    (``dyngraph.is_int``).  A snapshot's active nodes are its edges'
+    endpoints, so the network equals what its snapshot CSV reads back.
     """
+    for name, value in (("n_nodes", n_nodes), ("length", length), ("period", period)):
+        checked(name, value)
     if n_nodes < 6:
         raise ValueError("need at least 6 nodes (4 cycle nodes plus a tree)")
     if period < 2:
@@ -311,7 +321,7 @@ def gen_synthetic(
         edges = list(tree_edges)
         if indicator[t]:
             edges.extend((u, v, 0.2) for u, v in cycle_edges)
-        snaps.append(Snapshot.from_edges(t + 1, n_nodes, edges, nodes=range(n_nodes)))
+        snaps.append(Snapshot.from_edges(t + 1, n_nodes, edges))
     network = DynamicNetwork(tuple(snaps), n_nodes)
 
     base = rng.uniform(0.5, 1.5, n_nodes)

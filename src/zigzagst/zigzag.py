@@ -38,7 +38,7 @@ from typing import Iterable, Iterator, Mapping, Sequence
 
 from . import gf2, textio
 from .gf2 import echelon_insert
-from .dyngraph import Snapshot, is_int, union_graph
+from .dyngraph import Snapshot, checked, is_int, union_graph
 from .filtration import (
     FiltrationMode,
     SimplicialComplex,
@@ -69,6 +69,7 @@ Row = tuple[int, int, int, int]  # (dim, twice_birth, twice_death, count)
 
 
 def _check_dim(dim: int) -> None:
+    checked("dimension", dim)
     if dim not in (0, 1):
         raise ValueError(f"dimension must be 0 or 1, got {dim}")
 
@@ -470,6 +471,7 @@ def zigzag_series(
     window, and a failing inclusion raises InclusionError when its arrow
     is reached.
     """
+    checked("tau", tau)
     if tau < 1:
         raise ValueError(f"tau must be >= 1, got {tau}")
     complexes = _series_complexes(snapshots, nu_star, mode, unions=tau > 1)

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from . import textio
-from .dyngraph import check_fields
+from .dyngraph import check_fields, checked
 from .zigzag import ZPD, check_point_row
 
 __all__ = [
@@ -131,6 +131,7 @@ def default_domain(t: int) -> tuple[float, float, float, float]:
     Degenerate axes (T = 1) are widened to one unit so the grid keeps
     positive extent.
     """
+    checked("window length tau", t)
     if t < 1:
         raise ValueError(f"window length tau must be >= 1, got {t}")
     x_lo, x_hi = 1.0, float(t)

@@ -74,6 +74,39 @@ def test_every_type_has_a_checked_field():
     assert {kind for kind, _, _ in CHECKED} == set(BASELINES)
 
 
+# Numpy scalar types each annotation's rule accepts.  A field stores the scalar's Python
+# value: a float32 theta was kept, and rendered other images than the same Python float.
+NUMPY_TYPES = {"int": (np.int64, np.uint16), "float": (np.float32, np.float64), "bool": (np.bool_,)}
+NUMPY_GIVEN = [(kind, f.name, numpy_type) for kind, (value, _) in BASELINES.items()
+               for f in fields(value) if f.type in NUMPY_TYPES for numpy_type in NUMPY_TYPES[f.type]]
+
+
+@pytest.mark.parametrize("kind, name, numpy_type", NUMPY_GIVEN,
+                         ids=lambda x: x.__name__ if isinstance(x, type) else x)
+def test_every_checked_field_stores_a_numpy_scalar_as_its_python_value(kind, name, numpy_type):
+    value, _ = BASELINES[kind]
+    given = numpy_type(getattr(value, name))
+    stored = getattr(replace(value, **{name: given}), name)
+    assert type(stored) is type(given.item()) and stored == given.item()
+
+
+def test_every_type_stores_a_numpy_scalar_in_some_field():
+    assert {kind for kind, _, _ in NUMPY_GIVEN} == set(BASELINES)
+
+
+@pytest.mark.parametrize("dims, split", [
+    ((np.int64(1), np.uint8(0)), (np.float32(0.5), np.float64(0.25), 0.25)),
+    ([1], [0.5, np.float16(0.5)]),
+    (np.array([0, 1]), np.array([0.75, 0.25], np.float32)),
+], ids=["numpy scalars", "lists", "arrays"])
+def test_a_run_stores_its_dimensions_and_split_as_tuples_of_python_values(dims, split):
+    config = RunConfig(homology_dims=dims, split=split)
+    assert config.homology_dims == tuple(np.asarray(dims).tolist())
+    assert config.split == tuple(np.asarray(split, np.float64).tolist())
+    assert all(type(dim) is int for dim in config.homology_dims)
+    assert all(type(fraction) is float for fraction in config.split)
+
+
 @pytest.mark.parametrize("make, message", [
     # each but the last was built, its value converted to a float; the last raised a TypeError
     (lambda: Snapshot.from_edges(1, 4, [(0, 1, True)]), r"weight \(0, 1\) = True is not a real number"),

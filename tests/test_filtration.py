@@ -74,6 +74,18 @@ def test_subcomplex_and_difference():
     assert big.difference(small) == {(2,), (1, 2)}
 
 
+@given(st.integers(0, 2**30))
+def test_a_simplex_is_in_its_complex_in_every_vertex_order(seed):
+    # for the triangle on {1, 2, 3}, (1, 2) was in it, but (2, 1) and (3, 1, 2) were not
+    rng = np.random.default_rng(seed)
+    edges = [(u, v) for u, v in itertools.combinations(range(7), 2) if rng.random() < 0.5]
+    cx = SimplicialComplex(range(7), edges)
+    for simplex in cx:
+        assert all(order in cx for order in itertools.permutations(simplex))
+        for k, v in itertools.product(range(len(simplex) + 1), simplex):  # a repeated vertex
+            assert (*simplex[:k], v, *simplex[k:]) not in cx
+
+
 def all_simplices(cx):
     """Every simplex of the flag complex of ``cx``'s graph, found by brute force."""
     edges = set(cx.edges)
@@ -112,7 +124,7 @@ def test_complex_set_operations_match_all_simplices(seed, mode):
         for s in itertools.chain.from_iterable(
             itertools.product(ids + [-1, n], repeat=k) for k in range(5)
         ):  # every tuple of length 0..4 over the ids, sorted or not, repeated or not
-            assert (s in cx) == (s in sx), s
+            assert (s in cx) == (tuple(sorted(s)) in sx), s  # a simplex is its vertex set
     for (a, sa), (b, sb) in itertools.permutations(zip(complexes, simplices), 2):
         assert a.is_subcomplex_of(b) == (sa <= sb)
         assert a.difference(b) == sa - sb

@@ -47,6 +47,7 @@ from zigzagst.zigzag import (
     compute_zigzag_persistence,
     read_zpd_csv,
     write_zpd_csv,
+    zigzag_series,
 )
 from zigzagst.zpi import MAX_RESOLUTION, default_domain, default_theta, read_zpi
 from util import expand, independent_snapshots, window_image
@@ -263,6 +264,24 @@ def test_gen_synthetic_delta_zero_removes_signal_not_cycle():
     on = values[data.indicator == 1].mean()
     off = values[data.indicator == 0].mean()
     assert abs(on - off) < 0.2  # only the sinusoid differs
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_gen_synthetic_network_is_the_network_its_csv_reads_back(tmp_path, seed):
+    # the network kept every node active, while its CSV reads back only edge endpoints:
+    # at n_nodes 8 and seed 0, [8, 8, 8, 8, 8, 8] active nodes against [8, 8, 4, 4, 8, 8]
+    data = gen_synthetic(n_nodes=8, length=30, seed=seed)
+    write_snapshot_csv(data.network, tmp_path / "snapshots.csv")
+    assert read_snapshot_csv(tmp_path / "snapshots.csv", 8) == data.network
+
+
+def test_cmd_synth_then_cmd_zigzag_gives_the_in_memory_diagrams(tmp_path):
+    cfg = RunConfig(outdir=str(tmp_path), nu_star=0.5, tau=3, homology_dims=(0, 1), seed=0,
+                    synth_nodes=8, synth_length=12)
+    cfg = replace(cfg, snapshots=cmd_synth(cfg)["snapshots"])
+    written = [read_zpd_csv(path) for path in cmd_zigzag(cfg)["zpd"]]
+    network = gen_synthetic(n_nodes=8, length=12, seed=0).network
+    assert written == list(zigzag_series(network.snapshots, 3, 0.5))
 
 
 def test_window_image_distinguishes_cycle_windows():
@@ -732,6 +751,35 @@ def test_a_numpy_scalar_setting_is_stored_as_its_python_value(tmp_path, name):
         with np.load(path) as data:
             headers.append(bytes(data["header_json"]))
     assert headers[0] == headers[1]
+
+
+def test_a_run_given_numpy_values_is_the_run_given_their_python_values(tmp_path):
+    # a float32 theta was kept and rendered other images, so history.csv and the checkpoint
+    # arrays differed, while the header recorded the same settings
+    given = {"theta": np.float32(0.25), "nu_star": np.float32(0.5), "hidden": np.int64(4),
+             "learning_rate": np.float32(0.003), "homology_dims": (np.int64(1),),
+             "split": np.array([0.5, 0.25, 0.25], np.float32)}
+
+    def plain(value):
+        return tuple(map(plain, value)) if isinstance(value, (tuple, np.ndarray)) else value.item()
+
+    base = dict(seed=1, synth_nodes=6, synth_length=16, tau=3, horizon=2, resolution=8,
+                num_layers=1, embed_dim=2, laplacian_order=1, epochs=1, batch_size=4)
+    paths = cmd_synth(RunConfig(**base, outdir=str(tmp_path)))
+    outputs = []
+    for name, settings in [("numpy", given), ("plain", {k: plain(v) for k, v in given.items()})]:
+        cfg = RunConfig(**base, **settings, snapshots=paths["snapshots"],
+                        features=paths["features"], outdir=str(tmp_path / name))
+        ckpt = cmd_train(cfg)["checkpoint"]
+        cmd_forecast(cfg, ckpt)
+        with np.load(ckpt) as data:
+            files = [bytes(data["header_json"]), data["arrays"].tobytes()]
+        for file in ("history.csv", "forecast.csv"):
+            files.append((tmp_path / name / file).read_bytes())
+        outputs.append((cfg, files))
+    (numpy_cfg, numpy_files), (plain_cfg, plain_files) = outputs
+    assert numpy_files == plain_files
+    assert replace(numpy_cfg, outdir="") == replace(plain_cfg, outdir="")
 
 
 def _series_files(tmp_path, data):

@@ -17,12 +17,14 @@ from zigzagst.dyngraph import (
     UniverseMismatchError,
     normalize_transaction_weights,
     reduce_top_edges,
+    sliding_windows,
     window_count,
 )
-from zigzagst.filtration import SimplicialComplex, build_complex
+from zigzagst.filtration import SimplicialComplex, betti_numbers, build_complex
 from zigzagst.net.config import _param_shapes
 from zigzagst.pipeline import RunConfig, _load_data, gen_synthetic
-from zigzagst.zigzag import zigzag_series
+from zigzagst.zigzag import ZPD, zigzag_series
+from zigzagst.zpi import default_domain
 
 EDGE = Snapshot(1, 3, frozenset({0, 1}), {(0, 1): 0.5})
 TINY_SHAPES = _param_shapes(net.tiny_config())
@@ -74,6 +76,34 @@ REFUSALS = {
     "parameter vector one long": (
         lambda: net.ModelParams.over(np.zeros(TINY_SIZE + 1), TINY_SHAPES), ValueError,
         f"parameter vector has shape ({TINY_SIZE + 1},), expected ({TINY_SIZE},)"),
+    # each integer argument below took a float or a bool, and ran on it
+    "zigzag series tau a float": (lambda: zigzag_series([EDGE] * 6, 2.5, 0.5), ValueError,
+                                  "tau must be an integer, got 2.5"),
+    "window count tau a float": (lambda: window_count(6, 2.5), ValueError,
+                                 "tau must be an integer, got 2.5"),
+    "window count length a float": (lambda: window_count(6.0, 2), ValueError,
+                                    "length must be an integer, got 6.0"),
+    "sliding windows tau a bool": (lambda: sliding_windows(DynamicNetwork((EDGE,), 3), True),
+                                   ValueError, "tau must be an integer, got True"),
+    "top edges m a bool": (lambda: reduce_top_edges(EDGE, True), ValueError,
+                           "m must be an integer, got True"),
+    # raised a TypeError from slicing
+    "top edges m a float": (lambda: reduce_top_edges(EDGE, 2.5), ValueError,
+                            "m must be an integer, got 2.5"),
+    "synthetic nodes a float": (lambda: gen_synthetic(n_nodes=8.0), ValueError,
+                                "n_nodes must be an integer, got 8.0"),
+    "synthetic length a float": (lambda: gen_synthetic(length=6.5), ValueError,
+                                 "length must be an integer, got 6.5"),
+    "synthetic period a float": (lambda: gen_synthetic(period=2.5), ValueError,
+                                 "period must be an integer, got 2.5"),
+    "default domain a float": (lambda: default_domain(2.5), ValueError,
+                               "window length tau must be an integer, got 2.5"),
+    "betti dimension a bool": (lambda: betti_numbers(build_complex(EDGE, 0.5), True), ValueError,
+                               "p must be an integer, got True"),
+    "diagram points dimension a float": (lambda: ZPD(()).points(1.0), ValueError,
+                                         "dimension must be an integer, got 1.0"),
+    "diagram alive count dimension a bool": (lambda: ZPD(()).count_alive(True, 2), ValueError,
+                                             "dimension must be an integer, got True"),
     "loss metrics shape mismatch": (lambda: net.loss_metrics(np.zeros((2, 3)), np.zeros((3, 2))),
                                     ValueError, "shape mismatch (2, 3) vs (3, 2)"),
 }
