@@ -74,18 +74,23 @@ _FIELD_RULES = {
 }
 
 
-def checked(name: str, value, kind: str = "int"):
+def checked(name: str, value, kind: str = "int", least: int | None = None):
     """``value`` as a plain Python value, once it passes the rule of annotation ``kind``.
 
     A value that breaks the rule raises a ``ValueError`` reading ``{name}
-    must be ..., got {value!r}``.  A numpy scalar that passes is returned
-    as its ``.item()``, which compares equal to it, so a numpy-typed value
-    computes what the same plain value computes.
+    must be ..., got {value!r}``, and one below ``least`` (if given) reads
+    ``{name} must be >= {least}, got {value}``.  A numpy scalar that passes
+    is returned as its ``.item()``, which compares equal to it, so a
+    numpy-typed value computes what the same plain value computes.
     """
     rule, wanted, _ = _FIELD_RULES[kind]
     if not rule(value):
         raise ValueError(f"{name} must be {wanted}, got {value!r}")
-    return value.item() if isinstance(value, np.generic) else value
+    if isinstance(value, np.generic):
+        value = value.item()
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be >= {least}, got {value}")
+    return value
 
 
 def check_fields(obj, prefix: str = "") -> None:
@@ -365,9 +370,7 @@ def normalize_transaction_weights(
         u, v = _node_ids(u, v)
         if u == v:
             raise ValueError(f"self loop on node {u}")
-        if not is_int(c) or c < 0:
-            raise ValueError(f"count on edge {(u, v)} must be an integer >= 0, got {c!r}")
-        c = int(c)
+        c = checked(f"count on edge {(u, v)}", c, least=0)
         key = _canonical(u, v)
         if key in merged and merged[key] != c:
             raise ValueError(f"asymmetric counts for edge {key}")
@@ -386,9 +389,7 @@ def reduce_top_edges(s: Snapshot, m: int) -> Snapshot:
     deterministic.  A snapshot with at most ``m`` edges is returned
     unchanged (same object).
     """
-    checked("m", m)
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
+    m = checked("m", m, least=1)
     if s.n_edges <= m:
         return s
     ranked = sorted(s.weights.items(), key=lambda item: (-item[1], item[0]))
@@ -420,10 +421,7 @@ def union_graph(g1: Snapshot, g2: Snapshot) -> Snapshot:
 
 def window_count(length: int, tau: int) -> int:
     """Number of runs of ``tau`` consecutive snapshots in a series of ``length``."""
-    checked("length", length)
-    checked("tau", tau)
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    length, tau = checked("length", length), checked("tau", tau, least=1)
     if tau > length:
         raise ValueError(f"window size {tau} exceeds series length {length}")
     return length - tau + 1

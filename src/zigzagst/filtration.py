@@ -27,6 +27,7 @@ __all__ = [
     "FiltrationMode",
     "build_complex",
     "betti_numbers",
+    "check_dim",
     "write_complex_dump",
     "read_complex_dump",
 ]
@@ -215,11 +216,21 @@ def build_complex(
     return SimplicialComplex(nodes, kept)
 
 
+def check_dim(name: str, p) -> int:
+    """A homology dimension ``p`` as a plain int: an integer (``checked``), then 0 or 1.
+
+    The ``ValueError`` reads ``{name} must be an integer, got {p!r}`` or
+    ``{name} must be 0 or 1, got {p}``.
+    """
+    p = checked(name, p)
+    if p not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {p}")
+    return p
+
+
 def betti_numbers(c: SimplicialComplex, p: int) -> int:
     """Rank of p-th GF(2) homology: dim ker boundary_p - rank boundary_{p+1}."""
-    checked("p", p)
-    if p not in (0, 1):
-        raise ValueError(f"p must be 0 or 1, got {p}")
+    p = check_dim("p", p)
     vpos = {v: i for i, v in enumerate(c.vertices)}
     epos = {e: i for i, e in enumerate(c.edges)}
     d1 = [(1 << vpos[u]) | (1 << vpos[v]) for (u, v) in c.edges]

@@ -99,9 +99,11 @@ def chronological_split(windows, fractions: tuple[float, ...] = (0.6, 0.2, 0.2))
 
     ``windows`` is any sequence that slices: a ``Batch``, a list or a
     ``range``; each part is a slice of it.  A fraction outside [0, 1]
-    (NaN included) would make the parts overlap, so it raises.
+    (NaN included) would make the parts overlap, so it raises.  The sum
+    may miss 1 by single-precision rounding (1e-6), so float32 fractions
+    such as ``np.float32([0.6, 0.2, 0.2])`` are taken.
     """
-    if len(fractions) not in (2, 3) or abs(sum(fractions) - 1.0) > 1e-9:
+    if len(fractions) not in (2, 3) or abs(sum(fractions) - 1.0) > 1e-6:
         raise ValueError(f"split fractions must be 2 or 3 values summing to 1, got {tuple(fractions)}")
     if not all(0.0 <= f <= 1.0 for f in fractions):
         raise ValueError(f"split fractions must each lie in [0, 1], got {tuple(fractions)}")

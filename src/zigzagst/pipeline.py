@@ -22,7 +22,6 @@ from .dyngraph import (
     _FIELD_RULES,
     check_fields,
     checked,
-    is_int,
     read_feature_csv,
     read_snapshot_csv,
     window_count,
@@ -33,6 +32,7 @@ from .filtration import (
     FiltrationMode,
     betti_numbers,
     build_complex,
+    check_dim,
     write_complex_dump,
 )
 from .metrics import wasserstein1
@@ -97,8 +97,9 @@ class RunConfig:
 
     Construction refuses every setting whose check needs neither the data
     nor the model, and every setting that does not hold its annotation's
-    kind (``dyngraph.check_fields``): an ``int`` setting, and each of
-    ``homology_dims``, must be an integer (``dyngraph.is_int``); a
+    kind (``dyngraph.check_fields``): an ``int`` setting must be an
+    integer (``dyngraph.is_int``), and each of ``homology_dims`` the
+    integer 0 or 1 (``filtration.check_dim``); a
     ``float`` setting, and each of ``split``, a real number that is not a
     ``bool`` (``dyngraph.is_real``); ``check`` a boolean; and a ``str``
     setting a string.  So a bad value is refused the same way from a
@@ -163,10 +164,8 @@ class RunConfig:
             raise ValueError(
                 f"unknown ablation {self.ablation!r}; choose from {sorted(_ABLATIONS)}"
             )
-        for dim in self.homology_dims:
-            if not is_int(dim) or dim not in (0, 1):
-                raise ValueError(f"homology_dims: dimension must be 0 or 1, got {dim!r}")
-        object.__setattr__(self, "homology_dims", tuple(map(int, self.homology_dims)))
+        object.__setattr__(self, "homology_dims", tuple(
+            check_dim("homology_dims: dimension", dim) for dim in self.homology_dims))
         if not self.homology_dims or len(set(self.homology_dims)) < len(self.homology_dims):
             raise ValueError(
                 f"homology_dims must list 0, 1 or both once each, got {self.homology_dims}"
@@ -292,15 +291,14 @@ def gen_synthetic(
     stalls, turning the strictly periodic indicator into a quasi-periodic
     one whose timing cannot be extrapolated without reading the recent
     window.  ``n_nodes``, ``length`` and ``period`` must be integers
-    (``dyngraph.is_int``).  A snapshot's active nodes are its edges'
-    endpoints, so the network equals what its snapshot CSV reads back.
+    (``dyngraph.checked``), ``n_nodes`` at least 6 and ``period`` at
+    least 2.  A snapshot's active nodes are its edges' endpoints, so the
+    network equals what its snapshot CSV reads back.
     """
-    for name, value in (("n_nodes", n_nodes), ("length", length), ("period", period)):
-        checked(name, value)
+    n_nodes, length = checked("n_nodes", n_nodes), checked("length", length)
     if n_nodes < 6:
         raise ValueError("need at least 6 nodes (4 cycle nodes plus a tree)")
-    if period < 2:
-        raise ValueError("period must be >= 2")
+    period = checked("period", period, least=2)
     rng = np.random.default_rng(seed)
     tree_nodes = list(range(4, n_nodes))
     tree_edges = []

@@ -44,6 +44,7 @@ from .filtration import (
     SimplicialComplex,
     betti_numbers,
     build_complex,
+    check_dim,
 )
 
 __all__ = [
@@ -66,12 +67,6 @@ class InclusionError(ValueError):
 
 
 Row = tuple[int, int, int, int]  # (dim, twice_birth, twice_death, count)
-
-
-def _check_dim(dim: int) -> None:
-    checked("dimension", dim)
-    if dim not in (0, 1):
-        raise ValueError(f"dimension must be 0 or 1, got {dim}")
 
 
 def _half(twice: int) -> str:
@@ -114,9 +109,7 @@ def _check_point(dim: int, twice_birth: int, twice_death: int) -> None:
             raise ValueError(f"half-index 2t must be an integer, got {twice!r}")
         if twice < 2:
             raise ValueError(f"half-index 2t = {twice} below the grid start")
-    if not is_int(dim):
-        raise ValueError(f"dimension must be the integer 0 or 1, got {dim!r}")
-    _check_dim(dim)
+    check_dim("dimension", dim)
     if twice_death < twice_birth:
         raise ValueError(f"death {_half(twice_death)} precedes birth {_half(twice_birth)}")
 
@@ -143,11 +136,11 @@ class ZPD:
 
     def points(self, dim: int) -> list[tuple[float, float, int]]:
         """``(birth, death, count)`` rows of one homology dimension, in row order."""
-        _check_dim(dim)
+        dim = check_dim("dimension", dim)
         return [(b / 2.0, d / 2.0, m) for p, b, d, m in self.rows if p == dim]
 
     def count_alive(self, dim: int, twice: int) -> int:
-        _check_dim(dim)
+        dim = check_dim("dimension", dim)
         return sum(m for p, b, d, m in self.rows if p == dim and b <= twice <= d)
 
     def __len__(self) -> int:
@@ -471,9 +464,7 @@ def zigzag_series(
     window, and a failing inclusion raises InclusionError when its arrow
     is reached.
     """
-    checked("tau", tau)
-    if tau < 1:
-        raise ValueError(f"tau must be >= 1, got {tau}")
+    tau = checked("tau", tau, least=1)
     complexes = _series_complexes(snapshots, nu_star, mode, unions=tau > 1)
     return _window_diagrams(complexes, tau)
 

@@ -17,6 +17,7 @@ import numpy as np
 
 from . import textio
 from .dyngraph import check_fields, checked
+from .filtration import check_dim
 from .zigzag import ZPD, check_point_row
 
 __all__ = [
@@ -131,9 +132,7 @@ def default_domain(t: int) -> tuple[float, float, float, float]:
     Degenerate axes (T = 1) are widened to one unit so the grid keeps
     positive extent.
     """
-    checked("window length tau", t)
-    if t < 1:
-        raise ValueError(f"window length tau must be >= 1, got {t}")
+    t = checked("window length tau", t, least=1)
     x_lo, x_hi = 1.0, float(t)
     y_lo, y_hi = 0.0, float(t - 1)
     if x_hi == x_lo:
@@ -154,8 +153,10 @@ def image_rows(zpd: ZPD, dims: Sequence[int], w: WeightingSpec) -> tuple:
 
     ``render_zpi`` skips a row of weight 0, a zero-persistence row under
     ``linear`` weighting, so diagrams with the same image rows in a
-    dimension have the same image there, bit for bit.
+    dimension have the same image there, bit for bit.  Each of ``dims``
+    must pass ``check_dim``.
     """
+    dims = [check_dim("dimension", dim) for dim in dims]
     return tuple(row for row in zpd.rows
                  if row[0] in dims and w.weight((row[2] - row[1]) / 2.0) != 0.0)
 

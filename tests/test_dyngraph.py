@@ -245,7 +245,7 @@ def test_normalize_counts_rejects_negative():
 @pytest.mark.parametrize("count", [2.7, -0.5, 3.0, True, "3", math.nan, math.inf, np.float64(2.0)])
 def test_normalize_counts_refuse_what_is_not_a_nonnegative_integer(count):
     # int() would truncate 2.7 to 2 and -0.5 to 0, and count True as 1 and "3" as 3
-    message = rf"^count on edge \(1, 2\) must be an integer >= 0, got {re.escape(repr(count))}$"
+    message = rf"^count on edge \(1, 2\) must be an integer, got {re.escape(repr(count))}$"
     with pytest.raises(ValueError, match=message):
         normalize_transaction_weights({(0, 1): 3, (1, 2): count}, universe_size=4)
 

@@ -149,6 +149,8 @@ BAD_SETTINGS = [
       for value in (-0.3, 5.0, math.nan)],
     ("split", (0.5, 0.2, 0.2),
      r"split fractions must be 2 or 3 values summing to 1, got \(0\.5, 0\.2, 0\.2\)$"),
+    ("split", (0.6, 0.2, 0.21),
+     r"split fractions must be 2 or 3 values summing to 1, got \(0\.6, 0\.2, 0\.21\)$"),
     ("split", (1.5, -0.5), r"split fractions must each lie in \[0, 1\], got \(1\.5, -0\.5\)$"),
     ("seed", -1, "seed must be >= 0, got -1$"),
     ("universe_size", -3, "universe_size must be >= 0, got -3$"),
@@ -204,6 +206,16 @@ def test_a_float_setting_is_refused_at_construction_unless_a_real_number(tmp_pat
     assert getattr(replace(cfg, **{setting: np.float64(0.5)}), setting) == 0.5
 
 
+@pytest.mark.parametrize("fractions", [(0.6, 0.2, 0.2), (0.7, 0.1, 0.2)])
+def test_a_float32_split_is_taken_and_splits_as_its_python_split(fractions):
+    # in float32 these sum to 1.00000003 and 0.99999999, which a 1e-9 tolerance refused
+    split = RunConfig(split=np.float32(fractions)).split
+    assert split != fractions
+    # float32 0.7 is below 0.7, so where n * 0.7 is a half (n = 5, 25, ...) it rounds down
+    for n in (10, 34, 57, 100):
+        assert net.chronological_split(range(n), split) == net.chronological_split(range(n), fractions)
+
+
 @pytest.mark.parametrize("split,bad", [((True, False, False), True), ((0.8, 0.2, "0"), "0")])
 def test_split_holds_real_numbers(split, bad):
     message = f"^split: fraction must be a real number, got {re.escape(repr(bad))}$"
@@ -213,7 +225,7 @@ def test_split_holds_real_numbers(split, bad):
 
 @pytest.mark.parametrize("dim", [1.0, True, np.float64(0.0)], ids=repr)
 def test_homology_dims_holds_integers(dim):
-    message = f"^homology_dims: dimension must be 0 or 1, got {re.escape(repr(dim))}$"
+    message = f"^homology_dims: dimension must be an integer, got {re.escape(repr(dim))}$"
     with pytest.raises(ValueError, match=message):
         RunConfig(homology_dims=(dim,))
 

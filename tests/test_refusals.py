@@ -2,10 +2,14 @@
 
 Each row builds or calls one thing with one bad input, and the refusal
 must raise its exception type with exactly the message pinned here.
+Every integer argument that ``dyngraph.checked`` or
+``filtration.check_dim`` checks also has a row that gives it a numpy
+integer, which must compute what the plain integer computes.
 """
 
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -24,9 +28,12 @@ from zigzagst.filtration import SimplicialComplex, betti_numbers, build_complex
 from zigzagst.net.config import _param_shapes
 from zigzagst.pipeline import RunConfig, _load_data, gen_synthetic
 from zigzagst.zigzag import ZPD, zigzag_series
-from zigzagst.zpi import default_domain
+from zigzagst.zpi import WeightingSpec, default_domain, image_rows
 
 EDGE = Snapshot(1, 3, frozenset({0, 1}), {(0, 1): 0.5})
+PATH = Snapshot.from_edges(1, 4, [(0, 1, 0.5), (1, 2, 0.25), (2, 3, 0.75)])
+TABLE = ZPD(((0, 2, 6, 1), (1, 3, 5, 2)))
+SERIES = gen_synthetic(n_nodes=6, length=8, seed=1).network.snapshots
 TINY_SHAPES = _param_shapes(net.tiny_config())
 TINY_SIZE = sum(map(math.prod, TINY_SHAPES))
 
@@ -64,7 +71,7 @@ REFUSALS = {
         lambda: SimplicialComplex([0, 1], [(0, "1")]), ValueError,
         "edge (0, '1') endpoint outside vertex set"),
     "synthetic period below 2": (lambda: gen_synthetic(period=1), ValueError,
-                                 "period must be >= 2"),
+                                 "period must be >= 2, got 1"),
     "data without a snapshot path": (lambda: _load_data(RunConfig(nu_star=0.5, features="f.csv")),
                                      ValueError, "snapshots and features paths are required"),
     "data without a feature path": (lambda: _load_data(RunConfig(nu_star=0.5, snapshots="s.csv")),
@@ -106,6 +113,56 @@ REFUSALS = {
                                              "dimension must be an integer, got True"),
     "loss metrics shape mismatch": (lambda: net.loss_metrics(np.zeros((2, 3)), np.zeros((3, 2))),
                                     ValueError, "shape mismatch (2, 3) vs (3, 2)"),
+    # the bound of each integer argument, its bool, and a numpy integer below the bound,
+    # whose message shows its plain value
+    "window count length a bool": (lambda: window_count(True, 1), ValueError,
+                                   "length must be an integer, got True"),
+    "window count numpy tau below 1": (lambda: window_count(6, np.int64(0)), ValueError,
+                                       "tau must be >= 1, got 0"),
+    "zigzag series tau a bool": (lambda: zigzag_series(SERIES, True, 0.5), ValueError,
+                                 "tau must be an integer, got True"),
+    "zigzag series numpy tau below 1": (lambda: zigzag_series(SERIES, np.int32(-1), 0.5),
+                                        ValueError, "tau must be >= 1, got -1"),
+    "default domain below 1": (lambda: default_domain(0), ValueError,
+                               "window length tau must be >= 1, got 0"),
+    "default domain a bool": (lambda: default_domain(True), ValueError,
+                              "window length tau must be an integer, got True"),
+    "top edges numpy m below 1": (lambda: reduce_top_edges(PATH, np.uint8(0)), ValueError,
+                                  "m must be >= 1, got 0"),
+    "synthetic nodes below 6": (lambda: gen_synthetic(n_nodes=5), ValueError,
+                                "need at least 6 nodes (4 cycle nodes plus a tree)"),
+    "synthetic nodes a bool": (lambda: gen_synthetic(n_nodes=True), ValueError,
+                               "n_nodes must be an integer, got True"),
+    "synthetic length below 1": (lambda: gen_synthetic(length=0), ValueError,
+                                 "a dynamic network needs at least one snapshot"),
+    "synthetic length a bool": (lambda: gen_synthetic(length=True), ValueError,
+                                "length must be an integer, got True"),
+    "synthetic period a bool": (lambda: gen_synthetic(period=True), ValueError,
+                                "period must be an integer, got True"),
+    "transaction count below 0": (lambda: normalize_transaction_weights({(0, 1): -1}, 3),
+                                  ValueError, "count on edge (0, 1) must be >= 0, got -1"),
+    "transaction count a bool": (lambda: normalize_transaction_weights({(0, 1): True}, 3),
+                                 ValueError, "count on edge (0, 1) must be an integer, got True"),
+    "transaction numpy count below 0": (
+        lambda: normalize_transaction_weights({(0, 1): np.int16(-2)}, 3), ValueError,
+        "count on edge (0, 1) must be >= 0, got -2"),
+    "betti dimension 2": (lambda: betti_numbers(build_complex(EDGE, 0.5), 2), ValueError,
+                          "p must be 0 or 1, got 2"),
+    "betti dimension -1": (lambda: betti_numbers(build_complex(EDGE, 0.5), -1), ValueError,
+                           "p must be 0 or 1, got -1"),
+    "diagram numpy dimension 2": (lambda: TABLE.points(np.int64(2)), ValueError,
+                                  "dimension must be 0 or 1, got 2"),
+    "diagram row dimension 2": (lambda: ZPD(((2, 2, 4, 1),)), ValueError,
+                                "dimension must be 0 or 1, got 2"),
+    "run homology dimension 2": (lambda: RunConfig(homology_dims=(2,)), ValueError,
+                                 "homology_dims: dimension must be 0 or 1, got 2"),
+    "run homology dimension a bool": (lambda: RunConfig(homology_dims=(True,)), ValueError,
+                                      "homology_dims: dimension must be an integer, got True"),
+    # returned () for (2,), and the dimension-1 rows for (True,)
+    "image rows dimension 2": (lambda: image_rows(TABLE, (2,), WeightingSpec()), ValueError,
+                               "dimension must be 0 or 1, got 2"),
+    "image rows dimension a bool": (lambda: image_rows(TABLE, (True,), WeightingSpec()),
+                                    ValueError, "dimension must be an integer, got True"),
 }
 
 
@@ -114,3 +171,43 @@ def test_a_bad_input_is_refused_with_its_message(case):
     call, error, message = REFUSALS[case]
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
+
+
+# A numpy integer for each argument above, and the plain integer it must compute as:
+# results with the same full repr, which names any numpy scalar left in them.
+NUMPY_INTEGERS = {
+    "window count": (lambda: window_count(np.int64(6), np.int64(3)), lambda: window_count(6, 3)),
+    "zigzag series tau": (lambda: list(zigzag_series(SERIES, np.int64(3), 0.5)),
+                          lambda: list(zigzag_series(SERIES, 3, 0.5))),
+    "default domain": (lambda: default_domain(np.int32(4)), lambda: default_domain(4)),
+    "top edges m": (lambda: reduce_top_edges(PATH, np.int64(2)), lambda: reduce_top_edges(PATH, 2)),
+    "synthetic sizes": (
+        lambda: gen_synthetic(n_nodes=np.int64(6), length=np.uint16(8), period=np.int8(3), seed=1),
+        lambda: gen_synthetic(n_nodes=6, length=8, period=3, seed=1)),
+    "transaction counts": (
+        lambda: normalize_transaction_weights({(0, 1): np.int64(4), (1, 2): np.uint8(2)}, 3),
+        lambda: normalize_transaction_weights({(0, 1): 4, (1, 2): 2}, 3)),
+    "betti dimension": (lambda: betti_numbers(build_complex(PATH, 1.0), np.int64(0)),
+                        lambda: betti_numbers(build_complex(PATH, 1.0), 0)),
+    "diagram points dimension": (lambda: TABLE.points(np.int64(1)), lambda: TABLE.points(1)),
+    "diagram alive count dimension": (lambda: TABLE.count_alive(np.int64(1), 4),
+                                      lambda: TABLE.count_alive(1, 4)),
+    "run homology dimensions": (lambda: RunConfig(homology_dims=(np.int64(1), np.uint8(0))),
+                                lambda: RunConfig(homology_dims=(1, 0))),
+    "image rows dimensions": (lambda: image_rows(TABLE, (np.int64(1),), WeightingSpec()),
+                              lambda: image_rows(TABLE, (1,), WeightingSpec())),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMPY_INTEGERS))
+def test_a_numpy_integer_computes_as_its_plain_value(case):
+    given, plain = NUMPY_INTEGERS[case]
+    with np.printoptions(threshold=sys.maxsize, floatmode="unique"):
+        assert repr(given()) == repr(plain())
+
+
+def test_a_numpy_tau_gives_diagrams_of_plain_integers():
+    # the rows held the numpy tau's type where the engine computed with it
+    diagrams = list(zigzag_series(SERIES, np.int64(3), 0.5))
+    assert diagrams == list(zigzag_series(SERIES, 3, 0.5))
+    assert {type(x) for zpd in diagrams for row in zpd.rows for x in row} == {int}

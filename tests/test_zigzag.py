@@ -57,10 +57,10 @@ def test_zpd_table_validates_rows():
 
 
 @pytest.mark.parametrize("row, message", [
-    ((True, 2, 4, 1), "dimension must be the integer 0 or 1, got True"),
-    ((np.bool_(False), 2, 4, 1), "dimension must be the integer 0 or 1, got np.False_"),
-    ((1.0, 2, 4, 1), r"dimension must be the integer 0 or 1, got 1\.0"),
-    (("0", 2, 4, 1), "dimension must be the integer 0 or 1, got '0'"),
+    ((True, 2, 4, 1), "dimension must be an integer, got True"),
+    ((np.bool_(False), 2, 4, 1), "dimension must be an integer, got np.False_"),
+    ((1.0, 2, 4, 1), r"dimension must be an integer, got 1\.0"),
+    (("0", 2, 4, 1), "dimension must be an integer, got '0'"),
     ((0, 2.0, 4, 1), r"half-index 2t must be an integer, got 2\.0"),
     ((0, 2, 4.0, 1), r"half-index 2t must be an integer, got 4\.0"),
     ((0, True, 4, 1), "half-index 2t must be an integer, got True"),
