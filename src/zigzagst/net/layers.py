@@ -63,7 +63,8 @@ def laplacian_powers_backward(powers: np.ndarray, dpowers: np.ndarray, lap: np.n
     dlap = np.zeros_like(lap)
     for k in range(dpow.shape[0] - 1, 0, -1):
         dlap += dpow[k] @ powers[k - 1].T
-        dpow[k - 1] += lap.T @ dpow[k]
+        if k > 1:  # the identity's gradient dpow[0] is never read
+            dpow[k - 1] += lap.T @ dpow[k]
     return dlap
 
 
@@ -157,39 +158,25 @@ def temporal_conv_backward(cache, dout):
 # The model's image encoder: two convolutions of 8 filters of 3x3 at stride 2.
 ENCODER_FILTERS, ENCODER_KERNEL, ENCODER_STRIDE = 8, 3, 2
 
-# Bytes of per-call buffers one block of images may take in ``zpi_encoder``
-# (``_image_buffer_sizes``).  With 8 filters of 3x3 at stride 2 and two
-# layers, a 100x100 image needs about 0.85 MB of them and goes alone; a
-# 16x16 image needs about 16 kB, so up to 67 distinct images go as one block.
-ENCODER_BLOCK_BYTES = 1 << 20
-
-
 def _im2col(x, out, k, side):
     """Columns of a valid k x k convolution at the encoder's stride of ``x``, into ``out``.
 
-    ``x`` is (B, C, H, W) and ``out`` a flat buffer with room for them;
-    the result is a view of it, (B, k*k*C, side*side) with rows ordered
-    (ky, kx, c), built by one strided copy per kernel tap.
+    ``x`` is one image (C, H, W) and ``out`` a (k, k, C, side, side)
+    buffer; the result is a view of it, (k*k*C, side*side) with rows
+    ordered (ky, kx, c), built by one strided copy per kernel tap.
     """
-    b, c, span = *x.shape[:2], ENCODER_STRIDE * side
-    cols = out[: b * k * k * c * side * side].reshape(b, k, k, c, side, side)
+    span = ENCODER_STRIDE * side
     for ky in range(k):
         for kx in range(k):
-            cols[:, ky, kx] = x[:, :, ky : ky + span : ENCODER_STRIDE, kx : kx + span : ENCODER_STRIDE]
-    return cols.reshape(b, k * k * c, side * side)
+            out[ky, kx] = x[:, ky : ky + span : ENCODER_STRIDE, kx : kx + span : ENCODER_STRIDE]
+    return out.reshape(-1, side * side)
 
 
 def _relu_matmul(kernel, cols, bias, out):
-    """ReLU(kernel @ cols + bias) per image into the front of the flat buffer ``out``.
-
-    ``cols`` is (B, K, S), and the result (B, len(kernel), S).  The stacked
-    product runs one matrix product per image, all of the same shape, so
-    an image's values do not depend on the other images of the block.
-    """
-    b, _, size = cols.shape
-    pre = np.matmul(kernel, cols, out=out[: b * len(kernel) * size].reshape(b, len(kernel), size))
-    pre += bias[:, None]
-    return np.maximum(pre, 0.0, out=pre)
+    """ReLU(kernel @ cols + bias) of one image's (K, S) columns into ``out``, (len(kernel), S)."""
+    np.matmul(kernel, cols, out=out)
+    out += bias[:, None]
+    return np.maximum(out, 0.0, out=out)
 
 
 def _patches(x, batch, ys, xs, k):
@@ -217,17 +204,6 @@ def zpi_encoder_output_size(p: int, kernel: int) -> int:
     return (s1 - kernel) // stride + 1
 
 
-def _image_buffer_sizes(p, k, filters, n_layers):
-    """Elements one image takes in each of ``zpi_encoder``'s per-call buffers.
-
-    They are the first convolution's columns, every layer's first map,
-    the second convolution's columns, and one second map.
-    """
-    s2 = zpi_encoder_output_size(p, k)
-    s1 = (p - k) // ENCODER_STRIDE + 1
-    return k * k * s1 * s1, n_layers * filters * s1 * s1, k * k * filters * s2 * s2, filters * s2 * s2
-
-
 def zpi_encoder(images, index, layers, want_cache: bool = True):
     """Every layer's code of the windows' images: one ``(z, cache)`` per layer.
 
@@ -253,11 +229,8 @@ def zpi_encoder(images, index, layers, want_cache: bool = True):
 
     Every layer's first convolution is one product of the stacked
     (layers*filters, k*k) kernels against an image's im2col columns.
-    The images go in blocks sized so that the column and feature-map
-    buffers fit ``ENCODER_BLOCK_BYTES``; those buffers are allocated
-    once per call and reused from block to block, and each block's
-    maxima (and argmax and first-map patches) are gathered before the
-    next.
+    The column and feature-map buffers hold one image; they are
+    allocated once per call and reused from image to image.
     """
     u, p = images.shape[0], images.shape[-1]
     filters, _, k, _ = layers[0].conv1_k.shape
@@ -265,9 +238,8 @@ def zpi_encoder(images, index, layers, want_cache: bool = True):
     s2 = zpi_encoder_output_size(p, k)
     s1 = (p - k) // ENCODER_STRIDE + 1
     x0 = images.reshape(u, 1, p, p)  # one input channel
-    sizes = _image_buffer_sizes(p, k, filters, n_layers)
-    block = max(1, min(u, ENCODER_BLOCK_BYTES // (8 * sum(sizes))))
-    cols1, maps1, cols2, maps2 = (np.empty(block * size) for size in sizes)
+    cols1, cols2 = np.empty((k, k, 1, s1, s1)), np.empty((k, k, filters, s2, s2))
+    maps1, maps2 = np.empty((n_layers * filters, s1 * s1)), np.empty((filters, s2 * s2))
     kernel1 = np.concatenate([lp.conv1_k.reshape(filters, k * k) for lp in layers])
     bias1 = np.concatenate([lp.conv1_b for lp in layers])
     kernels2 = [lp.conv2_k.transpose(0, 2, 3, 1).reshape(filters, -1) for lp in layers]
@@ -275,19 +247,16 @@ def zpi_encoder(images, index, layers, want_cache: bool = True):
     if want_cache:
         y2, x2 = np.empty((2, n_layers, u, filters), dtype=np.intp)
         patch1 = np.empty((n_layers, u, filters, k, k, filters))
-    for u0 in range(0, u, block):
-        rows = slice(u0, min(u0 + block, u))
-        nb = rows.stop - u0
-        r1 = _relu_matmul(kernel1, _im2col(x0[rows], cols1, k, s1), bias1, maps1)
-        r1 = r1.reshape(nb, n_layers, filters, s1, s1)
+    for i, x in enumerate(x0):
+        r1 = _relu_matmul(kernel1, _im2col(x, cols1, k, s1), bias1, maps1)
+        r1 = r1.reshape(n_layers, filters, s1, s1)
         for li, lp in enumerate(layers):
-            cols = _im2col(r1[:, li], cols2, k, s2)
-            flat = _relu_matmul(kernels2[li], cols, lp.conv2_b, maps2)  # (nb, filters, s2*s2)
-            maxvals[li, rows] = flat.max(axis=2)
-            if want_cache:
-                arg = flat.argmax(axis=2)  # row-major position, (nb, filters)
-                y2[li, rows], x2[li, rows] = np.divmod(arg, s2)
-                patch1[li, rows] = _patches(r1[:, li], np.arange(nb), y2[li, rows], x2[li, rows], k)
+            flat = _relu_matmul(kernels2[li], _im2col(r1[li], cols2, k, s2), lp.conv2_b, maps2)
+            maxvals[li, i] = flat.max(axis=1)
+            if want_cache:  # the argmax's row-major position
+                y2[li, i], x2[li, i] = np.divmod(flat.argmax(axis=1), s2)
+        if want_cache:
+            patch1[:, i] = _patches(r1, np.arange(n_layers), y2[:, i], x2[:, i], k)
     maxvals = maxvals[:, index]
     if want_cache:
         y2, x2, patch1 = y2[:, index], x2[:, index], patch1[:, index]

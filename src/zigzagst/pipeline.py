@@ -79,12 +79,13 @@ __all__ = [
 # Most doubles the window images of one ``assemble_batches`` call may take,
 # windows * resolution**2: 512 MiB.  It counts windows, so it bounds the
 # distinct images a batch holds (windows with equal diagrams share one) from
-# above, and it is checked before any image is rendered.  ``np.zeros`` is
-# lazy, so a larger batch would fail only once the images fill it.  Training
-# held about 1.8 times the batch at its peak (57 windows at resolution 300: a
-# 41 MB batch and a 73 MB ``tracemalloc`` peak), so a run stays near 1 GB, an
-# eighth of an 8 GB machine.  The benchmark's largest batch, ``train``, is 57
-# windows at resolution 100: 570,000 doubles.
+# above, and it is checked before any zigzag work.  The images are allocated
+# once the engine pass has found how many are distinct, so a larger batch
+# would fail only after that pass.  Training held about 1.8 times the batch
+# at its peak (57 windows at resolution 300: a 41 MB batch and a 73 MB
+# ``tracemalloc`` peak), so a run stays near 1 GB, an eighth of an 8 GB
+# machine.  The benchmark's largest batch, ``train``, is 57 windows at
+# resolution 100: 570,000 doubles.
 MAX_IMAGE_DOUBLES = 2**26
 
 _MODE_NAMES = {m.value: m for m in FiltrationMode}
@@ -399,26 +400,29 @@ def assemble_batches(
     The series engine runs only on the snapshots the windows cover.  A
     window's image depends only on its diagram's rows that weigh in the
     image (``zpi.image_rows`` in ``homology_dims``), so each distinct set
-    of them is rendered once, in the order windows first show it, and the
-    batch indexes it from every window that has it.  ``MAX_IMAGE_DOUBLES``
-    bounds the images as if every window's were distinct.
+    of them is rendered once after the engine pass, in the order windows
+    first show it, and the batch indexes it from every window that has it.
+    ``MAX_IMAGE_DOUBLES`` bounds the images as if every window's were
+    distinct.
     """
     nu = config.require_nu_star()
     windows = _batch_windows(network, features, config, windows)
     tau, h, p = config.tau, config.horizon, config.resolution
     grid, weighting = config.grid_spec(), config.weighting()
-    images, index = np.zeros((len(windows), p, p)), np.empty(len(windows), np.intp)
+    index = np.empty(len(windows), np.intp)
     distinct: dict[tuple, int] = {}  # a diagram's image rows in homology_dims -> its image
+    firsts = []  # the first diagram of each distinct image
     snapshots = network.snapshots[windows.start : windows.start + len(windows) + tau - 1]
     for k, zpd in enumerate(zigzag_series(snapshots, tau, nu, config.filtration_mode())):
         key = image_rows(zpd, config.homology_dims, weighting)
         if key not in distinct:
-            distinct[key] = len(distinct)
-            for dim in config.homology_dims:  # multiple dimensions sum pixelwise
-                images[distinct[key]] += render_zpi(zpd.points(dim), grid, weighting).pixels
+            distinct[key] = len(firsts)
+            firsts.append(zpd)
         index[k] = distinct[key]
-    # shrunk in place to the distinct images, with no copy; no view of ``images`` exists
-    images.resize((len(distinct), p, p), refcheck=False)
+    images = np.zeros((len(firsts), p, p))
+    for image, zpd in zip(images, firsts):
+        for dim in config.homology_dims:  # multiple dimensions sum pixelwise
+            image += render_zpi(zpd.points(dim), grid, weighting).pixels
     steps = np.arange(windows.start, windows.stop)[:, None]
     values = features.values
     return net.Batch(

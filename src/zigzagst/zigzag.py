@@ -73,10 +73,11 @@ def _half(twice: int) -> str:
     return str(twice // 2) if twice % 2 == 0 else f"{twice}/2"
 
 
-def check_count(m) -> None:
-    """A diagram row's count: an integer of at least 1, and not a ``bool``."""
+def check_count(m) -> int:
+    """A diagram row's count as a plain int: an integer of at least 1, and not a ``bool``."""
     if not is_int(m) or m < 1:
         raise ValueError(f"count must be a positive integer, got {m!r}")
+    return int(m)
 
 
 def check_point_row(row) -> tuple[float, float, int]:
@@ -98,20 +99,19 @@ def check_point_row(row) -> tuple[float, float, int]:
     return b, d, count
 
 
-def _check_point(dim: int, twice_birth: int, twice_death: int) -> None:
-    """One interval of the decomposition: a homology dimension and a grid span.
+def _check_point(dim: int, twice_birth: int, twice_death: int) -> tuple[int, int, int]:
+    """One interval of the decomposition, as plain ints: a homology dimension and a grid span.
 
-    All three are integers (``is_int``), so the line ``write_zpd_csv``
+    All three are integers (``checked``), so the line ``write_zpd_csv``
     gives them reads back as the same point.
     """
     for twice in (twice_birth, twice_death):
-        if not is_int(twice):
-            raise ValueError(f"half-index 2t must be an integer, got {twice!r}")
-        if twice < 2:
+        if checked("half-index 2t", twice) < 2:
             raise ValueError(f"half-index 2t = {twice} below the grid start")
-    check_dim("dimension", dim)
-    if twice_death < twice_birth:
-        raise ValueError(f"death {_half(twice_death)} precedes birth {_half(twice_birth)}")
+    dim, b, d = check_dim("dimension", dim), int(twice_birth), int(twice_death)
+    if d < b:
+        raise ValueError(f"death {_half(d)} precedes birth {_half(b)}")
+    return dim, b, d
 
 
 @dataclass(frozen=True)
@@ -129,9 +129,8 @@ class ZPD:
     def __post_init__(self):
         counts: dict[tuple[int, int, int], int] = {}
         for dim, b, d, m in self.rows:
-            _check_point(dim, b, d)
-            check_count(m)
-            counts[dim, b, d] = counts.get((dim, b, d), 0) + m
+            point = _check_point(dim, b, d)
+            counts[point] = counts.get(point, 0) + check_count(m)
         object.__setattr__(self, "rows", _sorted_rows(counts))
 
     def points(self, dim: int) -> list[tuple[float, float, int]]:

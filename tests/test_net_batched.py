@@ -227,7 +227,6 @@ def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, 
     images = rng.uniform(0, 1, (17, p, p))
     images[4] = 0.0
     dzs = rng.normal(size=(n_layers, 17, CODE))
-    per_image = 8 * sum(layers._image_buffer_sizes(p, kernel, FILTERS, n_layers))
     for b, u in ((1, 1), (2, 2), (17, 17), (17, 6)):
         # 17 windows of 6 images: window i reads image index[i], some more than once
         index = np.arange(b) % u
@@ -240,23 +239,19 @@ def test_encoder_layers_match_reference_per_layer_and_sample(p, kernel, stride, 
                 g_i = ref.zpi_encoder_backward(cache_i, dzs[li, i])
                 grads = g_i if grads is None else [acc + g for acc, g in zip(grads, g_i)]
             want.append((np.stack(codes), grads))
-        # the default budget; blocks of 5 (17 ends in a partial block); one image at a time
-        for budget in (layers.ENCODER_BLOCK_BYTES, 5 * per_image, 1):
-            with monkeypatch.context() as m:
-                m.setattr(layers, "ENCODER_BLOCK_BYTES", budget)
-                got = layers.zpi_encoder(images[:u], index, enc_layers)
-                assert len(got) == n_layers
-                for li, ((z, cache), (want_z, want_grads)) in enumerate(zip(got, want)):
-                    assert np.allclose(z, want_z, **TOL), (b, budget, li)
-                    grads = layers.zpi_encoder_backward(cache, dzs[li, :b])
-                    for g, w in zip(grads, want_grads):
-                        assert g.shape == w.shape
-                        assert np.allclose(g, w, **TOL), (b, budget, li)
+        got = layers.zpi_encoder(images[:u], index, enc_layers)
+        assert len(got) == n_layers
+        for li, ((z, cache), (want_z, want_grads)) in enumerate(zip(got, want)):
+            assert np.allclose(z, want_z, **TOL), (b, li)
+            grads = layers.zpi_encoder_backward(cache, dzs[li, :b])
+            for g, w in zip(grads, want_grads):
+                assert g.shape == w.shape
+                assert np.allclose(g, w, **TOL), (b, li)
 
 
 @settings(max_examples=8, deadline=None)
 @given(data=st.data())
-@pytest.mark.parametrize("p", [16, 32, 100])  # many images to an encoder block, and one
+@pytest.mark.parametrize("p", [16, 32, 100])
 def test_an_images_encoder_maxima_do_not_depend_on_the_other_images_of_the_call(p, data):
     # the encoder convolves each distinct image once and hands its maxima, argmax positions
     # and first-map patches to every window that reads it, so they must be the bits the
@@ -280,20 +275,22 @@ def test_an_images_encoder_maxima_do_not_depend_on_the_other_images_of_the_call(
             assert np.array_equal(patch1[w], patch1_j[0]), (li, w)
 
 
-def _encoder_peak_bytes(b):
+def _encoder_peak_bytes(b, p, want_cache):
     enc_layers = encoder_layers(3, 2, seed=0)
-    img = np.random.default_rng(2).uniform(0, 1, (b, 100, 100))
+    img = np.random.default_rng(2).uniform(0, 1, (b, p, p))
     tracemalloc.start()
     try:
-        layers.zpi_encoder(img, np.arange(b), enc_layers)
+        layers.zpi_encoder(img, np.arange(b), enc_layers, want_cache)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
 
 
-def test_encoder_memory_grows_with_the_image_not_the_batch():
-    # whole-batch columns would grow about 20 times from 1 to 32 images of 100x100
-    one, many = _encoder_peak_bytes(1), _encoder_peak_bytes(32)
+@pytest.mark.parametrize("p,want_cache", [(100, True), (16, False), (32, False)])
+def test_encoder_memory_grows_with_the_image_not_the_batch(p, want_cache):
+    # the column and feature-map buffers hold one image at every resolution; buffers for
+    # a block of images would grow about 14 times from 1 to 32 images of 32x32
+    one, many = _encoder_peak_bytes(1, p, want_cache), _encoder_peak_bytes(32, p, want_cache)
     assert many <= 1.5 * one, (one, many)
 
 

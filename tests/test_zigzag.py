@@ -98,6 +98,17 @@ def test_zpd_table_keeps_numpy_integer_rows_that_round_trip(tmp_path):
     assert read_zpd_csv(path) == zpd == ZPD(((1, 3, 7, 2), (0, 2, 4, 1)))
 
 
+@pytest.mark.parametrize("rows, plain", [
+    (((np.int64(1), np.int64(3), 5, 2), (1, 3, 5, 1)), ((1, 3, 5, 3),)),
+    (((np.int8(0), np.uint64(3), np.int32(7), np.int16(2)), (0, 2, 4, np.uint8(1))),
+     ((0, 2, 4, 1), (0, 3, 7, 2))),
+])
+def test_zpd_table_stores_numpy_integer_rows_as_plain_ints(rows, plain):
+    zpd = ZPD(rows)
+    assert all(type(value) is int for row in zpd.rows for value in row), zpd.rows
+    assert zpd.rows == plain and repr(zpd) == repr(ZPD(plain))
+
+
 def test_zpd_table_sorts_and_merges_rows():
     zpd = ZPD([(1, 3, 5, 1), (0, 4, 4, 2), (1, 3, 5, 2), (0, 2, 9, 1)])
     assert zpd.rows == ((0, 2, 9, 1), (0, 4, 4, 2), (1, 3, 5, 3))
